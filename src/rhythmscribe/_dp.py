@@ -12,14 +12,25 @@ Emissions enter as a matrix ``em`` of shape ``(N, bar_length)``:
 ``em[n-1, v-1]`` is the log emission weight of output value ``v`` at step
 ``n``.  Indicator rows (0 / -inf) recover score probabilities; Gaussian
 log-densities give performance likelihoods.
+
+Every recursion works in log space over the edge lists, except the exact
+forward pass on large spaces, which runs in scaled linear space over
+per-output-value sparse matrices and converts its table back to log space.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 NEG_INF = -np.inf
+
+# Exact forward passes over spaces with at least this many edges run the
+# scaled per-value CSR kernel (`_scaled_forward`); smaller spaces keep the
+# log-space edge-list recursion, whose fixed per-step cost is lower.  Picked
+# from single-thread timings at 200 notes; see CHANGES.md.
+SPARSE_MIN_EDGES = 5_000
 
 
 class InferenceError(RuntimeError):
@@ -30,8 +41,9 @@ class EdgeSet:
     """Weighted edges between two state slots, indexed for DP sweeps.
 
     Stored sorted by (dst, src) so per-destination reductions are contiguous
-    and ties resolve toward the lowest source index.  A src-sorted view is
-    built lazily for path sampling.
+    and ties resolve toward the lowest source index.  A src-sorted view (for
+    path sampling) and per-output-value transition matrices (for the scaled
+    forward kernel) are built lazily.
     """
 
     def __init__(self, src, dst, logp, out, n_src: int, n_dst: int):
@@ -54,6 +66,7 @@ class EdgeSet:
         self._starts = self.dst_indptr[self._rows]
         self._seg_counts = counts[self._rows]
         self._src_view = None
+        self._by_value = None
 
     def src_view(self):
         """(order, indptr) of edges grouped by source state."""
@@ -62,6 +75,27 @@ class EdgeSet:
             indptr = np.searchsorted(self.src[order], np.arange(self.n_src + 1))
             self._src_view = (order, indptr)
         return self._src_view
+
+    def by_value(self):
+        """(n_values, A): edge probabilities grouped by output value.
+
+        `A` is a CSR matrix of shape ``(n_values * n_dst, n_src)`` stacking
+        one block per output value v = 1..n_values: row ``(v-1) * n_dst + d``,
+        column ``s`` holds the summed probability of the edges s -> d that
+        produce v.  One product ``A @ x`` thus yields every ``A_v @ x``.
+        """
+        if self._by_value is None:
+            n_values = int(self.out.max()) if self.n_edges else 0
+            order = np.argsort(self.out, kind="stable")  # (out, dst, src) order
+            rows = (self.out[order] - 1) * self.n_dst + self.dst[order]
+            indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
+            mat = sparse.csr_matrix(
+                (np.exp(self.logp[order]), self.src[order], indptr),
+                shape=(n_values * self.n_dst, self.n_src),
+            )
+            self._by_value = (n_values, mat)
+        return self._by_value
 
     def in_slice(self, state: int) -> slice:
         """Slice of edges entering `state` (arrays are dst-sorted)."""
@@ -83,19 +117,12 @@ class EdgeSet:
         new[self._rows[ok]] = m[ok] + np.log(sums[ok])
         return new
 
-    def reduce_max(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-destination max score and the (lowest-index) achieving edge."""
+    def reduce_max(self, scores: np.ndarray) -> np.ndarray:
+        """Per-destination max score; -inf where no edge."""
         best = np.full(self.n_dst, NEG_INF)
-        argbest = np.full(self.n_dst, -1, dtype=np.int64)
-        if self.n_edges == 0:
-            return best, argbest
-        m = np.maximum.reduceat(scores, self._starts)
-        hit = scores == np.repeat(m, self._seg_counts)
-        cand = np.where(hit, np.arange(self.n_edges), self.n_edges)
-        arg = np.minimum.reduceat(cand, self._starts)
-        best[self._rows] = m
-        argbest[self._rows] = arg
-        return best, argbest
+        if self.n_edges:
+            best[self._rows] = np.maximum.reduceat(scores, self._starts)
+        return best
 
 
 def _next_pow2(width: int) -> int:
@@ -269,6 +296,71 @@ def _emission_steps(em: np.ndarray):
     return em
 
 
+def _log_total(alpha: np.ndarray) -> float:
+    """logsumexp over the finite entries of a final forward vector."""
+    finite = alpha[np.isfinite(alpha)]
+    m = np.max(finite)
+    return float(m + np.log(np.sum(np.exp(finite - m))))
+
+
+def _edge_list_forward(space, em, init, keep_table=True):
+    """Exact forward in log space over the edge lists (the reference kernel).
+
+    Returns ``(total, table)``, or ``(-inf, None)`` when no path is feasible;
+    the table is None unless `keep_table` is set.
+    """
+    alpha = init.copy()
+    table = [alpha] if keep_table else None
+    edges = space.first
+    for n in range(em.shape[0]):
+        alpha = edges.reduce_logsumexp(edges.step_scores(alpha, em[n]))
+        if not np.isfinite(alpha).any():
+            return NEG_INF, None
+        if keep_table:
+            table.append(alpha)
+        edges = space.trans
+    return _log_total(alpha), table
+
+
+def _scaled_forward(space, em, init, keep_table=True):
+    """Exact forward in scaled linear space over per-value CSR matrices.
+
+    Rabiner's (1989) scaling: the state vector ``x`` is kept normalized to
+    sum 1 and the log normalizers accumulate into the total.  A step is
+    ``y = sum_v exp(em[n, v] - c) * (A_v @ x)`` (see `EdgeSet.by_value`),
+    where ``c`` is the largest emission among the values some current state
+    can produce, so the leading term is never scaled to 0 even when a
+    duration lies far from every reachable value.  Same contract as
+    `_edge_list_forward`; the table is returned in log space.
+    """
+    m0 = np.max(init)
+    x = np.exp(init - m0)
+    s = x.sum()
+    x /= s
+    log_scale = m0 + np.log(s)
+    table = [init.copy()] if keep_table else None
+    edges = space.first
+    with np.errstate(divide="ignore"):
+        for n in range(em.shape[0]):
+            n_values, mat = edges.by_value()
+            z = (mat @ x).reshape(n_values, edges.n_dst)
+            live = z.max(axis=1) > 0
+            row = em[n, :n_values][live]
+            c = np.max(row) if row.size else NEG_INF
+            if not np.isfinite(c):
+                return NEG_INF, None
+            w = np.zeros(n_values)
+            w[live] = np.exp(row - c)
+            y = w @ z
+            s = y.sum()
+            x = y / s
+            log_scale += c + np.log(s)
+            if keep_table:
+                table.append(np.log(x) + log_scale)
+            edges = space.trans
+    return float(log_scale), table
+
+
 def forward(
     space,
     em,
@@ -282,45 +374,43 @@ def forward(
     `return_table` is set; ``alphas[n]`` is the log joint of the first n
     observations and the slot-n state.  Returns -inf when no path is
     feasible (the beam variant raises instead, since an emptied beam is a
-    search failure rather than a model statement).  Beam widths round up to
-    the next power of two and prune through nested survivor sets (see
+    search failure rather than a model statement).  Exact passes run the
+    log-space edge-list recursion on spaces under `SPARSE_MIN_EDGES` edges
+    and the scaled CSR kernel on larger ones.  Beam widths round up to the
+    next power of two and prune through nested survivor sets (see
     `_tiered_sweep`), so totals never decrease as the width grows.
     `log_init` replaces the space's boundary distribution, e.g. to condition
     on an observed initial metrical position.
     """
     em = _emission_steps(em)
-    n_steps = em.shape[0]
     init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
     if not np.isfinite(init).any():
         return (NEG_INF, None) if return_table else NEG_INF
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
-        final, _, tables = _tiered_sweep(
+        final, _, table = _tiered_sweep(
             space, em, eff, init, use_max=False, keep_tables=return_table
         )
-        finite = final[np.isfinite(final)]
-        total = float(np.max(finite) + np.log(np.sum(np.exp(finite - np.max(finite)))))
-        return (total, tables) if return_table else total
-    alpha = init.copy()
-    table = [alpha]
-    edges = space.first
-    for n in range(n_steps):
-        alpha = edges.reduce_logsumexp(edges.step_scores(alpha, em[n]))
-        if not np.isfinite(alpha).any():
-            return (NEG_INF, None) if return_table else NEG_INF
-        if return_table:
-            table.append(alpha)
-        edges = space.trans
-    finite = alpha[np.isfinite(alpha)]
-    total = float(np.max(finite) + np.log(np.sum(np.exp(finite - np.max(finite)))))
+        total = _log_total(final)
+    else:
+        kernel = _scaled_forward if space.n_edges >= SPARSE_MIN_EDGES else _edge_list_forward
+        total, table = kernel(space, em, init, keep_table=return_table)
     return (total, table) if return_table else total
+
+
+def _path_sample(space, boundary: int, states, outs, log_prob: float) -> PathSample:
+    return PathSample(
+        boundary_index=None if space.virtual_boundary else int(boundary),
+        state_indices=[int(s) for s in states],
+        output_values=[int(v) for v in outs],
+        log_prob=float(log_prob),
+    )
 
 
 def _recover_path(space, backptr, delta) -> PathSample:
     """Backtrack per-step achieving-edge ids into a PathSample."""
     n_steps = len(backptr)
     last = int(np.argmax(delta))
-    log_prob = float(delta[last])
     states = [last]
     outs = []
     state = last
@@ -331,15 +421,29 @@ def _recover_path(space, backptr, delta) -> PathSample:
         states.append(state)
     e = int(backptr[0][state])
     outs.append(int(space.first.out[e]))
-    boundary = int(space.first.src[e])
-    states.reverse()
-    outs.reverse()
-    return PathSample(
-        boundary_index=None if space.virtual_boundary else boundary,
-        state_indices=states,
-        output_values=outs,
-        log_prob=log_prob,
-    )
+    return _path_sample(space, space.first.src[e], states[::-1], outs[::-1], delta[last])
+
+
+def _backtrack(space, em, deltas) -> PathSample:
+    """Exact Viterbi path from the per-step maxima alone.
+
+    Each backward step rescores only the current state's incoming edges,
+    exactly as the forward sweep scored them, and takes the lowest-index
+    best one: the edge a stored back-pointer would have named.
+    """
+    state = int(np.argmax(deltas[-1]))
+    states = [state]
+    outs = []
+    for n in range(len(deltas) - 2, -1, -1):
+        edges = space.first if n == 0 else space.trans
+        sl = edges.in_slice(state)
+        scores = deltas[n][edges.src[sl]] + edges.logp[sl] + em[n][edges.out[sl] - 1]
+        e = sl.start + int(np.argmax(scores))
+        outs.append(int(edges.out[e]))
+        state = int(edges.src[e])
+        states.append(state)
+    boundary = states.pop()
+    return _path_sample(space, boundary, states[::-1], outs[::-1], deltas[-1][states[0]])
 
 
 def viterbi(space, em, beam_width: int | None = None, log_init=None) -> PathSample:
@@ -347,7 +451,9 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None) -> PathSamp
 
     The tie rule is applied stepwise during backtracking: the final state is
     the lowest-index argmax, and each backward step picks the lowest-index
-    best predecessor.  Beam widths round up to the next power of two and
+    best predecessor.  The exact sweep keeps only the per-step maxima and
+    finds the best incoming edge for the path's own states while
+    backtracking.  Beam widths round up to the next power of two and
     prune through nested survivor sets (see `_tiered_sweep`), so decoded
     scores never decrease as the width grows and the decode is exact once
     the effective width covers the whole space.
@@ -361,25 +467,82 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None) -> PathSamp
             space, em, eff, init, use_max=True, keep_tables=False
         )
         return _recover_path(space, backptrs, final)
-    delta = init.copy()
-    backptr = []
+    deltas = [init]
     edges = space.first
     for n in range(n_steps):
-        delta, arg = edges.reduce_max(edges.step_scores(delta, em[n]))
+        delta = edges.reduce_max(edges.step_scores(deltas[-1], em[n]))
         if not np.isfinite(delta).any():
             raise InferenceError(f"no feasible path at step {n + 1}")
-        backptr.append(arg)
+        deltas.append(delta)
         edges = space.trans
-    return _recover_path(space, backptr, delta)
+    return _backtrack(space, em, deltas)
 
 
-def _sample_index(logw: np.ndarray, rng: np.random.Generator) -> int:
+def _posterior_weights(logw: np.ndarray) -> np.ndarray:
+    """Normalized probabilities from log weights (-inf entries get 0)."""
     m = np.max(logw)
     if not np.isfinite(m):
         raise InferenceError("degenerate posterior: all weights zero")
     w = np.exp(logw - m)
     w /= w.sum()
-    return int(rng.choice(len(w), p=w))
+    return w
+
+
+def _draw(w: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """Inverse-CDF draw(s) of an index with probabilities `w`.
+
+    The same arithmetic and uniform draws as ``rng.choice(len(w), p=w,
+    size=size)``, so seeded streams match it, without its validation
+    overhead (a third of a backward step on small spaces).
+    """
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _sample_index(logw: np.ndarray, rng: np.random.Generator) -> int:
+    return int(_draw(_posterior_weights(logw), rng))
+
+
+def _group_by_state(cur: np.ndarray):
+    """``[(state, member indices)]`` over the distinct states, ascending."""
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(cur.tolist()):
+        groups.setdefault(s, []).append(i)
+    return sorted(groups.items())
+
+
+def _sample_backward(space, em, table, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Backward sampling of `size` paths over one forward table.
+
+    Returns per-step edge ids of shape (size, n_steps): column 0 indexes
+    ``space.first``, the others ``space.trans``.  The backward kernel weights
+    each incoming edge by ``alpha[src] + logp + em(out)``; draws currently
+    at the same state share its incoming-edge posterior and are drawn
+    together, so the cost beyond the forward pass is linear in size and
+    n_steps.
+    """
+    if table is None:
+        raise InferenceError("zero data likelihood: nothing to sample")
+    n_steps = em.shape[0]
+    cur = _draw(_posterior_weights(table[n_steps]), rng, size)
+    eids = np.empty((size, n_steps), dtype=np.int64)
+    for n in range(n_steps - 1, -1, -1):
+        edges = space.first if n == 0 else space.trans
+        for s, members in _group_by_state(cur):
+            sl = edges.in_slice(s)
+            logw = table[n][edges.src[sl]] + edges.logp[sl] + em[n, edges.out[sl] - 1]
+            eids[members, n] = sl.start + _draw(_posterior_weights(logw), rng, len(members))
+        cur = edges.src[eids[:, n]]
+    return eids
+
+
+def _paths_from_edges(space, eids: np.ndarray):
+    """``(boundary, states, outputs)`` arrays of the paths along `eids`."""
+    first, rest = eids[:, :1], eids[:, 1:]
+    states = np.hstack([space.first.dst[first], space.trans.dst[rest]])
+    outs = np.hstack([space.first.out[first], space.trans.out[rest]])
+    return space.first.src[eids[:, 0]], states, outs
 
 
 def ffbs(
@@ -388,53 +551,29 @@ def ffbs(
     rng: np.random.Generator,
     beam_width: int | None = None,
     log_init=None,
-) -> PathSample:
+    table=None,
+):
     """Forward filtering, backward sampling: one exact posterior path draw.
 
-    The backward kernel weights each incoming edge by
-    ``alpha[src] + logp + em(out)``; for models whose emission depends only
-    on the destination state the emission factor is constant over sources
-    and the kernel reduces to the state-emission form.
+    The one-draw case of `ffbs_batch`.  `table` is the forward table of
+    these emissions, ``forward(space, em, beam_width, return_table=True,
+    log_init=log_init)[1]``; a caller that already holds it passes it, and
+    no forward pass runs.  For models whose emission depends only on the
+    destination state the backward kernel reduces to the state-emission
+    form.
     """
     em = _emission_steps(em)
-    n_steps = em.shape[0]
-    total, table = forward(
-        space, em, beam_width=beam_width, return_table=True, log_init=log_init
-    )
-    if table is None or not np.isfinite(total):
-        raise InferenceError("zero data likelihood: nothing to sample")
-    state = _sample_index(table[n_steps], rng)
-    states = [state]
-    outs = []
-    log_prob = 0.0
-    for n in range(n_steps - 1, 0, -1):
-        sl = space.trans.in_slice(state)
-        logw = (
-            table[n][space.trans.src[sl]]
-            + space.trans.logp[sl]
-            + em[n, space.trans.out[sl] - 1]
-        )
-        e = sl.start + _sample_index(logw, rng)
-        outs.append(int(space.trans.out[e]))
-        log_prob += float(space.trans.logp[e] + em[n, space.trans.out[e] - 1])
-        state = int(space.trans.src[e])
-        states.append(state)
-    sl = space.first.in_slice(state)
-    logw = table[0][space.first.src[sl]] + space.first.logp[sl] + em[0, space.first.out[sl] - 1]
-    e = sl.start + _sample_index(logw, rng)
-    outs.append(int(space.first.out[e]))
-    log_prob += float(space.first.logp[e] + em[0, space.first.out[e] - 1])
-    boundary = int(space.first.src[e])
     init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
+    if table is None:
+        _, table = forward(space, em, beam_width=beam_width, return_table=True, log_init=log_init)
+    eids = _sample_backward(space, em, table, rng, 1)
+    boundary, states, outs = (a[0] for a in _paths_from_edges(space, eids))
+    log_prob = 0.0
+    for n in range(em.shape[0] - 1, -1, -1):
+        edges = space.first if n == 0 else space.trans
+        log_prob += float(edges.logp[eids[0, n]] + em[n, outs[n] - 1])
     log_prob += float(init[boundary])
-    states.reverse()
-    outs.reverse()
-    return PathSample(
-        boundary_index=None if space.virtual_boundary else boundary,
-        state_indices=states,
-        output_values=outs,
-        log_prob=log_prob,
-    )
+    return _path_sample(space, boundary, states, outs, log_prob)
 
 
 def sample_generative(space, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -473,44 +612,10 @@ def ffbs_batch(space, em, rng: np.random.Generator, size: int,
     """Many exact posterior path draws sharing one forward pass.
 
     Returns ``(boundary, states, outputs)`` int arrays of shapes (size,),
-    (size, n_steps), (size, n_steps).  Backward draws are grouped by state,
-    whose incoming-edge posterior is shared by every sample currently there,
-    so the cost beyond the forward pass is linear in size and n_steps.
+    (size, n_steps), (size, n_steps).
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     em = _emission_steps(em)
-    n_steps = em.shape[0]
-    total, table = forward(
-        space, em, beam_width=beam_width, return_table=True, log_init=log_init
-    )
-    if table is None or not np.isfinite(total):
-        raise InferenceError("zero data likelihood: nothing to sample")
-    final = table[n_steps]
-    m = np.max(final[np.isfinite(final)])
-    w = np.exp(final - m)
-    w[~np.isfinite(final)] = 0.0
-    w /= w.sum()
-    cur = rng.choice(len(w), p=w, size=size)
-    states = np.empty((size, n_steps), dtype=np.int64)
-    outs = np.empty((size, n_steps), dtype=np.int64)
-    states[:, n_steps - 1] = cur
-    for n in range(n_steps - 1, -1, -1):
-        edges = space.first if n == 0 else space.trans
-        nxt = np.empty(size, dtype=np.int64)
-        for s in np.unique(cur):
-            members = np.flatnonzero(cur == s)
-            sl = edges.in_slice(int(s))
-            logw = table[n][edges.src[sl]] + edges.logp[sl] + em[n, edges.out[sl] - 1]
-            mw = np.max(logw)
-            if not np.isfinite(mw):
-                raise InferenceError("degenerate posterior: all weights zero")
-            pw = np.exp(logw - mw)
-            pw /= pw.sum()
-            draws = rng.choice(sl.stop - sl.start, p=pw, size=len(members)) + sl.start
-            outs[members, n] = edges.out[draws]
-            nxt[members] = edges.src[draws]
-        cur = nxt
-        if n > 0:
-            states[:, n - 1] = cur
-    return cur, states, outs
+    _, table = forward(space, em, beam_width=beam_width, return_table=True, log_init=log_init)
+    return _paths_from_edges(space, _sample_backward(space, em, table, rng, size))

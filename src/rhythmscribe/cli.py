@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus, normalize_corpus, to_note_values
+from .core import Corpus, json_field, normalize_corpus, to_note_values
 from .evaluation import benchmark, cross_entropy, error_rate, sparseness_study
 from .inference import (
     DEFAULT_CONCENTRATION,
@@ -124,7 +124,7 @@ def cmd_prepare(args, parser) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    entries = data["pieces"] if isinstance(data, dict) else data
+    entries = json_field(data, "pieces", args.input) if isinstance(data, dict) else data
     corpus, report = normalize_corpus(entries, bar_length=args.bar_length)
     print(report.summary())
     if len(corpus.pieces) == 0:
@@ -262,12 +262,13 @@ def cmd_eval(args, parser) -> int:
         truth = Corpus.load(args.truth)
         truth_values = {pid: to_note_values(p) for pid, p in zip(truth.ids, truth.pieces)}
         per_piece, weights = {}, {}
-        for item in data["items"]:
-            pid = item["id"]
+        for item in json_field(data, "items", args.transcriptions):
+            pid = json_field(item, "id", "transcription item")
             if pid not in truth_values:
                 print(f"no ground truth for piece {pid}", file=sys.stderr)
                 return 1
-            per_piece[pid] = error_rate(item["note_values"], truth_values[pid])
+            values = json_field(item, "note_values", "transcription item")
+            per_piece[pid] = error_rate(values, truth_values[pid])
             weights[pid] = len(truth_values[pid])
         if not per_piece:
             print("no transcriptions to evaluate", file=sys.stderr)

@@ -35,6 +35,26 @@ __all__ = [
 ]
 
 
+def integral(value, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integral number."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if as_int != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return as_int
+
+
+def json_field(data, key: str, where: str):
+    """``data[key]`` of a parsed JSON object; ValueError naming a missing field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return data[key]
+
+
 def interval(b_prev: int, b: int, bar_length: int) -> int:
     """Note value implied by two consecutive metrical positions.
 
@@ -64,7 +84,7 @@ class RhythmScore:
     bar_length: int = DEFAULT_BAR_LENGTH
 
     def __post_init__(self):
-        object.__setattr__(self, "onsets", tuple(int(t) for t in self.onsets))
+        object.__setattr__(self, "onsets", tuple(integral(t, "onset") for t in self.onsets))
         if self.bar_length < 1:
             raise ValueError("bar_length must be positive")
         if len(self.onsets) < 2:
@@ -93,7 +113,9 @@ class NotePattern:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+        object.__setattr__(
+            self, "positions", tuple(integral(p, "position") for p in self.positions)
+        )
         if not self.positions:
             raise ValueError("a note pattern must contain at least one position")
         if any(p < 0 for p in self.positions):
@@ -177,12 +199,14 @@ class Corpus:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Corpus":
+        entries = json_field(data, "pieces", "corpus")
         bar_length = int(data.get("bar_length", DEFAULT_BAR_LENGTH))
         pieces = []
         ids = []
-        for entry in data["pieces"]:
-            pieces.append(RhythmScore(tuple(entry["onsets"]), bar_length))
-            ids.append(str(entry["id"]))
+        for entry in entries:
+            onsets = json_field(entry, "onsets", "corpus piece")
+            pieces.append(RhythmScore(tuple(onsets), bar_length))
+            ids.append(str(json_field(entry, "id", "corpus piece")))
         return cls(tuple(pieces), tuple(ids), bar_length)
 
     def save(self, path) -> None:
@@ -282,12 +306,13 @@ def normalize_corpus(
     pieces: list[RhythmScore] = []
     ids: list[str] = []
     for idx, entry in enumerate(raw_pieces):
+        raw = json_field(entry, "onsets", f"piece {idx}")
         pid = str(entry.get("id", idx))
         meter = entry.get("meter", "4/4")
         if meter not in _ACCEPTED_METERS:
             report.dropped.append((pid, f"meter {meter} not 4/4-equivalent"))
             continue
-        onsets, n_ins, n_mrg = _normalize_onsets(entry["onsets"], bar_length)
+        onsets, n_ins, n_mrg = _normalize_onsets(raw, bar_length)
         report.inserted_onsets += n_ins
         report.merged_onsets += n_mrg
         if len(onsets) < 2:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _dp
 from ._dp import InferenceError, PathSample
+from .core import integral
 from .models import (
     LatentStateSpace,
     ModelConfig,
@@ -89,6 +90,10 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "iterations", integral(self.iterations, "iterations"))
+        object.__setattr__(self, "seed", integral(self.seed, "seed"))
+        if self.beam_width is not None:
+            object.__setattr__(self, "beam_width", integral(self.beam_width, "beam_width"))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.beam_width is not None and self.beam_width < 1:
@@ -434,26 +439,32 @@ def gibbs_fit(
 
     params = hp.base.copy()
     space = build_state_space(config, params)
-    hmm = build_transcription_hmm(space, tp)
-    trace = [forward_loglik(hmm, durations, beam_width=width)]
-    best = (trace[0], params, space)
-    path = ffbs_sample(hmm, durations, rng, beam_width=width)
+    # the emission matrix depends on the bar length and timing only
+    em = build_transcription_hmm(space, tp).emission_matrix(durations)
+
+    def forward_then_sample(space):
+        # one forward pass per iteration: its total is the trace entry and
+        # its table feeds the backward sampler
+        loglik, table = _dp.forward(space, em, beam_width=width, return_table=True)
+        if table is None:
+            raise InferenceError("zero data likelihood: nothing to sample")
+        return loglik, _dp.ffbs(space, em, rng, beam_width=width, table=table)
+
+    loglik, path = forward_then_sample(space)
+    trace = [loglik]
+    best = (loglik, params, space)
 
     for _ in range(gibbs.iterations):
         counts = gather_counts(space, path)
         params = sample_posterior(hp, counts, rng)
         space = build_state_space(config, params)
-        hmm = build_transcription_hmm(space, tp)
-        loglik = forward_loglik(hmm, durations, beam_width=width)
+        loglik, path = forward_then_sample(space)
         trace.append(loglik)
         if loglik > best[0]:
             best = (loglik, params, space)
-        path = ffbs_sample(hmm, durations, rng, beam_width=width)
 
     best_loglik, best_params, best_space = best
-    best_path, _ = viterbi(
-        build_transcription_hmm(best_space, tp), durations, beam_width=width
-    )
+    best_path = _dp.viterbi(best_space, em, beam_width=width)
     result = _result_from_path(best_space, best_path, best_loglik, trace)
     return best_params, result
 
@@ -483,8 +494,7 @@ def transcribe(
     if not isinstance(params_or_hyperparams, ModelParams):
         raise TypeError("non-Bayesian transcription needs ModelParams")
     space = build_state_space(config, params_or_hyperparams)
-    hmm = build_transcription_hmm(space, tp)
-    durations = np.asarray(performance.durations, dtype=np.float64)
-    loglik = forward_loglik(hmm, durations, beam_width=width)
-    path = _dp.viterbi(hmm.space, hmm.emission_matrix(durations), beam_width=width)
+    em = build_transcription_hmm(space, tp).emission_matrix(performance.durations)
+    loglik = _dp.forward(space, em, beam_width=width)
+    path = _dp.viterbi(space, em, beam_width=width)
     return _result_from_path(space, path, loglik)

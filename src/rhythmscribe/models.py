@@ -47,7 +47,14 @@ from functools import cached_property
 import numpy as np
 
 from ._dp import EdgeSet, forward as _forward, sample_generative as _sample_generative
-from .core import DEFAULT_BAR_LENGTH, Corpus, RhythmScore, interval, to_note_values
+from .core import (
+    DEFAULT_BAR_LENGTH,
+    Corpus,
+    RhythmScore,
+    interval,
+    json_field,
+    to_note_values,
+)
 
 ROW_TOL = 1e-9
 
@@ -382,9 +389,10 @@ def params_to_dict(params: ModelParams) -> dict:
 
 def params_from_dict(data: dict) -> ModelParams:
     """Rebuild ModelParams from the labeled-dict form."""
-    fam = data["family"]
-    nb = int(data["bar_length"])
-    order = int(data["order"])
+    where = "model parameters"
+    fam = json_field(data, "family", where)
+    nb = int(json_field(data, "bar_length", where))
+    order = int(json_field(data, "order", where))
     patterns = None
     if data.get("patterns") is not None:
         patterns = tuple(tuple(int(x) for x in p) for p in data["patterns"])
@@ -396,7 +404,7 @@ def params_from_dict(data: dict) -> ModelParams:
             v[_symbol_from_label(fam, label)] = p
         return v
 
-    initial = vector(data["initial"])
+    initial = vector(json_field(data, "initial", where))
     unigram = vector(data["unigram"]) if "unigram" in data else None
     transition = None
     if "transition" in data:
@@ -424,7 +432,7 @@ def params_from_dict(data: dict) -> ModelParams:
         catalog = build_division_catalog(nb)
         rows = []
         for r in range(1, nb + 1):
-            entries = data["division"][f"r:{r}"]
+            entries = json_field(data["division"], f"r:{r}", f"{where} division")
             row = np.zeros(r)
             for h, parts in enumerate(catalog.patterns_for(r)):
                 row[h] = entries["(" + ",".join(map(str, parts)) + ")"]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .core import DEFAULT_BAR_LENGTH, RhythmScore, to_note_values
+from .core import DEFAULT_BAR_LENGTH, RhythmScore, json_field, to_note_values
 from .models import LatentStateSpace
 
 DEFAULT_MIN_DURATION = 1e-3  # seconds; Gaussian draws below this are redrawn
@@ -72,6 +72,8 @@ class Performance:
     def __post_init__(self):
         if len(self.onsets) < 2:
             raise ValueError("a performance needs at least two onsets")
+        if not np.all(np.isfinite(self.onsets)):
+            raise ValueError("onset times must be finite")
         d = np.diff(self.onsets)
         if np.any(d <= 0):
             raise ValueError("onset times must be strictly increasing")
@@ -122,18 +124,17 @@ class PerformedCorpus:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerformedCorpus":
+        items = json_field(data, "items", "performances")
         nb = int(data.get("bar_length", DEFAULT_BAR_LENGTH))
         perfs, ids, sources = [], [], []
-        for item in data["items"]:
+        for item in items:
+            onsets = json_field(item, "onsets_sec", "performance item")
             perfs.append(
-                Performance(
-                    tuple(float(t) for t in item["onsets_sec"]),
-                    redraws=int(item.get("redraws", 0)),
-                )
+                Performance(tuple(float(t) for t in onsets), redraws=int(item.get("redraws", 0)))
             )
-            ids.append(str(item["id"]))
+            ids.append(str(json_field(item, "id", "performance item")))
             so = item.get("score_onsets")
-            sources.append(None if so is None else RhythmScore(tuple(int(t) for t in so), nb))
+            sources.append(None if so is None else RhythmScore(tuple(so), nb))
         return cls(
             performances=tuple(perfs),
             ids=tuple(ids),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Corpus, segment_patterns, to_metrical, to_note_values
+from .core import Corpus, json_field, segment_patterns, to_metrical, to_note_values
 from .inference import DEFAULT_CONCENTRATION, Hyperparams
 from .models import (
     ModelConfig,
@@ -255,10 +255,13 @@ def hyperparams_to_dict(hp: Hyperparams) -> dict:
 
 
 def hyperparams_from_dict(data: dict) -> Hyperparams:
+    def alpha(key):
+        return float(json_field(data, key, "hyperparameters"))
+
     return Hyperparams(
-        base=params_from_dict(data["base"]),
-        alpha_initial=float(data["alpha_initial"]),
-        alpha_transition=float(data["alpha_transition"]),
-        alpha_shift=float(data["alpha_shift"]),
-        alpha_division=float(data["alpha_division"]),
+        base=params_from_dict(json_field(data, "base", "hyperparameters")),
+        alpha_initial=alpha("alpha_initial"),
+        alpha_transition=alpha("alpha_transition"),
+        alpha_shift=alpha("alpha_shift"),
+        alpha_division=alpha("alpha_division"),
     )

@@ -54,6 +54,20 @@ class TestPrepare:
         assert run("prepare", once, "--out", twice) == 0
         assert once.read_bytes() == twice.read_bytes()
 
+    @pytest.mark.parametrize("data, field", [
+        ({"bar_length": 8}, "'pieces'"),
+        ({"pieces": [{"id": "a"}]}, "'onsets'"),
+        ([{"id": "a", "onsets": [0, 2, 4]}, {"id": "b"}], "'onsets'"),
+        ({"pieces": [[0, 2, 4]]}, "JSON object"),
+    ])
+    def test_missing_field_is_one_error_line(self, tmp_path, capsys, data, field):
+        raw = tmp_path / "bad.json"
+        raw.write_text(json.dumps(data))
+        assert run("prepare", raw, "--out", tmp_path / "o.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+        assert not (tmp_path / "o.json").exists()
+
     def test_empty_input_fails(self, tmp_path):
         raw = tmp_path / "raw.json"
         raw.write_text(json.dumps([{"id": "w", "onsets": [0, 2], "meter": "3/4"}]))
@@ -164,6 +178,24 @@ class TestTranscribeAndEval:
         assert exc.value.code == 2
         with pytest.raises(SystemExit):
             run("eval", "--out", tmp_path / "x.json")
+
+    def test_malformed_inputs_are_one_error_line(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        cases = [
+            ({"model": "metmm1"}, "'items'",
+             ("eval", "--transcriptions", bad, "--truth", pipeline["corpus"])),
+            ({"items": [{"id": "alpha"}]}, "'note_values'",
+             ("eval", "--transcriptions", bad, "--truth", pipeline["corpus"])),
+            ({"bar_length": 8}, "'pieces'",
+             ("eval", "--params", pipeline["params"], "--corpus", bad, "--model", "metmm1")),
+            ({"family": "met", "bar_length": 8}, "'order'",
+             ("eval", "--params", bad, "--corpus", pipeline["corpus"], "--model", "metmm1")),
+        ]
+        for data, field, argv in cases:
+            bad.write_text(json.dumps(data))
+            assert run(*argv, "--out", tmp_path / "x.json") == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
 
     def test_unknown_model_exits_2(self, pipeline, tmp_path):
         with pytest.raises(SystemExit) as exc:

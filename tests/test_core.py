@@ -46,6 +46,18 @@ class TestEncodings:
         with pytest.raises(ValueError):
             RhythmScore((4, 4, 8))
 
+    def test_non_integral_onsets_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            RhythmScore((0, 1.7, 3))
+        with pytest.raises(ValueError, match="integer"):
+            RhythmScore((0, float("nan"), 3))
+        with pytest.raises(ValueError, match="integer"):
+            RhythmScore((0, float("inf")))
+        # integral values of any numeric type keep working
+        score = RhythmScore((0, 1.0, np.int64(3)))
+        assert score.onsets == (0, 1, 3)
+        assert all(type(t) is int for t in score.onsets)
+
     def test_overlong_note_rejected(self):
         with pytest.raises(ValueError):
             RhythmScore((0, 9))

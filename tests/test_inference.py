@@ -349,6 +349,15 @@ class TestTranscribe:
         assert all(isinstance(v, int) for v in data["note_values"])
         assert isinstance(data["state_tags"][0], list)
 
+    def test_gibbs_config_rejects_non_integral_values(self):
+        for kwargs in ({"iterations": 2.5}, {"beam_width": 7.5}, {"seed": 0.5},
+                       {"iterations": "3"}):
+            with pytest.raises(ValueError, match="integer"):
+                GibbsConfig(**kwargs)
+        gc = GibbsConfig(iterations=3.0, beam_width=np.int64(8), seed=2.0)
+        assert (gc.iterations, gc.beam_width, gc.seed) == (3, 8, 2)
+        assert type(gc.iterations) is int and type(gc.beam_width) is int
+
     def test_gibbs_config_validation(self):
         with pytest.raises(ValueError):
             GibbsConfig(iterations=0)

@@ -155,6 +155,19 @@ class TestPerformanceTypes:
         with pytest.raises(ValueError):
             Performance((0.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_onsets_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Performance((0.0, bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            Performance((bad, 1.0))
+
+    def test_missing_json_field_named(self):
+        with pytest.raises(ValueError, match="'onsets_sec'"):
+            PerformedCorpus.from_dict({"items": [{"id": "a"}]})
+        with pytest.raises(ValueError, match="'items'"):
+            PerformedCorpus.from_dict({"bar_length": 8})
+
     def test_corpus_round_trip(self, tmp_path):
         corpus = PerformedCorpus(
             performances=(Performance((0.0, 0.5, 1.2), redraws=1), Performance((0.0, 0.3))),
