@@ -4,8 +4,8 @@ The package infers quantized note values from noisy performed onset times.
 A score model (note-value, metrical, or pattern Markov chain, optionally
 augmented with onset-shift and note-division states) supplies the prior over
 rhythms; the timing model ties performed durations to score durations;
-Viterbi or beam decoding recovers the score, and Gibbs sampling fits
-piece-specific model parameters under Dirichlet priors.
+exact Viterbi decoding (a beam only on request) recovers the score, and
+Gibbs sampling fits piece-specific model parameters under Dirichlet priors.
 
 Typical use::
 
@@ -15,8 +15,16 @@ Typical use::
     hp = assemble_hyperparams(params, config)
     tp = TimingParams.from_bpm(144.0, sigma_t=0.04)
     result = transcribe(config, hp, performance, tp)
+
+Below `transcribe`, the DP engine works on a state space and an emission
+matrix::
+
+    space = build_state_space(config, params)
+    em = TranscriptionHmm(space, tp).emission_matrix(performance.durations)
+    path = viterbi(space, em)          # or forward, ffbs, ffbs_batch
 """
 
+from ._dp import ffbs, ffbs_batch, forward, viterbi
 from .core import (
     DEFAULT_BAR_LENGTH,
     Corpus,
@@ -47,24 +55,16 @@ from .inference import (
     Hyperparams,
     InferenceError,
     TranscriptionResult,
-    beam_viterbi,
-    default_beam_width,
-    ffbs_sample,
-    ffbs_sample_many,
-    forward_loglik,
     gibbs_fit,
     sample_dirichlet,
     transcribe,
-    viterbi,
 )
 from .models import (
     DivisionCatalog,
     LatentStateSpace,
     ModelConfig,
     ModelParams,
-    build_basic_model,
     build_division_catalog,
-    build_modified_model,
     build_state_space,
     load_params,
     params_from_dict,
@@ -81,7 +81,6 @@ from .timing import (
     PerformedCorpus,
     TimingParams,
     TranscriptionHmm,
-    build_transcription_hmm,
     duration_log_density,
     synthesize,
 )
@@ -121,24 +120,19 @@ __all__ = [
     "TranscriptionResult",
     "assemble_hyperparams",
     "attach_modification_presets",
-    "beam_viterbi",
     "benchmark",
-    "build_basic_model",
     "build_division_catalog",
     "build_modification_base",
-    "build_modified_model",
     "build_state_space",
-    "build_transcription_hmm",
     "cross_entropy",
-    "default_beam_width",
     "distribution_entropy",
     "duration_log_density",
     "entropy_rate",
     "error_rate",
     "estimate_params",
-    "ffbs_sample",
-    "ffbs_sample_many",
-    "forward_loglik",
+    "ffbs",
+    "ffbs_batch",
+    "forward",
     "gibbs_fit",
     "hyperparams_from_dict",
     "hyperparams_to_dict",

@@ -24,12 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from .core import Corpus, json_field, normalize_corpus, to_note_values
-from .evaluation import benchmark, cross_entropy, error_rate, sparseness_study
+from .evaluation import (
+    benchmark_cells,
+    cross_entropy,
+    error_rate,
+    sparseness_study,
+    summarize_cells,
+)
 from .inference import (
     DEFAULT_CONCENTRATION,
     DEFAULT_GIBBS_ITERATIONS,
     GibbsConfig,
-    default_beam_width,
     transcribe,
 )
 from .models import ModelConfig, load_params, save_params
@@ -101,11 +106,10 @@ def _model_config(parser: argparse.ArgumentParser, name: str) -> ModelConfig:
         parser.error(str(exc))
 
 
-def _beam_width(value: int | None, config: ModelConfig) -> int | None:
-    # flag semantics: unset -> per-model default, 0 -> exact, n -> beam of n
-    if value is None:
-        return default_beam_width(config)
-    return None if value == 0 else value
+def _beam_width(settings: _Settings) -> int | None:
+    # flag semantics: unset or 0 -> exact, n -> beam of n
+    value = settings.get("beam_width", None, int)
+    return None if value in (None, 0) else int(value)
 
 
 def _timing(settings: _Settings, parser, pc: PerformedCorpus | None = None) -> TimingParams:
@@ -201,7 +205,7 @@ def cmd_transcribe(args, parser) -> int:
     zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
     alpha = float(settings.get("alpha", DEFAULT_CONCENTRATION, float))
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
-    width = _beam_width(settings.get("beam_width", None, int), config)
+    width = _beam_width(settings)
     jobs = int(settings.get("jobs", 1, int))
 
     seed = settings.get("seed", None, int)
@@ -320,11 +324,6 @@ def cmd_study(args, parser) -> int:
     return 0
 
 
-def _bench_one_seed(task):
-    models, corpus, tp, seed, gibbs = task
-    return benchmark(models, corpus, tp, [seed], gibbs)
-
-
 def cmd_bench(args, parser) -> int:
     settings = _Settings(args)
     corpus = Corpus.load(args.corpus)
@@ -336,7 +335,6 @@ def cmd_bench(args, parser) -> int:
     xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
     zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
-    beam_flag = settings.get("beam_width", None, int)
     jobs = int(settings.get("jobs", 1, int))
     seeds = [int(s) for s in str(settings.get("seeds", "0", str)).split(",") if s != ""]
     epsilon = float(settings.get("epsilon", DEFAULT_EPSILON, float))
@@ -355,17 +353,16 @@ def cmd_bench(args, parser) -> int:
         else:
             models[config.name] = (config, params)
 
-    gibbs = GibbsConfig(
-        iterations=iterations,
-        beam_width=None if beam_flag in (None, 0) else int(beam_flag),
-    )
+    gibbs = GibbsConfig(iterations=iterations, beam_width=_beam_width(settings))
     if jobs > 1 and len(seeds) > 1:
-        tasks = [(models, corpus, tp, s, gibbs) for s in seeds]
+        n = len(seeds)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_seed = list(pool.map(_bench_one_seed, tasks))
-        reports = _merge_seed_reports(per_seed, seeds)
+            chunks = list(pool.map(benchmark_cells, [models] * n, [corpus] * n, [tp] * n,
+                                   [[s] for s in seeds], [gibbs] * n))
     else:
-        reports = benchmark(models, corpus, tp, seeds, gibbs)
+        chunks = [benchmark_cells(models, corpus, tp, seeds, gibbs)]
+    cells = {name: [row for chunk in chunks for row in chunk[name]] for name in models}
+    reports = summarize_cells(cells, corpus, seeds)
 
     out = {
         "tempo_bpm": tempo,
@@ -384,35 +381,6 @@ def cmd_bench(args, parser) -> int:
     return 1 if failed else 0
 
 
-def _merge_seed_reports(per_seed, seeds):
-    """Combine single-seed benchmark runs into the multi-seed aggregates."""
-    from .evaluation import EvalReport
-
-    merged = []
-    for idx in range(len(per_seed[0])):
-        rows = [chunk[idx] for chunk in per_seed]
-        means = [r.error_mean for r in rows if np.isfinite(r.error_mean)]
-        per_piece = {}
-        for pid in rows[0].piece_ids:
-            vals = [r.per_piece_error[pid] for r in rows if pid in r.per_piece_error]
-            if vals:
-                per_piece[pid] = float(np.mean(vals))
-        merged.append(
-            EvalReport(
-                model=rows[0].model,
-                seeds=tuple(seeds),
-                piece_ids=rows[0].piece_ids,
-                per_piece_error=per_piece,
-                error_mean=float(np.mean(means)) if means else float("nan"),
-                error_sd=float(np.std(means, ddof=1)) if len(means) > 1 else 0.0,
-                runtime_seconds=float(sum(r.runtime_seconds for r in rows)),
-                n_transcriptions=sum(r.n_transcriptions for r in rows),
-                failures=tuple(f for r in rows for f in r.failures),
-            )
-        )
-    return merged
-
-
 def _add_common(sp, *names):
     if "config" in names:
         sp.add_argument("--config", help="JSON file of default settings")
@@ -427,7 +395,8 @@ def _add_common(sp, *names):
         sp.add_argument("--alpha", type=float, help="Dirichlet concentration")
         sp.add_argument("--iterations", type=int, help="Gibbs iterations")
         sp.add_argument("--beam-width", type=int, dest="beam_width",
-                        help="beam width; 0 forces exact inference")
+                        help="beam width for decoding and Gibbs sampling "
+                             "(default: exact inference; 0 also means exact)")
         sp.add_argument("--xi0", type=float, help="preset mass on the zero shift")
         sp.add_argument("--zeta0", type=float, help="preset mass on the identity division")
 

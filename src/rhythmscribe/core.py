@@ -124,10 +124,6 @@ class NotePattern:
             if a >= b:
                 raise ValueError("positions must be strictly increasing")
 
-    @property
-    def note_count(self) -> int:
-        return len(self.positions)
-
 
 def to_metrical(score: RhythmScore) -> np.ndarray:
     """Metrical positions ``b_n = tau_n mod bar_length``, length N+1."""
@@ -200,7 +196,7 @@ class Corpus:
     @classmethod
     def from_dict(cls, data: dict) -> "Corpus":
         entries = json_field(data, "pieces", "corpus")
-        bar_length = int(data.get("bar_length", DEFAULT_BAR_LENGTH))
+        bar_length = integral(data.get("bar_length", DEFAULT_BAR_LENGTH), "bar_length")
         pieces = []
         ids = []
         for entry in entries:

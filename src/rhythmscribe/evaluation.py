@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import Corpus, RhythmScore, segment_patterns, to_metrical, to_note_values
-from .inference import (
-    DEFAULT_GIBBS_ITERATIONS,
-    GibbsConfig,
-    default_beam_width,
-    sample_dirichlet,
-    transcribe,
-)
+from .inference import GibbsConfig, sample_dirichlet, transcribe
 from .models import (
     ModelConfig,
     ModelParams,
@@ -49,6 +43,8 @@ __all__ = [
     "cross_entropy",
     "sparseness_study",
     "benchmark",
+    "benchmark_cells",
+    "summarize_cells",
 ]
 
 
@@ -284,8 +280,6 @@ class EvalReport:
     runtime_seconds: float
     n_transcriptions: int
     failures: tuple[str, ...] = field(default=())
-    cross_entropy: float | None = None
-    cross_entropy_with_initial: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -298,8 +292,6 @@ class EvalReport:
             "runtime_seconds": float(self.runtime_seconds),
             "n_transcriptions": self.n_transcriptions,
             "failures": list(self.failures),
-            "cross_entropy": self.cross_entropy,
-            "cross_entropy_with_initial": self.cross_entropy_with_initial,
         }
 
 
@@ -322,11 +314,32 @@ def benchmark(
     Each (piece, seed) performance is synthesized once and shared by all
     models, so differences are attributable to the models alone.  A model
     failing on one piece is reported and excluded from that model's
-    aggregates without affecting the others.
+    aggregates without affecting the others.  `gibbs` supplies the Gibbs
+    iterations and the beam width (None: exact) for every model.
+    """
+    seeds = tuple(int(s) for s in seeds)
+    return summarize_cells(benchmark_cells(models, corpus, tp, seeds, gibbs), corpus, seeds)
+
+
+def benchmark_cells(
+    models: dict,
+    corpus: Corpus,
+    tp: TimingParams,
+    seeds,
+    gibbs: GibbsConfig | None = None,
+) -> dict[str, list[tuple]]:
+    """The per-cell outcomes `benchmark` aggregates.
+
+    Returns, per model name, one ``(seed, piece_id, error_rate, failure,
+    seconds)`` row per (seed, piece) cell in seed-major corpus order;
+    exactly one of `error_rate` and `failure` (the exception message) is
+    None.  Every cell depends on its own seed and piece id only, so runs
+    over disjoint seed lists concatenate to the run over all of them.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
+    gibbs = GibbsConfig() if gibbs is None else gibbs
     truths = {pid: to_note_values(p) for pid, p in zip(corpus.ids, corpus.pieces)}
 
     performances = {}
@@ -335,65 +348,56 @@ def benchmark(
             rng = np.random.default_rng(_cell_seed(seed, pid, 0))
             performances[(seed, pid)] = synthesize(score, tp, rng)
 
-    reports = []
+    cells = {}
     for name, (config, param_obj) in models.items():
-        # a template beam width of None means "per-model default" here, so
-        # pattern-division models keep their beam even under a shared config
-        if gibbs is not None and gibbs.beam_width is not None:
-            width = gibbs.beam_width
-        else:
-            width = default_beam_width(config)
-        iterations = gibbs.iterations if gibbs is not None else DEFAULT_GIBBS_ITERATIONS
-        errors = {}  # (seed, pid) -> error rate
-        failures = []
-        elapsed = 0.0
-        done = 0
+        rows = cells[name] = []
         for seed in seeds:
             for pid in corpus.ids:
-                perf = performances[(seed, pid)]
-                run_cfg = GibbsConfig(iterations=1, beam_width=width)
+                run_cfg = gibbs
                 if config.bayesian:
-                    cell = int(_cell_seed(seed, pid, 1).generate_state(1)[0])
-                    run_cfg = GibbsConfig(
-                        iterations=iterations, beam_width=width, seed=cell
-                    )
+                    run_cfg = replace(gibbs, seed=int(_cell_seed(seed, pid, 1).generate_state(1)[0]))
                 start = time.perf_counter()
                 try:
-                    result = transcribe(config, param_obj, perf, tp, run_cfg)
+                    result = transcribe(config, param_obj, performances[(seed, pid)], tp, run_cfg)
                 except Exception as exc:  # noqa: BLE001 - isolate per-model failures
-                    elapsed += time.perf_counter() - start
-                    failures.append(f"{pid}/seed={seed}: {exc}")
+                    rows.append((seed, pid, None, str(exc), time.perf_counter() - start))
                     continue
-                elapsed += time.perf_counter() - start
-                errors[(seed, pid)] = error_rate(result.note_values, truths[pid])
-                done += 1
+                seconds = time.perf_counter() - start
+                rows.append((seed, pid, error_rate(result.note_values, truths[pid]), None, seconds))
+    return cells
 
-        weights = {pid: len(truths[pid]) for pid in corpus.ids}
+
+def summarize_cells(cells: dict, corpus: Corpus, seeds) -> list[EvalReport]:
+    """One EvalReport per model from `benchmark_cells` rows over `seeds`."""
+    seeds = tuple(int(s) for s in seeds)
+    weights = {pid: p.n_notes for pid, p in zip(corpus.ids, corpus.pieces)}
+    reports = []
+    for name, rows in cells.items():
+        errors = {(seed, pid): err for seed, pid, err, _, _ in rows if err is not None}
         per_seed = []
         for seed in seeds:
-            cells = [(pid, errors[(seed, pid)]) for pid in corpus.ids if (seed, pid) in errors]
-            if cells:
-                w = np.array([weights[pid] for pid, _ in cells], dtype=np.float64)
-                e = np.array([err for _, err in cells])
+            cell_pids = [pid for pid in corpus.ids if (seed, pid) in errors]
+            if cell_pids:
+                w = np.array([weights[pid] for pid in cell_pids], dtype=np.float64)
+                e = np.array([errors[(seed, pid)] for pid in cell_pids])
                 per_seed.append(float((w * e).sum() / w.sum()))
         per_piece = {}
         for pid in corpus.ids:
             vals = [errors[(seed, pid)] for seed in seeds if (seed, pid) in errors]
             if vals:
                 per_piece[pid] = float(np.mean(vals))
-        mean = float(np.mean(per_seed)) if per_seed else float("nan")
-        sd = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0
         reports.append(
             EvalReport(
                 model=name,
                 seeds=seeds,
                 piece_ids=corpus.ids,
                 per_piece_error=per_piece,
-                error_mean=mean,
-                error_sd=sd,
-                runtime_seconds=elapsed,
-                n_transcriptions=done,
-                failures=tuple(failures),
+                error_mean=float(np.mean(per_seed)) if per_seed else float("nan"),
+                error_sd=float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0,
+                runtime_seconds=float(sum(row[4] for row in rows)),
+                n_transcriptions=len(errors),
+                failures=tuple(f"{pid}/seed={seed}: {msg}"
+                               for seed, pid, _, msg, _ in rows if msg is not None),
             )
         )
     return reports

@@ -30,32 +30,24 @@ from .models import (
     ModelParams,
     build_state_space,
 )
-from .timing import TimingParams, TranscriptionHmm, build_transcription_hmm
+from .timing import TimingParams, TranscriptionHmm
 
 DEFAULT_CONCENTRATION = 10.0
 DEFAULT_GIBBS_ITERATIONS = 100
-DEFAULT_PATTERN_DIVISION_BEAM = 200
 
 __all__ = [
     "InferenceError",
     "Hyperparams",
     "GibbsConfig",
     "TranscriptionResult",
-    "forward_loglik",
-    "viterbi",
-    "beam_viterbi",
-    "ffbs_sample",
-    "ffbs_sample_many",
     "sample_dirichlet",
     "PathCounts",
     "gather_counts",
     "sample_posterior",
     "gibbs_fit",
     "transcribe",
-    "default_beam_width",
     "DEFAULT_CONCENTRATION",
     "DEFAULT_GIBBS_ITERATIONS",
-    "DEFAULT_PATTERN_DIVISION_BEAM",
 ]
 
 
@@ -134,57 +126,6 @@ def _tag_to_json(tag):
     if isinstance(tag, tuple):
         return [_tag_to_json(t) for t in tag]
     return tag
-
-
-# ---------------------------------------------------------------------------
-# decoding wrappers
-
-
-def forward_loglik(hmm: TranscriptionHmm, durations, beam_width: int | None = None) -> float:
-    """log P(durations) under the transcription HMM (natural log)."""
-    return _dp.forward(hmm.space, hmm.emission_matrix(durations), beam_width=beam_width)
-
-
-def viterbi(
-    hmm: TranscriptionHmm, durations, beam_width: int | None = None
-) -> tuple[PathSample, float]:
-    """Most probable latent path and its joint log probability."""
-    path = _dp.viterbi(hmm.space, hmm.emission_matrix(durations), beam_width=beam_width)
-    return path, path.log_prob
-
-
-def beam_viterbi(hmm: TranscriptionHmm, durations, width: int) -> tuple[PathSample, float]:
-    """Viterbi restricted to the top-`width` states per step."""
-    if width < 1:
-        raise ValueError("beam width must be >= 1")
-    return viterbi(hmm, durations, beam_width=width)
-
-
-def ffbs_sample(
-    hmm: TranscriptionHmm,
-    durations,
-    rng: np.random.Generator,
-    beam_width: int | None = None,
-) -> PathSample:
-    """One exact posterior draw of the latent path given the durations."""
-    return _dp.ffbs(hmm.space, hmm.emission_matrix(durations), rng, beam_width=beam_width)
-
-
-def ffbs_sample_many(
-    hmm: TranscriptionHmm,
-    durations,
-    rng: np.random.Generator,
-    size: int,
-    beam_width: int | None = None,
-):
-    """`size` posterior path draws sharing one forward pass.
-
-    Returns (boundary, states, outputs) integer arrays of shapes (size,),
-    (size, N), (size, N).
-    """
-    return _dp.ffbs_batch(
-        hmm.space, hmm.emission_matrix(durations), rng, size, beam_width=beam_width
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +327,6 @@ def sample_posterior(
 # Gibbs fitting and the transcription entry point
 
 
-def default_beam_width(config: ModelConfig) -> int | None:
-    """Exact inference everywhere except the large pattern-division spaces."""
-    if config.family == "pat" and config.division:
-        return DEFAULT_PATTERN_DIVISION_BEAM
-    return None
-
-
 def _result_from_path(
     space: LatentStateSpace, path: PathSample, loglik: float, trace=()
 ) -> TranscriptionResult:
@@ -440,7 +374,7 @@ def gibbs_fit(
     params = hp.base.copy()
     space = build_state_space(config, params)
     # the emission matrix depends on the bar length and timing only
-    em = build_transcription_hmm(space, tp).emission_matrix(durations)
+    em = TranscriptionHmm(space, tp).emission_matrix(durations)
 
     def forward_then_sample(space):
         # one forward pass per iteration: its total is the trace entry and
@@ -479,22 +413,19 @@ def transcribe(
     """Transcribe one performance: Viterbi directly, or Gibbs-fit first.
 
     Non-Bayesian configs take a ModelParams; Bayesian configs take a
-    Hyperparams (and an optional GibbsConfig).  Beam width defaults to exact
-    inference except for pattern models with divisions, which default to the
-    standard beam width; pass a GibbsConfig to override either way.
+    Hyperparams (and an optional GibbsConfig).  Inference is exact unless
+    the GibbsConfig asks for a beam width.
     """
-    width = gibbs.beam_width if gibbs is not None else default_beam_width(config)
+    gibbs = GibbsConfig() if gibbs is None else gibbs
     if config.bayesian:
         if not isinstance(params_or_hyperparams, Hyperparams):
             raise TypeError("Bayesian transcription needs Hyperparams")
-        if gibbs is None:
-            gibbs = GibbsConfig(beam_width=default_beam_width(config))
         _, result = gibbs_fit(config, params_or_hyperparams, performance, tp, gibbs)
         return result
     if not isinstance(params_or_hyperparams, ModelParams):
         raise TypeError("non-Bayesian transcription needs ModelParams")
     space = build_state_space(config, params_or_hyperparams)
-    em = build_transcription_hmm(space, tp).emission_matrix(performance.durations)
-    loglik = _dp.forward(space, em, beam_width=width)
-    path = _dp.viterbi(space, em, beam_width=width)
+    em = TranscriptionHmm(space, tp).emission_matrix(performance.durations)
+    loglik = _dp.forward(space, em, beam_width=gibbs.beam_width)
+    path = _dp.viterbi(space, em, beam_width=gibbs.beam_width)
     return _result_from_path(space, path, loglik)

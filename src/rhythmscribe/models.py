@@ -51,6 +51,7 @@ from .core import (
     DEFAULT_BAR_LENGTH,
     Corpus,
     RhythmScore,
+    integral,
     interval,
     json_field,
     to_note_values,
@@ -69,8 +70,6 @@ __all__ = [
     "build_division_catalog",
     "pattern_vocabulary",
     "pattern_index",
-    "build_basic_model",
-    "build_modified_model",
     "build_state_space",
     "params_to_dict",
     "params_from_dict",
@@ -391,8 +390,8 @@ def params_from_dict(data: dict) -> ModelParams:
     """Rebuild ModelParams from the labeled-dict form."""
     where = "model parameters"
     fam = json_field(data, "family", where)
-    nb = int(json_field(data, "bar_length", where))
-    order = int(json_field(data, "order", where))
+    nb = integral(json_field(data, "bar_length", where), "bar_length")
+    order = integral(json_field(data, "order", where), "order")
     patterns = None
     if data.get("patterns") is not None:
         patterns = tuple(tuple(int(x) for x in p) for p in data["patterns"])
@@ -1119,19 +1118,6 @@ class LatentStateSpace:
             for pos, (s, d) in enumerate(zip(self.first.src, self.first.dst))
         }
 
-    def init_prob(self, tag) -> float:
-        """P(z_0 = tag) (or P(z_1 = tag) for virtual-boundary models)."""
-        if self.virtual_boundary:
-            pos = self._first_lookup.get((0, self.state_index[tag]))
-            return 0.0 if pos is None else float(np.exp(self.first.logp[pos]))
-        return float(np.exp(self.log_initial[self.boundary_index[tag]]))
-
-    def first_prob(self, boundary_tag, tag) -> float:
-        pos = self._first_lookup.get(
-            (self.boundary_index[boundary_tag], self.state_index[tag])
-        )
-        return 0.0 if pos is None else float(np.exp(self.first.logp[pos]))
-
     def trans_prob(self, tag_from, tag_to) -> float:
         pos = self._trans_lookup.get((self.state_index[tag_from], self.state_index[tag_to]))
         return 0.0 if pos is None else float(np.exp(self.trans.logp[pos]))
@@ -1145,16 +1131,6 @@ class LatentStateSpace:
             (self.boundary_index[boundary_tag], self.state_index[tag])
         )
         return None if pos is None else int(self.first.out[pos])
-
-    def boundary_tag_of(self, index: int | None):
-        return None if index is None else self.boundary_tags[index]
-
-    def path_tags(self, path) -> list:
-        """Tags along a PathSample, including the boundary state when real."""
-        tags = [self.state_tags[i] for i in path.state_indices]
-        if path.boundary_index is not None:
-            tags.insert(0, self.boundary_tags[path.boundary_index])
-        return tags
 
 
 def _assemble(
@@ -1235,22 +1211,6 @@ def build_state_space(
     else:
         parts = _augment_shift(chain, params.shift_probs, nb)
     return _assemble(config, *parts, patterns=params.patterns)
-
-
-def build_basic_model(config: ModelConfig, params: ModelParams) -> LatentStateSpace:
-    """State space for a modification-free model."""
-    if config.shift or config.division:
-        raise ValueError("build_basic_model requires a modification-free config")
-    return build_state_space(config, params)
-
-
-def build_modified_model(
-    config: ModelConfig, params: ModelParams, catalog: DivisionCatalog | None = None
-) -> LatentStateSpace:
-    """State space for a shift/division-augmented model."""
-    if not (config.shift or config.division):
-        raise ValueError("build_modified_model requires shift and/or division")
-    return build_state_space(config, params, catalog)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .core import DEFAULT_BAR_LENGTH, RhythmScore, json_field, to_note_values
+from .core import DEFAULT_BAR_LENGTH, RhythmScore, integral, json_field, to_note_values
 from .models import LatentStateSpace
 
 DEFAULT_MIN_DURATION = 1e-3  # seconds; Gaussian draws below this are redrawn
@@ -28,7 +28,6 @@ __all__ = [
     "duration_log_density",
     "synthesize",
     "TranscriptionHmm",
-    "build_transcription_hmm",
     "DEFAULT_MIN_DURATION",
 ]
 
@@ -41,10 +40,10 @@ class TimingParams:
     sigma_t: float
 
     def __post_init__(self):
-        if not self.seconds_per_unit > 0:
-            raise ValueError("seconds_per_unit must be positive")
-        if not self.sigma_t > 0:
-            raise ValueError("sigma_t must be positive")
+        for name in ("seconds_per_unit", "sigma_t"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
     def from_bpm(cls, tempo_bpm: float, sigma_t: float) -> "TimingParams":
@@ -125,7 +124,7 @@ class PerformedCorpus:
     @classmethod
     def from_dict(cls, data: dict) -> "PerformedCorpus":
         items = json_field(data, "items", "performances")
-        nb = int(data.get("bar_length", DEFAULT_BAR_LENGTH))
+        nb = integral(data.get("bar_length", DEFAULT_BAR_LENGTH), "bar_length")
         perfs, ids, sources = [], [], []
         for item in items:
             onsets = json_field(item, "onsets_sec", "performance item")
@@ -195,9 +194,9 @@ def synthesize(
 class TranscriptionHmm:
     """A score model's latent chain paired with the timing densities.
 
-    The decoding routines in :mod:`rhythmscribe.inference` take this pairing
-    plus observed durations; `emission_matrix` turns durations into the
-    per-step log-density table the shared DP engine consumes.
+    `emission_matrix` turns observed durations into the per-step
+    log-density table that the DP engine's `forward`, `viterbi`, `ffbs` and
+    `ffbs_batch` take together with the state space.
     """
 
     space: LatentStateSpace
@@ -209,8 +208,3 @@ class TranscriptionHmm:
             raise ValueError("durations must be a nonempty 1-d array")
         values = np.arange(1, self.space.bar_length + 1)
         return duration_log_density(values[None, :], d[:, None], self.timing)
-
-
-def build_transcription_hmm(space: LatentStateSpace, tp: TimingParams) -> TranscriptionHmm:
-    """Pair a score model with timing parameters for transcription."""
-    return TranscriptionHmm(space, tp)

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import logsumexp
 
 from rhythmscribe.models import ModelConfig, build_state_space, random_params
-from rhythmscribe.timing import TimingParams, build_transcription_hmm
+from rhythmscribe.timing import TimingParams
 
 ALL_VARIANTS = [
     "notemm0", "notemm0b", "notemm1", "notemm1b", "notemm1sb", "notemm1db",

@@ -33,13 +33,9 @@ from rhythmscribe.evaluation import (
 from rhythmscribe.inference import (
     GibbsConfig,
     InferenceError,
-    beam_viterbi,
-    ffbs_sample_many,
-    forward_loglik,
     gibbs_fit,
     sample_dirichlet,
     transcribe,
-    viterbi,
 )
 from rhythmscribe.models import (
     ModelConfig,
@@ -50,13 +46,13 @@ from rhythmscribe.models import (
     sequence_log_prob,
     uniform_params,
 )
-from rhythmscribe.timing import TimingParams, build_transcription_hmm, synthesize
+from rhythmscribe.timing import TimingParams, TranscriptionHmm, synthesize
 from rhythmscribe.training import (
     assemble_hyperparams,
     attach_modification_presets,
     estimate_params,
 )
-from rhythmscribe import cli, _dp
+from rhythmscribe import cli, _dp, ffbs_batch, forward, viterbi
 
 from conftest import (
     ALL_VARIANTS,
@@ -131,12 +127,13 @@ def _variant_sweep():
                     assert n_notes >= 3, name
             n_notes = structure[1].shape[1]
             durations = rng.uniform(0.15, 0.25 * config.bar_length, size=n_notes)
-            hmm = build_transcription_hmm(space, tp)
+            hmm = TranscriptionHmm(space, tp)
 
             t0 = time.perf_counter()
             scores = _rescore(space, hmm, durations, structure)
             want_forward = float(logsumexp(scores))
-            got_forward = forward_loglik(hmm, durations)
+            em = hmm.emission_matrix(durations)
+            got_forward = forward(space, em)
             t_forward += time.perf_counter() - t0
             fwd_rel_max = max(
                 fwd_rel_max, abs(got_forward - want_forward) / abs(want_forward)
@@ -151,7 +148,8 @@ def _variant_sweep():
                 np.testing.assert_allclose(osc, scores, rtol=1e-12, atol=1e-12)
 
             best = float(scores.max())
-            path, score = viterbi(hmm, durations)
+            path = viterbi(space, em)
+            score = path.log_prob
             key_b = path.boundary_index if path.boundary_index is not None else 0
             row = np.flatnonzero(
                 (structure[0] == key_b)
@@ -161,12 +159,13 @@ def _variant_sweep():
                 vit_hits += 1
             vit_rel_max = max(vit_rel_max, abs(score - best) / abs(best))
 
-            b_path, b_score = beam_viterbi(hmm, durations, width=space.n_states)
+            b_path = viterbi(space, em, beam_width=space.n_states)
+            b_score = b_path.log_prob
             if (
                 list(b_path.state_indices) == list(path.state_indices)
                 and abs(b_score - score) <= 1e-9 * abs(score)
                 and abs(
-                    forward_loglik(hmm, durations, beam_width=space.n_states)
+                    forward(space, em, beam_width=space.n_states)
                     - got_forward
                 )
                 <= 1e-9 * abs(got_forward)
@@ -228,9 +227,9 @@ def test_criterion_03_ffbs_total_variation():
         n_notes = 2 + idx % 2
         score = sample_score(space, n_notes, rng)
         durations = synthesize(score, tp, rng).durations
-        hmm = build_transcription_hmm(space, tp)
+        hmm = TranscriptionHmm(space, tp)
         posterior = oracle_posterior(space, hmm, durations)
-        boundary, states, _ = ffbs_sample_many(hmm, durations, rng, size=n_draws)
+        boundary, states, _ = ffbs_batch(space, hmm.emission_matrix(durations), rng, size=n_draws)
         freq = {}
         for b, row in zip(boundary, states):
             key = (int(b), tuple(int(s) for s in row))
@@ -505,18 +504,18 @@ def test_criterion_09_beam_search_widens_to_exact():
         rng = np.random.default_rng([MASTER_SEED, 900 + i])
         params = random_params(cfg, rng)
         space = build_state_space(cfg, params)
-        hmm = build_transcription_hmm(space, TimingParams(0.25, 0.2))
-        durations = rng.uniform(0.2, 1.0, size=5)
+        hmm = TranscriptionHmm(space, TimingParams(0.25, 0.2))
+        em = hmm.emission_matrix(rng.uniform(0.2, 1.0, size=5))
         prev = -np.inf
         for width in range(1, space.n_states + 1):
             try:
-                _, score = beam_viterbi(hmm, durations, width=width)
+                score = viterbi(space, em, beam_width=width).log_prob
             except InferenceError:
                 score = -np.inf
             if score < prev - 1e-12:
                 violations += 1
             prev = max(prev, score)
-        _, exact_score = viterbi(hmm, durations)
+        exact_score = viterbi(space, em).log_prob
         assert prev == pytest.approx(exact_score, rel=1e-9)
     assert violations == 0
     record_criterion(

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rhythmscribe import _dp
 from rhythmscribe.cli import main
 
 RAW = [
@@ -265,7 +266,38 @@ class TestStudyAndBench:
             assert run("bench", "--corpus", pipeline["corpus"], "--models", "metmm1",
                        "--seeds", "0,1", "--tempo-bpm", 144, "--sigma-t", 0.05,
                        "--jobs", jobs, "--out", out) == 0
-        a = json.loads(seq.read_text())["models"][0]
-        b = json.loads(par.read_text())["models"][0]
-        assert a["error_mean"] == b["error_mean"]
-        assert a["per_piece_error"] == b["per_piece_error"]
+        a, b = json.loads(seq.read_text()), json.loads(par.read_text())
+        for report in a["models"] + b["models"]:
+            report.pop("runtime_seconds")
+        assert a == b
+
+
+class TestBeamWidthFlag:
+    @pytest.mark.parametrize("flag, want", [
+        ((), None),
+        (("--beam-width", 0), None),
+        (("--beam-width", 4), 4),
+    ])
+    def test_width_reaches_the_decoder(self, pipeline, tmp_path, monkeypatch, flag, want):
+        # a pattern-division model: the one family that once defaulted to a beam
+        widths = set()
+        real = _dp.viterbi
+
+        def spy(*args, **kwargs):
+            widths.add(kwargs.get("beam_width"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_dp, "viterbi", spy)
+        params = tmp_path / "pat.json"
+        assert run("train", "--corpus", pipeline["corpus"], "--model", "patmm1d",
+                   "--out", params) == 0
+        assert run("synth", "--corpus", pipeline["corpus"], "--out", pipeline["perf"],
+                   "--seed", 0) == 0
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "patmm1d",
+                   "--params", params, "--out", pipeline["trans"], *flag) == 0
+        assert widths == {want}
+        widths.clear()
+        assert run("bench", "--corpus", pipeline["corpus"], "--models", "patmm1d",
+                   "--tempo-bpm", 144, "--sigma-t", 0.02, "--out", tmp_path / "b.json",
+                   *flag) == 0
+        assert widths == {want}

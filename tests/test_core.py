@@ -198,3 +198,10 @@ class TestCorpus:
     def test_mismatched_bar_length_rejected(self):
         with pytest.raises(ValueError):
             Corpus(pieces=(RhythmScore((0, 2), bar_length=4),), ids=("a",), bar_length=8)
+
+    def test_non_integral_bar_length_rejected(self):
+        data = {"bar_length": 8.5, "pieces": [{"id": "a", "onsets": [0, 2, 4]}]}
+        with pytest.raises(ValueError, match="bar_length"):
+            Corpus.from_dict(data)
+        data["bar_length"] = 8.0
+        assert type(Corpus.from_dict(data).bar_length) is int

@@ -15,7 +15,7 @@ from rhythmscribe.models import (
 from rhythmscribe.timing import (
     Performance,
     TimingParams,
-    build_transcription_hmm,
+    TranscriptionHmm,
     synthesize,
 )
 from rhythmscribe.training import assemble_hyperparams
@@ -54,7 +54,7 @@ class TestScaledForward:
     def test_matches_edge_list_reference(self, name, rng):
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
-            em = build_transcription_hmm(space, tp).emission_matrix(durations)
+            em = TranscriptionHmm(space, tp).emission_matrix(durations)
             want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
             got, got_table = _dp._scaled_forward(space, em, space.log_initial)
             assert got == pytest.approx(want, rel=REL_TOL)
@@ -82,7 +82,7 @@ class TestScaledForward:
         # exp(em - max_v em) is exactly 0 for every reachable value
         space = point_mass_space()
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.01)
-        em = build_transcription_hmm(space, tp).emission_matrix(np.full(50, 2.0))
+        em = TranscriptionHmm(space, tp).emission_matrix(np.full(50, 2.0))
         assert np.exp(em[0, 0] - em[0].max()) == 0.0
         want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
         got, got_table = _dp._scaled_forward(space, em, space.log_initial)
@@ -132,7 +132,7 @@ class TestScaledForward:
         assert space.n_edges >= _dp.SPARSE_MIN_EDGES
         tp = TimingParams.from_bpm(144.0, 0.04)
         perf = synthesize(sample_score(space, 30, rng), tp, rng)
-        em = build_transcription_hmm(space, tp).emission_matrix(perf.durations)
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
         want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
         got, got_table = _dp.forward(space, em, return_table=True)
         assert got == pytest.approx(want, rel=1e-12)
@@ -173,7 +173,7 @@ class TestArgmaxFreeViterbi:
     def test_same_path_as_backpointers(self, name, rng):
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
-            em = build_transcription_hmm(space, tp).emission_matrix(durations)
+            em = TranscriptionHmm(space, tp).emission_matrix(durations)
             self._check(space, em)
 
     @pytest.mark.parametrize("name", ["notemm1", "metmm1", "metmm2", "patmm1", "notemm1sd"])

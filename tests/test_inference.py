@@ -4,22 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from rhythmscribe import _dp
+from rhythmscribe import _dp, ffbs, ffbs_batch, forward, viterbi
 from rhythmscribe.inference import (
     GibbsConfig,
     Hyperparams,
     InferenceError,
-    beam_viterbi,
-    default_beam_width,
-    ffbs_sample,
-    ffbs_sample_many,
-    forward_loglik,
     gather_counts,
     gibbs_fit,
     sample_dirichlet,
     sample_posterior,
     transcribe,
-    viterbi,
 )
 from rhythmscribe.models import (
     ModelConfig,
@@ -27,7 +21,7 @@ from rhythmscribe.models import (
     random_params,
     uniform_params,
 )
-from rhythmscribe.timing import TimingParams, build_transcription_hmm, synthesize
+from rhythmscribe.timing import TimingParams, TranscriptionHmm, synthesize
 from rhythmscribe.core import RhythmScore
 
 from conftest import (
@@ -48,8 +42,8 @@ class TestForward:
     def test_matches_enumeration(self, name, rng):
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=4)
-            hmm = build_transcription_hmm(space, tp)
-            got = forward_loglik(hmm, durations)
+            hmm = TranscriptionHmm(space, tp)
+            got = forward(space, hmm.emission_matrix(durations))
             want = oracle_forward(space, hmm, durations)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -61,8 +55,8 @@ class TestForward:
         params.transition = np.tile(np.eye(8)[0], (8, 1))
         space = build_state_space(cfg, params)
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.01)
-        hmm = build_transcription_hmm(space, tp)
-        loglik = forward_loglik(hmm, [0.25, 0.26])
+        hmm = TranscriptionHmm(space, tp)
+        loglik = forward(space, hmm.emission_matrix([0.25, 0.26]))
         assert math.isfinite(loglik)  # still finite: Gaussian tails
 
 
@@ -71,8 +65,9 @@ class TestViterbi:
     def test_matches_enumerated_argmax(self, name, rng):
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=4)
-            hmm = build_transcription_hmm(space, tp)
-            path, score = viterbi(hmm, durations)
+            hmm = TranscriptionHmm(space, tp)
+            path = viterbi(space, hmm.emission_matrix(durations))
+            score = path.log_prob
             best, tied = oracle_argmax(space, hmm, durations)
             key = (
                 path.boundary_index if path.boundary_index is not None else 0,
@@ -95,8 +90,9 @@ class TestViterbi:
 
     def test_path_log_prob_recomputes(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=4)
-        hmm = build_transcription_hmm(space, tp)
-        path, score = viterbi(hmm, durations)
+        hmm = TranscriptionHmm(space, tp)
+        path = viterbi(space, hmm.emission_matrix(durations))
+        score = path.log_prob
         boundary, states, _, scores = oracle_scores(space, hmm, durations)
         hit = (boundary == path.boundary_index) & np.all(
             states == np.asarray(path.state_indices)[None, :], axis=1
@@ -109,49 +105,65 @@ class TestBeam:
     def test_full_width_equals_exact(self, rng):
         for name in SPOT_CHECK_VARIANTS:
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=4)
-            hmm = build_transcription_hmm(space, tp)
-            exact_path, exact_score = viterbi(hmm, durations)
-            beam_path, beam_score = beam_viterbi(hmm, durations, width=space.n_states)
-            assert beam_score == pytest.approx(exact_score, rel=1e-12)
+            hmm = TranscriptionHmm(space, tp)
+            em = hmm.emission_matrix(durations)
+            exact_path = viterbi(space, em)
+            beam_path = viterbi(space, em, beam_width=space.n_states)
+            assert beam_path.log_prob == pytest.approx(exact_path.log_prob, rel=1e-12)
             assert list(beam_path.state_indices) == list(exact_path.state_indices)
-            assert forward_loglik(hmm, durations, beam_width=space.n_states) == (
-                pytest.approx(forward_loglik(hmm, durations), rel=1e-12)
+            assert forward(space, em, beam_width=space.n_states) == (
+                pytest.approx(forward(space, em), rel=1e-12)
             )
 
     def test_narrow_beam_lower_bounds_exact(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1s", rng, n_notes=5)
-        hmm = build_transcription_hmm(space, tp)
-        _, exact_score = viterbi(hmm, durations)
+        hmm = TranscriptionHmm(space, tp)
+        em = hmm.emission_matrix(durations)
+        exact_score = viterbi(space, em).log_prob
         for width in (1, 2, 4):
             try:
-                _, score = beam_viterbi(hmm, durations, width=width)
+                score = viterbi(space, em, beam_width=width).log_prob
             except InferenceError:
                 continue  # beam can dead-end; that counts as -inf
             assert score <= exact_score + 1e-9
 
     def test_invalid_width_rejected(self, rng):
         _, _, space, tp, durations = tiny_instance("notemm1", rng, n_notes=3)
-        hmm = build_transcription_hmm(space, tp)
+        hmm = TranscriptionHmm(space, tp)
         with pytest.raises(ValueError):
-            beam_viterbi(hmm, durations, width=0)
+            viterbi(space, hmm.emission_matrix(durations), beam_width=0)
 
-    def test_default_beam_width_policy(self):
-        assert default_beam_width(ModelConfig.from_name("notemm1")) is None
-        assert default_beam_width(ModelConfig.from_name("metmm1sdb")) is None
-        assert default_beam_width(ModelConfig.from_name("patmm1db")) == 200
-        assert default_beam_width(ModelConfig.from_name("patmm1sd")) == 200
-        assert default_beam_width(ModelConfig.from_name("patmm1")) is None
+    def test_pattern_division_model_decodes_exactly(self, rng, monkeypatch):
+        cfg = ModelConfig.from_name("patmm1d")
+        patterns = ((0,), (0, 4), (0, 2, 4, 6), (0, 3, 6), (0, 2, 4), (0, 4, 6), (0, 6))
+        params = random_params(cfg, rng, patterns=patterns)
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        perf = synthesize(RhythmScore((0, 4, 6, 8, 11, 14, 16, 18, 20, 22)), tp, rng)
+        widths = []
+        for name in ("forward", "viterbi"):
+            def spy(*args, _fn=getattr(_dp, name), **kwargs):
+                widths.append(kwargs.get("beam_width"))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(_dp, name, spy)
+        result = transcribe(cfg, params, perf, tp)
+        monkeypatch.undo()
+        assert widths == [None, None]
+        space = build_state_space(cfg, params)
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        assert space.n_states > 200
+        assert result.path_log_prob == viterbi(space, em).log_prob
+        assert result.log_likelihood == forward(space, em)
 
 
 class TestFfbs:
     def test_single_draws_follow_posterior(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=2)
-        hmm = build_transcription_hmm(space, tp)
+        hmm = TranscriptionHmm(space, tp)
         posterior = oracle_posterior(space, hmm, durations)
         n = 4000
         freq = {}
         for _ in range(n):
-            path = ffbs_sample(hmm, durations, rng)
+            path = ffbs(space, hmm.emission_matrix(durations), rng)
             key = (path.boundary_index, tuple(path.state_indices))
             freq[key] = freq.get(key, 0) + 1
         empirical = {k: v / n for k, v in freq.items()}
@@ -159,10 +171,10 @@ class TestFfbs:
 
     def test_batch_matches_single_draw_distribution(self, rng):
         _, _, space, tp, durations = tiny_instance("notemm1s", rng, n_notes=3)
-        hmm = build_transcription_hmm(space, tp)
+        hmm = TranscriptionHmm(space, tp)
         posterior = oracle_posterior(space, hmm, durations)
         n = 80_000  # ~1200 reachable paths; TV noise floor ~0.04 at this size
-        boundary, states, outputs = ffbs_sample_many(hmm, durations, rng, size=n)
+        boundary, states, outputs = ffbs_batch(space, hmm.emission_matrix(durations), rng, size=n)
         assert states.shape == (n, 3) and outputs.shape == (n, 3)
         freq = {}
         for b, row in zip(boundary, states):
@@ -173,8 +185,8 @@ class TestFfbs:
 
     def test_batch_outputs_match_edge_values(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=4)
-        hmm = build_transcription_hmm(space, tp)
-        boundary, states, outputs = ffbs_sample_many(hmm, durations, rng, size=50)
+        hmm = TranscriptionHmm(space, tp)
+        boundary, states, outputs = ffbs_batch(space, hmm.emission_matrix(durations), rng, size=50)
         for b, srow, orow in zip(boundary, states, outputs):
             tags = [space.state_tags[i] for i in srow]
             assert orow[0] == space.first_output(space.boundary_tags[b], tags[0])
@@ -209,13 +221,13 @@ class TestGatherCounts:
         cfg = ModelConfig.from_name("metmm1")
         space = build_state_space(cfg, uniform_params(cfg))
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.05)
-        hmm = build_transcription_hmm(space, tp)
+        hmm = TranscriptionHmm(space, tp)
         # positions 2 -> 4 -> 6: durations near two units each
-        path, _ = viterbi(hmm, [0.5, 0.5])
+        path = viterbi(space, hmm.emission_matrix([0.5, 0.5]))
         # force a known path via a synthetic score for clarity
         score = RhythmScore((2, 4, 6))
         durations = np.diff(score.onsets) * 0.25
-        path, _ = viterbi(hmm, durations)
+        path = viterbi(space, hmm.emission_matrix(durations))
         counts = gather_counts(space, path)
         assert counts.initial.sum() == 1
         assert counts.transition.sum() == 2
@@ -225,9 +237,9 @@ class TestGatherCounts:
         params = random_params(cfg, rng)
         space = build_state_space(cfg, params)
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=1e-6)
-        hmm = build_transcription_hmm(space, tp)
+        hmm = TranscriptionHmm(space, tp)
         durations = np.array([2, 2, 4, 2]) * 0.25
-        path, _ = viterbi(hmm, durations)
+        path = viterbi(space, hmm.emission_matrix(durations))
         counts = gather_counts(space, path)
         assert counts.initial[1] == 1  # r=2 starts the piece
         assert counts.transition[1, 1] == 1
@@ -237,8 +249,8 @@ class TestGatherCounts:
 
     def test_shift_and_division_counts(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1sd", rng, n_notes=4)
-        hmm = build_transcription_hmm(space, tp)
-        path, _ = viterbi(hmm, durations)
+        hmm = TranscriptionHmm(space, tp)
+        path = viterbi(space, hmm.emission_matrix(durations))
         counts = gather_counts(space, path)
         # one shift per emitted part plus the boundary shift
         assert counts.shift.sum() == len(path.state_indices) + 1
@@ -289,8 +301,8 @@ class TestGibbs:
         gc = GibbsConfig(iterations=15, seed=3)
         params, result = gibbs_fit(cfg, hp, perf, tp, gc)
         base_space = build_state_space(cfg.plain(), hp.base)
-        base_ll = forward_loglik(
-            build_transcription_hmm(base_space, tp), perf.durations
+        base_ll = forward(
+            base_space, TranscriptionHmm(base_space, tp).emission_matrix(perf.durations)
         )
         assert len(result.trace) == 16
         assert result.trace[0] == pytest.approx(base_ll, rel=1e-12)
@@ -305,8 +317,8 @@ class TestGibbs:
         space = build_state_space(cfg.plain(), base)
         tp = TimingParams.from_bpm(144.0, 0.03)
         perf = synthesize(RhythmScore((2, 4, 6)), tp, rng)
-        hmm = build_transcription_hmm(space, tp)
-        path = ffbs_sample(hmm, np.asarray(perf.durations), rng)
+        hmm = TranscriptionHmm(space, tp)
+        path = ffbs(space, hmm.emission_matrix(perf.durations), rng)
         counts = gather_counts(space, path)
         drawn = sample_posterior(hp, counts, rng)
         assert drawn.initial[2] == 1.0

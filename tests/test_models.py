@@ -418,6 +418,13 @@ class TestParamsSerialization:
         np.testing.assert_allclose(again.transition, params.transition, rtol=1e-15)
         np.testing.assert_allclose(again.shift_probs, params.shift_probs, rtol=1e-15)
 
+    @pytest.mark.parametrize("key", ["bar_length", "order"])
+    def test_non_integral_header_rejected(self, key, rng):
+        data = params_to_dict(random_params(ModelConfig.from_name("metmm1"), rng))
+        data[key] = 8.5
+        with pytest.raises(ValueError, match=key):
+            params_from_dict(data)
+
     def test_validation_rejects_bad_rows(self):
         cfg = ModelConfig.from_name("notemm1")
         params = uniform_params(cfg)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from rhythmscribe.core import RhythmScore
-from rhythmscribe.inference import forward_loglik
+from rhythmscribe import forward
 from rhythmscribe.models import (
     ModelConfig,
     build_state_space,
@@ -18,7 +18,7 @@ from rhythmscribe.timing import (
     Performance,
     PerformedCorpus,
     TimingParams,
-    build_transcription_hmm,
+    TranscriptionHmm,
     duration_log_density,
     synthesize,
 )
@@ -41,6 +41,13 @@ class TestTimingParams:
         with pytest.raises(ValueError):
             TimingParams.from_bpm(0.0, 0.02)
         TimingParams(seconds_per_unit=0.1, sigma_t=1e-9)  # tiny but positive is fine
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="seconds_per_unit"):
+            TimingParams(seconds_per_unit=bad, sigma_t=0.02)
+        with pytest.raises(ValueError, match="sigma_t"):
+            TimingParams(seconds_per_unit=0.1, sigma_t=bad)
 
 
 class TestDensity:
@@ -112,7 +119,7 @@ class TestTranscriptionHmm:
     def test_emission_matrix_tabulates_density(self):
         cfg = ModelConfig.from_name("notemm1")
         tp = TimingParams(seconds_per_unit=0.1, sigma_t=0.02)
-        hmm = build_transcription_hmm(build_state_space(cfg, uniform_params(cfg)), tp)
+        hmm = TranscriptionHmm(build_state_space(cfg, uniform_params(cfg)), tp)
         em = hmm.emission_matrix([0.31, 0.08])
         assert em.shape == (2, 8)
         assert em[0, 2] == pytest.approx(duration_log_density(3, 0.31, tp))
@@ -123,12 +130,12 @@ class TestTranscriptionHmm:
         cfg = ModelConfig.from_name("notemm1")
         params = random_params(cfg, rng)
         tp = TimingParams(seconds_per_unit=0.11, sigma_t=0.04)
-        hmm = build_transcription_hmm(build_state_space(cfg, params), tp)
+        hmm = TranscriptionHmm(build_state_space(cfg, params), tp)
         d1 = 0.27
         expected = logsumexp(
             np.log(params.initial) + duration_log_density(np.arange(1, 9), d1, tp)
         )
-        assert forward_loglik(hmm, [d1]) == pytest.approx(expected, abs=1e-12)
+        assert forward(hmm.space, hmm.emission_matrix([d1])) == pytest.approx(expected, abs=1e-12)
 
     def test_point_mass_modifications_keep_likelihood(self, rng):
         cfg = ModelConfig.from_name("metmm1", bar_length=4)
@@ -139,12 +146,12 @@ class TestTranscriptionHmm:
         xi[3] = 1.0
         mod_params.shift_probs = xi
         tp = TimingParams(seconds_per_unit=0.12, sigma_t=0.05)
-        plain = build_transcription_hmm(build_state_space(cfg, params), tp)
-        modified = build_transcription_hmm(build_state_space(mod_cfg, mod_params), tp)
+        plain = TranscriptionHmm(build_state_space(cfg, params), tp)
+        modified = TranscriptionHmm(build_state_space(mod_cfg, mod_params), tp)
         for _ in range(5):
             durations = rng.uniform(0.05, 0.5, size=6)
-            assert forward_loglik(modified, durations) == pytest.approx(
-                forward_loglik(plain, durations), abs=1e-9
+            assert forward(modified.space, modified.emission_matrix(durations)) == (
+                pytest.approx(forward(plain.space, plain.emission_matrix(durations)), abs=1e-9)
             )
 
 
@@ -167,6 +174,11 @@ class TestPerformanceTypes:
             PerformedCorpus.from_dict({"items": [{"id": "a"}]})
         with pytest.raises(ValueError, match="'items'"):
             PerformedCorpus.from_dict({"bar_length": 8})
+
+    def test_non_integral_bar_length_rejected(self):
+        data = {"bar_length": 8.5, "items": [{"id": "a", "onsets_sec": [0.0, 0.5]}]}
+        with pytest.raises(ValueError, match="bar_length"):
+            PerformedCorpus.from_dict(data)
 
     def test_corpus_round_trip(self, tmp_path):
         corpus = PerformedCorpus(
