@@ -19,6 +19,7 @@ per-output-value sparse matrices and converts its table back to log space.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,8 @@ class EdgeSet:
     Stored sorted by (dst, src) so per-destination reductions are contiguous
     and ties resolve toward the lowest source index.  A src-sorted view (for
     path sampling) and per-output-value transition matrices (for the scaled
-    forward kernel) are built lazily.
+    forward kernel) are built lazily; the structure behind both is shared
+    with every `reweighted` copy.
     """
 
     def __init__(self, src, dst, logp, out, n_src: int, n_dst: int):
@@ -52,10 +54,23 @@ class EdgeSet:
         logp = np.asarray(logp, dtype=np.float64)
         out = np.asarray(out, dtype=np.int64)
         order = np.lexsort((src, dst))
-        self.src = src[order]
-        self.dst = dst[order]
-        self.logp = logp[order]
-        self.out = out[order]
+        self._index(src[order], dst[order], logp[order], out[order], n_src, n_dst)
+
+    @classmethod
+    def presorted(cls, src, dst, logp, out, n_src: int, n_dst: int) -> "EdgeSet":
+        """An edge set over int64/float64 arrays already in (dst, src) order.
+
+        The arrays are used as given, not copied.
+        """
+        edges = cls.__new__(cls)
+        edges._index(src, dst, logp, out, n_src, n_dst)
+        return edges
+
+    def _index(self, src, dst, logp, out, n_src, n_dst):
+        self.src = src
+        self.dst = dst
+        self.logp = logp
+        self.out = out
         self.n_src = int(n_src)
         self.n_dst = int(n_dst)
         self.n_edges = len(self.src)
@@ -65,16 +80,24 @@ class EdgeSet:
         self._rows = np.flatnonzero(counts)
         self._starts = self.dst_indptr[self._rows]
         self._seg_counts = counts[self._rows]
-        self._src_view = None
+        self._structure = {}  # lazy views of src/dst/out, shared by reweighted copies
         self._by_value = None
+
+    def reweighted(self, logp) -> "EdgeSet":
+        """The same edges with log weights `logp` (in this set's edge order)."""
+        edges = copy.copy(self)
+        edges.logp = logp
+        edges._by_value = None
+        return edges
 
     def src_view(self):
         """(order, indptr) of edges grouped by source state."""
-        if self._src_view is None:
+        view = self._structure.get("src_view")
+        if view is None:
             order = np.lexsort((self.dst, self.src))
             indptr = np.searchsorted(self.src[order], np.arange(self.n_src + 1))
-            self._src_view = (order, indptr)
-        return self._src_view
+            view = self._structure["src_view"] = (order, indptr)
+        return view
 
     def by_value(self):
         """(n_values, A): edge probabilities grouped by output value.
@@ -85,15 +108,23 @@ class EdgeSet:
         produce v.  One product ``A @ x`` thus yields every ``A_v @ x``.
         """
         if self._by_value is None:
-            n_values = int(self.out.max()) if self.n_edges else 0
-            order = np.argsort(self.out, kind="stable")  # (out, dst, src) order
-            rows = (self.out[order] - 1) * self.n_dst + self.dst[order]
-            indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
+            layout = self._structure.get("by_value")
+            if layout is None:
+                n_values = int(self.out.max()) if self.n_edges else 0
+                # (out, dst, src) order; a stable sort of small ints is a radix sort
+                order = np.argsort(self.out.astype(np.min_scalar_type(n_values)), kind="stable")
+                rows = (self.out[order] - 1) * self.n_dst + self.dst[order]
+                indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
+                np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
+                layout = (n_values, order, self.src[order], indptr)
+            n_values, order, indices, indptr = layout
             mat = sparse.csr_matrix(
-                (np.exp(self.logp[order]), self.src[order], indptr),
+                (np.exp(self.logp[order]), indices, indptr),
                 shape=(n_values * self.n_dst, self.n_src),
             )
+            # keep the index arrays in the dtype scipy chose, so later
+            # reweighted copies build their matrix without converting them
+            self._structure["by_value"] = (n_values, order, mat.indices, mat.indptr)
             self._by_value = (n_values, mat)
         return self._by_value
 

@@ -7,13 +7,15 @@ base distribution plus path counts), then resample the latent path by forward
 filtering backward sampling.  After all sweeps the sampled parameter set with
 the highest data likelihood wins and is Viterbi-decoded.
 
-Count gathering follows the complete-data factorization: initial counts from
-the first symbol (or the pre-first-note boundary state), transition counts
-only where a new base symbol is entered (division mid-steps are deterministic
-and carry no information about the transition table, hence the g == 1 gate;
-pattern-internal steps likewise contribute nothing to the pattern-level
-table), shift counts from every note plus the boundary, and division counts
-once per division group, indexed by the base value being divided.
+Count gathering follows the complete-data factorization, which the state
+space's weights spell out (each is a product of table entries): initial
+counts from the first symbol (or the pre-first-note boundary state),
+transition counts only where a new base symbol is entered (division
+mid-steps are deterministic and carry no information about the transition
+table, so their edges weigh the constant 1; pattern-internal steps likewise
+contribute nothing to the pattern-level table), shift counts from every note
+plus the boundary, and division counts once per division group, indexed by
+the base value being divided.
 """
 from __future__ import annotations
 
@@ -148,16 +150,35 @@ def sample_dirichlet(params, rng: np.random.Generator, size: int | None = None) 
     return g / g.sum(axis=-1, keepdims=True)
 
 
-def _sample_row_masked(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # zero components stay exactly zero (Gamma(0) draws are exactly 0), so
-    # point-mass priors survive the posterior draw
-    if np.any(params < 0):
+def _check_posterior_row(row: np.ndarray) -> None:
+    if np.any(row < 0):
         raise ValueError("negative posterior parameters")
-    total = params.sum()
-    if not total > 0:
+    if not row.sum() > 0:
         raise InferenceError("posterior row with no support")
-    g = rng.gamma(params)
-    return g / g.sum()
+
+
+# Dirichlet draws normalize Gamma variates.  Zero components stay exactly zero
+# (Gamma(0) draws are exactly 0), so point-mass priors survive the posterior
+# draw.  One Gamma call over a whole table draws the same variates, in the
+# same order, as one call per row, so seeded streams match the per-row draw.
+
+
+def _sample_table(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Dirichlet draw per row (last axis) of a posterior table."""
+    rows = table.reshape(-1, table.shape[-1])
+    bad = np.any(rows < 0, axis=1) | ~(rows.sum(axis=1) > 0)
+    if bad.any():
+        _check_posterior_row(rows[np.argmax(bad)])
+    g = rng.gamma(rows)
+    return (g / g.sum(axis=1, keepdims=True)).reshape(table.shape)
+
+
+def _sample_ragged(rows: list, rng: np.random.Generator) -> tuple:
+    """One Dirichlet draw per posterior row of differing lengths."""
+    for row in rows:
+        _check_posterior_row(row)
+    g = rng.gamma(np.concatenate(rows))
+    return tuple(x / x.sum() for x in np.split(g, np.cumsum([len(r) for r in rows[:-1]])))
 
 
 # ---------------------------------------------------------------------------
@@ -176,112 +197,22 @@ class PathCounts:
     division: list[np.ndarray] | None = None
 
 
-def _decode_tag(config: ModelConfig, tag):
-    """(symbol index, rt, h, g, s) of an emitting-state tag."""
-    family, s, d = config.family, config.shift, config.division
-    if family == "note":
-        if config.order == 2:
-            return tag[1] - 1, None, None, None, None
-        if not (s or d):
-            return tag - 1, None, None, None, None
-        if s and not d:
-            return tag[0] - 1, None, None, None, tag[1]
-        if d and not s:
-            return tag[0] - 1, tag[0], tag[1], tag[2], None
-        return tag[0] - 1, tag[0], tag[1], tag[2], tag[3]
-    if family == "met":
-        if config.order == 2:
-            return tag[1], None, None, None, None
-        if not (s or d):
-            return tag, None, None, None, None
-        if s and not d:
-            return tag[0], None, None, None, tag[1]
-        if d and not s:
-            return tag[0], tag[1], tag[2], tag[3], None
-        return tag[0], tag[1], tag[2], tag[3], tag[4]
-    # pat: first two components are (k, i)
-    if not (s or d):
-        return tag, None, None, None, None
-    if s and not d:
-        return (tag[0], tag[1]), None, None, None, tag[2]
-    if d and not s:
-        return (tag[0], tag[1]), tag[2], tag[3], tag[4], None
-    return (tag[0], tag[1]), tag[2], tag[3], tag[4], tag[5]
-
-
-def _decode_boundary(config: ModelConfig, tag):
-    """(symbol index, s) of a boundary tag (None components where absent)."""
-    if config.family == "note":
-        return None, (tag if config.shift else None)
-    if config.family == "met":
-        if config.shift:
-            return tag[0], tag[1]
-        return tag, None
-    if config.shift:
-        return tag[0], tag[2]
-    return tag[0], None
-
-
 def gather_counts(space: LatentStateSpace, path: PathSample) -> PathCounts:
-    """Sufficient statistics of a sampled path for the Dirichlet posteriors."""
-    cfg = space.config
-    nb = space.bar_length
-    n_sym = len(space.patterns) if cfg.family == "pat" else nb
-    counts = PathCounts(initial=np.zeros(n_sym))
-    if cfg.order >= 1:
-        counts.transition = np.zeros((n_sym, n_sym))
-    if cfg.order == 2:
-        counts.transition2 = np.zeros((n_sym, n_sym, n_sym))
-    if cfg.order == 0:
-        counts.unigram = np.zeros(n_sym)
-    if cfg.shift:
-        counts.shift = np.zeros(2 * nb - 1)
-    if cfg.division:
-        counts.division = [np.zeros(r) for r in range(1, nb + 1)]
+    """Sufficient statistics of a sampled path for the Dirichlet posteriors.
 
-    decoded = [_decode_tag(cfg, space.state_tags[i]) for i in path.state_indices]
-    if cfg.family == "pat":
-        syms = [d[0][0] for d in decoded]
-        entering = [d[0][1] == 1 for d in decoded]
-    else:
-        syms = [d[0] for d in decoded]
-        entering = [True] * len(decoded)
-
-    if space.virtual_boundary:
-        b_sym, b_s = None, None
-    else:
-        b_sym, b_s = _decode_boundary(cfg, space.boundary_tags[path.boundary_index])
-
-    # initial symbol: the boundary state for models that have one, else the
-    # first note's symbol
-    counts.initial[b_sym if b_sym is not None else syms[0]] += 1
-    if cfg.shift and b_s is not None:
-        counts.shift[b_s + nb - 1] += 1
-
-    prev = b_sym
-    for n, (_, rt, h, g, s) in enumerate(decoded):
-        if cfg.shift:
-            counts.shift[s + nb - 1] += 1
-        new_group = g is None or g == 1
-        if cfg.division and new_group:
-            counts.division[rt - 1][h] += 1
-        gated = new_group and entering[n]
-        if gated:
-            if cfg.order == 1:
-                if prev is not None:
-                    counts.transition[prev, syms[n]] += 1
-                prev = syms[n]
-            elif cfg.order == 0:
-                if prev is not None or n > 0:
-                    counts.unigram[syms[n]] += 1
-                prev = syms[n]
-    if cfg.order == 2:
-        seq = ([b_sym] if b_sym is not None else []) + syms
-        if len(seq) >= 2:
-            counts.transition[seq[0], seq[1]] += 1
-        for i in range(2, len(seq)):
-            counts.transition2[seq[i - 2], seq[i - 1], seq[i]] += 1
-    return counts
+    Each weight of the space is a product of table entries (see
+    `LatentStateSpace.slot_counts`), so the counts are how often the path's
+    boundary state and edges use each entry.
+    """
+    tables = space.layout.tables(space.slot_counts(path))
+    return PathCounts(
+        initial=tables["initial"],
+        transition=tables.get("transition"),
+        transition2=tables.get("transition2"),
+        unigram=tables.get("unigram"),
+        shift=tables.get("shift_probs"),
+        division=tables.get("division_probs"),
+    )
 
 
 def sample_posterior(
@@ -290,35 +221,25 @@ def sample_posterior(
     """Draw a parameter set from the Dirichlet posteriors around the base."""
     base = hp.base
     out = base.copy()
-    out.initial = _sample_row_masked(
-        hp.alpha_initial * base.initial + counts.initial, rng
-    )
+    out.initial = _sample_table(hp.alpha_initial * base.initial + counts.initial, rng)
     if base.transition is not None:
-        rows = hp.alpha_transition * base.transition + counts.transition
-        out.transition = np.vstack(
-            [_sample_row_masked(rows[i], rng) for i in range(rows.shape[0])]
+        out.transition = _sample_table(
+            hp.alpha_transition * base.transition + counts.transition, rng
         )
     if base.transition2 is not None:
-        rows = hp.alpha_transition * base.transition2 + counts.transition2
-        flat = rows.reshape(-1, rows.shape[-1])
-        out.transition2 = np.vstack(
-            [_sample_row_masked(flat[i], rng) for i in range(flat.shape[0])]
-        ).reshape(rows.shape)
-    if base.unigram is not None:
-        out.unigram = _sample_row_masked(
-            hp.alpha_transition * base.unigram + counts.unigram, rng
+        out.transition2 = _sample_table(
+            hp.alpha_transition * base.transition2 + counts.transition2, rng
         )
+    if base.unigram is not None:
+        out.unigram = _sample_table(hp.alpha_transition * base.unigram + counts.unigram, rng)
     if base.shift_probs is not None and counts.shift is not None:
-        out.shift_probs = _sample_row_masked(
+        out.shift_probs = _sample_table(
             hp.alpha_shift * base.shift_probs + counts.shift, rng
         )
     if base.division_probs is not None and counts.division is not None:
-        out.division_probs = tuple(
-            _sample_row_masked(
-                hp.alpha_division * base.division_probs[r - 1] + counts.division[r - 1],
-                rng,
-            )
-            for r in range(1, base.bar_length + 1)
+        out.division_probs = _sample_ragged(
+            [hp.alpha_division * b + c for b, c in zip(base.division_probs, counts.division)],
+            rng,
         )
     return out
 

@@ -41,8 +41,10 @@ have a single virtual boundary.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .core import (
     Corpus,
     RhythmScore,
     integral,
-    interval,
     json_field,
     to_note_values,
 )
@@ -60,6 +61,9 @@ from .core import (
 ROW_TOL = 1e-9
 
 FAMILIES = ("note", "met", "pat")
+
+# Largest full-vocabulary pattern transition table a config may imply.
+PATTERN_TABLE_BUDGET_BYTES = 1 << 30
 
 __all__ = [
     "FAMILIES",
@@ -69,6 +73,7 @@ __all__ = [
     "LatentStateSpace",
     "build_division_catalog",
     "pattern_vocabulary",
+    "pattern_table_bytes",
     "pattern_index",
     "build_state_space",
     "params_to_dict",
@@ -115,6 +120,14 @@ class ModelConfig:
             raise ValueError("shift/division modifications require an order-1 base model")
         if self.bar_length < 1:
             raise ValueError("bar_length must be positive")
+        nb = self.bar_length
+        if self.family == "pat" and (nb > 64 or pattern_table_bytes(nb) > PATTERN_TABLE_BUDGET_BYTES):
+            need = f"needs {pattern_table_bytes(nb) / 1e9:.1f} GB," if nb <= 64 else "is"
+            raise ValueError(
+                f"bar_length {nb} is too long for a pattern model: the float64 transition "
+                f"table over its 2^{nb} - 1 patterns {need} over the "
+                f"{PATTERN_TABLE_BUDGET_BYTES / 2**30:g} GiB budget"
+            )
 
     @property
     def name(self) -> str:
@@ -151,6 +164,11 @@ class ModelConfig:
     def plain(self) -> "ModelConfig":
         """The non-Bayesian counterpart of this configuration."""
         return replace(self, bayesian=False)
+
+
+def pattern_table_bytes(bar_length: int) -> int:
+    """Bytes of a float64 transition table over all 2^N_b - 1 bar patterns."""
+    return 8 * (2 ** bar_length - 1) ** 2
 
 
 def pattern_vocabulary(bar_length: int = DEFAULT_BAR_LENGTH) -> tuple[tuple[int, ...], ...]:
@@ -244,7 +262,9 @@ class ModelParams:
                 np.asarray(row, dtype=np.float64) for row in self.division_probs
             )
         if self.patterns is not None:
-            self.patterns = tuple(tuple(int(p) for p in pat) for pat in self.patterns)
+            self.patterns = tuple(
+                tuple(integral(p, "pattern position") for p in pat) for pat in self.patterns
+            )
 
     @property
     def n_symbols(self) -> int:
@@ -300,6 +320,17 @@ class ModelParams:
                 raise ValueError("pattern params need a pattern vocabulary")
             if len(self.patterns) != k:
                 raise ValueError("pattern vocabulary size mismatch")
+            nb = self.bar_length
+            for pat in self.patterns:
+                if not pat or not 0 <= pat[0] or not pat[-1] < nb or any(
+                    b <= a for a, b in zip(pat, pat[1:])
+                ):
+                    raise ValueError(
+                        f"pattern {pat} is not a strictly increasing, nonempty "
+                        f"sequence of positions in [0, {nb})"
+                    )
+            if len(set(self.patterns)) != k:
+                raise ValueError("pattern vocabulary has duplicate patterns")
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -394,7 +425,7 @@ def params_from_dict(data: dict) -> ModelParams:
     order = integral(json_field(data, "order", where), "order")
     patterns = None
     if data.get("patterns") is not None:
-        patterns = tuple(tuple(int(x) for x in p) for p in data["patterns"])
+        patterns = tuple(tuple(p) for p in data["patterns"])  # checked by ModelParams
     k = len(patterns) if fam == "pat" else nb
 
     def vector(entries):
@@ -527,74 +558,142 @@ def random_params(config: ModelConfig, rng: np.random.Generator, patterns=None) 
 
 
 # ---------------------------------------------------------------------------
+# flat parameter layout: the table entries edge weights are products of
+
+
+class _Layout:
+    """Slots of the flat parameter vector a config's weights are read from.
+
+    One slot per entry of each table the config uses, in the order initial,
+    unigram or transition, transition2, shift, division (rows r = 1..N_b back
+    to back, row r at offset r(r-1)/2), then one constant-1 slot for the
+    steps no table weighs: pattern-internal and mid-division edges.
+    """
+
+    def __init__(self, config: ModelConfig, n_symbols: int):
+        nb, k = config.bar_length, n_symbols
+        shapes = {"initial": (k,)}
+        if config.order == 0:
+            shapes["unigram"] = (k,)
+        else:
+            shapes["transition"] = (k, k)
+        if config.order == 2:
+            shapes["transition2"] = (k, k, k)
+        if config.shift:
+            shapes["shift_probs"] = (2 * nb - 1,)
+        if config.division:
+            shapes["division_probs"] = (nb * (nb + 1) // 2,)
+        self.bar_length = nb
+        self.shapes = shapes
+        self.offset = {}
+        size = 0
+        for name, shape in shapes.items():
+            self.offset[name] = size
+            size += int(np.prod(shape))
+        self.one = size
+        self.size = size + 1
+
+    def slots(self, name: str) -> np.ndarray:
+        """Slot of every entry of one table, shaped like the table."""
+        shape = self.shapes[name]
+        return self.offset[name] + np.arange(int(np.prod(shape))).reshape(shape)
+
+    def division_slot(self, rt, h):
+        """Slot of division entry h of base value rt."""
+        return self.offset["division_probs"] + rt * (rt - 1) // 2 + h
+
+    def flatten(self, params: ModelParams) -> np.ndarray:
+        parts = [
+            np.concatenate(params.division_probs)
+            if name == "division_probs"
+            else getattr(params, name).ravel()
+            for name in self.shapes
+        ]
+        return np.concatenate(parts + [np.ones(1)])
+
+    def tables(self, flat: np.ndarray) -> dict:
+        """Views of a flat vector shaped like the tables (division: a list of rows)."""
+        out = {}
+        for name, shape in self.shapes.items():
+            block = flat[self.offset[name]: self.offset[name] + int(np.prod(shape))]
+            if name == "division_probs":
+                out[name] = np.split(block, np.cumsum(np.arange(1, self.bar_length)))
+            else:
+                out[name] = block.reshape(shape)
+        return out
+
+
+def _product(theta: np.ndarray, slots: tuple) -> np.ndarray:
+    """Elementwise product of `theta` over one or two slot columns."""
+    prob = theta[slots[0]]
+    for column in slots[1:]:
+        prob *= theta[column]
+    return prob
+
+
+# ---------------------------------------------------------------------------
 # base chains: the unmodified symbol-level structure of each family
+#
+# Edges are (src, dst, out, slot) tuples.  An edge's weight is its base
+# slot's entry (a table entry, or the constant 1) times the factor of the
+# state it enters (its modification probabilities, see `_Parts`), always
+# associated as base x (zeta x xi) so weights agree to the last bit.
 
 
 @dataclass
 class _BaseChain:
     boundary_tags: list
-    init_p: np.ndarray
+    init_slot: np.ndarray  # per boundary state: slot of its initial weight
     init_pos: np.ndarray | None
     sym_tags: list
-    first: tuple  # (src, dst, prob, base_value) arrays, boundary -> symbol
-    trans: tuple  # (src, dst, prob, base_value) arrays, symbol -> symbol
+    first: tuple  # boundary -> symbol edges; `out` is the base value
+    trans: tuple  # symbol -> symbol edges
     virtual: bool
     sym_base_value: np.ndarray | None = None  # per-symbol base value (note family)
 
 
-def _dense_edges(row_matrix: np.ndarray, values: np.ndarray):
-    """Edges for every (i, j) with probability row_matrix[i, j] and value values[i, j]."""
-    n_src, n_dst = row_matrix.shape
+def _row_slots(config: ModelConfig, layout: _Layout, k: int) -> np.ndarray:
+    """Slot weighing i -> j at [i, j]: the transition row, or the unigram (order 0)."""
+    if config.order == 0:
+        return np.tile(layout.slots("unigram"), (k, 1))
+    return layout.slots("transition")
+
+
+def _dense_edges(slot_matrix: np.ndarray, values: np.ndarray):
+    """Edges for every (i, j), weighed by slot_matrix[i, j], with value values[i, j]."""
+    n_src, n_dst = slot_matrix.shape
     src = np.repeat(np.arange(n_src), n_dst)
     dst = np.tile(np.arange(n_dst), n_src)
-    return src, dst, row_matrix.reshape(-1), values.reshape(-1)
+    return src, dst, values.reshape(-1), slot_matrix.reshape(-1)
 
 
-def _note_chain(params: ModelParams) -> _BaseChain:
-    nb = params.bar_length
+def _note_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
+    nb = config.bar_length
     vals = np.arange(1, nb + 1)
-    if params.order in (0, 1):
+    first = (np.zeros(nb, dtype=np.int64), np.arange(nb), vals.copy(), layout.slots("initial"))
+    if config.order in (0, 1):
         sym_tags = [int(r) for r in vals]
-        rows = np.tile(params.unigram, (nb, 1)) if params.order == 0 else params.transition
-        vmat = np.tile(vals, (nb, 1))
-        trans = _dense_edges(rows, vmat)
-        first = (
-            np.zeros(nb, dtype=np.int64),
-            np.arange(nb),
-            params.initial.copy(),
-            vals.copy(),
-        )
+        trans = _dense_edges(_row_slots(config, layout, nb), np.tile(vals, (nb, 1)))
         base_vals = vals.copy()
     else:
-        # order 2: symbols are (previous value or None, value)
+        # order 2: symbols are (previous value or None, value); the first
+        # step leaves (None, r') by the transition table, later steps
+        # leave (r'', r') by transition2
         sym_tags = [(None, int(r)) for r in vals]
         sym_tags += [(int(rp), int(r)) for rp in vals for r in vals]
-        pair_idx = lambda rp, r: nb + (rp - 1) * nb + (r - 1)  # noqa: E731
-        src, dst, prob, val = [], [], [], []
-        for rp in vals:
-            for r in vals:
-                src.append(rp - 1)  # (None, rp)
-                dst.append(pair_idx(rp, r))
-                prob.append(params.transition[rp - 1, r - 1])
-                val.append(r)
-        for c in vals:
-            for rp in vals:
-                for r in vals:
-                    src.append(pair_idx(c, rp))
-                    dst.append(pair_idx(rp, r))
-                    prob.append(params.transition2[c - 1, rp - 1, r - 1])
-                    val.append(r)
-        trans = (np.array(src), np.array(dst), np.array(prob), np.array(val))
-        first = (
-            np.zeros(nb, dtype=np.int64),
-            np.arange(nb),
-            params.initial.copy(),
-            vals.copy(),
+        rp, r = (a.ravel() for a in np.indices((nb, nb)))
+        c2, rp2, r2 = (a.ravel() for a in np.indices((nb, nb, nb)))
+        trans = (
+            np.concatenate([rp, nb + c2 * nb + rp2]),
+            np.concatenate([nb + rp * nb + r, nb + rp2 * nb + r2]),
+            np.concatenate([r, r2]) + 1,
+            np.concatenate([layout.slots("transition").ravel(),
+                            layout.slots("transition2").ravel()]),
         )
         base_vals = np.concatenate([vals, np.tile(vals, nb)])
     return _BaseChain(
         boundary_tags=[None],
-        init_p=np.array([1.0]),
+        init_slot=np.array([layout.one]),
         init_pos=None,
         sym_tags=sym_tags,
         first=first,
@@ -610,17 +709,16 @@ def _interval_matrix(nb: int) -> np.ndarray:
     return np.where(d > 0, d, d + nb)
 
 
-def _met_chain(params: ModelParams) -> _BaseChain:
-    nb = params.bar_length
+def _met_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
+    nb = config.bar_length
     ivals = _interval_matrix(nb)
     positions = np.arange(nb)
-    if params.order in (0, 1):
+    if config.order in (0, 1):
         sym_tags = [int(b) for b in positions]
-        rows = np.tile(params.unigram, (nb, 1)) if params.order == 0 else params.transition
-        edges = _dense_edges(rows, ivals)
+        edges = _dense_edges(_row_slots(config, layout, nb), ivals)
         return _BaseChain(
             boundary_tags=sym_tags.copy(),
-            init_p=params.initial.copy(),
+            init_slot=layout.slots("initial"),
             init_pos=positions.copy(),
             sym_tags=sym_tags,
             first=edges,
@@ -629,76 +727,46 @@ def _met_chain(params: ModelParams) -> _BaseChain:
         )
     # order 2: symbols are (previous position, position)
     sym_tags = [(int(bp), int(b)) for bp in positions for b in positions]
-    pair_idx = lambda bp, b: bp * nb + b  # noqa: E731
-    fs, fd, fp, fv = [], [], [], []
-    for b0 in positions:
-        for b1 in positions:
-            fs.append(b0)
-            fd.append(pair_idx(b0, b1))
-            fp.append(params.transition[b0, b1])
-            fv.append(ivals[b0, b1])
-    ts, td, tp, tv = [], [], [], []
-    for bpp in positions:
-        for bp in positions:
-            for b in positions:
-                ts.append(pair_idx(bpp, bp))
-                td.append(pair_idx(bp, b))
-                tp.append(params.transition2[bpp, bp, b])
-                tv.append(ivals[bp, b])
+    b0, b1 = (a.ravel() for a in np.indices((nb, nb)))
+    bpp, bp, b = (a.ravel() for a in np.indices((nb, nb, nb)))
     return _BaseChain(
         boundary_tags=[int(b) for b in positions],
-        init_p=params.initial.copy(),
+        init_slot=layout.slots("initial"),
         init_pos=positions.copy(),
         sym_tags=sym_tags,
-        first=(np.array(fs), np.array(fd), np.array(fp), np.array(fv)),
-        trans=(np.array(ts), np.array(td), np.array(tp), np.array(tv)),
+        first=(b0, b0 * nb + b1, ivals[b0, b1], layout.slots("transition").ravel()),
+        trans=(bpp * nb + bp, bp * nb + b, ivals[bp, b], layout.slots("transition2").ravel()),
         virtual=False,
     )
 
 
-def _pat_chain(params: ModelParams) -> _BaseChain:
-    nb = params.bar_length
-    patterns = params.patterns
-    sym_tags = []
-    sym_pos = []
-    starts = []  # symbol index of (k, 1) per pattern
-    for k, pat in enumerate(patterns):
-        starts.append(len(sym_tags))
-        for i, pos in enumerate(pat, start=1):
-            sym_tags.append((k, i))
-            sym_pos.append(pos)
-    sym_pos = np.array(sym_pos)
-    starts = np.array(starts)
-    rows = np.tile(params.unigram, (len(patterns), 1)) if params.order == 0 else params.transition
-    ts, td, tp, tv = [], [], [], []
-    for j, (k, i) in enumerate(sym_tags):
-        if i < len(patterns[k]):
-            ts.append(j)
-            td.append(j + 1)
-            tp.append(1.0)
-            tv.append(interval(sym_pos[j], sym_pos[j + 1], nb))
-        else:
-            for k2 in range(len(patterns)):
-                ts.append(j)
-                td.append(starts[k2])
-                tp.append(rows[k, k2])
-                tv.append(interval(sym_pos[j], patterns[k2][0], nb))
-    trans = (np.array(ts), np.array(td), np.array(tp), np.array(tv))
+def _pat_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
+    nb = config.bar_length
+    n_pat = len(patterns)
+    sizes = np.array([len(pat) for pat in patterns])
+    sym_tags = [(k, i) for k, pat in enumerate(patterns) for i in range(1, len(pat) + 1)]
+    sym_pos = np.array([pos for pat in patterns for pos in pat])
+    sym_pat = np.repeat(np.arange(n_pat), sizes)
+    starts = np.cumsum(sizes) - sizes  # symbol index of (k, 1) per pattern
+    is_end = np.zeros(len(sym_tags), dtype=bool)
+    is_end[starts + sizes - 1] = True
+    # inner notes step to the next note (weight 1); a pattern's last note
+    # enters the first note of any pattern by the pattern-level row
+    src, within = _expand_blocks(np.where(is_end, n_pat, 1))
+    at_end = is_end[src]
+    dst = np.where(at_end, starts[within], src + 1)
+    slot = np.where(at_end, _row_slots(config, layout, n_pat)[sym_pat[src], within], layout.one)
+    step = sym_pos[dst] - sym_pos[src]
+    trans = (src, dst, np.where(step > 0, step, step + nb), slot)
     # boundary states are the pattern-start symbols (k, 1)
-    boundary_tags = [(k, 1) for k in range(len(patterns))]
-    first_sel = np.isin(trans[0], starts)
+    first_sel = np.isin(src, starts)
     b_of_start = np.full(len(sym_tags), -1, dtype=np.int64)
-    b_of_start[starts] = np.arange(len(patterns))
-    first = (
-        b_of_start[trans[0][first_sel]],
-        trans[1][first_sel],
-        trans[2][first_sel],
-        trans[3][first_sel],
-    )
+    b_of_start[starts] = np.arange(n_pat)
+    first = (b_of_start[src[first_sel]], dst[first_sel], trans[2][first_sel], slot[first_sel])
     return _BaseChain(
-        boundary_tags=boundary_tags,
-        init_p=params.initial.copy(),
-        init_pos=np.array([pat[0] for pat in patterns]),
+        boundary_tags=[(k, 1) for k in range(n_pat)],
+        init_slot=layout.slots("initial"),
+        init_pos=sym_pos[starts],
         sym_tags=sym_tags,
         first=first,
         trans=trans,
@@ -713,16 +781,51 @@ _CHAIN_BUILDERS = {"note": _note_chain, "met": _met_chain, "pat": _pat_chain}
 # modification augmentation
 
 
+@dataclass
+class _Parts:
+    """An enumerated state space before sorting: tags, edges, weight slots.
+
+    A boundary state weighs the product of its `boundary_slots` columns
+    (initial entry, then the shift entry s_0 when shifting; a shifted
+    boundary state exists only while its shift entry is positive).
+    Entering a state multiplies an edge's base weight by the product of the
+    state's `state_slots` columns (shift xi, and zeta on entering a
+    division; none for unmodified models).  `state_keep` are slot columns
+    that must all be positive for a state to exist; `state_rt` is, for
+    division models, ``(state key, base-edge keys, base-edge slots)``: a
+    division state of symbol j dividing base value rt (key j * (N_b + 1) +
+    rt) exists only while some base edge into j producing rt has positive
+    weight.
+    """
+
+    boundary_tags: list
+    boundary_slots: tuple
+    init_pos: np.ndarray | None
+    state_tags: list
+    first: tuple
+    trans: tuple
+    virtual: bool
+    state_slots: tuple = ()
+    state_keep: tuple = ()
+    state_rt: tuple | None = None
+
+
 def _tag_cat(tag, extra: tuple) -> tuple:
     return (tag if isinstance(tag, tuple) else (tag,)) + extra
 
 
-_EMPTY_EDGES = (
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.float64),
-    np.empty(0, dtype=np.int64),
-)
+def _join(chunks: list) -> tuple:
+    """One (src, dst, out, slot) edge tuple from chunks of them."""
+    if not chunks:
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+    return tuple(np.concatenate(col) for col in zip(*chunks))
+
+
+def _supported(edges: tuple, support: np.ndarray) -> tuple:
+    """The edges whose base slot is in the support."""
+    src, dst, out, slot = edges
+    keep = support[slot]
+    return src[keep], dst[keep], out[keep], slot[keep]
 
 
 def _expand_blocks(block_sizes: np.ndarray):
@@ -735,7 +838,7 @@ def _expand_blocks(block_sizes: np.ndarray):
     return block_id, within
 
 
-def _chunk_ranges(counts: np.ndarray, limit: int = 2_000_000):
+def _chunk_ranges(counts: np.ndarray, limit: int = 250_000):
     """Split [0, len(counts)) into ranges whose count sums stay under limit."""
     n = len(counts)
     lo = 0
@@ -749,11 +852,31 @@ def _chunk_ranges(counts: np.ndarray, limit: int = 2_000_000):
         lo = hi
 
 
-def _augment_shift(chain: _BaseChain, xi: np.ndarray, nb: int):
+def _shift_support(layout: _Layout, support: np.ndarray):
+    """(slots, values) of the supported shifts."""
+    sup = np.flatnonzero(support[layout.slots("shift_probs")])
+    return layout.offset["shift_probs"] + sup, sup - (layout.bar_length - 1)
+
+
+def _shifted_boundaries(chain: _BaseChain, xi_slot, sval, nb: int):
+    """Boundary tags, weight slots and positions with a shift s_0 appended."""
+    n_s = len(sval)
+    if chain.virtual:
+        tags = [int(s) for s in sval]
+    else:
+        tags = [_tag_cat(bt, (int(s),)) for bt in chain.boundary_tags for s in sval]
+    slots = (np.repeat(chain.init_slot, n_s), np.tile(xi_slot, len(chain.init_slot)))
+    pos = None
+    if chain.init_pos is not None:
+        pos = ((chain.init_pos[:, None] + sval[None, :]) % nb).reshape(-1)
+    return tags, slots, pos
+
+
+def _augment_shift(chain: _BaseChain, layout: _Layout, support: np.ndarray) -> _Parts:
     """States (sym, s); outputs base + s - s'; see module docstring for masks."""
-    sup = np.flatnonzero(xi > 0)
-    sval = sup - (nb - 1)
-    n_s = len(sup)
+    nb = layout.bar_length
+    xi_slot, sval = _shift_support(layout, support)
+    n_s = len(sval)
     n_sym = len(chain.sym_tags)
 
     if chain.sym_base_value is not None:
@@ -769,27 +892,13 @@ def _augment_shift(chain: _BaseChain, xi: np.ndarray, nb: int):
         for p in range(n_s):
             if allowed[j, p]:
                 state_tags.append(_tag_cat(chain.sym_tags[j], (int(sval[p]),)))
-
-    n_b = len(chain.boundary_tags)
-    if chain.virtual:
-        boundary_tags = [int(s) for s in sval]
-    else:
-        boundary_tags = [
-            _tag_cat(bt, (int(s),)) for bt in chain.boundary_tags for s in sval
-        ]
-    init_p = (chain.init_p[:, None] * xi[sup][None, :]).reshape(-1)
-    init_pos = (
-        None
-        if chain.init_pos is None
-        else ((chain.init_pos[:, None] + sval[None, :]) % nb).reshape(-1)
-    )
+    state_xi = np.broadcast_to(xi_slot, (n_sym, n_s))[allowed]
+    boundary_tags, boundary_slots, init_pos = _shifted_boundaries(chain, xi_slot, sval, nb)
 
     def expand(edges, src_is_boundary: bool):
-        es, ed, ep, ev = (np.asarray(a) for a in edges)
-        keep = ep > 0
-        es, ed, ep, ev = es[keep], ed[keep], ep[keep], ev[keep]
+        es, ed, ev, eslot = _supported(edges, support)
         counts = np.full(len(es), n_s * n_s, dtype=np.int64)
-        parts = [_EMPTY_EDGES]
+        chunks = []
         for lo, hi in _chunk_ranges(counts):
             e_id, within = _expand_blocks(counts[lo:hi])
             e_id += lo
@@ -812,13 +921,20 @@ def _augment_shift(chain: _BaseChain, xi: np.ndarray, nb: int):
                 & (dst >= 0)
                 & (src >= 0)
             )
-            prob = ep[e_id] * xi[sup[s_pos]]
-            parts.append((src[feas], dst[feas], prob[feas], out[feas]))
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
+            chunks.append((src[feas], dst[feas], out[feas], eslot[e_id][feas]))
+        return _join(chunks)
 
-    first = expand(chain.first, src_is_boundary=True)
-    trans = expand(chain.trans, src_is_boundary=False)
-    return boundary_tags, init_p, init_pos, state_tags, first, trans, False
+    return _Parts(
+        boundary_tags=boundary_tags,
+        boundary_slots=boundary_slots,
+        init_pos=init_pos,
+        state_tags=state_tags,
+        first=expand(chain.first, src_is_boundary=True),
+        trans=expand(chain.trans, src_is_boundary=False),
+        virtual=False,
+        state_slots=(state_xi,),
+        state_keep=(state_xi,),
+    )
 
 
 @dataclass
@@ -836,45 +952,35 @@ class _DivStates:
     next_count: np.ndarray
     entry_flat: np.ndarray  # state ids with g == 1, grouped by (sym, rt)
     entry_indptr: np.ndarray  # over key = sym * (nb + 1) + rt
-    entry_factor: np.ndarray  # zeta (* xi) factor per entry state
     end_flat: np.ndarray  # state ids at division ends, grouped by sym
     end_indptr: np.ndarray
 
 
 def _enumerate_division_states(
     chain: _BaseChain,
-    zeta_rows,
+    layout: _Layout,
+    support: np.ndarray,
     catalog: DivisionCatalog,
-    nb: int,
-    xi: np.ndarray | None,
+    sval: np.ndarray | None,
     include_rt_in_tag: bool,
+    reach: np.ndarray,
 ) -> _DivStates:
-    if xi is not None:
-        sup = np.flatnonzero(xi > 0)
-        sval = sup - (nb - 1)
-    # achievable base values per symbol, from incoming edges of the base chain
-    rt_sets = [set() for _ in chain.sym_tags]
-    for edges in (chain.first, chain.trans):
-        _, ed, ep, ev = edges
-        for d, p, v in zip(ed, ep, ev):
-            if p > 0:
-                rt_sets[int(d)].add(int(v))
+    nb = layout.bar_length
     tags = []
     sym_l, rt_l, h_l, g_l, s_l, part_l = [], [], [], [], [], []
     next_start_l, next_count_l = [], []
     for j, sym_tag in enumerate(chain.sym_tags):
-        for rt in sorted(rt_sets[j]):
-            row = zeta_rows[rt - 1]
-            for h in np.flatnonzero(row > 0):
+        for rt in np.flatnonzero(reach[j * (nb + 1): (j + 1) * (nb + 1)]).tolist():
+            for h in np.flatnonzero(support[layout.division_slot(rt, np.arange(rt))]):
                 parts = catalog.patterns_for(rt)[h]
                 group_entries = []
                 for g, part in enumerate(parts, start=1):
-                    if xi is None:
+                    if sval is None:
                         group_entries.append([(None, part)])
                     else:
                         block = [
                             (int(p), part)
-                            for p in range(len(sup))
+                            for p in range(len(sval))
                             if -part < sval[p] <= part
                         ]
                         group_entries.append(block)
@@ -886,7 +992,7 @@ def _enumerate_division_states(
                 for g, block in enumerate(group_entries, start=1):
                     for s_pos, part in block:
                         extras = (rt, int(h), g) if include_rt_in_tag else (int(h), g)
-                        if xi is not None:
+                        if sval is not None:
                             extras = extras + (int(sval[s_pos]),)
                         tags.append(_tag_cat(sym_tag, extras))
                         sym_l.append(j)
@@ -905,12 +1011,11 @@ def _enumerate_division_states(
     rt_a = np.array(rt_l, dtype=np.int64)
     g_a = np.array(g_l, dtype=np.int64)
     h_a = np.array(h_l, dtype=np.int64)
-    s_a = None if xi is None else np.array(s_l, dtype=np.int64)
+    s_a = None if sval is None else np.array(s_l, dtype=np.int64)
     part_a = np.array(part_l, dtype=np.int64)
     next_start = np.array(next_start_l, dtype=np.int64)
     next_count = np.array(next_count_l, dtype=np.int64)
 
-    n_states = len(tags)
     key = sym_a * (nb + 1) + rt_a
     is_entry = g_a == 1
     entry_ids = np.flatnonzero(is_entry)
@@ -919,12 +1024,6 @@ def _enumerate_division_states(
     entry_indptr = np.searchsorted(
         key[entry_flat], np.arange(len(chain.sym_tags) * (nb + 1) + 1)
     )
-    zeta_of = np.array(
-        [zeta_rows[rt_a[i] - 1][h_a[i]] for i in range(n_states)], dtype=np.float64
-    )
-    entry_factor = zeta_of.copy()
-    if xi is not None:
-        entry_factor = entry_factor * xi[sup[s_a]]
     is_end = next_start == -1
     end_ids = np.flatnonzero(is_end)
     order = np.argsort(sym_a[end_ids], kind="stable")
@@ -942,22 +1041,32 @@ def _enumerate_division_states(
         next_count=next_count,
         entry_flat=entry_flat,
         entry_indptr=entry_indptr,
-        entry_factor=entry_factor,
         end_flat=end_flat,
         end_indptr=end_indptr,
     )
 
 
-def _augment_division(chain: _BaseChain, zeta_rows, catalog, nb: int, xi=None):
+def _augment_division(
+    chain: _BaseChain, layout: _Layout, support: np.ndarray, catalog: DivisionCatalog
+) -> _Parts:
     """States (sym, rt, h, g[, s]); divisions chain deterministically through parts."""
-    with_shift = xi is not None
-    if with_shift:
-        sup = np.flatnonzero(xi > 0)
-        sval = sup - (nb - 1)
-        n_s = len(sup)
+    nb = layout.bar_length
+    with_shift = "shift_probs" in layout.shapes
+    xi_slot, sval = _shift_support(layout, support) if with_shift else (None, None)
     include_rt = chain.sym_base_value is None  # note family already encodes rt in the symbol
-    st = _enumerate_division_states(chain, zeta_rows, catalog, nb, xi, include_rt)
-    s_of_state = None if st.s_pos is None else sval[st.s_pos]
+    # base values reachable per symbol: (symbol, value) keys of supported
+    # incoming base edges
+    n_keys = len(chain.sym_tags) * (nb + 1)
+    base = [_supported(e, support) for e in (chain.first, chain.trans)]
+    reach = np.zeros(n_keys, dtype=bool)
+    for _, ed, ev, _ in base:
+        reach[ed * (nb + 1) + ev] = True
+    st = _enumerate_division_states(chain, layout, support, catalog, sval, include_rt, reach)
+    s_of_state = None if sval is None else sval[st.s_pos]
+    zeta_of = layout.division_slot(st.rt, st.h)
+    xi_of = None if xi_slot is None else xi_slot[st.s_pos]
+    # entering a division multiplies in zeta; every part multiplies in its xi
+    entry_factor = np.where(st.g == 1, zeta_of, layout.one)
 
     def out_values(dst_states, src_s=None):
         out = st.part[dst_states].copy()
@@ -967,26 +1076,21 @@ def _augment_division(chain: _BaseChain, zeta_rows, catalog, nb: int, xi=None):
                 out = out - src_s
         return out
 
-    # mid-division edges: (.., g, s') -> (.., g+1, s)
+    # mid-division edges: (.., g, s') -> (.., g+1, s), weight xi (or 1)
     mids = np.flatnonzero(st.next_start >= 0)
-    counts = st.next_count[mids]
-    m_id, within = _expand_blocks(counts)
+    m_id, within = _expand_blocks(st.next_count[mids])
     src = mids[m_id]
     dst = st.next_start[src] + within
-    prob = np.ones(len(src)) if not with_shift else xi[sup[st.s_pos[dst]]]
     out = out_values(dst, None if not with_shift else s_of_state[src])
     feas = (out >= 1) & (out <= nb)
-    mid_edges = (src[feas], dst[feas], prob[feas], out[feas])
+    chunks = [(src[feas], dst[feas], out[feas], np.full(int(feas.sum()), layout.one))]
 
     # division-boundary edges: base transition x (source end state) x (target entry state)
-    es, ed, ep, ev = (np.asarray(a) for a in chain.trans)
-    keep = ep > 0
-    es, ed, ep, ev = es[keep], ed[keep], ep[keep], ev[keep]
+    es, ed, ev, eslot = base[1]
     n_ends = np.diff(st.end_indptr)
     key = ed * (nb + 1) + ev
     n_entries = st.entry_indptr[key + 1] - st.entry_indptr[key]
     counts = n_ends[es] * n_entries
-    parts = [_EMPTY_EDGES]
     for lo, hi in _chunk_ranges(counts):
         e_id, within = _expand_blocks(counts[lo:hi])
         e_id += lo
@@ -995,58 +1099,277 @@ def _augment_division(chain: _BaseChain, zeta_rows, catalog, nb: int, xi=None):
         ent_sel = within % n_ent
         src = st.end_flat[st.end_indptr[es[e_id]] + end_sel]
         dst = st.entry_flat[st.entry_indptr[key[e_id]] + ent_sel]
-        prob = ep[e_id] * st.entry_factor[dst]
         out = out_values(dst, None if not with_shift else s_of_state[src])
         feas = (out >= 1) & (out <= nb)
-        parts.append((src[feas], dst[feas], prob[feas], out[feas]))
-    bd = tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
-    trans = tuple(np.concatenate([a, b]) for a, b in zip(mid_edges, bd))
+        chunks.append((src[feas], dst[feas], out[feas], eslot[e_id][feas]))
+    trans = _join(chunks)
 
     # first edges: base first edge x (s0 when shifting) x target entry state
-    fs, fd, fp, fv = (np.asarray(a) for a in chain.first)
-    keep = fp > 0
-    fs, fd, fp, fv = fs[keep], fd[keep], fp[keep], fv[keep]
+    fs, fd, fv, fslot = base[0]
     fkey = fd * (nb + 1) + fv
     n_ent_f = st.entry_indptr[fkey + 1] - st.entry_indptr[fkey]
     if with_shift:
+        n_s = len(sval)
         counts = np.repeat(n_ent_f, n_s)
         base_e = np.repeat(np.arange(len(fs)), n_s)
         s0_pos_per = np.tile(np.arange(n_s), len(fs))
         e_id, within = _expand_blocks(counts)
         src = fs[base_e[e_id]] * n_s + s0_pos_per[e_id]
         dst = st.entry_flat[st.entry_indptr[fkey[base_e[e_id]]] + within]
-        prob = fp[base_e[e_id]] * st.entry_factor[dst]
         out = st.part[dst] + s_of_state[dst] - sval[s0_pos_per[e_id]]
         feas = (out >= 1) & (out <= nb)
-        first = (src[feas], dst[feas], prob[feas], out[feas])
-        if chain.virtual:
-            boundary_tags = [int(s) for s in sval]
-        else:
-            boundary_tags = [
-                _tag_cat(bt, (int(s),)) for bt in chain.boundary_tags for s in sval
-            ]
-        init_p = (chain.init_p[:, None] * xi[sup][None, :]).reshape(-1)
-        init_pos = (
-            None
-            if chain.init_pos is None
-            else ((chain.init_pos[:, None] + sval[None, :]) % nb).reshape(-1)
-        )
+        first = (src[feas], dst[feas], out[feas], fslot[base_e[e_id]][feas])
+        boundary_tags, boundary_slots, init_pos = _shifted_boundaries(chain, xi_slot, sval, nb)
+        state_slots = (entry_factor, xi_of)
+        state_keep = (zeta_of, xi_of)
     else:
         e_id, within = _expand_blocks(n_ent_f)
-        src = fs[e_id]
         dst = st.entry_flat[st.entry_indptr[fkey[e_id]] + within]
-        prob = fp[e_id] * st.entry_factor[dst]
-        out = st.part[dst]
-        first = (src, dst, prob, out)
+        first = (fs[e_id], dst, st.part[dst], fslot[e_id])
         boundary_tags = list(chain.boundary_tags)
-        init_p = chain.init_p.copy()
+        boundary_slots = (chain.init_slot,)
         init_pos = None if chain.init_pos is None else chain.init_pos.copy()
-    virtual = chain.virtual and not with_shift
-    return boundary_tags, init_p, init_pos, st.tags, first, trans, virtual
+        state_slots = (entry_factor,)
+        state_keep = (zeta_of,)
+    base_keys = np.concatenate([ed * (nb + 1) + ev for _, ed, ev, _ in base])
+    base_slots = np.concatenate([slot for _, _, _, slot in base])
+    return _Parts(
+        boundary_tags=boundary_tags,
+        boundary_slots=boundary_slots,
+        init_pos=init_pos,
+        state_tags=st.tags,
+        first=first,
+        trans=trans,
+        virtual=chain.virtual and not with_shift,
+        state_slots=state_slots,
+        state_keep=state_keep,
+        state_rt=(st.sym * (nb + 1) + st.rt, base_keys, base_slots),
+    )
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# topology and weighing
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+class _EdgeTopology:
+    """One edge slot's structure in (dst, src) order, with its base slots."""
+
+    def __init__(self, edges: tuple, n_src: int, n_dst: int):
+        src, dst, out, slot = edges
+        order = np.lexsort((src, dst))
+        self.slot = _frozen(np.asarray(slot, dtype=np.int64)[order])
+        self.template = EdgeSet.presorted(
+            _frozen(np.asarray(src, dtype=np.int64)[order]),
+            _frozen(np.asarray(dst, dtype=np.int64)[order]),
+            None,
+            _frozen(np.asarray(out, dtype=np.int64)[order]),
+            n_src,
+            n_dst,
+        )
+
+    def weigh(self, theta, factor, src_map, dst_map, renormalize: bool):
+        """(EdgeSet, ids of the kept edges or None when all are kept).
+
+        `factor` is the per-destination-state factor (0 for dropped states),
+        or None for unmodified models; `src_map` / `dst_map` are
+        `_renumbering`s of the endpoint slots, or None when every endpoint
+        state is kept.
+        """
+        t = self.template
+        prob = theta[self.slot]
+        if factor is not None:
+            prob *= factor[t.dst]
+        keep = prob > 0
+        if src_map is not None:
+            keep &= src_map[0][t.src]
+        src, dst, out, kept = t.src, t.dst, t.out, None
+        n_src, n_dst = t.n_src, t.n_dst
+        if src_map is not None or dst_map is not None or not keep.all():
+            kept = np.flatnonzero(keep)
+            src, dst, out, prob = src[kept], dst[kept], out[kept], prob[kept]
+            if src_map is not None:
+                src, n_src = src_map[1][src], src_map[2]
+            if dst_map is not None:
+                dst, n_dst = dst_map[1][dst], dst_map[2]
+        # within each source row, build order is dst order, so this bincount
+        # adds each row's terms in build order: row sums match to the last bit
+        if renormalize and len(src):
+            rowsum = np.bincount(src, weights=prob, minlength=n_src)
+            with np.errstate(divide="ignore"):  # rows left without edges
+                logp = np.log(prob) - np.log(rowsum)[src]
+        else:
+            logp = np.log(prob) if len(src) else prob
+        if kept is None:
+            return t.reweighted(logp), None
+        return EdgeSet.presorted(src, dst, logp, out, n_src, n_dst), kept
+
+
+def _renumbering(mask):
+    """(mask, new index per old index, kept count), or None if all are kept."""
+    if mask is None or mask.all():
+        return None
+    return mask, np.cumsum(mask) - 1, int(mask.sum())
+
+
+class _Topology:
+    """Everything about a state space that its weights do not change.
+
+    Built once per (config structure, pattern vocabulary, support): tags,
+    edges in (dst, src) order and, for every edge, boundary state and
+    modification state, the slots of the flat parameter vector whose
+    product weighs it.  `weigh` turns a parameter vector whose support lies
+    within the one the topology was built for into the space a build from
+    those parameters yields.  Shared arrays are read-only.
+    """
+
+    def __init__(self, layout: _Layout, support: np.ndarray, parts: _Parts):
+        self.layout = layout
+        self.outside = _frozen(np.flatnonzero(~support))
+        self.boundary_tags = tuple(parts.boundary_tags)
+        self.state_tags = tuple(parts.state_tags)
+        self.boundary_slots = tuple(_frozen(s) for s in parts.boundary_slots)
+        self.init_pos = None if parts.init_pos is None else _frozen(
+            np.asarray(parts.init_pos, dtype=np.int64))
+        self.state_slots = tuple(_frozen(s) for s in parts.state_slots)
+        self.state_keep = tuple(_frozen(s) for s in parts.state_keep)
+        self.state_rt = None if parts.state_rt is None else tuple(
+            _frozen(a) for a in parts.state_rt)
+        self.n_rt_keys = 0 if self.state_rt is None else 1 + max(
+            int(a.max(initial=0)) for a in self.state_rt[:2])
+        self.virtual = parts.virtual
+        n_b, n_s = len(self.boundary_tags), len(self.state_tags)
+        self.first = _EdgeTopology(parts.first, n_b, n_s)
+        self.trans = _EdgeTopology(parts.trans, n_s, n_s)
+
+    def covers(self, theta: np.ndarray) -> bool:
+        """Whether every positive entry of `theta` is in this topology's support."""
+        return not theta[self.outside].any()
+
+    def _state_mask(self, theta):
+        if not self.state_keep:
+            return None
+        mask = np.logical_and.reduce([theta[s] > 0 for s in self.state_keep])
+        if self.state_rt is not None:
+            state_key, base_key, base_slot = self.state_rt
+            reach = np.zeros(self.n_rt_keys, dtype=bool)
+            reach[base_key[theta[base_slot] > 0]] = True
+            mask &= reach[state_key]
+        return mask
+
+    def weigh(self, config: ModelConfig, theta: np.ndarray, patterns) -> "LatentStateSpace":
+        mask = self._state_mask(theta)
+        factor = None
+        if self.state_slots:
+            factor = _product(theta, self.state_slots)
+            if mask is not None:
+                factor[~mask] = 0.0
+        states = _renumbering(mask)
+        shifts = self.boundary_slots[1:]
+        bounds = _renumbering(theta[shifts[0]] > 0 if shifts else None)
+        renormalize = config.renormalize_masked
+        first, first_kept = self.first.weigh(theta, factor, bounds, states, renormalize)
+        trans, trans_kept = self.trans.weigh(theta, factor, states, states, renormalize)
+        init_p = _product(theta, self.boundary_slots)
+        boundary_tags, state_tags, init_pos = self.boundary_tags, self.state_tags, self.init_pos
+        boundary_kept = None
+        if bounds is not None:
+            boundary_kept = np.flatnonzero(bounds[0])
+            boundary_tags = tuple(compress(boundary_tags, bounds[0]))
+            init_p = init_p[boundary_kept]
+            init_pos = None if init_pos is None else init_pos[boundary_kept]
+        if states is not None:
+            state_tags = tuple(compress(state_tags, states[0]))
+        with np.errstate(divide="ignore"):
+            log_init = np.log(init_p)
+        return LatentStateSpace(
+            config=config,
+            boundary_tags=boundary_tags,
+            log_initial=log_init,
+            initial_positions=init_pos,
+            state_tags=state_tags,
+            first=first,
+            trans=trans,
+            virtual_boundary=self.virtual,
+            patterns=patterns,
+            factors=_Factors(self, boundary_kept, first_kept, trans_kept),
+        )
+
+
+@dataclass(frozen=True)
+class _Factors:
+    """Where a weighed space's boundary states and edges sit in its topology."""
+
+    topology: _Topology
+    boundary_kept: np.ndarray | None
+    first_kept: np.ndarray | None
+    trans_kept: np.ndarray | None
+
+    def slot_counts(self, boundary: int, first_edge: np.ndarray, trans_edges: np.ndarray):
+        """How often each parameter slot weighs the given boundary state and edges."""
+        topo = self.topology
+
+        def origin(ids, kept):
+            return ids if kept is None else kept[ids]
+
+        b = origin(np.array([boundary]), self.boundary_kept)
+        f = origin(first_edge, self.first_kept)
+        t = origin(trans_edges, self.trans_kept)
+        entered = np.concatenate([topo.first.template.dst[f], topo.trans.template.dst[t]])
+        used = [s[b] for s in topo.boundary_slots]
+        used += [topo.first.slot[f], topo.trans.slot[t]] + [s[entered] for s in topo.state_slots]
+        return np.bincount(np.concatenate(used), minlength=topo.layout.size).astype(np.float64)
+
+
+class _TopologyCache:
+    """The few most recently used topologies, each under the key it serves."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries = []  # (key, topology), most recent first
+        self._lock = threading.Lock()
+
+    def find(self, key, theta):
+        with self._lock:
+            for i, (k, topology) in enumerate(self._entries):
+                if k == key and topology.covers(theta):
+                    self._entries.insert(0, self._entries.pop(i))
+                    return topology
+        return None
+
+    def add(self, key, topology) -> None:
+        with self._lock:
+            self._entries.insert(0, (key, topology))
+            del self._entries[self.size:]
+
+
+# Two models' spaces per process (say a pattern and a metrical model, or one
+# model's plain and Bayesian tables) stay cached, with room to spare.
+_TOPOLOGY_CACHE = _TopologyCache(size=4)
+
+
+def _build_topology(config, layout, support, patterns, catalog) -> _Topology:
+    chain = _CHAIN_BUILDERS[config.family](config, layout, patterns)
+    if config.division:
+        parts = _augment_division(chain, layout, support, catalog)
+    elif config.shift:
+        parts = _augment_shift(chain, layout, support)
+    else:
+        parts = _Parts(
+            boundary_tags=chain.boundary_tags,
+            boundary_slots=(chain.init_slot,),
+            init_pos=chain.init_pos,
+            state_tags=chain.sym_tags,
+            first=_supported(chain.first, support),
+            trans=_supported(chain.trans, support),
+            virtual=chain.virtual,
+        )
+    return _Topology(layout, support, parts)
 
 
 class LatentStateSpace:
@@ -1070,6 +1393,7 @@ class LatentStateSpace:
         trans: EdgeSet,
         virtual_boundary: bool,
         patterns=None,
+        factors=None,
     ):
         self.config = config
         self.bar_length = config.bar_length
@@ -1083,6 +1407,7 @@ class LatentStateSpace:
         self.trans = trans
         self.virtual_boundary = virtual_boundary
         self.patterns = patterns
+        self._factors = factors
 
     @property
     def n_states(self) -> int:
@@ -1132,49 +1457,52 @@ class LatentStateSpace:
         )
         return None if pos is None else int(self.first.out[pos])
 
+    @property
+    def layout(self) -> _Layout:
+        """The flat parameter layout this space's weights are read from."""
+        return self._weighed().topology.layout
 
-def _assemble(
-    config: ModelConfig,
-    boundary_tags,
-    init_p,
-    init_pos,
-    state_tags,
-    first,
-    trans,
-    virtual,
-    patterns=None,
-) -> LatentStateSpace:
-    def finalize(edges, n_src, n_dst):
-        src, dst, prob, out = (np.asarray(a) for a in edges)
-        keep = prob > 0
-        src, dst, prob, out = src[keep], dst[keep], prob[keep], out[keep]
-        if config.renormalize_masked and len(src):
-            rowsum = np.bincount(src, weights=prob, minlength=n_src)
-            logp = np.log(prob) - np.log(rowsum[src])
-        else:
-            logp = np.log(prob) if len(src) else prob
-        return EdgeSet(src, dst, logp, out, n_src, n_dst)
+    def slot_counts(self, path) -> np.ndarray:
+        """How often `path` uses each parameter slot (see `layout`).
 
-    n_b, n_s = len(boundary_tags), len(state_tags)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(np.asarray(init_p, dtype=np.float64))
-    return LatentStateSpace(
-        config=config,
-        boundary_tags=boundary_tags,
-        log_initial=log_init,
-        initial_positions=init_pos,
-        state_tags=state_tags,
-        first=finalize(first, n_b, n_s),
-        trans=finalize(trans, n_s, n_s),
-        virtual_boundary=virtual,
-        patterns=patterns,
-    )
+        Every weight of the space is a product of table entries, so a path's
+        sufficient statistics are the slots of its boundary state and edges.
+        """
+        boundary = 0 if path.boundary_index is None else int(path.boundary_index)
+        states = np.asarray(path.state_indices, dtype=np.int64)
+        outs = np.asarray(path.output_values, dtype=np.int64)
+        first = _edge_ids(self.first, np.array([boundary]), states[:1], outs[:1])
+        trans = _edge_ids(self.trans, states[:-1], states[1:], outs[1:])
+        return self._weighed().slot_counts(boundary, first, trans)
+
+    def _weighed(self) -> "_Factors":
+        if self._factors is None:
+            raise ValueError("this space has no parameter slots; build it with build_state_space")
+        return self._factors
+
+
+def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:
+    """Ids of the edges src -> dst producing `out`; ValueError if one is missing."""
+    if len(dst) == 0:
+        return np.empty(0, dtype=np.int64)
+    key = edges.dst * edges.n_src + edges.src  # nondecreasing: edges are (dst, src)-sorted
+    want = dst * edges.n_src + src
+    pos = np.minimum(np.searchsorted(key, want), max(edges.n_edges - 1, 0))
+    if edges.n_edges == 0 or np.any(key[pos] != want) or np.any(edges.out[pos] != out):
+        raise ValueError("the path is not a path of this state space")
+    return pos
 
 
 def build_state_space(
     config: ModelConfig, params: ModelParams, catalog: DivisionCatalog | None = None
 ) -> LatentStateSpace:
-    """Build the latent state space of any supported model variant."""
+    """Build the latent state space of any supported model variant.
+
+    The structure comes from a cached topology (see `_Topology`) whose
+    support covers the positive entries of `params`, built on a miss; the
+    tables then only weigh it.  The result equals a build from scratch,
+    array for array.
+    """
     if params.family != config.family or params.order != config.order:
         raise ValueError(
             f"params are for {params.family}mm{params.order}, config wants {config.name}"
@@ -1186,31 +1514,18 @@ def build_state_space(
     if config.division and params.division_probs is None:
         raise ValueError("division model needs params.division_probs")
     params.validate()
-    chain = _CHAIN_BUILDERS[config.family](params)
-    nb = config.bar_length
-    if not (config.shift or config.division):
-        parts = (
-            list(chain.boundary_tags),
-            chain.init_p,
-            chain.init_pos,
-            list(chain.sym_tags),
-            chain.first,
-            chain.trans,
-            chain.virtual,
-        )
-    elif config.division:
-        if catalog is None:
-            catalog = build_division_catalog(nb)
-        parts = _augment_division(
-            chain,
-            params.division_probs,
-            catalog,
-            nb,
-            xi=params.shift_probs if config.shift else None,
-        )
-    else:
-        parts = _augment_shift(chain, params.shift_probs, nb)
-    return _assemble(config, *parts, patterns=params.patterns)
+    if config.division and catalog is None:
+        catalog = build_division_catalog(config.bar_length)
+    patterns = params.patterns if config.family == "pat" else None
+    key = (config.family, config.order, config.shift, config.division, config.bar_length,
+           patterns, catalog if config.division else None)
+    layout = _Layout(config, params.n_symbols)
+    theta = layout.flatten(params)
+    topology = _TOPOLOGY_CACHE.find(key, theta)
+    if topology is None:
+        topology = _build_topology(config, layout, theta > 0, patterns, catalog)
+        _TOPOLOGY_CACHE.add(key, topology)
+    return topology.weigh(config, theta, params.patterns)
 
 
 # ---------------------------------------------------------------------------

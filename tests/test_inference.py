@@ -325,6 +325,74 @@ class TestGibbs:
         assert np.all(drawn.initial[np.arange(8) != 2] == 0.0)
 
 
+def per_row_posterior(hp, counts, rng):
+    """`sample_posterior` as one Gamma call per table row: the reference."""
+
+    def draw(row):
+        if np.any(row < 0):
+            raise ValueError("negative posterior parameters")
+        if not row.sum() > 0:
+            raise InferenceError("posterior row with no support")
+        g = rng.gamma(row)
+        return g / g.sum()
+
+    def table(t):
+        rows = t.reshape(-1, t.shape[-1])
+        return np.vstack([draw(r) for r in rows]).reshape(t.shape)
+
+    base, out = hp.base, hp.base.copy()
+    out.initial = table(hp.alpha_initial * base.initial + counts.initial)
+    if base.transition is not None:
+        out.transition = table(hp.alpha_transition * base.transition + counts.transition)
+    if base.transition2 is not None:
+        out.transition2 = table(hp.alpha_transition * base.transition2 + counts.transition2)
+    if base.unigram is not None:
+        out.unigram = table(hp.alpha_transition * base.unigram + counts.unigram)
+    if base.shift_probs is not None:
+        out.shift_probs = table(hp.alpha_shift * base.shift_probs + counts.shift)
+    if base.division_probs is not None:
+        out.division_probs = tuple(
+            draw(hp.alpha_division * b + c) for b, c in zip(base.division_probs, counts.division)
+        )
+    return out
+
+
+class TestSamplePosterior:
+    @pytest.mark.parametrize("name", ["notemm0b", "notemm2b", "metmm1sdb", "patmm1sdb"])
+    def test_matches_per_row_draws(self, name, rng):
+        _, params, space, tp, durations = tiny_instance(name, rng, n_notes=8)
+        cfg = space.config
+        if params.transition is not None:
+            params.transition[0, :] = np.eye(params.transition.shape[1])[0]  # zero entries
+        hp = Hyperparams(base=params, alpha_transition=2.0, alpha_shift=0.5)
+        space = build_state_space(cfg.plain(), params)
+        path = ffbs(space, TranscriptionHmm(space, tp).emission_matrix(durations), rng)
+        counts = gather_counts(space, path)
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_posterior(hp, counts, got_rng)
+            want = per_row_posterior(hp, counts, want_rng)
+            for key in ("initial", "transition", "transition2", "unigram", "shift_probs"):
+                if getattr(want, key) is not None:
+                    np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
+            for a, b in zip(got.division_probs or (), want.division_probs or ()):
+                np.testing.assert_array_equal(a, b)
+            assert got_rng.random() == want_rng.random()  # same generator state
+
+    def test_bad_rows_raise_the_first_rows_error(self, rng):
+        cfg = ModelConfig.from_name("metmm1b")
+        base = uniform_params(cfg.plain())
+        hp = Hyperparams(base=base)
+        counts = gather_counts(build_state_space(cfg.plain(), base),
+                               _dp.PathSample(0, [1], [1], 0.0))
+        counts.transition[2] = -1e9  # row 2: negative entries
+        with pytest.raises(ValueError, match="negative posterior parameters"):
+            sample_posterior(hp, counts, rng)
+        counts.transition[1] = -hp.alpha_transition * base.transition[1]  # row 1: no support
+        with pytest.raises(InferenceError, match="posterior row with no support"):
+            sample_posterior(hp, counts, rng)
+
+
 class TestTranscribe:
     def test_type_errors(self, rng):
         cfg = ModelConfig.from_name("metmm1")

@@ -17,6 +17,7 @@ from rhythmscribe.models import (
     params_from_dict,
     params_to_dict,
     pattern_index,
+    pattern_table_bytes,
     pattern_vocabulary,
     random_params,
     sample_corpus,
@@ -48,6 +49,19 @@ class TestConfig:
 
     def test_plain_strips_bayesian_flag(self):
         assert ModelConfig.from_name("metmm1sdb").plain().name == "metmm1sd"
+
+    def test_pattern_table_size_guard(self):
+        # arithmetic only: a pattern config allocates nothing
+        assert pattern_table_bytes(16) == 8 * 65535**2  # about 34 GB
+        with pytest.raises(ValueError, match=r"bar_length 16 .* 34\.4 GB, over the 1 GiB budget"):
+            ModelConfig.from_name("patmm1", bar_length=16)
+        with pytest.raises(ValueError, match="bar_length 14"):
+            ModelConfig("pat", 0, bar_length=14)  # 2.1 GB
+        with pytest.raises(ValueError, match="bar_length 1000 .* is over the 1 GiB budget"):
+            ModelConfig("pat", 1, bar_length=1000)
+        assert ModelConfig("pat", 1, bar_length=13).bar_length == 13  # 0.54 GB
+        assert ModelConfig.from_name("patmm1sdb", bar_length=8).name == "patmm1sdb"
+        assert ModelConfig.from_name("metmm1", bar_length=16).bar_length == 16
 
 
 class TestVocabularyAndCatalog:
@@ -424,6 +438,33 @@ class TestParamsSerialization:
         data[key] = 8.5
         with pytest.raises(ValueError, match=key):
             params_from_dict(data)
+
+    def test_non_integral_pattern_position_rejected(self, rng):
+        cfg = ModelConfig.from_name("patmm1", bar_length=4)
+        data = params_to_dict(random_params(cfg, rng))
+        data["patterns"][-1] = [0, 1.5]
+        with pytest.raises(ValueError, match="pattern position must be an integer, got 1.5"):
+            params_from_dict(data)
+        data["patterns"][-1] = [0.0, 3.0]  # integral floats load as ints
+        assert params_from_dict(data).patterns[-1] == (0, 3)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 4), r"pattern \(0, 4\) is not a strictly increasing"),
+        ((-1, 2), r"pattern \(-1, 2\) is not a strictly increasing"),
+        ((2, 1), r"pattern \(2, 1\) is not a strictly increasing"),
+        ((1, 1), r"pattern \(1, 1\) is not a strictly increasing"),
+        ((), r"pattern \(\) is not a strictly increasing, nonempty"),
+        ((0, 1), "duplicate patterns"),
+    ])
+    def test_pattern_vocabulary_validated(self, bad, message, rng):
+        cfg = ModelConfig.from_name("patmm1", bar_length=4)
+        params = random_params(cfg, rng, patterns=[(0,), (0, 1), (1, 3), (2,)])
+        params.validate()
+        params.patterns = params.patterns[:-1] + (bad,)
+        with pytest.raises(ValueError, match=message):
+            params.validate()
+        with pytest.raises(ValueError, match=message):
+            params_from_dict(params_to_dict(params)).validate()
 
     def test_validation_rejects_bad_rows(self):
         cfg = ModelConfig.from_name("notemm1")
