@@ -196,29 +196,25 @@ def _relax(edges: EdgeSet, alpha, srcs, em_row, use_max):
     """One pruned DP step: propagate scores along the survivors' out-edges.
 
     Returns per-destination values (max or logsumexp over incoming edge
-    scores, -inf where nothing arrives) and, in max mode, the achieving edge
-    id per destination (lowest id on ties, i.e. lowest source).  Cost scales
-    with the survivors' out-degree, not the full edge count.
+    scores, -inf where nothing arrives).  Cost scales with the survivors'
+    out-degree, not the full edge count.
     """
     val = np.full(edges.n_dst, NEG_INF)
-    arg = np.full(edges.n_dst, edges.n_edges, dtype=np.int64) if use_max else None
     eids = _out_edge_ids(edges, srcs)
     if eids.size == 0:
-        return val, arg
+        return val
     sc = alpha[edges.src[eids]] + edges.logp[eids] + em_row[edges.out[eids] - 1]
     dst = edges.dst[eids]
     np.maximum.at(val, dst, sc)
     if use_max:
-        hit = sc == val[dst]
-        np.minimum.at(arg, dst[hit], eids[hit])
-        return val, arg
+        return val
     shift = np.where(np.isfinite(val), val, 0.0)
     tot = np.zeros(edges.n_dst)
     np.add.at(tot, dst, np.exp(sc - shift[dst]))
     ok = np.isfinite(val)
     lse = np.full(edges.n_dst, NEG_INF)
     lse[ok] = val[ok] + np.log(tot[ok])
-    return lse, None
+    return lse
 
 
 _NO_SURVIVORS = np.empty(0, dtype=np.int64)
@@ -258,10 +254,10 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool,
     non-decreasing in the width and reach the exact values once every state
     fits.  The doubling ladder costs at most twice the widest level's work.
 
-    Returns ``(final_values, backptrs, tables)`` where `final_values` is the
-    last step's values masked to its survivors, `backptrs` (max mode) holds
-    per-step achieving-edge ids, and `tables` (when kept) holds per-step
-    survivor-masked value vectors, ``tables[0]`` over the boundary slot.
+    Returns ``(final_values, tables)`` where `final_values` is the last
+    step's values masked to its survivors and `tables` (when kept) holds
+    per-step survivor-masked value vectors, ``tables[0]`` over the boundary
+    slot.
     """
     n_steps = em.shape[0]
     widths = []
@@ -274,7 +270,6 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool,
     for width in widths:
         locked = prev[0] if prev is not None else _NO_SURVIVORS
         survivors = [_extend_survivors(locked, init, width)]
-        backptrs: list[np.ndarray] = []
         tables: list[np.ndarray] = []
         if keep_tables:
             masked = np.full(init.size, NEG_INF)
@@ -288,14 +283,12 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool,
                 died_at = n if died_at is None else died_at
                 survivors.append(_NO_SURVIVORS)
                 continue
-            val, arg = _relax(edges, alpha, survivors[-1], em[n], use_max)
+            val = _relax(edges, alpha, survivors[-1], em[n], use_max)
             locked = prev[n + 1] if prev is not None else _NO_SURVIVORS
             survivors.append(_extend_survivors(locked, val, width))
             if survivors[-1].size == 0 and died_at is None:
                 died_at = n + 1
             alpha = val
-            if use_max:
-                backptrs.append(arg)
             if keep_tables:
                 masked = np.full(edges.n_dst, NEG_INF)
                 masked[survivors[-1]] = val[survivors[-1]]
@@ -307,7 +300,7 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool,
         raise InferenceError(f"beam emptied at step {step}: no feasible state retained")
     final = np.full(space.trans.n_dst, NEG_INF)
     final[survivors[-1]] = alpha[survivors[-1]]
-    return final, backptrs, tables
+    return final, tables
 
 
 @dataclass
@@ -419,7 +412,7 @@ def forward(
         return (NEG_INF, None) if return_table else NEG_INF
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
-        final, _, table = _tiered_sweep(
+        final, table = _tiered_sweep(
             space, em, eff, init, use_max=False, keep_tables=return_table
         )
         total = _log_total(final)
@@ -438,29 +431,14 @@ def _path_sample(space, boundary: int, states, outs, log_prob: float) -> PathSam
     )
 
 
-def _recover_path(space, backptr, delta) -> PathSample:
-    """Backtrack per-step achieving-edge ids into a PathSample."""
-    n_steps = len(backptr)
-    last = int(np.argmax(delta))
-    states = [last]
-    outs = []
-    state = last
-    for n in range(n_steps - 1, 0, -1):
-        e = int(backptr[n][state])
-        outs.append(int(space.trans.out[e]))
-        state = int(space.trans.src[e])
-        states.append(state)
-    e = int(backptr[0][state])
-    outs.append(int(space.first.out[e]))
-    return _path_sample(space, space.first.src[e], states[::-1], outs[::-1], delta[last])
-
-
 def _backtrack(space, em, deltas) -> PathSample:
-    """Exact Viterbi path from the per-step maxima alone.
+    """Viterbi path from the per-step maxima alone.
 
     Each backward step rescores only the current state's incoming edges,
     exactly as the forward sweep scored them, and takes the lowest-index
-    best one: the edge a stored back-pointer would have named.
+    best one: the edge a stored back-pointer would have named.  Beam tables
+    hold -inf outside each step's survivors, so the same rule recovers the
+    beam's path.
     """
     state = int(np.argmax(deltas[-1]))
     states = [state]
@@ -482,9 +460,9 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None) -> PathSamp
 
     The tie rule is applied stepwise during backtracking: the final state is
     the lowest-index argmax, and each backward step picks the lowest-index
-    best predecessor.  The exact sweep keeps only the per-step maxima and
-    finds the best incoming edge for the path's own states while
-    backtracking.  Beam widths round up to the next power of two and
+    best predecessor.  Both the exact sweep and the beam keep only the
+    per-step maxima and find the best incoming edge for the path's own
+    states while backtracking.  Beam widths round up to the next power of two and
     prune through nested survivor sets (see `_tiered_sweep`), so decoded
     scores never decrease as the width grows and the decode is exact once
     the effective width covers the whole space.
@@ -494,10 +472,8 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None) -> PathSamp
     init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
-        final, backptrs, _ = _tiered_sweep(
-            space, em, eff, init, use_max=True, keep_tables=False
-        )
-        return _recover_path(space, backptrs, final)
+        _, tables = _tiered_sweep(space, em, eff, init, use_max=True, keep_tables=True)
+        return _backtrack(space, em, tables)
     deltas = [init]
     edges = space.first
     for n in range(n_steps):

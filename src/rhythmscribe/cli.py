@@ -479,8 +479,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ValueError as exc:
-        # invalid settings or data (bad masses, non-positive sigma, ...)
+    except (ValueError, OSError) as exc:
+        # invalid settings or data (bad masses, non-positive sigma, ...) or
+        # an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import _dp
 from ._dp import InferenceError, PathSample
@@ -146,8 +147,8 @@ def sample_dirichlet(params, rng: np.random.Generator, size: int | None = None) 
     if np.any(params <= 0):
         raise ValueError("Dirichlet parameters must be strictly positive")
     shape = (len(params),) if size is None else (size, len(params))
-    g = rng.gamma(np.broadcast_to(params, shape))
-    return g / g.sum(axis=-1, keepdims=True)
+    g = rng.gamma(np.broadcast_to(params, shape)).reshape(-1, len(params))
+    return _normalized(np.broadcast_to(params, g.shape), g, rng).reshape(shape)
 
 
 def _check_posterior_row(row: np.ndarray) -> None:
@@ -163,14 +164,33 @@ def _check_posterior_row(row: np.ndarray) -> None:
 # same order, as one call per row, so seeded streams match the per-row draw.
 
 
+def _normalized(shapes: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Dirichlet draws from the Gamma draws `g` of each row of `shapes`.
+
+    A row whose every Gamma draw underflowed to 0 (all its shapes tiny) is
+    drawn again in log space, Gamma(a) = Gamma(a + 1) U^(1/a), so seeded
+    streams change only where the plain draw would give 0/0.
+    """
+    total = g.sum(axis=1, keepdims=True)
+    dead = total[:, 0] == 0
+    if not dead.any():
+        return g / total
+    out = g / np.where(dead[:, None], 1.0, total)
+    a = shapes[dead]
+    pos = a > 0
+    log_g = np.full(a.shape, -np.inf)
+    log_g[pos] = np.log(rng.gamma(a[pos] + 1.0)) + np.log(rng.random(int(pos.sum()))) / a[pos]
+    out[dead] = np.exp(log_g - logsumexp(log_g, axis=1, keepdims=True))
+    return out
+
+
 def _sample_table(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One Dirichlet draw per row (last axis) of a posterior table."""
     rows = table.reshape(-1, table.shape[-1])
     bad = np.any(rows < 0, axis=1) | ~(rows.sum(axis=1) > 0)
     if bad.any():
         _check_posterior_row(rows[np.argmax(bad)])
-    g = rng.gamma(rows)
-    return (g / g.sum(axis=1, keepdims=True)).reshape(table.shape)
+    return _normalized(rows, rng.gamma(rows), rng).reshape(table.shape)
 
 
 def _sample_ragged(rows: list, rng: np.random.Generator) -> tuple:
@@ -178,7 +198,8 @@ def _sample_ragged(rows: list, rng: np.random.Generator) -> tuple:
     for row in rows:
         _check_posterior_row(row)
     g = rng.gamma(np.concatenate(rows))
-    return tuple(x / x.sum() for x in np.split(g, np.cumsum([len(r) for r in rows[:-1]])))
+    draws = np.split(g, np.cumsum([len(r) for r in rows[:-1]]))
+    return tuple(_normalized(r[None], x[None], rng)[0] for r, x in zip(rows, draws))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ note modifications:
 * note divisions (``h, g``): a base value splits into one or two parts
   ``q_h`` drawn per base value; part ``g`` is emitted per step.
 
+A model with both divides first and then shifts each part's onset, with the
+part as the base value.
+
 State tags, exposed for inspection and tests (``h`` indexes the division
 catalog of the base value, 0 = identity; ``g`` is the 1-based part number;
 ``k`` is a 0-based pattern index; ``i`` is the 1-based note number within the
@@ -110,6 +113,8 @@ class ModelConfig:
     renormalize_masked: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "order", integral(self.order, "order"))
+        object.__setattr__(self, "bar_length", integral(self.bar_length, "bar_length"))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.order not in (0, 1, 2):
@@ -277,6 +282,8 @@ class ModelParams:
     def validate(self) -> None:
         def check_rows(name, arr, size):
             rows = arr.reshape(-1, size)
+            if not np.all(np.isfinite(rows)):
+                raise ValueError(f"{name} has non-finite entries")
             if np.any(rows < 0):
                 raise ValueError(f"{name} has negative entries")
             bad = np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL
@@ -632,24 +639,46 @@ def _product(theta: np.ndarray, slots: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# base chains: the unmodified symbol-level structure of each family
+# enumerated spaces: chain -> division -> shift
 #
-# Edges are (src, dst, out, slot) tuples.  An edge's weight is its base
-# slot's entry (a table entry, or the constant 1) times the factor of the
-# state it enters (its modification probabilities, see `_Parts`), always
-# associated as base x (zeta x xi) so weights agree to the last bit.
+# A family's chain builder enumerates its unmodified symbol-level space;
+# `_augment_division` and `_augment_shift` each map such a space to a larger
+# one, and `_build_topology` applies them in that order.  Edges are (src,
+# dst, out, slot) tuples.  An edge's weight is its base slot's entry (a table
+# entry, or the constant 1) times the factor of the state it enters (its
+# modification probabilities), always associated as base x (zeta x xi) so
+# weights agree to the last bit.
 
 
 @dataclass
-class _BaseChain:
+class _Parts:
+    """An enumerated state space before sorting: tags, edges, weight slots.
+
+    A boundary state weighs the product of its `boundary_slots` columns
+    (initial entry, then the shift entry s_0 when shifting; a shifted
+    boundary state exists only while its shift entry is positive).
+    `state_value` is, per state, the value every edge into it produces, or
+    None where states do not fix it.  Entering a state multiplies an edge's
+    base weight by the product of the state's `state_slots` columns (zeta on
+    entering a division, then shift xi; none for unmodified models).
+    `state_keep` are slot columns that must all be positive for a state to
+    exist; `state_rt` is, for division models, ``(state key, base-edge keys,
+    base-edge slots)``: a division state of symbol j dividing base value rt
+    (key j * (N_b + 1) + rt) exists only while some base edge into j
+    producing rt has positive weight.
+    """
+
     boundary_tags: list
-    init_slot: np.ndarray  # per boundary state: slot of its initial weight
+    boundary_slots: tuple
     init_pos: np.ndarray | None
-    sym_tags: list
-    first: tuple  # boundary -> symbol edges; `out` is the base value
-    trans: tuple  # symbol -> symbol edges
+    state_tags: list
+    first: tuple
+    trans: tuple
     virtual: bool
-    sym_base_value: np.ndarray | None = None  # per-symbol base value (note family)
+    state_value: np.ndarray | None = None
+    state_slots: tuple = ()
+    state_keep: tuple = ()
+    state_rt: tuple | None = None
 
 
 def _row_slots(config: ModelConfig, layout: _Layout, k: int) -> np.ndarray:
@@ -667,7 +696,7 @@ def _dense_edges(slot_matrix: np.ndarray, values: np.ndarray):
     return src, dst, values.reshape(-1), slot_matrix.reshape(-1)
 
 
-def _note_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
+def _note_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
     nb = config.bar_length
     vals = np.arange(1, nb + 1)
     first = (np.zeros(nb, dtype=np.int64), np.arange(nb), vals.copy(), layout.slots("initial"))
@@ -691,15 +720,15 @@ def _note_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
                             layout.slots("transition2").ravel()]),
         )
         base_vals = np.concatenate([vals, np.tile(vals, nb)])
-    return _BaseChain(
+    return _Parts(
         boundary_tags=[None],
-        init_slot=np.array([layout.one]),
+        boundary_slots=(np.array([layout.one]),),
         init_pos=None,
-        sym_tags=sym_tags,
+        state_tags=sym_tags,
         first=first,
         trans=trans,
         virtual=True,
-        sym_base_value=base_vals,
+        state_value=base_vals,
     )
 
 
@@ -709,18 +738,18 @@ def _interval_matrix(nb: int) -> np.ndarray:
     return np.where(d > 0, d, d + nb)
 
 
-def _met_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
+def _met_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
     nb = config.bar_length
     ivals = _interval_matrix(nb)
     positions = np.arange(nb)
     if config.order in (0, 1):
         sym_tags = [int(b) for b in positions]
         edges = _dense_edges(_row_slots(config, layout, nb), ivals)
-        return _BaseChain(
+        return _Parts(
             boundary_tags=sym_tags.copy(),
-            init_slot=layout.slots("initial"),
+            boundary_slots=(layout.slots("initial"),),
             init_pos=positions.copy(),
-            sym_tags=sym_tags,
+            state_tags=sym_tags,
             first=edges,
             trans=edges,
             virtual=False,
@@ -729,18 +758,18 @@ def _met_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
     sym_tags = [(int(bp), int(b)) for bp in positions for b in positions]
     b0, b1 = (a.ravel() for a in np.indices((nb, nb)))
     bpp, bp, b = (a.ravel() for a in np.indices((nb, nb, nb)))
-    return _BaseChain(
+    return _Parts(
         boundary_tags=[int(b) for b in positions],
-        init_slot=layout.slots("initial"),
+        boundary_slots=(layout.slots("initial"),),
         init_pos=positions.copy(),
-        sym_tags=sym_tags,
+        state_tags=sym_tags,
         first=(b0, b0 * nb + b1, ivals[b0, b1], layout.slots("transition").ravel()),
         trans=(bpp * nb + bp, bp * nb + b, ivals[bp, b], layout.slots("transition2").ravel()),
         virtual=False,
     )
 
 
-def _pat_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
+def _pat_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
     nb = config.bar_length
     n_pat = len(patterns)
     sizes = np.array([len(pat) for pat in patterns])
@@ -763,11 +792,11 @@ def _pat_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
     b_of_start = np.full(len(sym_tags), -1, dtype=np.int64)
     b_of_start[starts] = np.arange(n_pat)
     first = (b_of_start[src[first_sel]], dst[first_sel], trans[2][first_sel], slot[first_sel])
-    return _BaseChain(
+    return _Parts(
         boundary_tags=[(k, 1) for k in range(n_pat)],
-        init_slot=layout.slots("initial"),
+        boundary_slots=(layout.slots("initial"),),
         init_pos=sym_pos[starts],
-        sym_tags=sym_tags,
+        state_tags=sym_tags,
         first=first,
         trans=trans,
         virtual=False,
@@ -777,41 +806,9 @@ def _pat_chain(config: ModelConfig, layout: _Layout, patterns) -> _BaseChain:
 _CHAIN_BUILDERS = {"note": _note_chain, "met": _met_chain, "pat": _pat_chain}
 
 
-# ---------------------------------------------------------------------------
-# modification augmentation
-
-
-@dataclass
-class _Parts:
-    """An enumerated state space before sorting: tags, edges, weight slots.
-
-    A boundary state weighs the product of its `boundary_slots` columns
-    (initial entry, then the shift entry s_0 when shifting; a shifted
-    boundary state exists only while its shift entry is positive).
-    Entering a state multiplies an edge's base weight by the product of the
-    state's `state_slots` columns (shift xi, and zeta on entering a
-    division; none for unmodified models).  `state_keep` are slot columns
-    that must all be positive for a state to exist; `state_rt` is, for
-    division models, ``(state key, base-edge keys, base-edge slots)``: a
-    division state of symbol j dividing base value rt (key j * (N_b + 1) +
-    rt) exists only while some base edge into j producing rt has positive
-    weight.
-    """
-
-    boundary_tags: list
-    boundary_slots: tuple
-    init_pos: np.ndarray | None
-    state_tags: list
-    first: tuple
-    trans: tuple
-    virtual: bool
-    state_slots: tuple = ()
-    state_keep: tuple = ()
-    state_rt: tuple | None = None
-
-
-def _tag_cat(tag, extra: tuple) -> tuple:
-    return (tag if isinstance(tag, tuple) else (tag,)) + extra
+def _as_tuples(tags: list) -> list:
+    """Tags as tuples, so that modifications can append their fields."""
+    return [tag if isinstance(tag, tuple) else (tag,) for tag in tags]
 
 
 def _join(chunks: list) -> tuple:
@@ -839,311 +836,158 @@ def _expand_blocks(block_sizes: np.ndarray):
 
 
 def _chunk_ranges(counts: np.ndarray, limit: int = 250_000):
-    """Split [0, len(counts)) into ranges whose count sums stay under limit."""
-    n = len(counts)
-    lo = 0
-    while lo < n:
-        total = 0
-        hi = lo
-        while hi < n and (total + counts[hi] <= limit or hi == lo):
-            total += counts[hi]
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
-def _shift_support(layout: _Layout, support: np.ndarray):
-    """(slots, values) of the supported shifts."""
-    sup = np.flatnonzero(support[layout.slots("shift_probs")])
-    return layout.offset["shift_probs"] + sup, sup - (layout.bar_length - 1)
-
-
-def _shifted_boundaries(chain: _BaseChain, xi_slot, sval, nb: int):
-    """Boundary tags, weight slots and positions with a shift s_0 appended."""
-    n_s = len(sval)
-    if chain.virtual:
-        tags = [int(s) for s in sval]
-    else:
-        tags = [_tag_cat(bt, (int(s),)) for bt in chain.boundary_tags for s in sval]
-    slots = (np.repeat(chain.init_slot, n_s), np.tile(xi_slot, len(chain.init_slot)))
-    pos = None
-    if chain.init_pos is not None:
-        pos = ((chain.init_pos[:, None] + sval[None, :]) % nb).reshape(-1)
-    return tags, slots, pos
-
-
-def _augment_shift(chain: _BaseChain, layout: _Layout, support: np.ndarray) -> _Parts:
-    """States (sym, s); outputs base + s - s'; see module docstring for masks."""
-    nb = layout.bar_length
-    xi_slot, sval = _shift_support(layout, support)
-    n_s = len(sval)
-    n_sym = len(chain.sym_tags)
-
-    if chain.sym_base_value is not None:
-        allowed = (sval[None, :] > -chain.sym_base_value[:, None]) & (
-            sval[None, :] <= chain.sym_base_value[:, None]
-        )
-    else:
-        allowed = np.ones((n_sym, n_s), dtype=bool)
-    aug_index = np.full((n_sym, n_s), -1, dtype=np.int64)
-    aug_index[allowed] = np.arange(int(allowed.sum()))
-    state_tags = []
-    for j in range(n_sym):
-        for p in range(n_s):
-            if allowed[j, p]:
-                state_tags.append(_tag_cat(chain.sym_tags[j], (int(sval[p]),)))
-    state_xi = np.broadcast_to(xi_slot, (n_sym, n_s))[allowed]
-    boundary_tags, boundary_slots, init_pos = _shifted_boundaries(chain, xi_slot, sval, nb)
-
-    def expand(edges, src_is_boundary: bool):
-        es, ed, ev, eslot = _supported(edges, support)
-        counts = np.full(len(es), n_s * n_s, dtype=np.int64)
-        chunks = []
-        for lo, hi in _chunk_ranges(counts):
-            e_id, within = _expand_blocks(counts[lo:hi])
-            e_id += lo
-            sp_pos = within // n_s
-            s_pos = within % n_s
-            v = ev[e_id]
-            s = sval[s_pos]
-            sp = sval[sp_pos]
-            out = v + s - sp
-            dst = aug_index[ed[e_id], s_pos]
-            if src_is_boundary:
-                src = es[e_id] * n_s + sp_pos
-            else:
-                src = aug_index[es[e_id], sp_pos]
-            feas = (
-                (out >= 1)
-                & (out <= nb)
-                & (s > -v)
-                & (s <= v)
-                & (dst >= 0)
-                & (src >= 0)
-            )
-            chunks.append((src[feas], dst[feas], out[feas], eslot[e_id][feas]))
-        return _join(chunks)
-
-    return _Parts(
-        boundary_tags=boundary_tags,
-        boundary_slots=boundary_slots,
-        init_pos=init_pos,
-        state_tags=state_tags,
-        first=expand(chain.first, src_is_boundary=True),
-        trans=expand(chain.trans, src_is_boundary=False),
-        virtual=False,
-        state_slots=(state_xi,),
-        state_keep=(state_xi,),
-    )
-
-
-@dataclass
-class _DivStates:
-    """Division-augmented state table plus grouped views used by edge builders."""
-
-    tags: list
-    sym: np.ndarray
-    rt: np.ndarray
-    h: np.ndarray
-    g: np.ndarray
-    s_pos: np.ndarray | None  # index into the shift support, or None
-    part: np.ndarray  # emitted part value q_{h g}
-    next_start: np.ndarray  # first state of the (g+1) group, -1 at division end
-    next_count: np.ndarray
-    entry_flat: np.ndarray  # state ids with g == 1, grouped by (sym, rt)
-    entry_indptr: np.ndarray  # over key = sym * (nb + 1) + rt
-    end_flat: np.ndarray  # state ids at division ends, grouped by sym
-    end_indptr: np.ndarray
-
-
-def _enumerate_division_states(
-    chain: _BaseChain,
-    layout: _Layout,
-    support: np.ndarray,
-    catalog: DivisionCatalog,
-    sval: np.ndarray | None,
-    include_rt_in_tag: bool,
-    reach: np.ndarray,
-) -> _DivStates:
-    nb = layout.bar_length
-    tags = []
-    sym_l, rt_l, h_l, g_l, s_l, part_l = [], [], [], [], [], []
-    next_start_l, next_count_l = [], []
-    for j, sym_tag in enumerate(chain.sym_tags):
-        for rt in np.flatnonzero(reach[j * (nb + 1): (j + 1) * (nb + 1)]).tolist():
-            for h in np.flatnonzero(support[layout.division_slot(rt, np.arange(rt))]):
-                parts = catalog.patterns_for(rt)[h]
-                group_entries = []
-                for g, part in enumerate(parts, start=1):
-                    if sval is None:
-                        group_entries.append([(None, part)])
-                    else:
-                        block = [
-                            (int(p), part)
-                            for p in range(len(sval))
-                            if -part < sval[p] <= part
-                        ]
-                        group_entries.append(block)
-                base_idx = len(sym_l)
-                group_starts = []
-                for block in group_entries:
-                    group_starts.append(base_idx)
-                    base_idx += len(block)
-                for g, block in enumerate(group_entries, start=1):
-                    for s_pos, part in block:
-                        extras = (rt, int(h), g) if include_rt_in_tag else (int(h), g)
-                        if sval is not None:
-                            extras = extras + (int(sval[s_pos]),)
-                        tags.append(_tag_cat(sym_tag, extras))
-                        sym_l.append(j)
-                        rt_l.append(rt)
-                        h_l.append(int(h))
-                        g_l.append(g)
-                        s_l.append(-1 if s_pos is None else s_pos)
-                        part_l.append(part)
-                        if g < len(group_entries):
-                            next_start_l.append(group_starts[g])
-                            next_count_l.append(len(group_entries[g]))
-                        else:
-                            next_start_l.append(-1)
-                            next_count_l.append(0)
-    sym_a = np.array(sym_l, dtype=np.int64)
-    rt_a = np.array(rt_l, dtype=np.int64)
-    g_a = np.array(g_l, dtype=np.int64)
-    h_a = np.array(h_l, dtype=np.int64)
-    s_a = None if sval is None else np.array(s_l, dtype=np.int64)
-    part_a = np.array(part_l, dtype=np.int64)
-    next_start = np.array(next_start_l, dtype=np.int64)
-    next_count = np.array(next_count_l, dtype=np.int64)
-
-    key = sym_a * (nb + 1) + rt_a
-    is_entry = g_a == 1
-    entry_ids = np.flatnonzero(is_entry)
-    order = np.argsort(key[entry_ids], kind="stable")
-    entry_flat = entry_ids[order]
-    entry_indptr = np.searchsorted(
-        key[entry_flat], np.arange(len(chain.sym_tags) * (nb + 1) + 1)
-    )
-    is_end = next_start == -1
-    end_ids = np.flatnonzero(is_end)
-    order = np.argsort(sym_a[end_ids], kind="stable")
-    end_flat = end_ids[order]
-    end_indptr = np.searchsorted(sym_a[end_flat], np.arange(len(chain.sym_tags) + 1))
-    return _DivStates(
-        tags=tags,
-        sym=sym_a,
-        rt=rt_a,
-        h=h_a,
-        g=g_a,
-        s_pos=s_a,
-        part=part_a,
-        next_start=next_start,
-        next_count=next_count,
-        entry_flat=entry_flat,
-        entry_indptr=entry_indptr,
-        end_flat=end_flat,
-        end_indptr=end_indptr,
-    )
+    """Split [0, len(counts)) into ranges whose count sums exceed `limit` by
+    less than their last count."""
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(limit, ends[-1] if len(ends) else 0, limit)) + 1
+    bounds = np.unique(np.concatenate([[0], cuts, [len(counts)]])).tolist()
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _augment_division(
-    chain: _BaseChain, layout: _Layout, support: np.ndarray, catalog: DivisionCatalog
+    chain: _Parts, layout: _Layout, support: np.ndarray, catalog: DivisionCatalog
 ) -> _Parts:
-    """States (sym, rt, h, g[, s]); divisions chain deterministically through parts."""
+    """States (sym, [rt,] h, g): part g of division h of base value rt.
+
+    A chain edge into symbol j producing rt enters the first part of every
+    supported division of rt at j, a division steps through its parts by
+    weight-1 edges, and its last part leaves by the chain edges out of j.
+    `rt` joins the tag where the symbol does not fix it.
+    """
     nb = layout.bar_length
-    with_shift = "shift_probs" in layout.shapes
-    xi_slot, sval = _shift_support(layout, support) if with_shift else (None, None)
-    include_rt = chain.sym_base_value is None  # note family already encodes rt in the symbol
-    # base values reachable per symbol: (symbol, value) keys of supported
-    # incoming base edges
-    n_keys = len(chain.sym_tags) * (nb + 1)
-    base = [_supported(e, support) for e in (chain.first, chain.trans)]
-    reach = np.zeros(n_keys, dtype=bool)
-    for _, ed, ev, _ in base:
-        reach[ed * (nb + 1) + ev] = True
-    st = _enumerate_division_states(chain, layout, support, catalog, sval, include_rt, reach)
-    s_of_state = None if sval is None else sval[st.s_pos]
-    zeta_of = layout.division_slot(st.rt, st.h)
-    xi_of = None if xi_slot is None else xi_slot[st.s_pos]
-    # entering a division multiplies in zeta; every part multiplies in its xi
-    entry_factor = np.where(st.g == 1, zeta_of, layout.one)
+    n_sym = len(chain.state_tags)
+    # (symbol, value) keys of the chain edges: the base values to divide
+    edge_keys = [dst * (nb + 1) + out for _, dst, out, _ in (chain.first, chain.trans)]
+    reach = np.zeros(n_sym * (nb + 1), dtype=bool)
+    for keys in edge_keys:
+        reach[keys] = True
+    # per base value rt, a row per part g of each supported division h
+    rows = [(rt, h, g, part) for rt in range(1, nb + 1)
+            for h in np.flatnonzero(support[layout.division_slot(rt, np.arange(rt))]).tolist()
+            for g, part in enumerate(catalog.patterns_for(rt)[h], start=1)]
+    row_rt, row_h, row_g, row_part = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    row_n = np.bincount(row_rt, minlength=nb + 1)
+    # states in (symbol, rt) key order: a key's rows, each division's parts in turn
+    keys = np.flatnonzero(reach)
+    k, within = _expand_blocks(row_n[keys % (nb + 1)])
+    key = keys[k]
+    sym, rt = np.divmod(key, nb + 1)
+    row = (np.cumsum(row_n) - row_n)[rt] + within
+    h, g, part = row_h[row], row_g[row], row_part[row]
+    extra = [(rt, h, g) if chain.state_value is None else (h, g) for rt, h, g, _ in rows]
+    base = _as_tuples(chain.state_tags)
+    tags = [base[j] + extra[r] for j, r in zip(sym.tolist(), row.tolist())]
+    is_last = np.append(g[1:] == 1, True)
+    entry = np.flatnonzero(g == 1)
+    entry_ptr = np.searchsorted(key[entry], np.arange(len(reach) + 1))
+    ends = np.flatnonzero(is_last)
+    end_ptr = np.searchsorted(sym[ends], np.arange(n_sym + 1))
 
-    def out_values(dst_states, src_s=None):
-        out = st.part[dst_states].copy()
-        if with_shift:
-            out = out + s_of_state[dst_states]
-            if src_s is not None:
-                out = out - src_s
-        return out
-
-    # mid-division edges: (.., g, s') -> (.., g+1, s), weight xi (or 1)
-    mids = np.flatnonzero(st.next_start >= 0)
-    m_id, within = _expand_blocks(st.next_count[mids])
-    src = mids[m_id]
-    dst = st.next_start[src] + within
-    out = out_values(dst, None if not with_shift else s_of_state[src])
-    feas = (out >= 1) & (out <= nb)
-    chunks = [(src[feas], dst[feas], out[feas], np.full(int(feas.sum()), layout.one))]
-
-    # division-boundary edges: base transition x (source end state) x (target entry state)
-    es, ed, ev, eslot = base[1]
-    n_ends = np.diff(st.end_indptr)
-    key = ed * (nb + 1) + ev
-    n_entries = st.entry_indptr[key + 1] - st.entry_indptr[key]
-    counts = n_ends[es] * n_entries
+    mids = np.flatnonzero(~is_last)
+    chunks = [(mids, mids + 1, part[mids + 1], np.full(len(mids), layout.one))]
+    # a division's last part x a chain edge x the next division's first part
+    src, _, _, slot = chain.trans
+    n_end = np.diff(end_ptr)[src]
+    n_ent = np.diff(entry_ptr)[edge_keys[1]]
+    counts = n_end * n_ent
     for lo, hi in _chunk_ranges(counts):
-        e_id, within = _expand_blocks(counts[lo:hi])
-        e_id += lo
-        n_ent = n_entries[e_id]
-        end_sel = within // n_ent
-        ent_sel = within % n_ent
-        src = st.end_flat[st.end_indptr[es[e_id]] + end_sel]
-        dst = st.entry_flat[st.entry_indptr[key[e_id]] + ent_sel]
-        out = out_values(dst, None if not with_shift else s_of_state[src])
-        feas = (out >= 1) & (out <= nb)
-        chunks.append((src[feas], dst[feas], out[feas], eslot[e_id][feas]))
-    trans = _join(chunks)
+        e, within = _expand_blocks(counts[lo:hi])
+        e += lo
+        a = ends[end_ptr[src[e]] + within // n_ent[e]]
+        b = entry[entry_ptr[edge_keys[1][e]] + within % n_ent[e]]
+        chunks.append((a, b, part[b], slot[e]))
+    src, _, _, slot = chain.first
+    e, within = _expand_blocks(np.diff(entry_ptr)[edge_keys[0]])
+    b = entry[entry_ptr[edge_keys[0][e]] + within]
+    zeta = layout.division_slot(rt, h)
+    return _Parts(
+        boundary_tags=chain.boundary_tags,
+        boundary_slots=chain.boundary_slots,
+        init_pos=chain.init_pos,
+        state_tags=tags,
+        first=(src[e], b, part[b], slot[e]),
+        trans=_join(chunks),
+        virtual=chain.virtual,
+        state_value=part,
+        state_slots=(np.where(g == 1, zeta, layout.one),),
+        state_keep=(zeta,),
+        state_rt=(key, np.concatenate(edge_keys),
+                  np.concatenate([chain.first[3], chain.trans[3]])),
+    )
 
-    # first edges: base first edge x (s0 when shifting) x target entry state
-    fs, fd, fv, fslot = base[0]
-    fkey = fd * (nb + 1) + fv
-    n_ent_f = st.entry_indptr[fkey + 1] - st.entry_indptr[fkey]
-    if with_shift:
-        n_s = len(sval)
-        counts = np.repeat(n_ent_f, n_s)
-        base_e = np.repeat(np.arange(len(fs)), n_s)
-        s0_pos_per = np.tile(np.arange(n_s), len(fs))
-        e_id, within = _expand_blocks(counts)
-        src = fs[base_e[e_id]] * n_s + s0_pos_per[e_id]
-        dst = st.entry_flat[st.entry_indptr[fkey[base_e[e_id]]] + within]
-        out = st.part[dst] + s_of_state[dst] - sval[s0_pos_per[e_id]]
-        feas = (out >= 1) & (out <= nb)
-        first = (src[feas], dst[feas], out[feas], fslot[base_e[e_id]][feas])
-        boundary_tags, boundary_slots, init_pos = _shifted_boundaries(chain, xi_slot, sval, nb)
-        state_slots = (entry_factor, xi_of)
-        state_keep = (zeta_of, xi_of)
+
+def _augment_shift(parts: _Parts, layout: _Layout, support: np.ndarray) -> _Parts:
+    """States (state, s): an edge producing v from shift s' to shift s produces v + s - s'.
+
+    A shift s keeps -v < s <= v for the edge's v and for the entered
+    state's `state_value`, and shifted values stay inside [1, N_b].  Every
+    boundary state gets a shift s_0 of its own.
+    """
+    nb = layout.bar_length
+    sup = np.flatnonzero(support[layout.slots("shift_probs")])
+    xi = layout.offset["shift_probs"] + sup
+    sval = sup - (nb - 1)
+    n_s = len(sval)
+
+    def allowed(v):
+        """Per value v, the run [lo, hi) of shift positions with -v < s <= v."""
+        return np.searchsorted(sval, -v, side="right"), np.searchsorted(sval, v, side="right")
+
+    n_par = len(parts.state_tags)
+    if parts.state_value is None:
+        lo, hi = np.zeros(n_par, dtype=np.int64), np.full(n_par, n_s)
     else:
-        e_id, within = _expand_blocks(n_ent_f)
-        dst = st.entry_flat[st.entry_indptr[fkey[e_id]] + within]
-        first = (fs[e_id], dst, st.part[dst], fslot[e_id])
-        boundary_tags = list(chain.boundary_tags)
-        boundary_slots = (chain.init_slot,)
-        init_pos = None if chain.init_pos is None else chain.init_pos.copy()
-        state_slots = (entry_factor,)
-        state_keep = (zeta_of,)
-    base_keys = np.concatenate([ed * (nb + 1) + ev for _, ed, ev, _ in base])
-    base_slots = np.concatenate([slot for _, _, _, slot in base])
+        lo, hi = allowed(parts.state_value)
+    n_allowed = hi - lo
+    start = np.cumsum(n_allowed) - n_allowed  # each state's first shifted state
+    parent, within = _expand_blocks(n_allowed)
+    s_pos = lo[parent] + within
+    base = _as_tuples(parts.state_tags)
+    state_tags = [base[j] + (s,) for j, s in zip(parent.tolist(), sval[s_pos].tolist())]
+
+    n_b = len(parts.boundary_tags)
+    if parts.virtual:
+        boundary_tags = sval.tolist()
+    else:
+        boundary_tags = [t + (s,) for t in _as_tuples(parts.boundary_tags) for s in sval.tolist()]
+    init_pos = None
+    if parts.init_pos is not None:
+        init_pos = ((parts.init_pos[:, None] + sval[None, :]) % nb).reshape(-1)
+
+    def expand(edges, src_lo, src_n, src_start):
+        src, dst, v, slot = edges
+        e_lo, e_hi = allowed(v)
+        d_lo = np.maximum(lo[dst], e_lo)
+        d_n = np.maximum(np.minimum(hi[dst], e_hi) - d_lo, 0)
+        s_lo = src_lo[src]
+        # shifted states at the first shifts of each edge's source and target
+        src_at, dst_at = src_start[src], start[dst] + d_lo - lo[dst]
+        counts = src_n[src] * d_n
+        chunks = []
+        for a, b in _chunk_ranges(counts):
+            e, within = _expand_blocks(counts[a:b])
+            e += a
+            i, j = np.divmod(within, d_n[e])
+            out = v[e] + sval[d_lo[e] + j] - sval[s_lo[e] + i]
+            feas = (out >= 1) & (out <= nb)
+            e, i, j = e[feas], i[feas], j[feas]
+            chunks.append((src_at[e] + i, dst_at[e] + j, out[feas], slot[e]))
+        return _join(chunks)
+
+    boundary_lo = np.zeros(n_b, dtype=np.int64)
     return _Parts(
         boundary_tags=boundary_tags,
-        boundary_slots=boundary_slots,
+        boundary_slots=tuple(np.repeat(c, n_s) for c in parts.boundary_slots)
+        + (np.tile(xi, n_b),),
         init_pos=init_pos,
-        state_tags=st.tags,
-        first=first,
-        trans=trans,
-        virtual=chain.virtual and not with_shift,
-        state_slots=state_slots,
-        state_keep=state_keep,
-        state_rt=(st.sym * (nb + 1) + st.rt, base_keys, base_slots),
+        state_tags=state_tags,
+        first=expand(parts.first, boundary_lo, np.full(n_b, n_s), np.arange(n_b) * n_s),
+        trans=expand(parts.trans, lo, n_allowed, start),
+        virtual=False,
+        state_slots=tuple(c[parent] for c in parts.state_slots) + (xi[s_pos],),
+        state_keep=tuple(c[parent] for c in parts.state_keep) + (xi[s_pos],),
+        state_rt=None if parts.state_rt is None else (parts.state_rt[0][parent],)
+        + parts.state_rt[1:],
     )
 
 
@@ -1162,7 +1006,7 @@ class _EdgeTopology:
 
     def __init__(self, edges: tuple, n_src: int, n_dst: int):
         src, dst, out, slot = edges
-        order = np.lexsort((src, dst))
+        order = np.argsort(np.asarray(dst, dtype=np.int64) * n_src + src, kind="stable")
         self.slot = _frozen(np.asarray(slot, dtype=np.int64)[order])
         self.template = EdgeSet.presorted(
             _frozen(np.asarray(src, dtype=np.int64)[order]),
@@ -1354,21 +1198,12 @@ _TOPOLOGY_CACHE = _TopologyCache(size=4)
 
 
 def _build_topology(config, layout, support, patterns, catalog) -> _Topology:
-    chain = _CHAIN_BUILDERS[config.family](config, layout, patterns)
+    parts = _CHAIN_BUILDERS[config.family](config, layout, patterns)
+    parts.first, parts.trans = (_supported(e, support) for e in (parts.first, parts.trans))
     if config.division:
-        parts = _augment_division(chain, layout, support, catalog)
-    elif config.shift:
-        parts = _augment_shift(chain, layout, support)
-    else:
-        parts = _Parts(
-            boundary_tags=chain.boundary_tags,
-            boundary_slots=(chain.init_slot,),
-            init_pos=chain.init_pos,
-            state_tags=chain.sym_tags,
-            first=_supported(chain.first, support),
-            trans=_supported(chain.trans, support),
-            virtual=chain.virtual,
-        )
+        parts = _augment_division(parts, layout, support, catalog)
+    if config.shift:
+        parts = _augment_shift(parts, layout, support)
     return _Topology(layout, support, parts)
 
 

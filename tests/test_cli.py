@@ -191,9 +191,12 @@ class TestTranscribeAndEval:
              ("eval", "--params", pipeline["params"], "--corpus", bad, "--model", "metmm1")),
             ({"family": "met", "bar_length": 8}, "'order'",
              ("eval", "--params", bad, "--corpus", pipeline["corpus"], "--model", "metmm1")),
+            (None, "No such file",
+             ("train", "--corpus", tmp_path / "missing.json", "--model", "metmm1")),
         ]
         for data, field, argv in cases:
-            bad.write_text(json.dumps(data))
+            if data is not None:
+                bad.write_text(json.dumps(data))
             assert run(*argv, "--out", tmp_path / "x.json") == 1
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err

@@ -9,6 +9,7 @@ from rhythmscribe.inference import (
     GibbsConfig,
     Hyperparams,
     InferenceError,
+    PathCounts,
     gather_counts,
     gibbs_fit,
     sample_dirichlet,
@@ -215,6 +216,12 @@ class TestDirichlet:
         b = sample_dirichlet([1.0, 2.0], np.random.default_rng(5), size=3)
         np.testing.assert_array_equal(a, b)
 
+    def test_tiny_parameters_give_finite_draws(self):
+        # most draws of Gamma(1e-4) underflow to 0, whole rows of them often
+        draws = sample_dirichlet(np.full(8, 1e-4), np.random.default_rng(0), size=200)
+        assert np.isfinite(draws).all()
+        np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
+
 
 class TestGatherCounts:
     def test_met_first_order_counts(self, rng):
@@ -391,6 +398,23 @@ class TestSamplePosterior:
         counts.transition[1] = -hp.alpha_transition * base.transition[1]  # row 1: no support
         with pytest.raises(InferenceError, match="posterior row with no support"):
             sample_posterior(hp, counts, rng)
+
+
+    def test_underflowed_rows_are_drawn_in_log_space(self):
+        # with alpha 1e-3 about half the rows draw nothing but zeros
+        cfg = ModelConfig.from_name("notemm2b", bar_length=8)
+        base = random_params(cfg.plain(), np.random.default_rng(0))
+        base.transition2[..., 0] = 0.0
+        base.transition2 /= base.transition2.sum(axis=-1, keepdims=True)
+        hp = Hyperparams(base=base, alpha_transition=1e-3)
+        counts = PathCounts(initial=np.zeros(8), transition=np.zeros((8, 8)),
+                            transition2=np.zeros((8, 8, 8)))
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            drawn = sample_posterior(hp, counts, rng)
+            assert np.isfinite(drawn.transition2).all()
+            drawn.validate()
+            assert np.all(drawn.transition2[..., 0] == 0.0)  # zero shapes stay 0
 
 
 class TestTranscribe:

@@ -46,6 +46,9 @@ class TestConfig:
             ModelConfig.from_name("notemm0s")  # mods need an order-1 base
         with pytest.raises(ValueError):
             ModelConfig.from_name("drummm1")
+        with pytest.raises(ValueError, match="bar_length must be an integer, got 8.5"):
+            ModelConfig.from_name("metmm1", bar_length=8.5)
+        uniform_params(ModelConfig.from_name("metmm1", bar_length=8.0)).validate()
 
     def test_plain_strips_bayesian_flag(self):
         assert ModelConfig.from_name("metmm1sdb").plain().name == "metmm1sd"
@@ -474,6 +477,10 @@ class TestParamsSerialization:
             params.validate()
         with pytest.raises(ValueError):
             build_state_space(cfg, params)
+        params = uniform_params(cfg)
+        params.transition[3] = np.nan
+        with pytest.raises(ValueError, match="transition has non-finite entries"):
+            params.validate()
 
     def test_family_mismatch_rejected(self, rng):
         note_params = random_params(ModelConfig.from_name("notemm1"), rng)

@@ -60,6 +60,7 @@ def reference_cases():
         ("notemm1sd", 4, True, None), ("metmm2", 6, True, None), ("patmm1d", 4, True, None),
         ("metmm1sd", 3, False, None), ("patmm1sd", 2, False, None), ("notemm1s", 4, False, None),
         ("patmm1", 4, True, (5, 0, 14, 9, 2, 7)), ("patmm1sd", 3, True, (6, 2, 0, 4)),
+        ("metmm1sd", 8, True, None), ("notemm1sd", 8, True, None),
     ]
     for name, nb, renorm, subset in specs:
         base = tiny_config(name) if nb is None else ModelConfig.from_name(name, bar_length=nb)
@@ -144,6 +145,8 @@ RECORDED = {
     "notemm1s-nb4-raw": ("ed143ac417914b5790d9", "53ad6a6f60cd9e09311a"),  # 17 states, 185 edges
     "patmm1-nb4-subset": ("8612469d47e497892001", "a3460a89d6ba97728a5f"),  # 12 states, 46 edges
     "patmm1sd-nb3-subset": ("4dbf064f3440567153d9", "fbc94b341a8957447315"),  # 54 states, 157 edges
+    "metmm1sd-nb8": ("7597cd26a637647e75a1", "d3e6ca68b8d42b4ce90b"),  # 594 states, 10375 edges
+    "notemm1sd-nb8": ("b7ccbfc5df2d5c1fa396", "c0f6311ae470e9839360"),  # 220 states, 8015 edges
 }
 
 
