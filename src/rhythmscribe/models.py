@@ -812,10 +812,20 @@ def _as_tuples(tags: list) -> list:
 
 
 def _join(chunks: list) -> tuple:
-    """One (src, dst, out, slot) edge tuple from chunks of them."""
+    """One (src, dst, out, slot) edge tuple from chunks of them.
+
+    Empties `chunks`, and frees each column's pieces as soon as that column
+    is joined, so the join holds at most one column twice.
+    """
     if not chunks:
         return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
-    return tuple(np.concatenate(col) for col in zip(*chunks))
+    columns = [list(col) for col in zip(*chunks)]
+    chunks.clear()
+    joined = []
+    for col in columns:
+        joined.append(np.concatenate(col))
+        col.clear()
+    return tuple(joined)
 
 
 def _supported(edges: tuple, support: np.ndarray) -> tuple:
@@ -835,7 +845,7 @@ def _expand_blocks(block_sizes: np.ndarray):
     return block_id, within
 
 
-def _chunk_ranges(counts: np.ndarray, limit: int = 250_000):
+def _chunk_ranges(counts: np.ndarray, limit: int = 65_536):
     """Split [0, len(counts)) into ranges whose count sums exceed `limit` by
     less than their last count."""
     ends = np.cumsum(counts)
@@ -1004,18 +1014,23 @@ def _frozen(a) -> np.ndarray:
 class _EdgeTopology:
     """One edge slot's structure in (dst, src) order, with its base slots."""
 
-    def __init__(self, edges: tuple, n_src: int, n_dst: int):
-        src, dst, out, slot = edges
-        order = np.argsort(np.asarray(dst, dtype=np.int64) * n_src + src, kind="stable")
-        self.slot = _frozen(np.asarray(slot, dtype=np.int64)[order])
+    def __init__(self, edges: list, n_src: int, n_dst: int):
+        """`edges` is a [src, dst, out, slot] list holding the only references
+        to its arrays; it is emptied as they are sorted, so that no unsorted
+        array outlives its sorted copy."""
+        # one sort key holds (dst, src), and the sorted key gives both back
+        src, dst = edges.pop(0), edges.pop(0)
+        key = np.asarray(dst, dtype=np.int64) * n_src + src
+        del src, dst
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        out = np.asarray(edges.pop(0), dtype=np.int64)[order]
+        self.slot = _frozen(np.asarray(edges.pop(0), dtype=np.int64)[order])
+        del order
+        dst = key // n_src
+        src = np.remainder(key, n_src, out=key)
         self.template = EdgeSet.presorted(
-            _frozen(np.asarray(src, dtype=np.int64)[order]),
-            _frozen(np.asarray(dst, dtype=np.int64)[order]),
-            None,
-            _frozen(np.asarray(out, dtype=np.int64)[order]),
-            n_src,
-            n_dst,
-        )
+            _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst)
 
     def weigh(self, theta, factor, src_map, dst_map, renormalize: bool):
         """(EdgeSet, ids of the kept edges or None when all are kept).
@@ -1043,12 +1058,14 @@ class _EdgeTopology:
                 dst, n_dst = dst_map[1][dst], dst_map[2]
         # within each source row, build order is dst order, so this bincount
         # adds each row's terms in build order: row sums match to the last bit
+        # the logs overwrite `prob` (a fresh array) to save an edge-length copy
         if renormalize and len(src):
             rowsum = np.bincount(src, weights=prob, minlength=n_src)
             with np.errstate(divide="ignore"):  # rows left without edges
-                logp = np.log(prob) - np.log(rowsum)[src]
+                logp = np.log(prob, out=prob)
+                logp -= np.log(rowsum)[src]
         else:
-            logp = np.log(prob) if len(src) else prob
+            logp = np.log(prob, out=prob) if len(src) else prob
         if kept is None:
             return t.reweighted(logp), None
         return EdgeSet.presorted(src, dst, logp, out, n_src, n_dst), kept
@@ -1088,8 +1105,10 @@ class _Topology:
             int(a.max(initial=0)) for a in self.state_rt[:2])
         self.virtual = parts.virtual
         n_b, n_s = len(self.boundary_tags), len(self.state_tags)
-        self.first = _EdgeTopology(parts.first, n_b, n_s)
-        self.trans = _EdgeTopology(parts.trans, n_s, n_s)
+        first, trans = list(parts.first), list(parts.trans)
+        parts.first = parts.trans = None  # so that sorting frees each unsorted array
+        self.first = _EdgeTopology(first, n_b, n_s)
+        self.trans = _EdgeTopology(trans, n_s, n_s)
 
     def covers(self, theta: np.ndarray) -> bool:
         """Whether every positive entry of `theta` is in this topology's support."""

@@ -1,11 +1,15 @@
-"""Property tests: the params JSON round trip and the path-count identity."""
+"""Property tests: the params JSON round trip, the path-count identity,
+corpus normalization, and the scaled forward and backward kernels against
+log-space references and enumeration."""
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from scipy.special import logsumexp  # noqa: E402
 
 from rhythmscribe import _dp  # noqa: E402
+from rhythmscribe.core import normalize_corpus, to_note_values  # noqa: E402
 from rhythmscribe.inference import gather_counts  # noqa: E402
 from rhythmscribe.models import (  # noqa: E402
     ModelConfig,
@@ -15,8 +19,9 @@ from rhythmscribe.models import (  # noqa: E402
     pattern_vocabulary,
     random_params,
 )
+from rhythmscribe.timing import TimingParams, TranscriptionHmm  # noqa: E402
 
-from conftest import ALL_VARIANTS, tiny_config  # noqa: E402
+from conftest import ALL_VARIANTS, enumerate_paths, tiny_config  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -99,3 +104,89 @@ def test_counts_give_the_path_log_prior(name, seed, subset, n_steps):
     assert counts.initial.sum() == 1
     if counts.shift is not None:
         assert counts.shift.sum() == n_steps + 1
+
+
+@PROPERTY_SETTINGS
+@given(bar_length=st.integers(2, 16),
+       raws=st.lists(st.lists(st.floats(0.0, 200.0, allow_nan=False), max_size=20),
+                     min_size=1, max_size=5))
+def test_normalized_corpus_is_bounded_and_idempotent(bar_length, raws):
+    entries = [{"id": str(i), "onsets": onsets} for i, onsets in enumerate(raws)]
+    once, _ = normalize_corpus(entries, bar_length)
+    for piece in once.pieces:
+        values = to_note_values(piece)
+        assert values.min() >= 1 and values.max() <= bar_length
+    again, report = normalize_corpus(
+        [{"id": pid, "onsets": list(p.onsets)} for pid, p in zip(once.ids, once.pieces)],
+        bar_length)
+    assert again == once
+    assert report.inserted_onsets == report.merged_onsets == 0 and not report.dropped
+
+
+def small_instance(name, seed, n_steps):
+    """A tiny random space (some table entries zeroed) and emissions of random durations."""
+    config, params = variant_params(name, seed, subset=True)
+    space = build_state_space(config, params)
+    rng = np.random.default_rng(seed + 2)
+    durations = rng.uniform(0.15, 0.25 * config.bar_length, size=n_steps)
+    em = TranscriptionHmm(space, TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
+                          ).emission_matrix(durations)
+    return space, em
+
+
+def assert_log_tables_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(np.isfinite(g), np.isfinite(w))
+        ok = np.isfinite(w)
+        np.testing.assert_allclose(g[ok], w[ok], rtol=1e-9, atol=1e-9)
+
+
+def edge_list_backward(space, em):
+    """Log-space backward recursion over the edge lists, one source at a time."""
+    beta = np.zeros(space.n_states)
+    table = [beta]
+    for n in range(em.shape[0] - 1, -1, -1):
+        edges = space.first if n == 0 else space.trans
+        scores = edges.logp + em[n][edges.out - 1] + beta[edges.dst]
+        beta = np.full(edges.n_src, -np.inf)
+        for s in np.unique(edges.src):
+            mine = scores[edges.src == s]
+            if np.isfinite(mine).any():
+                beta[s] = logsumexp(mine)
+        table.append(beta)
+    return table[::-1]
+
+
+KERNEL_CASES = dict(name=st.sampled_from(ALL_VARIANTS), seed=st.integers(0, 2**32 - 1),
+                    n_steps=st.integers(1, 5))
+
+
+@PROPERTY_SETTINGS
+@given(**KERNEL_CASES)
+def test_scaled_forward_matches_the_edge_list_kernel(name, seed, n_steps):
+    space, em = small_instance(name, seed, n_steps)
+    want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+    assume(np.isfinite(want))
+    got, got_table = _dp._scaled_forward(space, em, space.log_initial)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert_log_tables_close(got_table, want_table)
+
+
+@PROPERTY_SETTINGS
+@given(**KERNEL_CASES)
+def test_backward_matches_references_and_the_forward_total(name, seed, n_steps):
+    space, em = small_instance(name, seed, n_steps)
+    total, alphas = _dp._edge_list_forward(space, em, space.log_initial)
+    assume(np.isfinite(total))
+    betas = _dp.backward(space, em)
+    assert_log_tables_close(betas, edge_list_backward(space, em))
+    # alpha_n(s) + beta_n(s) is the mass of the enumerated paths through s
+    boundary, states, outputs, log_prior = enumerate_paths(space, n_steps)
+    scores = log_prior + em[np.arange(n_steps), outputs - 1].sum(axis=1)
+    slots = np.column_stack([boundary, states])
+    for n, (alpha, beta) in enumerate(zip(alphas, betas)):
+        assert logsumexp(alpha + beta) == pytest.approx(total, rel=1e-9)
+        for s in np.flatnonzero(np.isfinite(alpha + beta)):
+            through = logsumexp(scores[slots[:, n] == s])
+            assert alpha[s] + beta[s] == pytest.approx(through, rel=1e-9, abs=1e-9)

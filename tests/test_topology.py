@@ -7,6 +7,7 @@ topology cache must reproduce them array for array, and so must the
 sufficient statistics `gather_counts` reads off seeded FFBS draws.
 """
 import hashlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -244,6 +245,21 @@ class TestCache:
         cfg = ModelConfig.from_name("metmm2", bar_length=4)  # still cached
         build_state_space(cfg, random_params(cfg, np.random.default_rng(0)))
         assert len(fresh_cache) == 6
+
+    @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d"])
+    def test_fresh_build_peaks_near_what_it_keeps(self, name, fresh_cache):
+        # edge chunks are freed as they are joined and unsorted edge arrays
+        # as they are sorted: a fresh build holds no edge array twice over
+        cfg = ModelConfig.from_name(name, bar_length=8)
+        params = models.uniform_params(cfg)
+        tracemalloc.start()
+        try:
+            space = build_state_space(cfg, params)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.n_edges > 300_000
+        assert peak <= 1.3 * kept
 
     def test_shared_arrays_are_read_only(self, fresh_cache, rng):
         cfg = ModelConfig.from_name("metmm1sd", bar_length=4)
