@@ -13,10 +13,17 @@ Emissions enter as a matrix ``em`` of shape ``(N, bar_length)``:
 ``n``.  Indicator rows (0 / -inf) recover score probabilities; Gaussian
 log-densities give performance likelihoods.
 
-Every recursion works in log space over the edge lists, except the exact
-forward and backward passes on large spaces, which run in scaled linear space
-over per-output-value sparse matrices (the backward pass over their
-transposes) and convert their tables back to log space.
+Beams, Viterbi and the reference forward kernel work in log space over the
+edge lists.  The exact forward pass runs in scaled linear space (Rabiner
+1989) and converts its table back to log space: large spaces over
+per-output-value sparse matrices, small ones over the edge list with every
+step's edge weights made at once.  A scaled kernel flushes entries below the
+smallest normal double, and a flushed path may later dominate; so each one
+bounds the share of its total that flushed mass could carry, and the pass
+reruns in log space when that share could matter (see `_log_flushed`).  The
+backward pass for the bounds below runs scaled over the transposed per-value
+matrices.  Backward sampling (FFBS) draws every uniform up front and
+inverts one cumulative sum over the in-edges of each sampled state.
 
 Exact Viterbi on large spaces is certified rather than swept over every edge.
 The best path through state s at step n scores at most
@@ -43,10 +50,16 @@ from scipy import sparse
 NEG_INF = -np.inf
 
 # Exact forward passes over spaces with at least this many edges run the
-# scaled per-value CSR kernel (`_scaled_forward`); smaller spaces keep the
-# log-space edge-list recursion, whose fixed per-step cost is lower.  Picked
-# from single-thread timings at 200 notes; see CHANGES.md.
+# scaled per-value CSR kernel (`_scaled_forward`); smaller ones run the
+# time-batched kernel (`_batched_forward`), which makes the per-edge weights
+# of many steps at once, in blocks of at most `BATCH_MAX_ENTRIES` entries
+# (512 KiB), and backward sampling precomputes its per-edge weights the same
+# way.  A space whose edges exceed the block (none, at these values) runs the
+# log-space edge-list recursion (`_edge_list_forward`), as does any pass
+# whose scaled kernel trips its underflow guard.  The crossover was
+# picked from single-thread timings at 200 notes; see CHANGES.md.
 SPARSE_MIN_EDGES = 5_000
+BATCH_MAX_ENTRIES = 1 << 16
 
 # Exact Viterbi over spaces with at least this many edges is certified by the
 # forward table (`_certified_sweep`); smaller spaces keep the plain sweep.
@@ -77,7 +90,8 @@ LOG_UNDERFLOW = -1072 * float(np.log(2.0))
 
 # Exact Viterbi is certified only when every path the forward pass may have
 # flushed scores at least this many nats below the pruning threshold (then
-# e^-40 of extra mass is far inside `BOUND_SLACK`).
+# e^-40 of extra mass is far inside `BOUND_SLACK`); likewise a scaled forward
+# total stands only when flushed mass could carry at most e^-40 of it.
 DROP_MARGIN = 40.0
 
 # The least raise of a backward entry for bounds (see `_scaled_backward`).
@@ -132,12 +146,14 @@ class EdgeSet:
         self._seg_counts = counts[self._rows]
         self._structure = {}  # lazy views of src/dst/out, shared by reweighted copies
         self._by_value = None
+        self._log_kappa = None
 
     def reweighted(self, logp) -> "EdgeSet":
         """The same edges with log weights `logp` (in this set's edge order)."""
         edges = copy.copy(self)
         edges.logp = logp
         edges._by_value = None
+        edges._log_kappa = None
         return edges
 
     def src_view(self):
@@ -149,6 +165,23 @@ class EdgeSet:
             view = self._structure["src_view"] = (order, indptr)
         return view
 
+    def _value_layout(self):
+        """``(n_values, order, indices, indptr)`` of `by_value`'s matrix:
+        edge ids in (out, dst, src) order, their sources, and row pointers."""
+        layout = self._structure.get("by_value")
+        if layout is None:
+            n_values = int(self.out.max()) if self.n_edges else 0
+            # (out, dst, src) order; a stable sort of small ints is a radix sort
+            order = np.argsort(self.out.astype(np.min_scalar_type(n_values)), kind="stable")
+            rows = self.out - 1
+            rows *= self.n_dst
+            rows += self.dst
+            indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
+            del rows
+            layout = self._structure["by_value"] = (n_values, order, self.src[order], indptr)
+        return layout
+
     def by_value(self):
         """(n_values, A): edge probabilities grouped by output value.
 
@@ -158,19 +191,7 @@ class EdgeSet:
         produce v.  One product ``A @ x`` thus yields every ``A_v @ x``.
         """
         if self._by_value is None:
-            layout = self._structure.get("by_value")
-            if layout is None:
-                n_values = int(self.out.max()) if self.n_edges else 0
-                # (out, dst, src) order; a stable sort of small ints is a radix sort
-                order = np.argsort(self.out.astype(np.min_scalar_type(n_values)), kind="stable")
-                rows = self.out - 1
-                rows *= self.n_dst
-                rows += self.dst
-                indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
-                del rows
-                layout = (n_values, order, self.src[order], indptr)
-            n_values, order, indices, indptr = layout
+            n_values, order, indices, indptr = self._value_layout()
             data = self.logp[order]
             mat = sparse.csr_matrix(
                 (np.exp(data, out=data), indices, indptr),
@@ -181,6 +202,22 @@ class EdgeSet:
             self._structure["by_value"] = (n_values, order, mat.indices, mat.indptr)
             self._by_value = (n_values, mat)
         return self._by_value
+
+    def log_kappa(self) -> np.ndarray:
+        """Per output value v, the log of the largest column sum of its block
+        `A_v` of `by_value`: the most probability that one source sends along
+        edges producing v (-inf for a value without edges)."""
+        if self._log_kappa is None:
+            n_values, order, indices, indptr = self._value_layout()
+            p = self._by_value[1].data if self._by_value else np.exp(self.logp[order])
+            blocks = indptr[:: self.n_dst].tolist()  # where each value's entries begin
+            kappa = np.zeros(n_values)
+            for v, (a, b) in enumerate(zip(blocks[:-1], blocks[1:])):
+                if b > a:
+                    kappa[v] = np.bincount(indices[a:b], weights=p[a:b]).max()
+            with np.errstate(divide="ignore"):
+                self._log_kappa = np.log(kappa)
+        return self._log_kappa
 
     def in_slice(self, state: int) -> slice:
         """Slice of edges entering `state` (arrays are dst-sorted)."""
@@ -411,6 +448,10 @@ def _emission_steps(em: np.ndarray):
     em = np.asarray(em, dtype=np.float64)
     if em.ndim != 2 or em.shape[0] < 1:
         raise ValueError("emission matrix must be (n_steps, bar_length) with n_steps >= 1")
+    bad = ~(em < np.inf)  # NaN or +inf; -inf stays legal (indicator rows)
+    if bad.any():
+        step = int(np.argmax(bad.any(axis=1))) + 1
+        raise ValueError(f"emission matrix has a NaN or +inf entry at step {step}")
     return em
 
 
@@ -442,6 +483,35 @@ def _edge_list_forward(space, em, init, keep_table=True):
     return _log_total(alpha), table
 
 
+def _step_edges(space, n_steps: int, max_entries=None):
+    """``(edges, lo, hi)`` for the edge sets that run steps lo..hi-1: the
+    first step over `space.first`, the rest over `space.trans`, split into
+    blocks of at most `max_entries` edge-steps (one step at least)."""
+    yield space.first, 0, 1
+    block = n_steps
+    if max_entries is not None:
+        block = max(1, max_entries // max(space.trans.n_edges, 1))
+    for lo in range(1, n_steps, block):
+        yield space.trans, lo, min(lo + block, n_steps)
+
+
+def _batched(space) -> bool:
+    """Whether `space` runs the time-batched kernels (see `SPARSE_MIN_EDGES`)."""
+    return space.n_edges < SPARSE_MIN_EDGES and space.n_edges <= BATCH_MAX_ENTRIES
+
+
+def _scaled_start(init, n_steps: int):
+    """``(x, offsets, scales)`` of a scaled forward pass: the init normalized
+    to sum 1, and per-step arrays whose entry 0 holds its max and sum."""
+    offsets = np.empty(n_steps + 1)
+    scales = np.empty(n_steps + 1)
+    offsets[0] = np.max(init)
+    x = np.exp(init - offsets[0])
+    scales[0] = x.sum()
+    x /= scales[0]
+    return x, offsets, scales
+
+
 def _scaled_forward(space, em, init, keep_table=True):
     """Exact forward in scaled linear space over per-value CSR matrices.
 
@@ -450,35 +520,168 @@ def _scaled_forward(space, em, init, keep_table=True):
     ``y = sum_v exp(em[n, v] - c) * (A_v @ x)`` (see `EdgeSet.by_value`),
     where ``c`` is the largest emission among the values some current state
     can produce, so the leading term is never scaled to 0 even when a
-    duration lies far from every reachable value.  Same contract as
-    `_edge_list_forward`; the table is returned in log space.
+    duration lies far from every reachable value.
+
+    Returns ``(total, table, log_flushed)``: the contract of
+    `_edge_list_forward`, with the table in log space, and the log of the
+    share of the total that flushed mass could carry (see `_log_flushed`).
+    A step where no current state produces a value of finite emission
+    returns ``(-inf, None, inf)``: the data may be infeasible, or its one
+    feasible path flushed.  When no value of any edge has a finite
+    emission there, no path exists and ``log_flushed`` is -inf.
     """
-    m0 = np.max(init)
-    x = np.exp(init - m0)
-    s = x.sum()
-    x /= s
-    log_scale = m0 + np.log(s)
+    n_steps = em.shape[0]
+    x, offsets, scales = _scaled_start(init, n_steps)
+    log_scale = offsets[0] + np.log(scales[0])
     table = [init.copy()] if keep_table else None
     edges = space.first
     with np.errstate(divide="ignore"):
-        for n in range(em.shape[0]):
+        for n in range(n_steps):
             n_values, mat = edges.by_value()
             z = (mat @ x).reshape(n_values, edges.n_dst)
             live = z.max(axis=1) > 0
             row = em[n, :n_values][live]
             c = np.max(row) if row.size else NEG_INF
             if not np.isfinite(c):
-                return NEG_INF, None
+                # certain only when no value of an edge can be emitted at all
+                certain = not np.isfinite(em[n, :n_values]).any()
+                return NEG_INF, None, (NEG_INF if certain else np.inf)
             w = np.zeros(n_values)
             w[live] = np.exp(row - c)
             y = w @ z
             s = y.sum()
             x = y / s
+            offsets[n + 1], scales[n + 1] = c, s
             log_scale += c + np.log(s)
             if keep_table:
                 table.append(np.log(x) + log_scale)
             edges = space.trans
-    return float(log_scale), table
+    log_loss = np.empty(n_steps + 1)
+    for edges, lo, hi in _step_edges(space, n_steps):
+        with_edges, log_step = _step_loss(edges)
+        top = np.max(em[lo:hi, :with_edges.size][:, with_edges], axis=1)
+        # A @ x loses its underflowed products before they are weighed by
+        # w_v, which for a value no current state produced may exceed 1
+        log_loss[lo + 1:hi + 1] = log_step + np.maximum(top - offsets[lo + 1:hi + 1], 0.0)
+    return float(log_scale), table, _log_flushed(space, em, init, offsets, scales, log_loss)
+
+
+def _batched_forward(space, em, init, keep_table=True):
+    """Exact forward in scaled linear space over the edge list, with the
+    edge weights of many steps made in one array.
+
+    The scaling is `_scaled_forward`'s.  Step n weighs edge e by
+    ``exp(logp_e + em[n, out_e] - c_n)``, with ``c_n`` the largest exponent
+    of the step, so no weight exceeds 1.  These weights form one
+    steps x edges array per block of steps (see `BATCH_MAX_ENTRIES`),
+    built in place and dropped before the next, so the sequential loop
+    keeps one gather-multiply, one `reduceat` and one normalization per
+    step.
+
+    Same contract as `_scaled_forward`.  A step where no edge has a finite
+    weight returns ``(-inf, None, -inf)`` (no path exists), and one whose
+    total underflows to 0 returns ``(-inf, None, inf)``.
+    """
+    n_steps = em.shape[0]
+    x, offsets, scales = _scaled_start(init, n_steps)
+    rows = np.zeros((n_steps, space.n_states))
+    log_loss = np.empty(n_steps + 1)
+    for edges, lo, hi in _step_edges(space, n_steps, BATCH_MAX_ENTRIES):
+        if edges.n_edges == 0:
+            return NEG_INF, None, NEG_INF
+        w = em[lo:hi, edges.out - 1]
+        w += edges.logp
+        top = w.max(axis=1)
+        if not np.isfinite(top).all():
+            return NEG_INF, None, NEG_INF
+        offsets[lo + 1:hi + 1] = top
+        w -= top[:, None]
+        np.exp(w, out=w)
+        # each step's weights, products and divisions
+        log_loss[lo + 1:hi + 1] = np.log(2 * edges.n_edges + edges.n_dst) + LOG_UNDERFLOW
+        whole = edges._rows.size == edges.n_dst
+        products = np.empty(edges.n_edges)
+        for n in range(lo, hi):
+            x.take(edges.src, out=products)
+            products *= w[n - lo]
+            y = np.add.reduceat(products, edges._starts)
+            s = np.add.reduce(y)
+            if not s > 0:
+                return NEG_INF, None, np.inf
+            scales[n + 1] = s
+            x = rows[n]
+            if whole:
+                np.divide(y, s, out=x)
+            else:
+                x[edges._rows] = y / s
+        del w
+    log_flushed = _log_flushed(space, em, init, offsets, scales, log_loss)
+    log_scale = np.log(scales)
+    log_scale += offsets
+    np.cumsum(log_scale, out=log_scale)
+    table = None
+    if keep_table:
+        with np.errstate(divide="ignore"):
+            np.log(rows, out=rows)
+        rows += log_scale[1:, None]
+        table = [init.copy(), *rows]
+    return float(log_scale[-1]), table, log_flushed
+
+
+def _log_rows(a: np.ndarray) -> np.ndarray:
+    """logsumexp of each row (-inf for a row without finite entries)."""
+    m = a.max(axis=1)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+
+
+def _log_flushed(space, em, init, offsets, scales, log_loss) -> float:
+    """Log of the largest share of a scaled forward total that the mass its
+    kernel flushed could carry.
+
+    Step n = 1..N of the kernel weighed value v by ``exp(em[n, v] -
+    offsets[n])``, summed to ``scales[n]``, and lost to underflow at most
+    ``exp(log_loss[n] - min(0, log scales[n]))`` of its new state vector's
+    total (``log_loss[n]`` bounds the loss before the division by
+    ``scales[n]``).  The init's normalization loses at most ``2 * size``
+    times 2^-1074 of it.  Mass lost at step n grows at each later step m
+    by at most ``rho_m / scales[m]``, where ``rho_m = sum_v exp(em[m, v] -
+    offsets[m]) * kappa_v`` over every value (see `EdgeSet.log_kappa`): a
+    value that no surviving state produces may weigh more than 1.  So the
+    share is at most ``sum_n loss_n * prod_{m > n} rho_m / scales[m]``.
+    Costs O(N * n_values).
+
+    That bound compounds each step's slack, the ratio of the largest
+    out-mass to the one realized, so it grows with the piece's length (by
+    about 1.3 nats a step on the `metmm1sd` benchmark pieces).  When it
+    exceeds e^-40, the scaled backward pass bounds the mass lost at step n
+    by its size times the largest backward value of slot n, as `_bounds`
+    does; that bound does not compound.  Returns +inf when the backward
+    pass finds no path.
+    """
+    n_steps = em.shape[0]
+    log_scales = np.log(scales)
+    growth = np.empty(n_steps)
+    for edges, lo, hi in _step_edges(space, n_steps):
+        log_kappa = edges.log_kappa()
+        growth[lo:hi] = _log_rows(em[lo:hi, :log_kappa.size] + log_kappa)
+    growth -= offsets[1:]
+    growth -= log_scales[1:]
+    later = np.zeros(n_steps + 1)  # sum of growth over the steps after n
+    later[:-1] = np.cumsum(growth[::-1])[::-1]
+    lost = log_loss - np.minimum(log_scales, 0.0)
+    lost[0] = np.log(2 * init.size) + LOG_UNDERFLOW
+    share = _log_total(lost + later)
+    if share <= -DROP_MARGIN:
+        return share
+    log_scale = np.cumsum(offsets + log_scales)
+    lost += log_scale  # the log mass lost at each step
+    n_rows = 0
+    for n, b, log_b_scale in _scaled_backward(space, em, upper=True):
+        lost[n] += np.log(b.max()) + log_b_scale
+        n_rows += 1
+    return _log_total(lost) - log_scale[-1] if n_rows == n_steps + 1 else np.inf
 
 
 def _transposed(edges: EdgeSet):
@@ -572,11 +775,12 @@ def forward(
     `return_table` is set; ``alphas[n]`` is the log joint of the first n
     observations and the slot-n state.  Returns -inf when no path is
     feasible (the beam variant raises instead, since an emptied beam is a
-    search failure rather than a model statement).  Exact passes run the
-    log-space edge-list recursion on spaces under `SPARSE_MIN_EDGES` edges
-    and the scaled CSR kernel on larger ones.  Beam widths round up to the
-    next power of two and prune through nested survivor sets (see
-    `_tiered_sweep`), so totals never decrease as the width grows.
+    search failure rather than a model statement).  Exact passes run a
+    scaled kernel picked by size (see `SPARSE_MIN_EDGES`), or the log-space
+    edge-list recursion when that kernel's underflow guard fires.  Beam
+    widths round up to the next power of two and prune through nested
+    survivor sets (see `_tiered_sweep`), so totals never decrease as the
+    width grows.
     `log_init` replaces the space's boundary distribution, e.g. to condition
     on an observed initial metrical position.
     """
@@ -592,9 +796,24 @@ def forward(
             table = [_dense_step(steps[0], init.size)]
             table += [_dense_step(step, space.trans.n_dst) for step in steps[1:]]
     else:
-        kernel = _scaled_forward if space.n_edges >= SPARSE_MIN_EDGES else _edge_list_forward
-        total, table = kernel(space, em, init, keep_table=return_table)
+        total, table = _exact_forward(space, em, init, return_table)
     return (total, table) if return_table else total
+
+
+def _exact_forward(space, em, init, keep_table):
+    """The exact forward pass on the kernel its size picks (see
+    `SPARSE_MIN_EDGES`), rerun in log space when a scaled kernel's flushed
+    mass could carry more than e^-40 of its total."""
+    if space.n_edges >= SPARSE_MIN_EDGES:
+        kernel = _scaled_forward
+    elif _batched(space):
+        kernel = _batched_forward
+    else:
+        return _edge_list_forward(space, em, init, keep_table)
+    total, table, log_flushed = kernel(space, em, init, keep_table)
+    if log_flushed > -DROP_MARGIN:
+        return _edge_list_forward(space, em, init, keep_table)
+    return total, table
 
 
 def _path_sample(space, boundary: int, states, outs, log_prob: float) -> PathSample:
@@ -723,17 +942,23 @@ def _pruned_sweep(space, em, init, keep):
     return steps
 
 
-def _drop_terms(edges: EdgeSet):
-    """``(values_with_edges, log_reach, log_step)``: which output values have
-    edges, the log of the largest out-mass of a source (at least 1), and the
-    log of the most that one `_scaled_forward` step over `edges` may lose to
-    underflow, as a share of the state vector's total."""
+def _step_loss(edges: EdgeSet):
+    """``(values_with_edges, log_step)``: which output values have edges,
+    and the log of the most that one `_scaled_forward` step over `edges` may
+    lose to underflow, as a share of the state vector's total."""
     n_values, mat = edges.by_value()
     with_edges = np.diff(mat.indptr).reshape(n_values, edges.n_dst).any(axis=1)
-    reach = max(1.0, float(np.asarray(mat.sum(axis=0)).max(initial=0.0)))
     # the products and sums of A @ x and of w @ z, and the division by s
     terms = mat.nnz + 2 * mat.shape[0] + edges.n_dst
-    return with_edges, np.log(reach), np.log(terms) + LOG_UNDERFLOW
+    return with_edges, np.log(terms) + LOG_UNDERFLOW
+
+
+def _drop_terms(edges: EdgeSet):
+    """``(values_with_edges, log_reach, log_step)``: `_step_loss`, and the
+    log of the largest out-mass of a source (at least 1)."""
+    with_edges, log_step = _step_loss(edges)
+    reach = max(1.0, float(np.asarray(edges.by_value()[1].sum(axis=0)).max(initial=0.0)))
+    return with_edges, np.log(reach), log_step
 
 
 def _bounds(space, em, table):
@@ -886,61 +1111,134 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None, table=None)
     return _backtrack(space, em, steps)
 
 
-def _posterior_weights(logw: np.ndarray) -> np.ndarray:
-    """Normalized probabilities from log weights (-inf entries get 0)."""
+def _exp_weights(logw: np.ndarray) -> np.ndarray:
+    """``exp(logw - max(logw))``: unnormalized probabilities (-inf entries
+    get 0)."""
     m = np.max(logw)
     if not np.isfinite(m):
         raise InferenceError("degenerate posterior: all weights zero")
-    w = np.exp(logw - m)
-    w /= w.sum()
-    return w
+    return np.exp(logw - m)
 
 
-def _draw(w: np.ndarray, rng: np.random.Generator, size: int | None = None):
-    """Inverse-CDF draw(s) of an index with probabilities `w`.
+def _inverse_cdf(w: np.ndarray, u):
+    """Index or indices drawn with probabilities proportional to `w`, by
+    inverting its cumulative sum at the uniforms `u`.
 
-    The same arithmetic and uniform draws as ``rng.choice(len(w), p=w,
-    size=size)``, so seeded streams match it, without its validation
-    overhead (a third of a backward step on small spaces).
+    The same arithmetic as ``rng.choice(len(w), p=w / w.sum())`` on the
+    uniforms it would draw, so seeded streams match it, without its
+    validation overhead.
     """
-    cdf = np.cumsum(w)
+    total = np.add.reduce(w)  # w.sum() and np.cumsum, without their wrappers
+    if not total > 0:
+        raise InferenceError("degenerate posterior: all weights zero")
+    cdf = np.add.accumulate(w / total)
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return cdf.searchsorted(u, side="right")
 
 
 def _sample_index(logw: np.ndarray, rng: np.random.Generator) -> int:
-    return int(_draw(_posterior_weights(logw), rng))
+    return int(_inverse_cdf(_exp_weights(logw), rng.random()))
 
 
-def _group_by_state(cur: np.ndarray):
-    """``[(state, member indices)]`` over the distinct states, ascending."""
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(cur.tolist()):
-        groups.setdefault(s, []).append(i)
-    return sorted(groups.items())
+def _in_edge_weights(edges: EdgeSet, em, alphas) -> np.ndarray:
+    """`_exp_weights` of every destination's in-edges at every step.
+
+    Row n holds, for the step with emissions ``em[n]`` leaving slot values
+    ``alphas[n]``, ``exp(score - m)`` of each edge (in `edges` order), where
+    the score is ``alpha[src] + logp + em(out)`` and m the largest score of
+    the edges entering the same state (0 when all are -inf).  Built in
+    place, with the same arithmetic as scoring one state's in-edges.
+    """
+    w = alphas[:, edges.src]
+    w += edges.logp
+    w += em[:, edges.out - 1]
+    top = _in_edge_max(edges, w)
+    top[~np.isfinite(top)] = 0.0
+    w -= np.repeat(top, edges._seg_counts, axis=1)
+    del top
+    return np.exp(w, out=w)
+
+
+def _in_edge_max(edges: EdgeSet, w: np.ndarray) -> np.ndarray:
+    """Per row of `w` (one entry per edge), the max over the in-edges of
+    each state that has any.
+
+    `np.maximum.reduceat` pays a fixed cost per segment, ten times that of
+    the arithmetic on small spaces.  So when padding every state's in-edges
+    to the largest in-degree (with repeats of its first edge, which leave
+    the max alone) at most doubles the entries, one gather and one `max`
+    over the padded axis do it instead.
+    """
+    pad = edges._structure.get("in_pad")
+    if pad is None:
+        counts = edges._seg_counts
+        width = int(counts.max(initial=1))
+        pad = edges._starts[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)
+        if pad.size > 2 * edges.n_edges:
+            pad = False
+        edges._structure["in_pad"] = pad
+    if pad is False:
+        return np.maximum.reduceat(w, edges._starts, axis=1)
+    return w[:, pad].max(axis=2)
 
 
 def _sample_backward(space, em, table, rng: np.random.Generator, size: int) -> np.ndarray:
     """Backward sampling of `size` paths over one forward table.
 
     Returns per-step edge ids of shape (size, n_steps): column 0 indexes
-    ``space.first``, the others ``space.trans``.  The backward kernel weights
-    each incoming edge by ``alpha[src] + logp + em(out)``; draws currently
-    at the same state share its incoming-edge posterior and are drawn
-    together, so the cost beyond the forward pass is linear in size and
-    n_steps.
+    ``space.first``, the others ``space.trans``.  An edge entering the
+    current state weighs ``alpha[src] + logp + em(out)``.  Draws at the
+    same state share its in-edge weights, so each step costs one cumulative
+    sum and one `searchsorted` per distinct current state.
+
+    Every uniform is drawn up front, ``(n_steps + 1) * size`` of them: the
+    final states take the first `size`, and each step, from the last,
+    hands out the next `size` by current state, ascending, and by draw
+    index within a state.  That is the order of one `rng.random` call per
+    state and step, so the stream does not depend on how the draws are
+    grouped.  Small spaces (see `_batched`) make the edge weights of a
+    block of steps at once (`_in_edge_weights`); others score the current
+    states' in-edges step by step.
     """
     if table is None:
         raise InferenceError("zero data likelihood: nothing to sample")
     n_steps = em.shape[0]
-    cur = _draw(_posterior_weights(table[n_steps]), rng, size)
+    uniforms = rng.random((n_steps + 1) * size).reshape(n_steps + 1, size)
+    cur = _inverse_cdf(_exp_weights(table[n_steps]), uniforms[0])
     eids = np.empty((size, n_steps), dtype=np.int64)
+    blocks = _step_edges(space, n_steps, BATCH_MAX_ENTRIES) if _batched(space) else ()
+    blocks = [(lo, hi) for _, lo, hi in blocks if lo]
+    weights, lo = None, n_steps
+
+    def in_edges(n, edges, state):
+        """(first in-edge id, weights of the in-edges) of `state` at step n."""
+        a, b = int(edges.dst_indptr[state]), int(edges.dst_indptr[state + 1])
+        if weights is not None and n:
+            return a, weights[n - lo, a:b]
+        return a, _exp_weights(table[n][edges.src[a:b]] + edges.logp[a:b]
+                               + em[n, edges.out[a:b] - 1])
+
+    state = int(cur[0])  # the one draw's state, when size is 1
     for n in range(n_steps - 1, -1, -1):
         edges = space.first if n == 0 else space.trans
-        for s, members in _group_by_state(cur):
-            sl = edges.in_slice(s)
-            logw = table[n][edges.src[sl]] + edges.logp[sl] + em[n, edges.out[sl] - 1]
-            eids[members, n] = sl.start + _draw(_posterior_weights(logw), rng, len(members))
+        if blocks and n and n < lo:
+            weights = None  # drop the block before making the next
+            lo, hi = blocks.pop()
+            weights = _in_edge_weights(edges, em[lo:hi], np.stack(table[lo:hi]))
+        u = uniforms[n_steps - n]
+        if size == 1:
+            a, w = in_edges(n, edges, state)
+            eids[0, n] = e = a + int(_inverse_cdf(w, u[0]))
+            state = int(edges.src[e])
+            continue
+        order = np.argsort(cur, kind="stable")
+        ranked = cur[order]
+        cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+        drawn = np.empty(size, dtype=np.int64)
+        for group, first, last in zip(ranked[[0] + cuts].tolist(), [0] + cuts, cuts + [size]):
+            a, w = in_edges(n, edges, group)
+            drawn[first:last] = a + _inverse_cdf(w, u[first:last])
+        eids[order, n] = drawn
         cur = edges.src[eids[:, n]]
     return eids
 
@@ -976,13 +1274,10 @@ def ffbs(
         _, table = forward(space, em, beam_width=beam_width, return_table=True, log_init=log_init)
     else:
         _check_table(space, em, init, table)
-    eids = _sample_backward(space, em, table, rng, 1)
-    boundary, states, outs = (a[0] for a in _paths_from_edges(space, eids))
-    log_prob = 0.0
-    for n in range(em.shape[0] - 1, -1, -1):
-        edges = space.first if n == 0 else space.trans
-        log_prob += float(edges.logp[eids[0, n]] + em[n, outs[n] - 1])
-    log_prob += float(init[boundary])
+    eids = _sample_backward(space, em, table, rng, 1)[0]
+    boundary, states, outs = (a[0] for a in _paths_from_edges(space, eids[None]))
+    logp = np.concatenate([space.first.logp[eids[:1]], space.trans.logp[eids[1:]]])
+    log_prob = float(init[boundary]) + float(np.sum(logp + em[np.arange(outs.size), outs - 1]))
     return _path_sample(space, boundary, states, outs, log_prob)
 
 

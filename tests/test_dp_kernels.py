@@ -1,6 +1,6 @@
-"""The scaled sparse forward kernel, the argmax-free Viterbi sweep, its
-certified pruned form and the one-forward-per-iteration Gibbs loop, each
-against a reference."""
+"""The scaled forward kernels and their underflow guard, the backward
+sampler, the argmax-free Viterbi sweep, its certified pruned form and the
+one-forward-per-iteration Gibbs loop, each against a reference."""
 import numpy as np
 import pytest
 
@@ -44,25 +44,53 @@ def point_mass_space():
     return build_state_space(cfg, params)
 
 
-@pytest.fixture
-def scaled_everywhere(monkeypatch):
-    """Route every exact forward through the scaled kernel, even tiny spaces."""
-    monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", 0)
+# The exact forward routes: (SPARSE_MIN_EDGES, BATCH_MAX_ENTRIES) that send
+# every space to one kernel.  Backward sampling precomputes its weights on
+# every route but the reference one.
+ROUTES = {
+    "edge_list": (10**9, 0),
+    "batched": (10**9, 10**9),
+    "scaled": (0, 10**9),
+}
+SCALED_KERNELS = {"batched": _dp._batched_forward, "scaled": _dp._scaled_forward}
 
 
+def route_to(monkeypatch, route):
+    sparse_min, batch_max = ROUTES[route]
+    monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", sparse_min)
+    monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", batch_max)
+
+
+def kernels_run(monkeypatch):
+    """Names of the forward kernels run, in call order, from now on."""
+    ran = []
+    for name in ("_edge_list_forward", "_batched_forward", "_scaled_forward"):
+        def spy(*args, _real=getattr(_dp, name), _name=name, **kwargs):
+            ran.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(_dp, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("kernel", sorted(SCALED_KERNELS))
 class TestScaledForward:
+    def run(self, kernel, space, em, init):
+        total, table, log_flushed = SCALED_KERNELS[kernel](space, em, init)
+        assert log_flushed <= -_dp.DROP_MARGIN  # the guard holds
+        return total, table
+
     @pytest.mark.parametrize("name", ALL_VARIANTS)
-    def test_matches_edge_list_reference(self, name, rng):
+    def test_matches_edge_list_reference(self, kernel, name, rng):
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
             em = TranscriptionHmm(space, tp).emission_matrix(durations)
             want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
-            got, got_table = _dp._scaled_forward(space, em, space.log_initial)
+            got, got_table = self.run(kernel, space, em, space.log_initial)
             assert got == pytest.approx(want, rel=REL_TOL)
             assert_tables_match(got_table, want_table)
 
     @pytest.mark.parametrize("name", ["notemm1", "metmm2", "patmm1", "metmm1sd"])
-    def test_indicator_emissions_and_restricted_init(self, name, rng):
+    def test_indicator_emissions_and_restricted_init(self, kernel, name, rng):
         # score probabilities: 0/-inf emission rows, part of the boundary masked
         _, _, space, _, _ = tiny_instance(name, rng, n_notes=1)
         path = _dp.sample_generative(space, 6, rng)
@@ -73,43 +101,70 @@ class TestScaledForward:
         b = path.boundary_index if path.boundary_index is not None else 0
         init[b] = space.log_initial[b]
         want, want_table = _dp._edge_list_forward(space, em, init)
-        got, got_table = _dp._scaled_forward(space, em, init)
+        got, got_table = self.run(kernel, space, em, init)
         assert np.isfinite(want)
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
 
-    def test_far_duration_underflows_exp_but_stays_finite(self, scaled_everywhere):
+    def test_far_duration_underflows_exp_but_stays_finite(self, kernel, monkeypatch):
         # every duration sits at value 8, the model only produces value 1, so
         # exp(em - max_v em) is exactly 0 for every reachable value
+        route_to(monkeypatch, kernel)
         space = point_mass_space()
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.01)
         em = TranscriptionHmm(space, tp).emission_matrix(np.full(50, 2.0))
         assert np.exp(em[0, 0] - em[0].max()) == 0.0
         want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
-        got, got_table = _dp._scaled_forward(space, em, space.log_initial)
+        got, got_table = self.run(kernel, space, em, space.log_initial)
         assert np.isfinite(want) and want < -1e5
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
+        ran = kernels_run(monkeypatch)
         assert _dp.forward(space, em) == got
+        assert ran == [f"_{kernel}_forward"]
         path = _dp.ffbs(space, em, np.random.default_rng(0))
         assert path.output_values == [1] * 50
 
-    def test_infeasible_data_matches_reference(self, monkeypatch):
+    @pytest.mark.parametrize("durations, want", [
+        # the first duration fits value 2 and the rest value 1: the kernels
+        # flush the all-1s path at step 1, which then dominates
+        ([0.5] + [0.25] * 7, -1215.66),
+        # the all-2s path fits the middle notes, and is flushed at step 1
+        ([0.25, 0.5, 0.5, 0.5, 0.25], None),
+    ])
+    def test_flushed_path_that_dominates_trips_the_guard(self, kernel, durations, want,
+                                                         monkeypatch):
+        space, em = two_path_emissions(durations)
+        reference = _dp._edge_list_forward(space, em, space.log_initial)
+        if want is not None:
+            assert reference[0] == pytest.approx(want, abs=0.005)
+        total, _, log_flushed = SCALED_KERNELS[kernel](space, em, space.log_initial)
+        assert log_flushed > -_dp.DROP_MARGIN
+        assert not total == pytest.approx(reference[0], rel=REL_TOL)
+        route_to(monkeypatch, kernel)
+        ran = kernels_run(monkeypatch)
+        got, got_table = _dp.forward(space, em, return_table=True)
+        assert ran == [f"_{kernel}_forward", "_edge_list_forward"]
+        assert got == pytest.approx(reference[0], rel=REL_TOL)
+        assert_tables_match(got_table, reference[1])
+
+    def test_infeasible_data_matches_reference(self, kernel, monkeypatch):
         space = point_mass_space()
         em = np.full((3, 8), -np.inf)
         em[:, 7] = 0.0  # only value 8 can explain the data
         assert _dp._edge_list_forward(space, em, space.log_initial) == (-np.inf, None)
-        assert _dp._scaled_forward(space, em, space.log_initial) == (-np.inf, None)
+        # no edge can produce value 8, so the kernels know no path exists
+        assert SCALED_KERNELS[kernel](space, em, space.log_initial) == (-np.inf, None, -np.inf)
         messages = set()
-        for crossover in (0, 10**9):
-            monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", crossover)
+        for route in (kernel, "edge_list"):
+            route_to(monkeypatch, route)
             assert _dp.forward(space, em, return_table=True) == (-np.inf, None)
             with pytest.raises(InferenceError) as exc:
                 _dp.ffbs(space, em, np.random.default_rng(0))
             messages.add(str(exc.value))
         assert messages == {"zero data likelihood: nothing to sample"}
 
-    def test_gibbs_fit_on_far_durations_matches_reference(self, monkeypatch):
+    def test_gibbs_fit_on_far_durations_matches_reference(self, kernel, monkeypatch):
         cfg = ModelConfig.from_name("notemm1b")
         base = uniform_params(cfg.plain())
         base.initial = np.eye(8)[0]
@@ -118,14 +173,44 @@ class TestScaledForward:
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.01)
         perf = Performance((0.0, 2.0, 4.0, 6.0))
         results = []
-        for crossover in (0, 10**9):
-            monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", crossover)
+        for route in (kernel, "edge_list"):
+            route_to(monkeypatch, route)
             _, result = gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=2, seed=1))
             results.append(result)
         scaled, reference = results
         assert scaled.note_values == reference.note_values == (1, 1, 1)
         assert np.isfinite(reference.trace).all()
         np.testing.assert_allclose(scaled.trace, reference.trace, rtol=REL_TOL)
+
+
+class TestForwardRouting:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_each_route_reaches_its_kernel(self, route, rng, monkeypatch):
+        _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=6)
+        em = TranscriptionHmm(space, tp).emission_matrix(durations)
+        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        route_to(monkeypatch, route)
+        ran = kernels_run(monkeypatch)
+        got, got_table = _dp.forward(space, em, return_table=True)
+        assert ran == [f"_{route}_forward"]
+        assert got == pytest.approx(want, rel=REL_TOL)
+        assert_tables_match(got_table, want_table)
+
+    def test_default_routes_by_edge_count(self, rng, monkeypatch):
+        small = ModelConfig.from_name("metmm2")
+        small_space = build_state_space(small, random_params(small, rng))
+        large = ModelConfig.from_name("patmm1")
+        large_space = build_state_space(large, random_params(large, rng))
+        assert small_space.n_edges < _dp.SPARSE_MIN_EDGES <= large_space.n_edges
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        ran = kernels_run(monkeypatch)
+        for space in (small_space, large_space):
+            _dp.forward(space, TranscriptionHmm(space, tp).emission_matrix(np.full(8, 0.3)))
+        assert ran == ["_batched_forward", "_scaled_forward"]
+        # a space whose edges overflow the block runs in log space
+        monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", small_space.n_edges - 1)
+        _dp.forward(small_space, TranscriptionHmm(small_space, tp).emission_matrix(np.full(8, 0.3)))
+        assert ran[2:] == ["_edge_list_forward"]
 
     def test_large_space_uses_scaled_kernel_and_agrees(self, rng):
         cfg = ModelConfig.from_name("patmm1")
@@ -138,6 +223,173 @@ class TestScaledForward:
         got, got_table = _dp.forward(space, em, return_table=True)
         assert got == pytest.approx(want, rel=1e-12)
         assert_tables_match(got_table, want_table)
+
+    @pytest.mark.parametrize("name", ["notemm2", "metmm1sdb", "patmm1"])
+    def test_blocks_of_steps_match_one_block(self, name, rng, monkeypatch):
+        # blocks of 3 steps: 20 notes run the first step, then 6 blocks and a
+        # part block
+        _, _, space, tp, durations = tiny_instance(name, rng, n_notes=20)
+        em = TranscriptionHmm(space, tp).emission_matrix(durations)
+        want, want_table, _ = _dp._batched_forward(space, em, space.log_initial)
+        monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", 3 * space.trans.n_edges + 2)
+        assert list(_dp._step_edges(space, 20, _dp.BATCH_MAX_ENTRIES))[-1][1:] == (19, 20)
+        got, got_table, _ = _dp._batched_forward(space, em, space.log_initial)
+        assert got == pytest.approx(want, rel=REL_TOL)
+        assert_tables_match(got_table, want_table)
+
+
+def grouped_sample_backward(space, em, table, rng, size):
+    """Backward sampling one state group at a time: at each step the draws
+    at one state, ascending, take one `rng.random` call of their number."""
+    def weights(logw):
+        w = np.exp(logw - np.max(logw))
+        w /= w.sum()
+        return w
+
+    def draw(w, k):
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        return cdf.searchsorted(rng.random(k), side="right")
+
+    n_steps = em.shape[0]
+    cur = draw(weights(table[n_steps]), size)
+    eids = np.empty((size, n_steps), dtype=np.int64)
+    for n in range(n_steps - 1, -1, -1):
+        edges = space.first if n == 0 else space.trans
+        groups = {}
+        for i, state in enumerate(cur.tolist()):
+            groups.setdefault(state, []).append(i)
+        for state, members in sorted(groups.items()):
+            sl = edges.in_slice(state)
+            logw = table[n][edges.src[sl]] + edges.logp[sl] + em[n, edges.out[sl] - 1]
+            eids[members, n] = sl.start + draw(weights(logw), len(members))
+        cur = edges.src[eids[:, n]]
+    return eids
+
+
+def path_log_prob(space, em, init, eids):
+    """A path's log prior plus emissions, summed one step at a time."""
+    log_prob = 0.0
+    for n in range(em.shape[0] - 1, -1, -1):
+        edges = space.first if n == 0 else space.trans
+        log_prob += float(edges.logp[eids[n]] + em[n, edges.out[eids[n]] - 1])
+    return log_prob + float(init[space.first.src[eids[0]]])
+
+
+class TestBackwardSampler:
+    """One sampler for `ffbs`, `ffbs_batch` and `gibbs_fit`, against the
+    grouped reference, with its weights precomputed or scored per step."""
+
+    @staticmethod
+    def check(space, em, seeds):
+        _, table = _dp.forward(space, em, return_table=True)
+        init = space.log_initial
+        for seed in seeds:
+            want = grouped_sample_backward(space, em, table, np.random.default_rng(seed), 50)
+            got = _dp._sample_backward(space, em, table, np.random.default_rng(seed), 50)
+            np.testing.assert_array_equal(got, want)
+            batch = _dp.ffbs_batch(space, em, np.random.default_rng(seed), 50)
+            for g, w in zip(batch, _dp._paths_from_edges(space, want)):
+                np.testing.assert_array_equal(g, w)
+            one = grouped_sample_backward(space, em, table, np.random.default_rng(seed), 1)[0]
+            path = _dp.ffbs(space, em, np.random.default_rng(seed))
+            boundary, states, outs = (a[0] for a in _dp._paths_from_edges(space, one[None]))
+            assert path.state_indices == states.tolist()
+            assert path.output_values == outs.tolist()
+            if not space.virtual_boundary:
+                assert path.boundary_index == boundary
+            assert path.log_prob == pytest.approx(path_log_prob(space, em, init, one), rel=1e-12)
+
+    @pytest.mark.parametrize("weights", ["one block", "blocks of a few steps", "per step"])
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
+    def test_same_edges_as_the_grouped_sampler(self, name, weights, rng, monkeypatch):
+        _, _, space, tp, durations = tiny_instance(name, rng, n_notes=8)
+        if weights == "blocks of a few steps":
+            monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", 3 * space.n_edges)
+            assert len(list(_dp._step_edges(space, 8, _dp.BATCH_MAX_ENTRIES))) > 2
+        elif weights == "per step":
+            monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", 0)
+        assert _dp._batched(space) == (weights != "per step")
+        self.check(space, TranscriptionHmm(space, tp).emission_matrix(durations), range(4))
+
+    def test_skewed_in_degrees_reduce_by_segment(self, rng):
+        # state 1 is entered from all 8 states and every other from one:
+        # padding each state's in-edges to 8 would take 64 entries for 15
+        # edges, so the per-state maxima come from `reduceat`
+        transition = np.zeros((8, 8))
+        transition[:, 0] = 0.5
+        transition[np.arange(7), np.arange(1, 8)] = 0.5
+        transition[7, 0] = 1.0
+        space = notemm1_space(np.full(8, 1 / 8), transition)
+        tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
+        em = TranscriptionHmm(space, tp).emission_matrix(rng.uniform(0.15, 2.0, size=12))
+        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        got, got_table, _ = _dp._batched_forward(space, em, space.log_initial)
+        assert got == pytest.approx(want, rel=REL_TOL)
+        assert_tables_match(got_table, want_table)
+        self.check(space, em, range(4))
+        assert space.trans._structure["in_pad"] is False
+
+    def test_large_space_scores_in_edges_per_step(self, rng, monkeypatch):
+        cfg = ModelConfig.from_name("patmm1")
+        space = build_state_space(cfg, random_params(cfg, rng))
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        em = TranscriptionHmm(space, tp).emission_matrix(
+            synthesize(sample_score(space, 20, rng), tp, rng).durations)
+        assert not _dp._batched(space)
+        made = []
+        real = _dp._in_edge_weights
+        monkeypatch.setattr(_dp, "_in_edge_weights", lambda *a: made.append(1) or real(*a))
+        self.check(space, em, range(2))
+        assert made == []
+
+    def test_uniforms_are_drawn_up_front(self, rng):
+        _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=5)
+        em = TranscriptionHmm(space, tp).emission_matrix(durations)
+        _, table = _dp.forward(space, em, return_table=True)
+        sampler = np.random.default_rng(7)
+        _dp._sample_backward(space, em, table, sampler, 3)
+        follower = np.random.default_rng(7)
+        follower.random(6 * 3)
+        assert sampler.random() == follower.random()
+
+
+class TestEmissionChecks:
+    @staticmethod
+    def spaces(rng):
+        small = build_state_space(ModelConfig.from_name("notemm1"),
+                                  random_params(ModelConfig.from_name("notemm1"), rng))
+        large = build_state_space(ModelConfig.from_name("patmm1"),
+                                  random_params(ModelConfig.from_name("patmm1"), rng))
+        return small, large
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_plus_inf_are_rejected_naming_the_step(self, bad, rng):
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        small, large = self.spaces(rng)
+        assert small.n_edges < _dp.SPARSE_MIN_EDGES <= large.n_edges
+        for space in (small, large):
+            em = TranscriptionHmm(space, tp).emission_matrix(np.full(6, 0.3))
+            em[3, 2] = bad
+            em[5, 0] = bad
+            calls = [
+                lambda: _dp.forward(space, em),
+                lambda: _dp.forward(space, em, beam_width=4),
+                lambda: _dp.viterbi(space, em),
+                lambda: _dp.viterbi(space, em, beam_width=4),
+                lambda: _dp.ffbs(space, em, rng),
+                lambda: _dp.ffbs_batch(space, em, rng, 5),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="NaN or \\+inf entry at step 4"):
+                    call()
+
+    def test_minus_inf_stays_legal(self, rng):
+        space, _ = self.spaces(rng)
+        em = np.full((4, space.bar_length), -np.inf)
+        em[:, 0] = 0.0
+        assert np.isfinite(_dp.forward(space, em))
+        assert _dp.viterbi(space, em).output_values == [1] * 4
 
 
 def backpointer_viterbi(space, em):
@@ -264,7 +516,7 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         # dropped stays far below every cloud path, so the decode is certified
         space = self.absorbing_space()
         em = np.tile(np.r_[-3.0, np.zeros(7)], (300, 1))
-        _, table = _dp._scaled_forward(space, em, space.log_initial)
+        _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[300][0])
         path = _dp.viterbi(space, em)
         assert 1 not in path.output_values
@@ -279,7 +531,7 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         # before step 55
         space = self.absorbing_space()
         em = np.tile(np.r_[0.0, np.ones(7)], (800, 1))
-        _, table = _dp._scaled_forward(space, em, space.log_initial)
+        _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[800][0])
         assert not np.isfinite(_dp.backward(space, em)[1][0])
         path = _dp.viterbi(space, em)
@@ -287,18 +539,26 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         assert_same_path(space, path, backpointer_viterbi(space, em))
         assert self.ran == [False]
 
+    def check_flushed_table(self, space, em, table, values):
+        """Decode from the scaled kernel's own flushed `table`, which must
+        fall back to the plain sweep, then from `forward`, whose guard
+        hands it the exact table instead."""
+        reference = backpointer_viterbi(space, em)
+        path = _dp.viterbi(space, em, table=table)
+        assert path.output_values == values
+        assert_same_path(space, path, reference)
+        assert self.ran == [False]
+        assert_same_path(space, _dp.viterbi(space, em), reference)
+
     def test_flushed_path_that_grows_back_falls_back_to_the_plain_sweep(self):
         # the first duration fits value 2 and the rest fit value 1: the
         # scaled forward flushes the all-1s path at step 1, which then
         # becomes the optimum.  No step's entries bound it; the mass dropped
         # at step 1 does
         space, em = two_path_emissions([0.5] + [0.25] * 7)
-        _, table = _dp._scaled_forward(space, em, space.log_initial)
+        _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[1][0])
-        path = _dp.viterbi(space, em)
-        assert path.output_values == [1] * 8
-        assert_same_path(space, path, backpointer_viterbi(space, em))
-        assert self.ran == [False]
+        self.check_flushed_table(space, em, table, [1] * 8)
 
     def test_path_flushed_by_both_passes_falls_back_to_the_plain_sweep(self):
         # the all-2s path fits the three middle notes and is the optimum, but
@@ -306,13 +566,10 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         # at step 4.  The bounds' backward pass raises its entries instead,
         # so the mass dropped at step 1 is bounded by a reachable score
         space, em = two_path_emissions([0.25, 0.5, 0.5, 0.5, 0.25])
-        _, table = _dp._scaled_forward(space, em, space.log_initial)
+        _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[1][1])
         assert not np.isfinite(_dp.backward(space, em)[4][1])
-        path = _dp.viterbi(space, em)
-        assert path.output_values == [2] * 5
-        assert_same_path(space, path, backpointer_viterbi(space, em))
-        assert self.ran == [False]
+        self.check_flushed_table(space, em, table, [2] * 5)
 
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_widened_restriction_keeps_the_path(self, name, rng, monkeypatch):

@@ -1,6 +1,6 @@
 """Property tests: the params JSON round trip, the path-count identity,
-corpus normalization, and the scaled forward and backward kernels against
-log-space references and enumeration."""
+corpus normalization, and the scaled forward (CSR and time-batched) and
+backward kernels against log-space references and enumeration."""
 import numpy as np
 import pytest
 
@@ -162,13 +162,30 @@ KERNEL_CASES = dict(name=st.sampled_from(ALL_VARIANTS), seed=st.integers(0, 2**3
                     n_steps=st.integers(1, 5))
 
 
+@pytest.mark.parametrize("kernel", ["_batched_forward", "_scaled_forward"])
 @PROPERTY_SETTINGS
-@given(**KERNEL_CASES)
-def test_scaled_forward_matches_the_edge_list_kernel(name, seed, n_steps):
+@given(**KERNEL_CASES, indicator=st.booleans(), restrict=st.booleans())
+def test_scaled_forward_matches_the_edge_list_kernel(kernel, name, seed, n_steps,
+                                                     indicator, restrict):
+    # indicator rows score a sampled rhythm (0 / -inf, as score probabilities
+    # do); a restricted init masks the boundary slot down to a random part
     space, em = small_instance(name, seed, n_steps)
-    want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+    rng = np.random.default_rng(seed + 3)
+    init = space.log_initial.copy()
+    if indicator:
+        path = _dp.sample_generative(space, n_steps, rng)
+        em = np.full_like(em, -np.inf)
+        em[np.arange(n_steps), np.asarray(path.output_values) - 1] = 0.0
+        if restrict:
+            keep = np.zeros(init.size, dtype=bool)
+            keep[path.boundary_index or 0] = True
+            init[~keep] = -np.inf
+    elif restrict:
+        init[rng.random(init.size) < 0.5] = -np.inf
+    want, want_table = _dp._edge_list_forward(space, em, init)
     assume(np.isfinite(want))
-    got, got_table = _dp._scaled_forward(space, em, space.log_initial)
+    got, got_table, log_flushed = getattr(_dp, kernel)(space, em, init)
+    assert log_flushed <= -_dp.DROP_MARGIN
     assert got == pytest.approx(want, rel=1e-9)
     assert_log_tables_close(got_table, want_table)
 
