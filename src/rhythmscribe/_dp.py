@@ -53,11 +53,11 @@ NEG_INF = -np.inf
 # scaled per-value CSR kernel (`_scaled_forward`); smaller ones run the
 # time-batched kernel (`_batched_forward`), which makes the per-edge weights
 # of many steps at once, in blocks of at most `BATCH_MAX_ENTRIES` entries
-# (512 KiB), and backward sampling precomputes its per-edge weights the same
-# way.  A space whose edges exceed the block (none, at these values) runs the
-# log-space edge-list recursion (`_edge_list_forward`), as does any pass
-# whose scaled kernel trips its underflow guard.  The crossover was
-# picked from single-thread timings at 200 notes; see CHANGES.md.
+# (512 KiB, one step at least), and backward sampling precomputes its
+# per-edge weights the same way.  A pass whose scaled kernel trips its
+# underflow guard reruns on the log-space edge-list recursion
+# (`_edge_list_forward`).  The crossover was picked from single-thread
+# timings at 200 notes; see CHANGES.md.
 SPARSE_MIN_EDGES = 5_000
 BATCH_MAX_ENTRIES = 1 << 16
 
@@ -497,7 +497,7 @@ def _step_edges(space, n_steps: int, max_entries=None):
 
 def _batched(space) -> bool:
     """Whether `space` runs the time-batched kernels (see `SPARSE_MIN_EDGES`)."""
-    return space.n_edges < SPARSE_MIN_EDGES and space.n_edges <= BATCH_MAX_ENTRIES
+    return space.n_edges < SPARSE_MIN_EDGES
 
 
 def _scaled_start(init, n_steps: int):
@@ -526,9 +526,8 @@ def _scaled_forward(space, em, init, keep_table=True):
     `_edge_list_forward`, with the table in log space, and the log of the
     share of the total that flushed mass could carry (see `_log_flushed`).
     A step where no current state produces a value of finite emission
-    returns ``(-inf, None, inf)``: the data may be infeasible, or its one
-    feasible path flushed.  When no value of any edge has a finite
-    emission there, no path exists and ``log_flushed`` is -inf.
+    returns -inf, and `_reaches` decides whether a flushed path could
+    pass there: ``log_flushed`` is then +inf, and -inf when no path can.
     """
     n_steps = em.shape[0]
     x, offsets, scales = _scaled_start(init, n_steps)
@@ -543,9 +542,7 @@ def _scaled_forward(space, em, init, keep_table=True):
             row = em[n, :n_values][live]
             c = np.max(row) if row.size else NEG_INF
             if not np.isfinite(c):
-                # certain only when no value of an edge can be emitted at all
-                certain = not np.isfinite(em[n, :n_values]).any()
-                return NEG_INF, None, (NEG_INF if certain else np.inf)
+                return NEG_INF, None, _dead_step(space, em, init, n)
             w = np.zeros(n_values)
             w[live] = np.exp(row - c)
             y = w @ z
@@ -578,9 +575,8 @@ def _batched_forward(space, em, init, keep_table=True):
     keeps one gather-multiply, one `reduceat` and one normalization per
     step.
 
-    Same contract as `_scaled_forward`.  A step where no edge has a finite
-    weight returns ``(-inf, None, -inf)`` (no path exists), and one whose
-    total underflows to 0 returns ``(-inf, None, inf)``.
+    Same contract as `_scaled_forward`, whose dead steps are here those
+    whose total is 0.
     """
     n_steps = em.shape[0]
     x, offsets, scales = _scaled_start(init, n_steps)
@@ -607,7 +603,7 @@ def _batched_forward(space, em, init, keep_table=True):
             y = np.add.reduceat(products, edges._starts)
             s = np.add.reduce(y)
             if not s > 0:
-                return NEG_INF, None, np.inf
+                return NEG_INF, None, _dead_step(space, em, init, n)
             scales[n + 1] = s
             x = rows[n]
             if whole:
@@ -626,6 +622,33 @@ def _batched_forward(space, em, init, keep_table=True):
         rows += log_scale[1:, None]
         table = [init.copy(), *rows]
     return float(log_scale[-1]), table, log_flushed
+
+
+def _reaches(space, em, init, n_steps: int) -> bool:
+    """Whether some path of positive probability explains the first
+    `n_steps` observations.
+
+    Carries the forward pass's support, the states of nonzero mass, as a
+    0/1 vector through the by-value matrices (see `EdgeSet.by_value`):
+    each product is an edge probability or 0, so nothing underflows.
+    """
+    support = np.isfinite(init).astype(np.float64)
+    edges = space.first
+    for n in range(n_steps):
+        n_values, mat = edges.by_value()
+        z = (mat @ support).reshape(n_values, edges.n_dst)
+        support = (z[np.isfinite(em[n, :n_values])] > 0).any(axis=0).astype(np.float64)
+        if not support.any():
+            return False
+        edges = space.trans
+    return True
+
+
+def _dead_step(space, em, init, n: int) -> float:
+    """``log_flushed`` of a scaled pass whose step n (0-based) left no
+    mass: +inf (rerun in log space) when a path passes it, -inf when
+    none can."""
+    return np.inf if _reaches(space, em, init, n + 1) else NEG_INF
 
 
 def _log_rows(a: np.ndarray) -> np.ndarray:
@@ -804,12 +827,7 @@ def _exact_forward(space, em, init, keep_table):
     """The exact forward pass on the kernel its size picks (see
     `SPARSE_MIN_EDGES`), rerun in log space when a scaled kernel's flushed
     mass could carry more than e^-40 of its total."""
-    if space.n_edges >= SPARSE_MIN_EDGES:
-        kernel = _scaled_forward
-    elif _batched(space):
-        kernel = _batched_forward
-    else:
-        return _edge_list_forward(space, em, init, keep_table)
+    kernel = _batched_forward if _batched(space) else _scaled_forward
     total, table, log_flushed = kernel(space, em, init, keep_table)
     if log_flushed > -DROP_MARGIN:
         return _edge_list_forward(space, em, init, keep_table)
@@ -1218,7 +1236,9 @@ def _sample_backward(space, em, table, rng: np.random.Generator, size: int) -> n
         return a, _exp_weights(table[n][edges.src[a:b]] + edges.logp[a:b]
                                + em[n, edges.out[a:b] - 1])
 
-    state = int(cur[0])  # the one draw's state, when size is 1
+    # One draw (`ffbs`, each Gibbs sweep) skips the grouping: its argsort
+    # and cuts made `gibbs-chain` 1.5x slower end to end (see CHANGES.md).
+    state = int(cur[0])
     for n in range(n_steps - 1, -1, -1):
         edges = space.first if n == 0 else space.trans
         if blocks and n and n < lo:

@@ -44,21 +44,21 @@ def point_mass_space():
     return build_state_space(cfg, params)
 
 
-# The exact forward routes: (SPARSE_MIN_EDGES, BATCH_MAX_ENTRIES) that send
-# every space to one kernel.  Backward sampling precomputes its weights on
-# every route but the reference one.
-ROUTES = {
-    "edge_list": (10**9, 0),
-    "batched": (10**9, 10**9),
-    "scaled": (0, 10**9),
-}
+# The SPARSE_MIN_EDGES values that send every space's exact forward to one
+# scaled kernel.  Backward sampling precomputes its weights on the batched
+# route and scores in-edges step by step on the other.
+ROUTES = {"batched": 10**9, "scaled": 0}
 SCALED_KERNELS = {"batched": _dp._batched_forward, "scaled": _dp._scaled_forward}
 
 
 def route_to(monkeypatch, route):
-    sparse_min, batch_max = ROUTES[route]
-    monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", sparse_min)
-    monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", batch_max)
+    """Send every exact forward to one kernel: a route of `ROUTES`, or
+    "edge_list", the reference, which no space's size picks."""
+    if route == "edge_list":
+        monkeypatch.setattr(_dp, "_exact_forward", lambda space, em, init, keep_table:
+                            _dp._edge_list_forward(space, em, init, keep_table))
+    else:
+        monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", ROUTES[route])
 
 
 def kernels_run(monkeypatch):
@@ -148,6 +148,77 @@ class TestScaledForward:
         assert got == pytest.approx(reference[0], rel=REL_TOL)
         assert_tables_match(got_table, reference[1])
 
+    def test_compounding_first_bound_is_settled_by_the_backward_pass(self, kernel,
+                                                                     monkeypatch):
+        # values 1 and 2 alternate with probability 1 - 1e-4, and every
+        # duration fits value 1: each step realizes about 1e-4 of the most
+        # out-mass a source can send, so the forward-only bound grows some
+        # 9 nats a step and passes e^-40 within 100 steps, while the backward
+        # bound stays near 2^-1072
+        transition = np.zeros((8, 8))
+        transition[0, :2] = transition[1, 1::-1] = [1e-4, 1 - 1e-4]
+        transition[2:, 0] = 1.0
+        space = notemm1_space(np.r_[0.5, 0.5, np.zeros(6)], transition)
+        tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.02)
+        em = TranscriptionHmm(space, tp).emission_matrix(np.full(100, 0.25))
+        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        route_to(monkeypatch, kernel)
+        backward_passes = []
+        real = _dp._scaled_backward
+        monkeypatch.setattr(_dp, "_scaled_backward",
+                            lambda *a, **k: backward_passes.append(k) or real(*a, **k))
+        ran = kernels_run(monkeypatch)
+        got, got_table = _dp.forward(space, em, return_table=True)
+        assert backward_passes == [{"upper": True}]  # the second stage ran
+        assert ran == [f"_{kernel}_forward"]  # and cleared the total
+        assert got == pytest.approx(want, rel=REL_TOL)
+        assert_tables_match(got_table, want_table)
+
+    def test_flushed_path_through_a_dead_step_trips_the_guard(self, kernel, monkeypatch):
+        # the first duration fits value 2, so the all-1s path is flushed at
+        # step 1; step 2 can only be value 1, which the all-2s path cannot
+        # produce, so the kernels keep no mass there
+        space, em = two_path_emissions([0.5, 0.25])
+        em[1, 1:] = -np.inf
+        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        assert np.isfinite(want)
+        assert SCALED_KERNELS[kernel](space, em, space.log_initial) == (-np.inf, None, np.inf)
+        route_to(monkeypatch, kernel)
+        ran = kernels_run(monkeypatch)
+        got, got_table = _dp.forward(space, em, return_table=True)
+        assert ran == [f"_{kernel}_forward", "_edge_list_forward"]
+        assert got == pytest.approx(want, rel=REL_TOL)
+        assert_tables_match(got_table, want_table)
+
+    def test_infeasible_indicator_data_on_a_large_space_is_not_rerun(self, kernel,
+                                                                     monkeypatch):
+        # a score the model cannot produce: patmm1 with 90% of its pattern
+        # transitions zeroed, and one note of a sampled rhythm changed so
+        # that each step alone stays producible by some edge
+        rng = np.random.default_rng(0)
+        cfg = ModelConfig.from_name("patmm1")
+        params = random_params(cfg, rng)
+        transition = params.transition
+        transition[rng.random(transition.shape) < 0.9] = 0.0
+        transition += 0.1 * np.eye(len(transition))
+        params.transition = transition / transition.sum(axis=1, keepdims=True)
+        space = build_state_space(cfg, params)
+        assert space.n_edges >= _dp.SPARSE_MIN_EDGES
+        for _ in range(100):
+            values = np.array(_dp.sample_generative(space, 12, rng).output_values)
+            values[8] = rng.integers(1, space.bar_length + 1)
+            em = np.full((12, space.bar_length), -np.inf)
+            em[np.arange(12), values - 1] = 0.0
+            if _dp._edge_list_forward(space, em, space.log_initial)[0] == -np.inf:
+                break
+        else:
+            pytest.fail("no infeasible rhythm found")
+        assert not _dp._reaches(space, em, space.log_initial, 12)
+        route_to(monkeypatch, kernel)
+        ran = kernels_run(monkeypatch)
+        assert _dp.forward(space, em, return_table=True) == (-np.inf, None)
+        assert ran == [f"_{kernel}_forward"]
+
     def test_infeasible_data_matches_reference(self, kernel, monkeypatch):
         space = point_mass_space()
         em = np.full((3, 8), -np.inf)
@@ -207,10 +278,6 @@ class TestForwardRouting:
         for space in (small_space, large_space):
             _dp.forward(space, TranscriptionHmm(space, tp).emission_matrix(np.full(8, 0.3)))
         assert ran == ["_batched_forward", "_scaled_forward"]
-        # a space whose edges overflow the block runs in log space
-        monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", small_space.n_edges - 1)
-        _dp.forward(small_space, TranscriptionHmm(small_space, tp).emission_matrix(np.full(8, 0.3)))
-        assert ran[2:] == ["_edge_list_forward"]
 
     def test_large_space_uses_scaled_kernel_and_agrees(self, rng):
         cfg = ModelConfig.from_name("patmm1")
@@ -304,11 +371,10 @@ class TestBackwardSampler:
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_same_edges_as_the_grouped_sampler(self, name, weights, rng, monkeypatch):
         _, _, space, tp, durations = tiny_instance(name, rng, n_notes=8)
+        route_to(monkeypatch, "scaled" if weights == "per step" else "batched")
         if weights == "blocks of a few steps":
             monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", 3 * space.n_edges)
             assert len(list(_dp._step_edges(space, 8, _dp.BATCH_MAX_ENTRIES))) > 2
-        elif weights == "per step":
-            monkeypatch.setattr(_dp, "BATCH_MAX_ENTRIES", 0)
         assert _dp._batched(space) == (weights != "per step")
         self.check(space, TranscriptionHmm(space, tp).emission_matrix(durations), range(4))
 
