@@ -19,11 +19,13 @@ edge lists.  The exact forward pass runs in scaled linear space (Rabiner
 per-output-value sparse matrices, small ones over the edge list with every
 step's edge weights made at once.  A scaled kernel flushes entries below the
 smallest normal double, and a flushed path may later dominate; so each one
-bounds the share of its total that flushed mass could carry, and the pass
-reruns in log space when that share could matter (see `_log_flushed`).  The
-backward pass for the bounds below runs scaled over the transposed per-value
-matrices.  Backward sampling (FFBS) draws every uniform up front and
-inverts one cumulative sum over the in-edges of each sampled state.
+keeps a ledger of the mass it may have dropped making each slot, carried by
+its table, bounds from it the share of its total that flushed mass could
+carry, and the pass reruns in log space when that share could matter (see
+`_log_flushed`).  The backward pass for the bounds below runs scaled over
+the transposed per-value matrices.  Backward sampling (FFBS) draws every
+uniform up front and inverts one cumulative sum over the in-edges of each
+sampled state.
 
 Exact Viterbi on large spaces is certified rather than swept over every edge.
 The best path through state s at step n scores at most
@@ -35,9 +37,9 @@ score strictly below the optimum, so the decoded path, its score and the
 lowest-index tie rule are those of the full sweep.  The bounds come from
 the scaled kernels, which flush tiny entries: the backward pass used for
 them raises every entry by the most it may have dropped, and the mass the
-forward pass may have dropped at a step, bounded from its table, regrows
-only along the paths after that step.  When that mass could reach L, the
-decode runs the plain sweep instead (see `_bounds`).
+forward table's ledger says may have been dropped at a slot regrows only
+along the paths after it.  When that mass could reach L, or the table has
+no ledger, the decode runs the plain sweep instead (see `_regrown`).
 """
 from __future__ import annotations
 
@@ -464,11 +466,23 @@ def _log_total(alpha: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(finite - m))))
 
 
+class _Table(list):
+    """An exact forward table, ``table[n]`` the log alphas of slot n, with
+    its kernel's ledger: ``lost[n]`` is the log of the most mass the kernel
+    may have flushed making slot n (see `_log_flushed`).  A table without
+    one certifies no decode (see `viterbi`)."""
+
+    def __init__(self, rows, lost):
+        super().__init__(rows)
+        self.lost = lost
+
+
 def _edge_list_forward(space, em, init, keep_table=True):
     """Exact forward in log space over the edge lists (the reference kernel).
 
     Returns ``(total, table)``, or ``(-inf, None)`` when no path is feasible;
-    the table is None unless `keep_table` is set.
+    the table is None unless `keep_table` is set.  Log space drops no path,
+    so the table's ledger is -inf throughout.
     """
     alpha = init.copy()
     table = [alpha] if keep_table else None
@@ -480,6 +494,8 @@ def _edge_list_forward(space, em, init, keep_table=True):
         if keep_table:
             table.append(alpha)
         edges = space.trans
+    if keep_table:
+        table = _Table(table, np.full(len(table), NEG_INF))
     return _log_total(alpha), table
 
 
@@ -501,15 +517,19 @@ def _batched(space) -> bool:
 
 
 def _scaled_start(init, n_steps: int):
-    """``(x, offsets, scales)`` of a scaled forward pass: the init normalized
-    to sum 1, and per-step arrays whose entry 0 holds its max and sum."""
+    """``(x, offsets, scales, log_loss)`` of a scaled forward pass: the init
+    normalized to sum 1, and per-slot arrays whose entry 0 holds its max,
+    its sum and the loss of that normalization (see `_log_flushed`)."""
     offsets = np.empty(n_steps + 1)
     scales = np.empty(n_steps + 1)
+    log_loss = np.empty(n_steps + 1)
     offsets[0] = np.max(init)
     x = np.exp(init - offsets[0])
     scales[0] = x.sum()
     x /= scales[0]
-    return x, offsets, scales
+    # exp(init - max) and the division by its sum
+    log_loss[0] = np.log(2 * init.size) + LOG_UNDERFLOW + offsets[0]
+    return x, offsets, scales, log_loss
 
 
 def _scaled_forward(space, em, init, keep_table=True):
@@ -523,14 +543,15 @@ def _scaled_forward(space, em, init, keep_table=True):
     duration lies far from every reachable value.
 
     Returns ``(total, table, log_flushed)``: the contract of
-    `_edge_list_forward`, with the table in log space, and the log of the
-    share of the total that flushed mass could carry (see `_log_flushed`).
-    A step where no current state produces a value of finite emission
-    returns -inf, and `_reaches` decides whether a flushed path could
-    pass there: ``log_flushed`` is then +inf, and -inf when no path can.
+    `_edge_list_forward`, with the table in log space and carrying the
+    pass's ledger, and the log of the share of the total that flushed mass
+    could carry (see `_log_flushed`).  A step where no current state
+    produces a value of finite emission returns -inf, and `_reaches`
+    decides whether a flushed path could pass there: ``log_flushed`` is
+    then +inf, and -inf when no path can.
     """
     n_steps = em.shape[0]
-    x, offsets, scales = _scaled_start(init, n_steps)
+    x, offsets, scales, log_loss = _scaled_start(init, n_steps)
     log_scale = offsets[0] + np.log(scales[0])
     table = [init.copy()] if keep_table else None
     edges = space.first
@@ -553,14 +574,20 @@ def _scaled_forward(space, em, init, keep_table=True):
             if keep_table:
                 table.append(np.log(x) + log_scale)
             edges = space.trans
-    log_loss = np.empty(n_steps + 1)
     for edges, lo, hi in _step_edges(space, n_steps):
-        with_edges, log_step = _step_loss(edges)
-        top = np.max(em[lo:hi, :with_edges.size][:, with_edges], axis=1)
-        # A @ x loses its underflowed products before they are weighed by
-        # w_v, which for a value no current state produced may exceed 1
-        log_loss[lo + 1:hi + 1] = log_step + np.maximum(top - offsets[lo + 1:hi + 1], 0.0)
-    return float(log_scale), table, _log_flushed(space, em, init, offsets, scales, log_loss)
+        n_values, mat_t, _, with_edges = _transposed(edges)
+        # the products and sums of A @ x and of w @ z, and the division by
+        # s, each weighed at most by the largest emission of a value with
+        # edges: A @ x loses its underflowed products before they are
+        # weighed by exp(em[n, v]), also for a value that no current state
+        # produced, which may lie above c
+        log_step = np.log(mat_t.nnz + (2 * n_values + 1) * edges.n_dst) + LOG_UNDERFLOW
+        top = np.max(em[lo:hi, :n_values][:, with_edges], axis=1)
+        log_loss[lo + 1:hi + 1] = log_step + top
+    log_flushed, lost = _log_flushed(space, em, offsets, scales, log_loss)
+    if keep_table:
+        table = _Table(table, lost)
+    return float(log_scale), table, log_flushed
 
 
 def _batched_forward(space, em, init, keep_table=True):
@@ -579,9 +606,8 @@ def _batched_forward(space, em, init, keep_table=True):
     whose total is 0.
     """
     n_steps = em.shape[0]
-    x, offsets, scales = _scaled_start(init, n_steps)
+    x, offsets, scales, log_loss = _scaled_start(init, n_steps)
     rows = np.zeros((n_steps, space.n_states))
-    log_loss = np.empty(n_steps + 1)
     for edges, lo, hi in _step_edges(space, n_steps, BATCH_MAX_ENTRIES):
         if edges.n_edges == 0:
             return NEG_INF, None, NEG_INF
@@ -594,7 +620,7 @@ def _batched_forward(space, em, init, keep_table=True):
         w -= top[:, None]
         np.exp(w, out=w)
         # each step's weights, products and divisions
-        log_loss[lo + 1:hi + 1] = np.log(2 * edges.n_edges + edges.n_dst) + LOG_UNDERFLOW
+        log_loss[lo + 1:hi + 1] = np.log(2 * edges.n_edges + edges.n_dst) + LOG_UNDERFLOW + top
         whole = edges._rows.size == edges.n_dst
         products = np.empty(edges.n_edges)
         for n in range(lo, hi):
@@ -611,7 +637,7 @@ def _batched_forward(space, em, init, keep_table=True):
             else:
                 x[edges._rows] = y / s
         del w
-    log_flushed = _log_flushed(space, em, init, offsets, scales, log_loss)
+    log_flushed, lost = _log_flushed(space, em, offsets, scales, log_loss)
     log_scale = np.log(scales)
     log_scale += offsets
     np.cumsum(log_scale, out=log_scale)
@@ -620,7 +646,7 @@ def _batched_forward(space, em, init, keep_table=True):
         with np.errstate(divide="ignore"):
             np.log(rows, out=rows)
         rows += log_scale[1:, None]
-        table = [init.copy(), *rows]
+        table = _Table([init.copy(), *rows], lost)
     return float(log_scale[-1]), table, log_flushed
 
 
@@ -659,52 +685,75 @@ def _log_rows(a: np.ndarray) -> np.ndarray:
         return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
-def _log_flushed(space, em, init, offsets, scales, log_loss) -> float:
-    """Log of the largest share of a scaled forward total that the mass its
-    kernel flushed could carry.
+def _log_flushed(space, em, offsets, scales, log_loss):
+    """``(log_flushed, lost)``: the log of the largest share of a scaled
+    forward total that the mass its kernel flushed could carry, and the
+    pass's ledger of that mass.
 
     Step n = 1..N of the kernel weighed value v by ``exp(em[n, v] -
-    offsets[n])``, summed to ``scales[n]``, and lost to underflow at most
-    ``exp(log_loss[n] - min(0, log scales[n]))`` of its new state vector's
-    total (``log_loss[n]`` bounds the loss before the division by
-    ``scales[n]``).  The init's normalization loses at most ``2 * size``
-    times 2^-1074 of it.  Mass lost at step n grows at each later step m
-    by at most ``rho_m / scales[m]``, where ``rho_m = sum_v exp(em[m, v] -
-    offsets[m]) * kappa_v`` over every value (see `EdgeSet.log_kappa`): a
-    value that no surviving state produces may weigh more than 1.  So the
-    share is at most ``sum_n loss_n * prod_{m > n} rho_m / scales[m]``.
-    Costs O(N * n_values).
+    offsets[n])`` and summed to ``scales[n]``.  ``log_loss[n]`` bounds
+    what its underflow may lose, in units of slot n - 1's total, counting
+    the rounding of its division by ``scales[n]`` as if in those units too;
+    entry 0 is the init's normalization, in units of 1.  A division's
+    rounding scales with its result, so with ``log_scale[n]`` the log total
+    of slot n, the ledger ``lost[n] = log_loss[n] + max(0, log scales[n])
+    + log_scale[n-1]`` bounds the log mass the kernel may have dropped
+    making slot n.
 
-    That bound compounds each step's slack, the ratio of the largest
-    out-mass to the one realized, so it grows with the piece's length (by
-    about 1.3 nats a step on the `metmm1sd` benchmark pieces).  When it
-    exceeds e^-40, the scaled backward pass bounds the mass lost at step n
-    by its size times the largest backward value of slot n, as `_bounds`
-    does; that bound does not compound.  Returns +inf when the backward
-    pass finds no path.
+    Mass lost at slot n grows at each later step m by at most ``rho_m /
+    scales[m]``, where ``rho_m = sum_v exp(em[m, v] - offsets[m]) *
+    kappa_v`` over every value (see `EdgeSet.log_kappa`): a value that no
+    surviving state produces may weigh more than 1.  So the share is at
+    most ``sum_n exp(lost[n] - log_scale[n]) * prod_{m > n} rho_m /
+    scales[m]``, which costs O(N * n_values).  That bound compounds each
+    step's slack, the ratio of the largest out-mass to the one realized, so
+    it grows with the piece's length (by about 1.3 nats a step on the
+    `metmm1sd` benchmark pieces).  When it exceeds e^-40, the ledger's mass
+    regrown along the paths after it (see `_regrown`), which does not
+    compound, bounds the share instead: +inf when the backward pass finds
+    no path.
     """
     n_steps = em.shape[0]
-    log_scales = np.log(scales)
+    log_steps = np.log(scales)
+    lost = log_loss + np.maximum(log_steps, 0.0)
+    log_steps += offsets
+    log_scale = np.cumsum(log_steps)
+    lost[1:] += log_scale[:-1]
     growth = np.empty(n_steps)
     for edges, lo, hi in _step_edges(space, n_steps):
         log_kappa = edges.log_kappa()
         growth[lo:hi] = _log_rows(em[lo:hi, :log_kappa.size] + log_kappa)
-    growth -= offsets[1:]
-    growth -= log_scales[1:]
+    growth -= log_steps[1:]
     later = np.zeros(n_steps + 1)  # sum of growth over the steps after n
     later[:-1] = np.cumsum(growth[::-1])[::-1]
-    lost = log_loss - np.minimum(log_scales, 0.0)
-    lost[0] = np.log(2 * init.size) + LOG_UNDERFLOW
-    share = _log_total(lost + later)
-    if share <= -DROP_MARGIN:
-        return share
-    log_scale = np.cumsum(offsets + log_scales)
-    lost += log_scale  # the log mass lost at each step
+    share = _log_total(lost - log_scale + later)
+    if share > -DROP_MARGIN:
+        regrown = _regrown(space, em, lost)
+        share = np.inf if regrown is None else regrown - log_scale[-1]
+    return share, lost
+
+
+def _regrown(space, em, lost, rows=None):
+    """Log of the most that the mass on the ledger `lost` (see
+    `_log_flushed`) adds to any sum over paths, or None when the backward
+    pass finds no path.
+
+    Mass dropped making slot n regrows only along the paths after slot n,
+    so at most by the largest backward value of that slot: the sum is
+    ``sum_n exp(lost[n]) * max_s beta_n(s)``, with beta from the backward
+    pass with `upper` set, which bounds it from above.  Given the rows of
+    the forward table, adds each slot's log backward values into its row in
+    place, so that ``rows[n][s]`` bounds ``alpha_n(s) + beta_n(s)`` up to
+    the returned mass (see `_certified_sweep`).
+    """
+    missed = NEG_INF
     n_rows = 0
-    for n, b, log_b_scale in _scaled_backward(space, em, upper=True):
-        lost[n] += np.log(b.max()) + log_b_scale
+    for n, b, log_scale in _scaled_backward(space, em, upper=True):
+        missed = np.logaddexp(missed, lost[n] + np.log(b.max()) + log_scale)
+        if rows is not None:
+            rows[n] += np.log(b) + log_scale
         n_rows += 1
-    return _log_total(lost) - log_scale[-1] if n_rows == n_steps + 1 else np.inf
+    return float(missed) if n_rows == len(lost) else None
 
 
 def _transposed(edges: EdgeSet):
@@ -796,9 +845,10 @@ def forward(
 
     Returns the total log probability, or ``(total, alphas)`` when
     `return_table` is set; ``alphas[n]`` is the log joint of the first n
-    observations and the slot-n state.  Returns -inf when no path is
-    feasible (the beam variant raises instead, since an emptied beam is a
-    search failure rather than a model statement).  Exact passes run a
+    observations and the slot-n state, and an exact table carries its
+    kernel's ledger of flushed mass (see `_Table`).  Returns -inf when no
+    path is feasible (the beam variant raises instead, since an emptied
+    beam is a search failure rather than a model statement).  Exact passes run a
     scaled kernel picked by size (see `SPARSE_MIN_EDGES`), or the log-space
     edge-list recursion when that kernel's underflow guard fires.  Beam
     widths round up to the next power of two and prune through nested
@@ -888,51 +938,29 @@ def _scratch(space):
     return np.empty(size), np.empty(size)
 
 
-def _max_sweep(space, em, init):
-    """The plain exact max-product sweep over every edge.
-
-    Returns the sparse table of per-step maxima, each step a whole row
-    (ids ``arange(size)``, one array per slot size, which `_backtrack`
-    indexes directly); raises InferenceError when no state of some slot is
-    reached.
-    """
-    ids = np.arange(space.n_states)
-    steps = [(ids if init.size == ids.size else np.arange(init.size), init)]
-    delta = init
-    scratch = _scratch(space)
-    edges = space.first
-    for n in range(em.shape[0]):
-        delta = edges.reduce_max(edges.step_scores(delta, em[n], scratch=scratch))
-        if not np.isfinite(delta).any():
-            raise InferenceError(f"no feasible path at step {n + 1}")
-        steps.append((ids, delta))
-        edges = space.trans
-    return steps
-
-
 def _pruned_sweep(space, em, init, keep):
     """Max-product sweep restricted at slot n to the states ``keep(n)``.
 
-    `keep` returns ascending state ids, or None to keep every state.  A
-    step whose kept states' in-edges are a small share of all edges gathers
-    just those; otherwise it runs `reduce_max` over every edge.  Either way
-    each edge is scored as ``delta[src] + logp + em(out)``, so a state's
-    maximum is bit-identical to the full sweep's whenever its best in-edge
-    leaves a kept state.  Returns the sparse table of the reached kept
-    states, a step holding more than half of its slot as a whole row (the
-    smaller form then); raises InferenceError when some slot reaches none.
+    `keep` returns ascending state ids, or None to keep every state: with
+    ``keep = lambda n: None`` this is the plain exact sweep.  A step whose
+    kept states' in-edges are a small share of all edges gathers just
+    those; otherwise it runs `reduce_max` over every edge.  Either way each
+    edge is scored as ``delta[src] + logp + em(out)``, so a state's maximum
+    is bit-identical to the full sweep's whenever its best in-edge leaves a
+    kept state.  Returns the sparse table of the reached kept states, a
+    step keeping every state or reaching more than half of its slot as a
+    whole row (ids ``arange(size)``, which `_backtrack` indexes directly);
+    raises InferenceError when some slot reaches none.
     """
-    every = np.arange(space.n_states)
-
-    def restricted(delta, kept):
-        if kept is not None:
-            kept = kept[np.isfinite(delta[kept])]
-            return kept, delta[kept]
-        kept = np.flatnonzero(np.isfinite(delta))
-        return kept, delta[kept]
-
-    steps = [restricted(init, keep(0))]
-    delta = _dense_step(steps[0], init.size)
+    every = np.arange(max(space.n_states, init.size))
+    whole = every[:space.n_states]
+    delta, kept = init, keep(0)
+    if kept is None:
+        steps = [(every[:init.size], init)]
+    else:
+        kept = kept[np.isfinite(init[kept])]
+        steps = [(kept, init[kept])]
+        delta = _dense_step(steps[0], init.size)
     scratch = _scratch(space)
     edges = space.first
     for n in range(em.shape[0]):
@@ -941,8 +969,10 @@ def _pruned_sweep(space, em, init, keep):
             starts = edges.dst_indptr[kept]
             counts = edges.dst_indptr[kept + 1] - starts
         if kept is None or counts.sum() > DENSE_STEP_FRACTION * edges.n_edges:
-            scores = edges.step_scores(delta, em[n], scratch=scratch)
-            steps.append(restricted(edges.reduce_max(scores), kept))
+            delta = edges.reduce_max(edges.step_scores(delta, em[n], scratch=scratch))
+            if kept is not None:
+                kept = kept[np.isfinite(delta[kept])]
+                best = delta[kept]
         else:
             entered = counts > 0
             kept, starts, counts = kept[entered], starts[entered], counts[entered]
@@ -950,81 +980,16 @@ def _pruned_sweep(space, em, init, keep):
             scores = edges.step_scores(delta, em[n], eids, scratch)
             best = np.maximum.reduceat(scores, np.cumsum(counts) - counts) if eids.size else scores
             hit = np.isfinite(best)
-            steps.append((kept[hit], best[hit]))
-        if steps[-1][0].size == 0:
+            kept, best = kept[hit], best[hit]
+        if not (np.isfinite(delta).any() if kept is None else kept.size):
             raise InferenceError(f"no feasible path at step {n + 1}")
-        delta = _dense_step(steps[-1], edges.n_dst)
-        if 2 * steps[-1][0].size > edges.n_dst:
-            steps[-1] = every, delta
+        if kept is None:
+            steps.append((whole, delta))
+        else:
+            delta = _dense_step((kept, best), edges.n_dst)
+            steps.append((whole, delta) if 2 * kept.size > edges.n_dst else (kept, best))
         edges = space.trans
     return steps
-
-
-def _step_loss(edges: EdgeSet):
-    """``(values_with_edges, log_step)``: which output values have edges,
-    and the log of the most that one `_scaled_forward` step over `edges` may
-    lose to underflow, as a share of the state vector's total."""
-    n_values, mat = edges.by_value()
-    with_edges = np.diff(mat.indptr).reshape(n_values, edges.n_dst).any(axis=1)
-    # the products and sums of A @ x and of w @ z, and the division by s
-    terms = mat.nnz + 2 * mat.shape[0] + edges.n_dst
-    return with_edges, np.log(terms) + LOG_UNDERFLOW
-
-
-def _drop_terms(edges: EdgeSet):
-    """``(values_with_edges, log_reach, log_step)``: `_step_loss`, and the
-    log of the largest out-mass of a source (at least 1)."""
-    with_edges, log_step = _step_loss(edges)
-    reach = max(1.0, float(np.asarray(edges.by_value()[1].sum(axis=0)).max(initial=0.0)))
-    return with_edges, np.log(reach), log_step
-
-
-def _bounds(space, em, table):
-    """Turn a forward table into per-state bounds, in place, and bound what
-    they may miss.
-
-    Adds the backward pass into `table`, so that ``table[n][s]`` becomes
-    ``alpha_n(s) + beta_n(s)``, the log mass of every path through s at slot
-    n and so at least the score of the best one, up to underflow in the
-    scaled kernels:
-
-    - the backward pass runs with `upper` set, so its entries bound beta
-      from above;
-    - the scaled forward pass may have dropped mass, even a whole path.
-      Making slot n, it drops under ``D_n = exp(log_step) * reach *
-      exp(top) * total(alpha_{n-1})``, where `top` is the largest emission
-      of a value with edges: a value that no state produced may weigh more
-      than the step's scale, but only its underflowed products.  Dropped
-      mass regrows along the paths after slot n only, so it adds at most
-      ``D_n * max(beta_n)`` to ``alpha_m(s) * beta_m(s)`` at any slot m >= n.
-
-    The totals are read off the table (its row max times its size bounds
-    them), so any exact forward table serves.  Returns the log of the sum
-    of ``D_n * max(beta_n)`` over all slots: every true bound is at most
-    ``exp(table[n][s])`` plus its exponential.  Returns None when the
-    backward pass finds no feasible path.
-    """
-    def log_total(row):
-        return row.max() + np.log(row.size)
-
-    first = _drop_terms(space.first)
-    trans = _drop_terms(space.trans) if em.shape[0] > 1 else None
-    missed = NEG_INF
-    n_rows = 0
-    with np.errstate(divide="ignore"):
-        for n, b, log_scale in _scaled_backward(space, em, upper=True):
-            if n:
-                with_edges, log_reach, log_step = trans if n > 1 else first
-                top = np.max(em[n - 1, :with_edges.size][with_edges])
-                dropped = log_total(table[n - 1]) + top + log_reach + log_step
-            else:  # the init: exp(init - max) and the division by its sum
-                dropped = log_total(table[0]) + np.log(2 * table[0].size) + LOG_UNDERFLOW
-            log_b = np.log(b)
-            log_b += log_scale
-            missed = np.logaddexp(missed, dropped + log_b.max())
-            table[n] += log_b
-            n_rows += 1
-    return float(missed) if n_rows == len(table) else None
 
 
 def _top(values: np.ndarray, k: int):
@@ -1037,17 +1002,17 @@ def _top(values: np.ndarray, k: int):
 def _certified_sweep(space, em, init, table):
     """The exact Viterbi table from a sweep over the states that can pass.
 
-    `table` is the exact forward table of these emissions; it is consumed:
-    its rows become bounds (see `_bounds`) and are dropped as the sweep
-    passes.  A sweep restricted to the top-k states of each step by bound
-    gives a feasible score L.  Every state on an optimal path has a bound
-    of at least the optimum, so keeping the states whose bound reaches L
-    (less a slack for rounding) keeps every optimal path and every edge
-    that ties with one; the restricted sweep over them is exact.  Returns
-    None when the mass the forward pass may have dropped could reach L: the
-    bounds then certify nothing.
+    `table` is the exact forward table of these emissions, with its ledger
+    (see `_Table`); it is consumed: its rows become bounds (see `_regrown`)
+    and are dropped as the sweep passes.  A sweep restricted to the top-k
+    states of each step by bound gives a feasible score L.  Every state on
+    an optimal path has a bound of at least the optimum, so keeping the
+    states whose bound reaches L (less a slack for rounding) keeps every
+    optimal path and every edge that ties with one; the restricted sweep
+    over them is exact.  Returns None when the mass on the ledger, regrown,
+    could reach L: the bounds then certify nothing.
     """
-    missed = _bounds(space, em, table)
+    missed = _regrown(space, em, table.lost, table)
     if missed is None:
         return None
     k = TOP_K_START
@@ -1100,8 +1065,10 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None, table=None)
     caller passes it as `table`.  A passed table is consumed: its rows
     become bounds, are dropped as the sweep passes them, and the list is
     left empty, so it serves nothing afterwards (`ffbs` refuses it).  A
-    table of other emissions of the same length is not detected.  Smaller
-    spaces and beams ignore `table`.
+    table without the ledger of an exact forward pass (see `_Table`), such
+    as a beam's or a plain list, certifies nothing: the decode runs the
+    plain sweep.  A table of other emissions of the same length is not
+    detected.  Smaller spaces and beams ignore `table`.
 
     Beam widths round up to the next power of two and prune through nested
     survivor sets (see `_tiered_sweep`), so decoded scores never decrease as
@@ -1121,11 +1088,12 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None, table=None)
             _, table = forward(space, em, return_table=True, log_init=log_init)
         if table is not None:
             try:
-                steps = _certified_sweep(space, em, init, table)
+                if isinstance(table, _Table):
+                    steps = _certified_sweep(space, em, init, table)
             finally:
                 table.clear()
     if steps is None:
-        steps = _max_sweep(space, em, init)
+        steps = _pruned_sweep(space, em, init, lambda n: None)
     return _backtrack(space, em, steps)
 
 

@@ -147,6 +147,36 @@ class TestScaledForward:
         assert ran == [f"_{kernel}_forward", "_edge_list_forward"]
         assert got == pytest.approx(reference[0], rel=REL_TOL)
         assert_tables_match(got_table, reference[1])
+        assert (got_table.lost == -np.inf).all()  # log space drops nothing
+
+    def test_init_flushed_by_its_normalization_is_on_the_ledger(self, kernel, rng):
+        # one boundary entry 800 nats below the largest: exp(init - max)
+        # flushes it, so slot 0 of the ledger must cover its mass.  No decode
+        # isolates this entry while edge weights are at most 1: the first
+        # step's own entry covers whatever a flushed boundary state passes on
+        _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=4)
+        em = TranscriptionHmm(space, tp).emission_matrix(durations)
+        init = np.log(np.full(space.n_boundary, 1.0 / space.n_boundary))
+        init[1] -= 800.0
+        assert np.exp(init[1] - init.max()) == 0.0
+        _, table, _ = SCALED_KERNELS[kernel](space, em, init)
+        assert init[1] <= table.lost[0] < init.max() - 700.0
+
+    def test_value_no_state_produces_is_weighed_at_its_emission(self, kernel, monkeypatch):
+        # the CSR kernel's products for value 2 underflow, so it weighs no
+        # value above value 1's emission; its ledger counts them at value
+        # 2's, 1000 nats higher, and the guard reruns the pass.  The batched
+        # kernel weighs each edge with its own probability and stays exact
+        space, em = unseen_value_emissions()
+        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        assert want == pytest.approx(-760.0, abs=0.5)
+        route_to(monkeypatch, kernel)
+        ran = kernels_run(monkeypatch)
+        got, got_table = _dp.forward(space, em, return_table=True)
+        assert ran == {"batched": ["_batched_forward"],
+                       "scaled": ["_scaled_forward", "_edge_list_forward"]}[kernel]
+        assert got == pytest.approx(want, rel=REL_TOL)
+        assert_tables_match(got_table, want_table)
 
     def test_compounding_first_bound_is_settled_by_the_backward_pass(self, kernel,
                                                                      monkeypatch):
@@ -535,6 +565,21 @@ def two_path_emissions(durations):
     return space, TranscriptionHmm(space, tp).emission_matrix(durations)
 
 
+def unseen_value_emissions():
+    """notemm1 where state 3 holds e^-20 of the mass after step 1 and alone
+    produces value 2 at step 2, with probability e^-740, and value 2 emits
+    0 where value 1 emits -1000.  The path through it scores about -760,
+    every other path -1000 or less; the CSR kernel's products for value 2
+    (e^-760) underflow, so it flushes that path."""
+    initial = np.r_[1.0 - np.exp(-20.0), 0.0, np.exp(-20.0), np.zeros(5)]
+    transition = np.tile(np.eye(8)[0], (8, 1))
+    transition[2, 1] = np.exp(-740.0)
+    em = np.full((2, 8), -np.inf)
+    em[0, [0, 2]] = 0.0
+    em[1, :2] = [-1000.0, 0.0]
+    return notemm1_space(initial, transition), em
+
+
 class TestCertifiedViterbi(TestArgmaxFreeViterbi):
     """The argmax-free cases again, and the underflow cases, all through the
     certified sweep, forced onto every space."""
@@ -637,6 +682,15 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         assert not np.isfinite(_dp.backward(space, em)[4][1])
         self.check_flushed_table(space, em, table, [2] * 5)
 
+    def test_path_through_a_value_no_state_produces_falls_back(self):
+        # the optimum, through state 3 and value 2, is flushed at step 2
+        # where no current state produces value 2; the ledger counts those
+        # products at value 2's emission, which brings them within reach of L
+        space, em = unseen_value_emissions()
+        _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
+        assert not np.isfinite(table[2][1])
+        self.check_flushed_table(space, em, table, [3, 2])
+
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_widened_restriction_keeps_the_path(self, name, rng, monkeypatch):
         # k = 1, 2, 4, ...: most restrictions have no path and must widen
@@ -694,6 +748,24 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
             _dp.ffbs(space, em, rng, table=table)
         with pytest.raises(ValueError, match="not a forward table"):
             _dp.viterbi(space, em, table=[row for row in _dp.forward(space, em[:5], return_table=True)[1]])
+
+    def test_a_table_without_a_ledger_decodes_with_the_plain_sweep(self, rng):
+        cfg = ModelConfig.from_name("patmm1")
+        space = build_state_space(cfg, random_params(cfg, rng))
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        em = TranscriptionHmm(space, tp).emission_matrix(
+            synthesize(sample_score(space, 20, rng), tp, rng).durations)
+        _, table = _dp.forward(space, em, return_table=True)
+        # a plain-list copy of the exact table, and a 1-wide beam's table,
+        # whose entries fall short of the exact alphas and so bound nothing
+        plains = [[row.copy() for row in table],
+                  _dp.forward(space, em, beam_width=1, return_table=True)[1]]
+        want = _dp.viterbi(space, em, table=table)
+        assert self.ran == [True]
+        for plain in plains:
+            assert _dp.viterbi(space, em, table=plain) == want
+            assert plain == []  # consumed all the same
+        assert self.ran == [True]  # neither reached the certificate
 
 
 class TestOneForwardPerIteration:
