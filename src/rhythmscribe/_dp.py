@@ -19,27 +19,26 @@ edge lists.  The exact forward pass runs in scaled linear space (Rabiner
 per-output-value sparse matrices, small ones over the edge list with every
 step's edge weights made at once.  A scaled kernel flushes entries below the
 smallest normal double, and a flushed path may later dominate; so each one
-keeps a ledger of the mass it may have dropped making each slot, carried by
-its table, bounds from it the share of its total that flushed mass could
-carry, and the pass reruns in log space when that share could matter (see
-`_log_flushed`).  The backward pass for the bounds below runs scaled over
-the transposed per-value matrices.  Backward sampling (FFBS) draws every
-uniform up front and inverts one cumulative sum over the in-edges of each
-sampled state.
+keeps a ledger of the mass it may have dropped making each slot, bounds
+from it the share of its total that flushed mass could carry, and the pass
+reruns in log space when that share could matter (see `_log_flushed`).  The
+backward pass for the bounds below runs scaled over the transposed
+per-value matrices.  Backward sampling (FFBS) draws every uniform up front
+and inverts one cumulative sum over the in-edges of each sampled state.
 
 Exact Viterbi on large spaces is certified rather than swept over every edge.
-The best path through state s at step n scores at most
-``alpha_n(s) + beta_n(s)``, since a sum over paths is at least their max.  So
-once some feasible path scores L, no state whose bound falls below L can lie
-on an optimal path (the admissible-bound argument of exact A* search), and
-max-product runs only over the states that can still pass.  Pruned states
-score strictly below the optimum, so the decoded path, its score and the
-lowest-index tie rule are those of the full sweep.  The bounds come from
-the scaled kernels, which flush tiny entries: the backward pass used for
-them raises every entry by the most it may have dropped, and the mass the
-forward table's ledger says may have been dropped at a slot regrows only
-along the paths after it.  When that mass could reach L, or the table has
-no ledger, the decode runs the plain sweep instead (see `_regrown`).
+A sweep that carries only some states computes, for each state it reaches,
+``delta'_n(s)``: the best score over the carried states' out-edges.  The
+best path through s at step n then scores at most ``delta'_n(s) +
+beta_n(s)`` whenever ``delta'_n(s)`` is exact, since a sum over paths is at
+least their max.  So once some feasible path scores L, a sweep that carries
+only the states whose bound reaches L carries every optimal path: each
+predecessor on such a path is carried, so each state's ``delta'`` on it is
+exact and its bound reaches the optimum (the admissible-bound argument of
+exact A* search).  The decoded path, its score and the lowest-index tie
+rule are those of the full sweep.  Only beta must be a true bound, and it
+comes from a scaled backward pass that raises every entry by the most
+underflow may have dropped from it; no forward pass runs.
 """
 from __future__ import annotations
 
@@ -63,17 +62,19 @@ NEG_INF = -np.inf
 SPARSE_MIN_EDGES = 5_000
 BATCH_MAX_ENTRIES = 1 << 16
 
-# Exact Viterbi over spaces with at least this many edges is certified by the
-# forward table (`_certified_sweep`); smaller spaces keep the plain sweep.
+# Exact Viterbi over spaces with at least this many edges is certified
+# (`_certified_sweep`); smaller spaces keep the plain sweep.
 # With trained tables a 200-300 note transcribe call (forward and decode)
 # took 3-17% longer certified at 38.8k edges and 0-17% less at 68.1k;
 # CHANGES.md has the timings.
 CERTIFY_MIN_EDGES = 60_000
 
-# A pruned max-product step gathers the in-edges of the states it keeps; once
+# A pruned max-product step relaxes the out-edges of the states it keeps; once
 # those are more than this share of all edges, one plain `reduce_max` step
-# over every edge is cheaper.
-DENSE_STEP_FRACTION = 0.5
+# over every edge is cheaper.  Relaxing gathers each edge at random, 6-7x
+# the cost per edge of the full step on `patmm1`, `metmm1sd` and `patmm1d`
+# (single thread), so the two cross at 14-16% of the edges.
+DENSE_STEP_FRACTION = 0.15
 
 # The feasible score that certifies exact Viterbi comes from a sweep over the
 # top-k states of each step by their bound, k = 4, 16, 64, ... until one
@@ -90,10 +91,8 @@ BOUND_SLACK = 1e-9
 # bounds below use 2^-1072, which also covers the rounding of their sums.
 LOG_UNDERFLOW = -1072 * float(np.log(2.0))
 
-# Exact Viterbi is certified only when every path the forward pass may have
-# flushed scores at least this many nats below the pruning threshold (then
-# e^-40 of extra mass is far inside `BOUND_SLACK`); likewise a scaled forward
-# total stands only when flushed mass could carry at most e^-40 of it.
+# A scaled forward total stands only when the mass its kernel flushed could
+# carry at most e^-40 of it.
 DROP_MARGIN = 40.0
 
 # The least raise of a backward entry for bounds (see `_scaled_backward`).
@@ -109,30 +108,14 @@ class EdgeSet:
 
     Stored sorted by (dst, src) so per-destination reductions are contiguous
     and ties resolve toward the lowest source index.  A src-sorted view (for
-    path sampling) and per-output-value transition matrices (for the scaled
-    forward kernel) are built lazily; the structure behind both is shared
-    with every `reweighted` copy.
+    out-edge steps and generative sampling) and per-output-value transition
+    matrices (for the scaled kernels) are built lazily; the structure behind
+    both is shared with every `reweighted` copy.
     """
 
     def __init__(self, src, dst, logp, out, n_src: int, n_dst: int):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        logp = np.asarray(logp, dtype=np.float64)
-        out = np.asarray(out, dtype=np.int64)
-        order = np.lexsort((src, dst))
-        self._index(src[order], dst[order], logp[order], out[order], n_src, n_dst)
-
-    @classmethod
-    def presorted(cls, src, dst, logp, out, n_src: int, n_dst: int) -> "EdgeSet":
-        """An edge set over int64/float64 arrays already in (dst, src) order.
-
-        The arrays are used as given, not copied.
-        """
-        edges = cls.__new__(cls)
-        edges._index(src, dst, logp, out, n_src, n_dst)
-        return edges
-
-    def _index(self, src, dst, logp, out, n_src, n_dst):
+        """Edges from int64/float64 arrays already in (dst, src) order,
+        used as given, not copied."""
         self.src = src
         self.dst = dst
         self.logp = logp
@@ -159,11 +142,31 @@ class EdgeSet:
         return edges
 
     def src_view(self):
-        """(order, indptr) of edges grouped by source state."""
+        """(order, indptr) of edges grouped by source state: int32 edge ids
+        in (src, dst) order, and where each source's ids begin."""
         view = self._structure.get("src_view")
         if view is None:
-            order = np.lexsort((self.dst, self.src))
-            indptr = np.searchsorted(self.src[order], np.arange(self.n_src + 1))
+            indptr = np.zeros(self.n_src + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.src, minlength=self.n_src), out=indptr[1:])
+            # the edges are in (dst, src) order, so a stable sort by source
+            # gives (src, dst) order.  It sorts a block of edges at a time
+            # (see `_block_length`) and puts each block's edges of a source
+            # after those of earlier blocks: one sort of every edge makes 16
+            # bytes per edge of temporaries, which would set the peak RSS of
+            # a `patmm1sd` decode.
+            order = np.empty(self.n_edges, dtype=np.int32)
+            free = indptr[:-1].copy()  # where each source's next id goes
+            block = _block_length(self.n_edges) or 1  # 0 for no edges
+            for lo in range(0, self.n_edges, block):
+                src = self.src[lo:lo + block]
+                # a stable sort of small ints is a radix sort
+                ids = np.argsort(src.astype(np.min_scalar_type(self.n_src)), kind="stable")
+                src = src[ids]
+                counts = np.bincount(src, minlength=self.n_src)
+                at = free - (np.cumsum(counts) - counts)
+                ids += lo
+                order[at[src] + np.arange(ids.size)] = ids
+                free += counts
             view = self._structure["src_view"] = (order, indptr)
         return view
 
@@ -249,9 +252,9 @@ class EdgeSet:
             scores += take(self.logp)
             scores += em_by_out[take(self.out)]
             return scores
-        k = self.n_edges if eids is None else eids.size
-        scores, tmp = scratch[0][:k], scratch[1][:k]
-        np.take(alpha, take(self.src), out=scores, mode="clip")  # "raise" copies
+        src = take(self.src)
+        scores, tmp = scratch[0][:src.size], scratch[1][:src.size]
+        np.take(alpha, src, out=scores, mode="clip")  # "raise" copies
         scores += take(self.logp)
         scores += np.take(em_by_out, take(self.out), out=tmp, mode="clip")
         return scores
@@ -323,18 +326,19 @@ def _out_edge_ids(edges: EdgeSet, srcs: np.ndarray) -> np.ndarray:
     return order[_concat_ranges(indptr[srcs], indptr[srcs + 1] - indptr[srcs])]
 
 
-def _relax(edges: EdgeSet, alpha, srcs, em_row, use_max):
+def _relax(edges: EdgeSet, alpha, srcs, em_row, use_max, scratch=None):
     """One pruned DP step: propagate scores along the survivors' out-edges.
 
     Returns per-destination values (max or logsumexp over incoming edge
     scores, -inf where nothing arrives).  Cost scales with the survivors'
-    out-degree, not the full edge count.
+    out-degree, not the full edge count.  `scratch` is as in
+    `EdgeSet.step_scores`.
     """
     val = np.full(edges.n_dst, NEG_INF)
     eids = _out_edge_ids(edges, srcs)
     if eids.size == 0:
         return val
-    sc = edges.step_scores(alpha, em_row, eids)
+    sc = edges.step_scores(alpha, em_row, eids, scratch)
     dst = edges.dst[eids]
     np.maximum.at(val, dst, sc)
     if use_max:
@@ -466,23 +470,11 @@ def _log_total(alpha: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(finite - m))))
 
 
-class _Table(list):
-    """An exact forward table, ``table[n]`` the log alphas of slot n, with
-    its kernel's ledger: ``lost[n]`` is the log of the most mass the kernel
-    may have flushed making slot n (see `_log_flushed`).  A table without
-    one certifies no decode (see `viterbi`)."""
-
-    def __init__(self, rows, lost):
-        super().__init__(rows)
-        self.lost = lost
-
-
 def _edge_list_forward(space, em, init, keep_table=True):
     """Exact forward in log space over the edge lists (the reference kernel).
 
     Returns ``(total, table)``, or ``(-inf, None)`` when no path is feasible;
-    the table is None unless `keep_table` is set.  Log space drops no path,
-    so the table's ledger is -inf throughout.
+    the table is None unless `keep_table` is set.
     """
     alpha = init.copy()
     table = [alpha] if keep_table else None
@@ -494,8 +486,6 @@ def _edge_list_forward(space, em, init, keep_table=True):
         if keep_table:
             table.append(alpha)
         edges = space.trans
-    if keep_table:
-        table = _Table(table, np.full(len(table), NEG_INF))
     return _log_total(alpha), table
 
 
@@ -543,12 +533,11 @@ def _scaled_forward(space, em, init, keep_table=True):
     duration lies far from every reachable value.
 
     Returns ``(total, table, log_flushed)``: the contract of
-    `_edge_list_forward`, with the table in log space and carrying the
-    pass's ledger, and the log of the share of the total that flushed mass
-    could carry (see `_log_flushed`).  A step where no current state
-    produces a value of finite emission returns -inf, and `_reaches`
-    decides whether a flushed path could pass there: ``log_flushed`` is
-    then +inf, and -inf when no path can.
+    `_edge_list_forward`, with the table in log space, and the log of the
+    share of the total that flushed mass could carry (see `_log_flushed`).
+    A step where no current state produces a value of finite emission
+    returns -inf, and `_reaches` decides whether a flushed path could pass
+    there: ``log_flushed`` is then +inf, and -inf when no path can.
     """
     n_steps = em.shape[0]
     x, offsets, scales, log_loss = _scaled_start(init, n_steps)
@@ -584,9 +573,7 @@ def _scaled_forward(space, em, init, keep_table=True):
         log_step = np.log(mat_t.nnz + (2 * n_values + 1) * edges.n_dst) + LOG_UNDERFLOW
         top = np.max(em[lo:hi, :n_values][:, with_edges], axis=1)
         log_loss[lo + 1:hi + 1] = log_step + top
-    log_flushed, lost = _log_flushed(space, em, offsets, scales, log_loss)
-    if keep_table:
-        table = _Table(table, lost)
+    log_flushed, _ = _log_flushed(space, em, offsets, scales, log_loss)
     return float(log_scale), table, log_flushed
 
 
@@ -637,7 +624,7 @@ def _batched_forward(space, em, init, keep_table=True):
             else:
                 x[edges._rows] = y / s
         del w
-    log_flushed, lost = _log_flushed(space, em, offsets, scales, log_loss)
+    log_flushed, _ = _log_flushed(space, em, offsets, scales, log_loss)
     log_scale = np.log(scales)
     log_scale += offsets
     np.cumsum(log_scale, out=log_scale)
@@ -646,7 +633,7 @@ def _batched_forward(space, em, init, keep_table=True):
         with np.errstate(divide="ignore"):
             np.log(rows, out=rows)
         rows += log_scale[1:, None]
-        table = _Table([init.copy(), *rows], lost)
+        table = [init.copy(), *rows]
     return float(log_scale[-1]), table, log_flushed
 
 
@@ -733,27 +720,35 @@ def _log_flushed(space, em, offsets, scales, log_loss):
     return share, lost
 
 
-def _regrown(space, em, lost, rows=None):
+def _regrown(space, em, lost):
     """Log of the most that the mass on the ledger `lost` (see
     `_log_flushed`) adds to any sum over paths, or None when the backward
     pass finds no path.
 
     Mass dropped making slot n regrows only along the paths after slot n,
     so at most by the largest backward value of that slot: the sum is
-    ``sum_n exp(lost[n]) * max_s beta_n(s)``, with beta from the backward
-    pass with `upper` set, which bounds it from above.  Given the rows of
-    the forward table, adds each slot's log backward values into its row in
-    place, so that ``rows[n][s]`` bounds ``alpha_n(s) + beta_n(s)`` up to
-    the returned mass (see `_certified_sweep`).
+    ``sum_n exp(lost[n]) * max_s beta_n(s)``, with beta bounded from above
+    by `_upper_beta`.
     """
     missed = NEG_INF
     n_rows = 0
-    for n, b, log_scale in _scaled_backward(space, em, upper=True):
-        missed = np.logaddexp(missed, lost[n] + np.log(b.max()) + log_scale)
-        if rows is not None:
-            rows[n] += np.log(b) + log_scale
+    for n, log_beta in _upper_beta(space, em):
+        missed = np.logaddexp(missed, lost[n] + log_beta.max())
         n_rows += 1
     return float(missed) if n_rows == len(lost) else None
+
+
+def _upper_beta(space, em):
+    """Yields ``(n, log_beta)`` for n = N, N-1, ..., 0: the rows of
+    `_scaled_backward` with `upper` set, in log space, each entry an upper
+    bound on the backward value of its state.  The one pass behind both the
+    forward guard (`_regrown`) and the certified decode (`_certified_sweep`).
+    Stops early when no path is feasible.
+    """
+    for n, b, log_scale in _scaled_backward(space, em, upper=True):
+        log_beta = np.log(b)
+        log_beta += log_scale
+        yield n, log_beta
 
 
 def _transposed(edges: EdgeSet):
@@ -845,8 +840,7 @@ def forward(
 
     Returns the total log probability, or ``(total, alphas)`` when
     `return_table` is set; ``alphas[n]`` is the log joint of the first n
-    observations and the slot-n state, and an exact table carries its
-    kernel's ledger of flushed mass (see `_Table`).  Returns -inf when no
+    observations and the slot-n state.  Returns -inf when no
     path is feasible (the beam variant raises instead, since an emptied
     beam is a search failure rather than a model statement).  Exact passes run a
     scaled kernel picked by size (see `SPARSE_MIN_EDGES`), or the log-space
@@ -932,125 +926,162 @@ def _backtrack(space, em, steps) -> PathSample:
     return _path_sample(space, boundary, states[::-1], outs[::-1], log_prob)
 
 
+def _block_length(n_edges: int) -> int:
+    """The edges that one block of work on `n_edges` edges covers: every
+    edge under `CERTIFY_MIN_EDGES`, else their `DENSE_STEP_FRACTION` share
+    and at least `CERTIFY_MIN_EDGES`, the most a pruned step relaxes."""
+    return min(n_edges, max(CERTIFY_MIN_EDGES, int(DENSE_STEP_FRACTION * n_edges) + 1))
+
+
 def _scratch(space):
-    """Two float arrays for `EdgeSet.step_scores` over either edge set."""
-    size = max(space.first.n_edges, space.trans.n_edges)
+    """Two float arrays for `EdgeSet.step_scores`, a block long (see
+    `_block_length`) for the larger edge set: room for the out-edges a
+    pruned step relaxes and, as a block of `_max_step`, for the in-edges
+    of any one state."""
+    sets = (space.first, space.trans)
+    size = max(_block_length(max(e.n_edges for e in sets)),
+               *(e._seg_counts.max(initial=0) for e in sets))
     return np.empty(size), np.empty(size)
 
 
-def _pruned_sweep(space, em, init, keep):
-    """Max-product sweep restricted at slot n to the states ``keep(n)``.
+def _max_step(edges: EdgeSet, row, em_row, scratch) -> np.ndarray:
+    """``edges.reduce_max(edges.step_scores(row, em_row))``, scored into
+    `scratch` a block of whole destinations at a time; `scratch` must hold
+    the in-edges of any one destination.
 
-    `keep` returns ascending state ids, or None to keep every state: with
-    ``keep = lambda n: None`` this is the plain exact sweep.  A step whose
-    kept states' in-edges are a small share of all edges gathers just
-    those; otherwise it runs `reduce_max` over every edge.  Either way each
-    edge is scored as ``delta[src] + logp + em(out)``, so a state's maximum
-    is bit-identical to the full sweep's whenever its best in-edge leaves a
-    kept state.  Returns the sparse table of the reached kept states, a
-    step keeping every state or reaching more than half of its slot as a
-    whole row (ids ``arange(size)``, which `_backtrack` indexes directly);
-    raises InferenceError when some slot reaches none.
+    However many edges a space has, a full step then writes no more of
+    memory than a pruned one, so the pages a decode touches do not depend
+    on which of its steps run in full.
+    """
+    size = scratch[0].size
+    if edges.n_edges <= size:
+        return edges.reduce_max(edges.step_scores(row, em_row, scratch=scratch))
+    best = np.full(edges.n_dst, NEG_INF)
+    starts, ends = edges._starts, edges._starts + edges._seg_counts
+    a = 0
+    while a < starts.size:
+        b = int(np.searchsorted(ends, starts[a] + size, side="right"))
+        lo, hi = int(starts[a]), int(ends[b - 1])
+        scores = edges.step_scores(row, em_row, slice(lo, hi), scratch)
+        best[edges._rows[a:b]] = np.maximum.reduceat(scores, starts[a:b] - lo)
+        a = b
+    return best
+
+
+def _pruned_sweep(space, em, init, keep, scratch):
+    """Max-product sweep that carries on from slot n only the states
+    ``keep(n, delta)`` picks, given the slot's maxima `delta`.
+
+    `keep` returns ascending ids of states of finite `delta`, or None to
+    keep every state: with ``keep = lambda n, delta: None`` this is the
+    plain exact sweep.  A step relaxes the kept states' out-edges (see
+    `_relax`), or takes the maximum over every edge (`_max_step`) once
+    those out-edges are more than `DENSE_STEP_FRACTION` of all edges.
+    Either way each edge is scored as ``delta[src] + logp + em(out)``, into
+    `scratch` (see `_scratch`), so a state's maximum is bit-identical to
+    the full sweep's whenever its best in-edge leaves a kept state.
+    Returns the sparse table of the kept states, a slot keeping every state
+    or more than half of them as a whole row (ids ``arange(size)``, which
+    `_backtrack` indexes directly); raises InferenceError when some slot
+    reaches none.
     """
     every = np.arange(max(space.n_states, init.size))
-    whole = every[:space.n_states]
-    delta, kept = init, keep(0)
-    if kept is None:
-        steps = [(every[:init.size], init)]
-    else:
-        kept = kept[np.isfinite(init[kept])]
-        steps = [(kept, init[kept])]
-        delta = _dense_step(steps[0], init.size)
-    scratch = _scratch(space)
-    edges = space.first
-    for n in range(em.shape[0]):
-        kept = keep(n + 1)
-        if kept is not None:
-            starts = edges.dst_indptr[kept]
-            counts = edges.dst_indptr[kept + 1] - starts
-        if kept is None or counts.sum() > DENSE_STEP_FRACTION * edges.n_edges:
-            delta = edges.reduce_max(edges.step_scores(delta, em[n], scratch=scratch))
-            if kept is not None:
-                kept = kept[np.isfinite(delta[kept])]
-                best = delta[kept]
-        else:
-            entered = counts > 0
-            kept, starts, counts = kept[entered], starts[entered], counts[entered]
-            eids = _concat_ranges(starts, counts)
-            scores = edges.step_scores(delta, em[n], eids, scratch)
-            best = np.maximum.reduceat(scores, np.cumsum(counts) - counts) if eids.size else scores
-            hit = np.isfinite(best)
-            kept, best = kept[hit], best[hit]
-        if not (np.isfinite(delta).any() if kept is None else kept.size):
-            raise InferenceError(f"no feasible path at step {n + 1}")
+    steps = []
+    delta, edges = init, space.first
+    for n in range(em.shape[0] + 1):
+        if n:
+            ids, row = steps[-1]
+            if ids.size == edges.n_src:  # a whole row
+                delta = _max_step(edges, row, em[n - 1], scratch)
+            else:
+                _, indptr = edges.src_view()
+                if (indptr[ids + 1] - indptr[ids]).sum() > DENSE_STEP_FRACTION * edges.n_edges:
+                    delta = _max_step(edges, _dense_step(steps[-1], edges.n_src),
+                                      em[n - 1], scratch)
+                else:
+                    delta = _relax(edges, delta, ids, em[n - 1], True, scratch)
+            if not np.isfinite(delta).any():
+                raise InferenceError(f"no feasible path at step {n}")
+            edges = space.trans
+        kept = keep(n, delta)
         if kept is None:
-            steps.append((whole, delta))
+            steps.append((every[:delta.size], delta))
+        elif 2 * kept.size > delta.size:
+            steps.append((every[:delta.size], _dense_step((kept, delta[kept]), delta.size)))
         else:
-            delta = _dense_step((kept, best), edges.n_dst)
-            steps.append((whole, delta) if 2 * kept.size > edges.n_dst else (kept, best))
-        edges = space.trans
+            steps.append((kept, delta[kept]))
     return steps
 
 
 def _top(values: np.ndarray, k: int):
-    """Ascending ids of the k largest values, or None when k covers them all."""
+    """Ascending ids of the k largest finite values, or None when k covers
+    every entry."""
     if k >= values.size:
         return None
-    return np.sort(np.argpartition(values, values.size - k)[values.size - k:])
+    ids = np.flatnonzero(np.isfinite(values))
+    if ids.size > k:
+        ids = np.sort(ids[np.argpartition(values[ids], ids.size - k)[ids.size - k:]])
+    return ids
 
 
-def _certified_sweep(space, em, init, table):
+def _certified_sweep(space, em, init):
     """The exact Viterbi table from a sweep over the states that can pass.
 
-    `table` is the exact forward table of these emissions, with its ledger
-    (see `_Table`); it is consumed: its rows become bounds (see `_regrown`)
-    and are dropped as the sweep passes.  A sweep restricted to the top-k
-    states of each step by bound gives a feasible score L.  Every state on
-    an optimal path has a bound of at least the optimum, so keeping the
-    states whose bound reaches L (less a slack for rounding) keeps every
-    optimal path and every edge that ties with one; the restricted sweep
-    over them is exact.  Returns None when the mass on the ledger, regrown,
-    could reach L: the bounds then certify nothing.
+    With ``beta`` the upper backward rows (see `_upper_beta`), a sweep that
+    keeps the top-k states of each slot by ``delta' + beta``, its own maxima
+    plus their bounds, gives a feasible score L.  A second sweep keeps the
+    states whose ``delta' + beta`` reaches L, less a slack for rounding.
+    Every predecessor of a state on an optimal path lies on that path and
+    is kept, so that state's `delta'` is exact and its bound reaches the
+    optimum: the second sweep keeps every optimal path and every edge that
+    ties with one, and is exact.  Both sweeps share one scratch pair, and
+    each beta row is dropped once the second sweep has passed it.
     """
-    missed = _regrown(space, em, table.lost, table)
-    if missed is None:
-        return None
+    size = max(space.n_states, init.size)
+    scratch = _scratch(space)
+    for edges in (space.first, space.trans):
+        edges.src_view()  # built before the rows, so its sort's temporaries come first
+    # the rows are made side by side before the pass: made between its
+    # temporaries, they fragmented the heap and raised peak RSS by up to 4%
+    beta = [np.empty(init.size)] + [np.empty(space.n_states) for _ in range(em.shape[0])]
+    for n, log_beta in _upper_beta(space, em):
+        beta[n][:] = log_beta
+    if n:  # the pass stopped before slot 0: no path, and the plain sweep says where
+        return _pruned_sweep(space, em, init, lambda n, delta: None, scratch)
     k = TOP_K_START
     while True:
         try:
-            steps = _pruned_sweep(space, em, init, lambda n: _top(table[n], k))
+            steps = _pruned_sweep(space, em, init,
+                                  lambda n, delta: _top(delta + beta[n], k), scratch)
             break
         except InferenceError:
-            if k >= max(space.n_states, init.size):
+            if k >= size:
                 raise
             k *= TOP_K_GROWTH
-    if k >= max(space.n_states, init.size):
+    if k >= size:
         return steps  # the restriction kept everything: already exact
     score = float(np.max(steps[-1][1]))
+    del steps
     scale = em.shape[0] * (1.0 + np.max(np.abs(em[np.isfinite(em)]), initial=0.0))
     threshold = score - BOUND_SLACK * (scale + abs(score))
-    if missed + DROP_MARGIN >= threshold:
-        return None
 
-    def passing(n):
-        # each step's bounds are read once more: free them as the sweep passes
-        bound, table[n] = table[n], None
+    def passing(n, delta):
+        bound, beta[n] = beta[n], None  # read once more: dropped as the sweep passes
+        bound += delta
         return np.flatnonzero(bound >= threshold)
 
-    return _pruned_sweep(space, em, init, passing)
+    return _pruned_sweep(space, em, init, passing, scratch)
 
 
 def _check_table(space, em, init, table):
     """Raise ValueError unless `table` has one row per slot of `em`, each
-    the size of its slot.  A table `viterbi` consumed is empty and fails."""
+    the size of its slot."""
     sizes = [init.size] + [space.n_states] * em.shape[0]
     if [np.size(row) for row in table] != sizes:
-        raise ValueError(
-            "table is not a forward table of these emissions and space "
-            "(a table passed to viterbi is consumed by it)")
+        raise ValueError("table is not a forward table of these emissions and space")
 
 
-def viterbi(space, em, beam_width: int | None = None, log_init=None, table=None) -> PathSample:
+def viterbi(space, em, beam_width: int | None = None) -> PathSample:
     """Most probable latent path; ties break toward the lowest state index.
 
     The tie rule is applied stepwise during backtracking: the final state is
@@ -1058,17 +1089,10 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None, table=None)
     best predecessor.  Every sweep keeps only the per-step maxima and finds
     the best incoming edge for the path's own states while backtracking.
 
-    Exact decodes of spaces with at least `CERTIFY_MIN_EDGES` edges are
-    certified by the forward table of these emissions (see the module
-    docstring and `_certified_sweep`), ``forward(space, em,
-    return_table=True, log_init=log_init)[1]``, which runs here unless the
-    caller passes it as `table`.  A passed table is consumed: its rows
-    become bounds, are dropped as the sweep passes them, and the list is
-    left empty, so it serves nothing afterwards (`ffbs` refuses it).  A
-    table without the ledger of an exact forward pass (see `_Table`), such
-    as a beam's or a plain list, certifies nothing: the decode runs the
-    plain sweep.  A table of other emissions of the same length is not
-    detected.  Smaller spaces and beams ignore `table`.
+    Exact decodes of spaces with at least `CERTIFY_MIN_EDGES` edges bound
+    every state by an upper backward pass and sweep only the states that can
+    still lie on an optimal path (see the module docstring and
+    `_certified_sweep`); they run no forward pass.
 
     Beam widths round up to the next power of two and prune through nested
     survivor sets (see `_tiered_sweep`), so decoded scores never decrease as
@@ -1076,24 +1100,14 @@ def viterbi(space, em, beam_width: int | None = None, log_init=None, table=None)
     the whole space.
     """
     em = _emission_steps(em)
-    init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
+    init = space.log_initial
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
         return _backtrack(space, em, _tiered_sweep(space, em, eff, init, use_max=True))
-    if table is not None:
-        _check_table(space, em, init, table)
-    steps = None
     if space.n_edges >= CERTIFY_MIN_EDGES:
-        if table is None:
-            _, table = forward(space, em, return_table=True, log_init=log_init)
-        if table is not None:
-            try:
-                if isinstance(table, _Table):
-                    steps = _certified_sweep(space, em, init, table)
-            finally:
-                table.clear()
-    if steps is None:
-        steps = _pruned_sweep(space, em, init, lambda n: None)
+        steps = _certified_sweep(space, em, init)
+    else:
+        steps = _pruned_sweep(space, em, init, lambda n, delta: None, _scratch(space))
     return _backtrack(space, em, steps)
 
 
@@ -1239,27 +1253,19 @@ def _paths_from_edges(space, eids: np.ndarray):
     return space.first.src[eids[:, 0]], states, outs
 
 
-def ffbs(
-    space,
-    em,
-    rng: np.random.Generator,
-    beam_width: int | None = None,
-    log_init=None,
-    table=None,
-):
+def ffbs(space, em, rng: np.random.Generator, beam_width: int | None = None, table=None):
     """Forward filtering, backward sampling: one exact posterior path draw.
 
     The one-draw case of `ffbs_batch`.  `table` is the forward table of
-    these emissions, ``forward(space, em, beam_width, return_table=True,
-    log_init=log_init)[1]``; a caller that already holds it passes it, and
-    no forward pass runs.  For models whose emission depends only on the
-    destination state the backward kernel reduces to the state-emission
-    form.
+    these emissions, ``forward(space, em, beam_width, return_table=True)[1]``;
+    a caller that already holds it passes it, and no forward pass runs.  For
+    models whose emission depends only on the destination state the
+    backward kernel reduces to the state-emission form.
     """
     em = _emission_steps(em)
-    init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
+    init = space.log_initial
     if table is None:
-        _, table = forward(space, em, beam_width=beam_width, return_table=True, log_init=log_init)
+        _, table = forward(space, em, beam_width=beam_width, return_table=True)
     else:
         _check_table(space, em, init, table)
     eids = _sample_backward(space, em, table, rng, 1)[0]
@@ -1301,7 +1307,7 @@ def sample_generative(space, n_steps: int, rng: np.random.Generator) -> PathSamp
 
 
 def ffbs_batch(space, em, rng: np.random.Generator, size: int,
-               beam_width: int | None = None, log_init=None):
+               beam_width: int | None = None):
     """Many exact posterior path draws sharing one forward pass.
 
     Returns ``(boundary, states, outputs)`` int arrays of shapes (size,),
@@ -1310,5 +1316,5 @@ def ffbs_batch(space, em, rng: np.random.Generator, size: int,
     if size < 1:
         raise ValueError("size must be >= 1")
     em = _emission_steps(em)
-    _, table = forward(space, em, beam_width=beam_width, return_table=True, log_init=log_init)
+    _, table = forward(space, em, beam_width=beam_width, return_table=True)
     return _paths_from_edges(space, _sample_backward(space, em, table, rng, size))

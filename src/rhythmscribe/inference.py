@@ -320,30 +320,27 @@ def gibbs_fit(
 
     def forward_then_sample(space):
         # one forward pass per iteration: its total is the trace entry, its
-        # table feeds the backward sampler and, for the best sweep, the
-        # exact Viterbi decode (a beam decode reads no table)
+        # table feeds the backward sampler
         loglik, table = _dp.forward(space, em, beam_width=width, return_table=True)
         if table is None:
             raise InferenceError("zero data likelihood: nothing to sample")
-        path = _dp.ffbs(space, em, rng, beam_width=width, table=table)
-        return loglik, table if width is None else None, path
+        return loglik, _dp.ffbs(space, em, rng, beam_width=width, table=table)
 
-    loglik, table, path = forward_then_sample(space)
+    loglik, path = forward_then_sample(space)
     trace = [loglik]
-    best = (loglik, params, space, table)
+    best = (loglik, params, space)
 
     for _ in range(gibbs.iterations):
         counts = gather_counts(space, path)
         params = sample_posterior(hp, counts, rng)
         space = build_state_space(config, params)
-        loglik, table, path = forward_then_sample(space)
+        loglik, path = forward_then_sample(space)
         trace.append(loglik)
         if loglik > best[0]:
-            best = (loglik, params, space, table)
-        del table  # only the best sweep's table outlives its sweep
+            best = (loglik, params, space)
 
-    best_loglik, best_params, best_space, best_table = best
-    best_path = _dp.viterbi(best_space, em, beam_width=width, table=best_table)
+    best_loglik, best_params, best_space = best
+    best_path = _dp.viterbi(best_space, em, beam_width=width)
     result = _result_from_path(best_space, best_path, best_loglik, trace)
     return best_params, result
 
@@ -371,11 +368,6 @@ def transcribe(
         raise TypeError("non-Bayesian transcription needs ModelParams")
     space = build_state_space(config, params_or_hyperparams)
     em = TranscriptionHmm(space, tp).emission_matrix(performance.durations)
-    if gibbs.beam_width is None:
-        # the forward table certifies the exact decode
-        loglik, table = _dp.forward(space, em, return_table=True)
-        path = _dp.viterbi(space, em, beam_width=None, table=table)
-    else:
-        loglik = _dp.forward(space, em, beam_width=gibbs.beam_width)
-        path = _dp.viterbi(space, em, beam_width=gibbs.beam_width)
+    loglik = _dp.forward(space, em, beam_width=gibbs.beam_width)
+    path = _dp.viterbi(space, em, beam_width=gibbs.beam_width)
     return _result_from_path(space, path, loglik)

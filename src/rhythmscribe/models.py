@@ -1029,7 +1029,7 @@ class _EdgeTopology:
         del order
         dst = key // n_src
         src = np.remainder(key, n_src, out=key)
-        self.template = EdgeSet.presorted(
+        self.template = EdgeSet(
             _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst)
 
     def weigh(self, theta, factor, src_map, dst_map, renormalize: bool):
@@ -1068,7 +1068,7 @@ class _EdgeTopology:
             logp = np.log(prob, out=prob) if len(src) else prob
         if kept is None:
             return t.reweighted(logp), None
-        return EdgeSet.presorted(src, dst, logp, out, n_src, n_dst), kept
+        return EdgeSet(src, dst, logp, out, n_src, n_dst), kept
 
 
 def _renumbering(mask):
@@ -1283,33 +1283,17 @@ class LatentStateSpace:
     def boundary_index(self) -> dict:
         return {tag: i for i, tag in enumerate(self.boundary_tags)}
 
-    @cached_property
-    def _trans_lookup(self) -> dict:
-        return {
-            (int(s), int(d)): pos
-            for pos, (s, d) in enumerate(zip(self.trans.src, self.trans.dst))
-        }
-
-    @cached_property
-    def _first_lookup(self) -> dict:
-        return {
-            (int(s), int(d)): pos
-            for pos, (s, d) in enumerate(zip(self.first.src, self.first.dst))
-        }
-
     def trans_prob(self, tag_from, tag_to) -> float:
-        pos = self._trans_lookup.get((self.state_index[tag_from], self.state_index[tag_to]))
-        return 0.0 if pos is None else float(np.exp(self.trans.logp[pos]))
+        e = _edge_at(self.trans, self.state_index[tag_from], self.state_index[tag_to])
+        return 0.0 if e is None else float(np.exp(self.trans.logp[e]))
 
     def output_value(self, tag_from, tag_to) -> int | None:
-        pos = self._trans_lookup.get((self.state_index[tag_from], self.state_index[tag_to]))
-        return None if pos is None else int(self.trans.out[pos])
+        e = _edge_at(self.trans, self.state_index[tag_from], self.state_index[tag_to])
+        return None if e is None else int(self.trans.out[e])
 
     def first_output(self, boundary_tag, tag) -> int | None:
-        pos = self._first_lookup.get(
-            (self.boundary_index[boundary_tag], self.state_index[tag])
-        )
-        return None if pos is None else int(self.first.out[pos])
+        e = _edge_at(self.first, self.boundary_index[boundary_tag], self.state_index[tag])
+        return None if e is None else int(self.first.out[e])
 
     @property
     def layout(self) -> _Layout:
@@ -1333,6 +1317,14 @@ class LatentStateSpace:
         if self._factors is None:
             raise ValueError("this space has no parameter slots; build it with build_state_space")
         return self._factors
+
+
+def _edge_at(edges: EdgeSet, src: int, dst: int) -> int | None:
+    """Id of the edge src -> dst, or None: a search of dst's in-edges, whose
+    sources ascend since edges are (dst, src)-sorted."""
+    sl = edges.in_slice(dst)
+    e = int(sl.start + np.searchsorted(edges.src[sl], src))
+    return e if e < sl.stop and edges.src[e] == src else None
 
 
 def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rhythmscribe import _dp
-from rhythmscribe.inference import GibbsConfig, InferenceError, gibbs_fit
+from rhythmscribe.inference import GibbsConfig, InferenceError, gibbs_fit, transcribe
 from rhythmscribe.models import (
     ModelConfig,
     build_state_space,
@@ -147,9 +147,9 @@ class TestScaledForward:
         assert ran == [f"_{kernel}_forward", "_edge_list_forward"]
         assert got == pytest.approx(reference[0], rel=REL_TOL)
         assert_tables_match(got_table, reference[1])
-        assert (got_table.lost == -np.inf).all()  # log space drops nothing
 
-    def test_init_flushed_by_its_normalization_is_on_the_ledger(self, kernel, rng):
+    def test_init_flushed_by_its_normalization_is_on_the_ledger(self, kernel, rng,
+                                                                monkeypatch):
         # one boundary entry 800 nats below the largest: exp(init - max)
         # flushes it, so slot 0 of the ledger must cover its mass.  No decode
         # isolates this entry while edge weights are at most 1: the first
@@ -159,8 +159,18 @@ class TestScaledForward:
         init = np.log(np.full(space.n_boundary, 1.0 / space.n_boundary))
         init[1] -= 800.0
         assert np.exp(init[1] - init.max()) == 0.0
-        _, table, _ = SCALED_KERNELS[kernel](space, em, init)
-        assert init[1] <= table.lost[0] < init.max() - 700.0
+        ledgers = []
+        real = _dp._log_flushed
+
+        def spy(*args):
+            log_flushed, lost = real(*args)
+            ledgers.append(lost)
+            return log_flushed, lost
+
+        monkeypatch.setattr(_dp, "_log_flushed", spy)
+        SCALED_KERNELS[kernel](space, em, init)
+        (lost,) = ledgers
+        assert init[1] <= lost[0] < init.max() - 700.0
 
     def test_value_no_state_produces_is_weighed_at_its_emission(self, kernel, monkeypatch):
         # the CSR kernel's products for value 2 underflow, so it weighs no
@@ -439,6 +449,14 @@ class TestBackwardSampler:
         self.check(space, em, range(2))
         assert made == []
 
+    def test_a_misshapen_table_is_refused(self, rng):
+        _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=8)
+        em = TranscriptionHmm(space, tp).emission_matrix(durations)
+        short = _dp.forward(space, em[:5], return_table=True)[1]
+        for table in ([], short):
+            with pytest.raises(ValueError, match="not a forward table"):
+                _dp.ffbs(space, em, rng, table=table)
+
     def test_uniforms_are_drawn_up_front(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=5)
         em = TranscriptionHmm(space, tp).emission_matrix(durations)
@@ -586,17 +604,16 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
 
     @pytest.fixture(autouse=True)
     def certified(self, monkeypatch):
-        """Force the certified sweep; `self.ran` records, per decode, whether
-        it reached the certificate rather than falling back."""
+        """Force the certified sweep; `self.ran` gets one entry per decode
+        that reaches it."""
         monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", 0)
         monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", 0)
         self.ran = []
         real = _dp._certified_sweep
 
         def spy(*args):
-            steps = real(*args)
-            self.ran.append(steps is not None)
-            return steps
+            self.ran.append(True)
+            return real(*args)
 
         monkeypatch.setattr(_dp, "_certified_sweep", spy)
 
@@ -634,12 +651,13 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         assert_same_path(space, path, backpointer_viterbi(space, em))
         assert self.ran == [True]
 
-    def test_flushed_optimum_falls_back_to_the_plain_sweep(self):
+    def test_flushed_optimum_is_certified(self):
         # value 1 emits 0 and the others 1: the cloud's summed mass outgrows
         # the all-1s path by a nat per step while each cloud path loses
         # log(7) - 1.  The all-1s path is the optimum, yet past step 745 its
-        # scaled forward entry is flushed to 0, and so is its backward entry
-        # before step 55
+        # scaled forward entry is flushed to 0, and so is its plain backward
+        # entry before step 55; the sweep's own maxima and the raised
+        # backward pass still bound it
         space = self.absorbing_space()
         em = np.tile(np.r_[0.0, np.ones(7)], (800, 1))
         _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
@@ -648,48 +666,43 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         path = _dp.viterbi(space, em)
         assert path.output_values == [1] * 800
         assert_same_path(space, path, backpointer_viterbi(space, em))
-        assert self.ran == [False]
+        assert self.ran == [True]
 
-    def check_flushed_table(self, space, em, table, values):
-        """Decode from the scaled kernel's own flushed `table`, which must
-        fall back to the plain sweep, then from `forward`, whose guard
-        hands it the exact table instead."""
-        reference = backpointer_viterbi(space, em)
-        path = _dp.viterbi(space, em, table=table)
+    def check_flushed_optimum(self, space, em, values):
+        """The decode, certified, finds the optimum the scaled forward
+        flushed; it reads no forward table."""
+        path = _dp.viterbi(space, em)
         assert path.output_values == values
-        assert_same_path(space, path, reference)
-        assert self.ran == [False]
-        assert_same_path(space, _dp.viterbi(space, em), reference)
+        assert_same_path(space, path, backpointer_viterbi(space, em))
+        assert self.ran == [True]
 
-    def test_flushed_path_that_grows_back_falls_back_to_the_plain_sweep(self):
+    def test_flushed_path_that_grows_back_is_certified(self):
         # the first duration fits value 2 and the rest fit value 1: the
         # scaled forward flushes the all-1s path at step 1, which then
-        # becomes the optimum.  No step's entries bound it; the mass dropped
-        # at step 1 does
+        # becomes the optimum
         space, em = two_path_emissions([0.5] + [0.25] * 7)
         _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[1][0])
-        self.check_flushed_table(space, em, table, [1] * 8)
+        self.check_flushed_optimum(space, em, [1] * 8)
 
-    def test_path_flushed_by_both_passes_falls_back_to_the_plain_sweep(self):
+    def test_path_flushed_by_both_passes_is_certified(self):
         # the all-2s path fits the three middle notes and is the optimum, but
         # the scaled forward flushes it at step 1 and a plain backward pass
         # at step 4.  The bounds' backward pass raises its entries instead,
-        # so the mass dropped at step 1 is bounded by a reachable score
+        # so the optimum's bound stays finite and reaches L
         space, em = two_path_emissions([0.25, 0.5, 0.5, 0.5, 0.25])
         _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[1][1])
         assert not np.isfinite(_dp.backward(space, em)[4][1])
-        self.check_flushed_table(space, em, table, [2] * 5)
+        self.check_flushed_optimum(space, em, [2] * 5)
 
-    def test_path_through_a_value_no_state_produces_falls_back(self):
-        # the optimum, through state 3 and value 2, is flushed at step 2
-        # where no current state produces value 2; the ledger counts those
-        # products at value 2's emission, which brings them within reach of L
+    def test_path_through_a_value_no_state_produces_is_certified(self):
+        # the optimum, through state 3 and value 2, is flushed by the scaled
+        # forward at step 2, where no current state produces value 2
         space, em = unseen_value_emissions()
         _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[2][1])
-        self.check_flushed_table(space, em, table, [3, 2])
+        self.check_flushed_optimum(space, em, [3, 2])
 
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_widened_restriction_keeps_the_path(self, name, rng, monkeypatch):
@@ -716,16 +729,16 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         kept = []
         real = _dp._pruned_sweep
 
-        def spy(space, em, init, keep):
+        def spy(space, em, init, keep, scratch):
             sizes = []
             kept.append(sizes)
 
-            def recording(n):
-                ids = keep(n)
+            def recording(n, delta):
+                ids = keep(n, delta)
                 sizes.append(space.n_states if ids is None else len(ids))
                 return ids
 
-            return real(space, em, init, recording)
+            return real(space, em, init, recording, scratch)
 
         monkeypatch.setattr(_dp, "_pruned_sweep", spy)
         path = _dp.viterbi(space, em)
@@ -733,39 +746,37 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         # the last sweep is the certified one; it visits few of the states
         assert sum(kept[-1]) < 0.2 * space.n_states * em.shape[0]
 
-    def test_decode_from_a_held_table(self, rng):
-        cfg = ModelConfig.from_name("patmm1")
-        space = build_state_space(cfg, random_params(cfg, rng))
-        tp = TimingParams.from_bpm(144.0, 0.04)
-        em = TranscriptionHmm(space, tp).emission_matrix(
-            synthesize(sample_score(space, 20, rng), tp, rng).durations)
-        _, table = _dp.forward(space, em, return_table=True)
-        assert _dp.viterbi(space, em, table=table) == _dp.viterbi(space, em)
-        assert self.ran == [True, True]
-        # the decode consumed the table, and nothing else accepts it now
-        assert table == []
-        with pytest.raises(ValueError, match="consumed"):
-            _dp.ffbs(space, em, rng, table=table)
-        with pytest.raises(ValueError, match="not a forward table"):
-            _dp.viterbi(space, em, table=[row for row in _dp.forward(space, em[:5], return_table=True)[1]])
 
-    def test_a_table_without_a_ledger_decodes_with_the_plain_sweep(self, rng):
-        cfg = ModelConfig.from_name("patmm1")
-        space = build_state_space(cfg, random_params(cfg, rng))
-        tp = TimingParams.from_bpm(144.0, 0.04)
-        em = TranscriptionHmm(space, tp).emission_matrix(
-            synthesize(sample_score(space, 20, rng), tp, rng).durations)
-        _, table = _dp.forward(space, em, return_table=True)
-        # a plain-list copy of the exact table, and a 1-wide beam's table,
-        # whose entries fall short of the exact alphas and so bound nothing
-        plains = [[row.copy() for row in table],
-                  _dp.forward(space, em, beam_width=1, return_table=True)[1]]
-        want = _dp.viterbi(space, em, table=table)
-        assert self.ran == [True]
-        for plain in plains:
-            assert _dp.viterbi(space, em, table=plain) == want
-            assert plain == []  # consumed all the same
-        assert self.ran == [True]  # neither reached the certificate
+def test_full_step_in_blocks_matches_one_block(rng):
+    cfg = ModelConfig.from_name("patmm1")
+    space = build_state_space(cfg, random_params(cfg, rng))
+    edges = space.trans
+    tp = TimingParams.from_bpm(144.0, 0.04)
+    perf = synthesize(sample_score(space, 3, rng), tp, rng)
+    em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+    row = np.log(rng.dirichlet(np.ones(space.n_states)))
+    row[rng.random(space.n_states) < 0.3] = -np.inf
+    want = edges.reduce_max(edges.step_scores(row, em[1]))
+    # a large space's scratch holds a share of its edges, not all of them
+    assert _dp._scratch(space)[0].size < edges.n_edges
+    # down to blocks of a single destination's in-edges
+    for size in (edges._seg_counts.max(), 1000, _dp._scratch(space)[0].size, edges.n_edges):
+        scratch = (np.empty(size), np.empty(size))
+        assert np.array_equal(_dp._max_step(edges, row, em[1], scratch), want)
+
+
+@pytest.mark.parametrize("least", [_dp.CERTIFY_MIN_EDGES, 0])
+def test_out_edge_index_in_blocks_is_a_stable_sort(least, rng, monkeypatch):
+    # patmm1's 65.8k edges make two blocks by default and seven from 0
+    monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", least)
+    cfg = ModelConfig.from_name("patmm1")
+    edges = build_state_space(cfg, random_params(cfg, rng)).trans.reweighted(None)
+    edges._structure = {}
+    assert _dp._block_length(edges.n_edges) < edges.n_edges
+    order, indptr = edges.src_view()
+    assert order.dtype == np.int32
+    assert np.array_equal(order, np.argsort(edges.src, kind="stable"))
+    assert np.array_equal(indptr, np.searchsorted(edges.src[order], np.arange(edges.n_src + 1)))
 
 
 class TestOneForwardPerIteration:
@@ -785,6 +796,27 @@ class TestOneForwardPerIteration:
         perf = synthesize(sample_score(space, 20, rng), tp, rng)
         gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=4, seed=2))
         assert calls == [True] * 5  # iteration 0 (the base) plus 4 sweeps
+
+    def test_exact_decode_runs_no_forward_pass(self, rng, monkeypatch):
+        calls = []
+        original = _dp.forward
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("return_table", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_dp, "forward", counting)
+        cfg = ModelConfig.from_name("patmm1")
+        params = random_params(cfg, rng)
+        space = build_state_space(cfg, params)
+        assert space.n_edges >= _dp.CERTIFY_MIN_EDGES
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        perf = synthesize(sample_score(space, 20, rng), tp, rng)
+        path = _dp.viterbi(space, TranscriptionHmm(space, tp).emission_matrix(perf.durations))
+        assert calls == []
+        # the likelihood's pass, without a table
+        assert transcribe(cfg, params, perf, tp).note_values == tuple(path.output_values)
+        assert calls == [False]
 
 
 # Note values and traces of seeded fits recorded before the forward pass was
