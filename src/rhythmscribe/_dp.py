@@ -38,7 +38,11 @@ exact and its bound reaches the optimum (the admissible-bound argument of
 exact A* search).  The decoded path, its score and the lowest-index tie
 rule are those of the full sweep.  Only beta must be a true bound, and it
 comes from a scaled backward pass that raises every entry by the most
-underflow may have dropped from it; no forward pass runs.
+underflow may have dropped from it; no forward pass runs.  Row 0 of that
+pass also bounds the data's total from above, ``Z_up = sum_s init(s)
+beta_0(s)`` (Rabiner 1989).  A forward-direction bound on the mass its
+raises add (see `_log_raised`) says when ``Z_up`` lies within e^-40 of the
+total, and the decode then returns it.
 """
 from __future__ import annotations
 
@@ -92,7 +96,8 @@ BOUND_SLACK = 1e-9
 LOG_UNDERFLOW = -1072 * float(np.log(2.0))
 
 # A scaled forward total stands only when the mass its kernel flushed could
-# carry at most e^-40 of it.
+# carry at most e^-40 of it, and an upper backward total only when its raises
+# could add at most e^-40 of it.
 DROP_MARGIN = 40.0
 
 # The least raise of a backward entry for bounds (see `_scaled_backward`).
@@ -448,6 +453,8 @@ class PathSample:
     state_indices: list[int]
     output_values: list[int]
     log_prob: float
+    # the log total over every path, when a certified decode settled it
+    log_likelihood: float | None = None
 
 
 def _emission_steps(em: np.ndarray):
@@ -706,10 +713,7 @@ def _log_flushed(space, em, offsets, scales, log_loss):
     log_steps += offsets
     log_scale = np.cumsum(log_steps)
     lost[1:] += log_scale[:-1]
-    growth = np.empty(n_steps)
-    for edges, lo, hi in _step_edges(space, n_steps):
-        log_kappa = edges.log_kappa()
-        growth[lo:hi] = _log_rows(em[lo:hi, :log_kappa.size] + log_kappa)
+    growth = _log_growth(space, em)
     growth -= log_steps[1:]
     later = np.zeros(n_steps + 1)  # sum of growth over the steps after n
     later[:-1] = np.cumsum(growth[::-1])[::-1]
@@ -718,6 +722,35 @@ def _log_flushed(space, em, offsets, scales, log_loss):
         regrown = _regrown(space, em, lost)
         share = np.inf if regrown is None else regrown - log_scale[-1]
     return share, lost
+
+
+def _log_growth(space, em) -> np.ndarray:
+    """Per step m = 0..N-1, ``log rho_m``: the log of ``sum_v exp(em[m, v])
+    * kappa_v`` over every value (see `EdgeSet.log_kappa`), the most that
+    step m multiplies the summed mass of a slot by."""
+    growth = np.empty(em.shape[0])
+    for edges, lo, hi in _step_edges(space, em.shape[0]):
+        log_kappa = edges.log_kappa()
+        growth[lo:hi] = _log_rows(em[lo:hi, :log_kappa.size] + log_kappa)
+    return growth
+
+
+def _log_raised(space, em, init, log_raise) -> float:
+    """Log of the most that the raises of an upper backward pass (see
+    `_scaled_backward`) add to its total ``Z_up = sum_s init(s)
+    beta_up_0(s)``.
+
+    ``log_raise[n]`` is the log of the raise of slot n's entries in
+    absolute units, ``R_n`` (-inf at slot N, which is not raised).
+    Unrolling ``beta_up_n = M_n beta_up_{n+1} + R_n`` gives ``Z_up - Z =
+    sum_n F_n R_n``, with ``F_n`` the summed forward mass of slot n.  Each
+    step multiplies that mass by at most ``rho_m`` (see `_log_growth`), so
+    ``F_n <= F_0 prod_{m < n} rho_m``, at a cost of O(N * n_values).
+    """
+    log_mass = np.empty(em.shape[0] + 1)
+    log_mass[0] = _log_total(init)
+    log_mass[1:] = log_mass[0] + np.cumsum(_log_growth(space, em))
+    return _log_total(log_mass + log_raise)
 
 
 def _regrown(space, em, lost):
@@ -732,23 +765,24 @@ def _regrown(space, em, lost):
     """
     missed = NEG_INF
     n_rows = 0
-    for n, log_beta in _upper_beta(space, em):
+    for n, log_beta, _ in _upper_beta(space, em):
         missed = np.logaddexp(missed, lost[n] + log_beta.max())
         n_rows += 1
     return float(missed) if n_rows == len(lost) else None
 
 
 def _upper_beta(space, em):
-    """Yields ``(n, log_beta)`` for n = N, N-1, ..., 0: the rows of
-    `_scaled_backward` with `upper` set, in log space, each entry an upper
-    bound on the backward value of its state.  The one pass behind both the
-    forward guard (`_regrown`) and the certified decode (`_certified_sweep`).
-    Stops early when no path is feasible.
+    """Yields ``(n, log_beta, log_raise)`` for n = N, N-1, ..., 0: the rows
+    of `_scaled_backward` with `upper` set, in log space, each entry an
+    upper bound on the backward value of its state, and the log of what the
+    raise added to each entry (-inf at slot N).  The one pass behind both
+    the forward guard (`_regrown`) and the certified decode
+    (`_certified_sweep`).  Stops early when no path is feasible.
     """
-    for n, b, log_scale in _scaled_backward(space, em, upper=True):
+    for n, b, log_scale, raise_by in _scaled_backward(space, em, upper=True):
         log_beta = np.log(b)
         log_beta += log_scale
-        yield n, log_beta
+        yield n, log_beta, np.log(raise_by) + log_scale if raise_by else NEG_INF
 
 
 def _transposed(edges: EdgeSet):
@@ -763,10 +797,11 @@ def _transposed(edges: EdgeSet):
 def _scaled_backward(space, em, upper: bool = False):
     """Scaled backward vectors over the transposed per-value CSR matrices.
 
-    Yields ``(n, b, log_scale)`` for n = N, N-1, ..., 0, where
+    Yields ``(n, b, log_scale, raise_by)`` for n = N, N-1, ..., 0, where
     ``log(b) + log_scale`` is the backward vector of slot n (over the
-    boundary slot at n = 0) and `b` sums to 1.  The mirror of
-    `_scaled_forward`: a step is ``b' = A^T (w (x) b)`` with
+    boundary slot at n = 0), `b` sums to 1 before its raise, and
+    `raise_by` is that raise (0 without `upper`, and at slot N).  The
+    mirror of `_scaled_forward`: a step is ``b' = A^T (w (x) b)`` with
     ``w_v = exp(em[n, v] - c)``, where ``c`` is the largest emission among
     the values of edges entering a state with ``b > 0``.  Stops early when
     no path is feasible.
@@ -783,7 +818,8 @@ def _scaled_backward(space, em, upper: bool = False):
     n_states = space.trans.n_dst
     b = np.full(n_states, 1.0 / n_states)
     log_scale = np.log(n_states)
-    yield em.shape[0], b, log_scale
+    yield em.shape[0], b, log_scale, 0.0
+    raise_by = 0.0
     trans = _transposed(space.trans) if em.shape[0] > 1 else None
     with np.errstate(divide="ignore"):
         for n in range(em.shape[0] - 1, -1, -1):
@@ -809,7 +845,7 @@ def _scaled_backward(space, em, upper: bool = False):
             if upper:
                 b += raise_by
             log_scale += c + np.log(s)
-            yield n, b, log_scale
+            yield n, b, log_scale, raise_by
 
 
 def backward(space, em):
@@ -824,7 +860,7 @@ def backward(space, em):
     em = _emission_steps(em)
     table = [None] * (em.shape[0] + 1)
     with np.errstate(divide="ignore"):
-        for n, b, log_scale in _scaled_backward(space, em):
+        for n, b, log_scale, _ in _scaled_backward(space, em):
             table[n] = np.log(b) + log_scale
     return table if table[0] is not None else None
 
@@ -1025,7 +1061,9 @@ def _top(values: np.ndarray, k: int):
 
 
 def _certified_sweep(space, em, init):
-    """The exact Viterbi table from a sweep over the states that can pass.
+    """``(steps, log_total)``: the exact Viterbi table from a sweep over
+    the states that can pass, and the data's log total when the upper
+    backward pass settles it (see `_log_raised`), else None.
 
     With ``beta`` the upper backward rows (see `_upper_beta`), a sweep that
     keeps the top-k states of each slot by ``delta' + beta``, its own maxima
@@ -1044,10 +1082,15 @@ def _certified_sweep(space, em, init):
     # the rows are made side by side before the pass: made between its
     # temporaries, they fragmented the heap and raised peak RSS by up to 4%
     beta = [np.empty(init.size)] + [np.empty(space.n_states) for _ in range(em.shape[0])]
-    for n, log_beta in _upper_beta(space, em):
+    log_raise = np.empty(em.shape[0] + 1)
+    for n, log_beta, raised in _upper_beta(space, em):
         beta[n][:] = log_beta
+        log_raise[n] = raised
     if n:  # the pass stopped before slot 0: no path, and the plain sweep says where
-        return _pruned_sweep(space, em, init, lambda n, delta: None, scratch)
+        return _pruned_sweep(space, em, init, lambda n, delta: None, scratch), None
+    log_total = _log_total(init + beta[0])
+    if not _log_raised(space, em, init, log_raise) - log_total <= -DROP_MARGIN:
+        log_total = None
     k = TOP_K_START
     while True:
         try:
@@ -1059,7 +1102,7 @@ def _certified_sweep(space, em, init):
                 raise
             k *= TOP_K_GROWTH
     if k >= size:
-        return steps  # the restriction kept everything: already exact
+        return steps, log_total  # the restriction kept everything: already exact
     score = float(np.max(steps[-1][1]))
     del steps
     scale = em.shape[0] * (1.0 + np.max(np.abs(em[np.isfinite(em)]), initial=0.0))
@@ -1070,7 +1113,7 @@ def _certified_sweep(space, em, init):
         bound += delta
         return np.flatnonzero(bound >= threshold)
 
-    return _pruned_sweep(space, em, init, passing, scratch)
+    return _pruned_sweep(space, em, init, passing, scratch), log_total
 
 
 def _check_table(space, em, init, table):
@@ -1092,7 +1135,10 @@ def viterbi(space, em, beam_width: int | None = None) -> PathSample:
     Exact decodes of spaces with at least `CERTIFY_MIN_EDGES` edges bound
     every state by an upper backward pass and sweep only the states that can
     still lie on an optimal path (see the module docstring and
-    `_certified_sweep`); they run no forward pass.
+    `_certified_sweep`); they run no forward pass.  Their path's
+    `log_likelihood` is that pass's total, log P(observations) from above,
+    when its raises could add at most e^-40 of it (see `_log_raised`);
+    it is None otherwise, and on every other decode.
 
     Beam widths round up to the next power of two and prune through nested
     survivor sets (see `_tiered_sweep`), so decoded scores never decrease as
@@ -1104,11 +1150,13 @@ def viterbi(space, em, beam_width: int | None = None) -> PathSample:
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
         return _backtrack(space, em, _tiered_sweep(space, em, eff, init, use_max=True))
-    if space.n_edges >= CERTIFY_MIN_EDGES:
-        steps = _certified_sweep(space, em, init)
-    else:
-        steps = _pruned_sweep(space, em, init, lambda n, delta: None, _scratch(space))
-    return _backtrack(space, em, steps)
+    if space.n_edges < CERTIFY_MIN_EDGES:
+        return _backtrack(space, em, _pruned_sweep(space, em, init, lambda n, delta: None,
+                                                   _scratch(space)))
+    steps, log_total = _certified_sweep(space, em, init)
+    path = _backtrack(space, em, steps)
+    path.log_likelihood = log_total
+    return path
 
 
 def _exp_weights(logw: np.ndarray) -> np.ndarray:

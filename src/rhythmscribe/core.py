@@ -178,12 +178,6 @@ class Corpus:
             if p.bar_length != self.bar_length:
                 raise ValueError("all pieces must share the corpus bar_length")
 
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __iter__(self):
-        return iter(self.pieces)
-
     def to_dict(self) -> dict:
         return {
             "bar_length": self.bar_length,

@@ -97,7 +97,13 @@ class GibbsConfig:
 
 @dataclass(frozen=True)
 class TranscriptionResult:
-    """A decoded performance: note values, latent annotations, likelihoods."""
+    """A decoded performance: note values, latent annotations, likelihoods.
+
+    `log_likelihood` is log P(observations) under the decoded parameters.
+    An exact `transcribe` on a certified space (see `_dp.viterbi`) takes it
+    from the decode's upper backward pass, a bound from above within e^-40
+    relative of the forward total; every other call takes the forward's.
+    """
 
     model: str
     note_values: tuple[int, ...]
@@ -357,6 +363,11 @@ def transcribe(
     Non-Bayesian configs take a ModelParams; Bayesian configs take a
     Hyperparams (and an optional GibbsConfig).  Inference is exact unless
     the GibbsConfig asks for a beam width.
+
+    A non-Bayesian call decodes first.  An exact decode of a certified
+    space returns the likelihood with its path, the upper backward pass's
+    total within e^-40 relative (see `_dp.viterbi`), and no forward pass
+    runs; otherwise one forward pass, without a table, gives it.
     """
     gibbs = GibbsConfig() if gibbs is None else gibbs
     if config.bayesian:
@@ -368,6 +379,8 @@ def transcribe(
         raise TypeError("non-Bayesian transcription needs ModelParams")
     space = build_state_space(config, params_or_hyperparams)
     em = TranscriptionHmm(space, tp).emission_matrix(performance.durations)
-    loglik = _dp.forward(space, em, beam_width=gibbs.beam_width)
     path = _dp.viterbi(space, em, beam_width=gibbs.beam_width)
+    loglik = path.log_likelihood
+    if loglik is None:  # the decode did not settle the total
+        loglik = _dp.forward(space, em, beam_width=gibbs.beam_width)
     return _result_from_path(space, path, loglik)

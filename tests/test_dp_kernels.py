@@ -812,11 +812,67 @@ class TestOneForwardPerIteration:
         assert space.n_edges >= _dp.CERTIFY_MIN_EDGES
         tp = TimingParams.from_bpm(144.0, 0.04)
         perf = synthesize(sample_score(space, 20, rng), tp, rng)
-        path = _dp.viterbi(space, TranscriptionHmm(space, tp).emission_matrix(perf.durations))
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        path = _dp.viterbi(space, em)
         assert calls == []
-        # the likelihood's pass, without a table
-        assert transcribe(cfg, params, perf, tp).note_values == tuple(path.output_values)
+        result = transcribe(cfg, params, perf, tp)
+        assert result.note_values == tuple(path.output_values)
+        assert calls == []  # the decode's upper backward pass gave the likelihood
+        assert result.log_likelihood == pytest.approx(original(space, em), rel=1e-12)
+
+
+def transcribe_counting_forwards(monkeypatch, config, params, perf, tp):
+    """``(result, calls)``: `transcribe` on every space certified, and one
+    entry per `_dp.forward` call it made."""
+    monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", 0)
+    calls = []
+    original = _dp.forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("return_table", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_dp, "forward", counting)
+    return transcribe(config, params, perf, tp), calls
+
+
+class TestLikelihoodFromTheCertificate:
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
+    def test_upper_total_matches_the_forward(self, name, rng, monkeypatch):
+        # Bayesian variants decode their structure with the sampled tables
+        config, params, space, tp, durations = tiny_instance(name, rng, n_notes=6)
+        perf = Performance(tuple(np.concatenate([[0.0], np.cumsum(durations)])))
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        want = _dp.forward(space, em)
+        path = _dp.viterbi(space, em)  # the plain sweep on a tiny space
+        result, calls = transcribe_counting_forwards(monkeypatch, config.plain(), params,
+                                                     perf, tp)
+        assert calls == []
+        assert result.log_likelihood == pytest.approx(want, rel=1e-12)
+        assert result.note_values == tuple(path.output_values)
+        assert result.path_log_prob == path.log_prob
+
+    def test_loose_bound_falls_back_to_the_forward(self, monkeypatch):
+        # values 1 and 2 alternate with probability 1 - 1e-4, and every
+        # duration fits value 1: each step realizes about 1e-4 of the most
+        # out-mass a source can send, so the bound on what the raises add
+        # grows some 9 nats a step and passes e^-40 of the total well within
+        # 100 steps
+        cfg = ModelConfig.from_name("notemm1")
+        params = uniform_params(cfg)
+        params.initial = np.r_[0.5, 0.5, np.zeros(6)]
+        params.transition = np.zeros((8, 8))
+        params.transition[0, :2] = params.transition[1, 1::-1] = [1e-4, 1 - 1e-4]
+        params.transition[2:, 0] = 1.0
+        space = build_state_space(cfg, params)
+        tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.02)
+        perf = Performance(tuple(0.25 * np.arange(101.0)))
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        want = _dp.forward(space, em)
+        result, calls = transcribe_counting_forwards(monkeypatch, cfg, params, perf, tp)
+        assert _dp.viterbi(space, em).log_likelihood is None
         assert calls == [False]
+        assert result.log_likelihood == want
 
 
 # Note values and traces of seeded fits recorded before the forward pass was

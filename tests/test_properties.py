@@ -207,3 +207,26 @@ def test_backward_matches_references_and_the_forward_total(name, seed, n_steps):
         for s in np.flatnonzero(np.isfinite(alpha + beta)):
             through = logsumexp(scores[slots[:, n] == s])
             assert alpha[s] + beta[s] == pytest.approx(through, rel=1e-9, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(**KERNEL_CASES)
+def test_upper_total_exceeds_the_total_by_at_most_the_raise_bound(name, seed, n_steps):
+    # a raise of 2^-10 of each row, which the totals resolve, where 2^-700
+    # would vanish in their rounding
+    space, em = small_instance(name, seed, n_steps)
+    init = space.log_initial
+    total, _ = _dp._edge_list_forward(space, em, init, keep_table=False)
+    assume(np.isfinite(total))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_dp, "RAISE", 2.0**-10)
+        rows = list(_dp._upper_beta(space, em))
+    log_raise = np.full(n_steps + 1, -np.inf)
+    for n, _, raised in rows:
+        log_raise[n] = raised
+    n, beta_0, _ = rows[-1]
+    assert n == 0
+    upper = _dp._log_total(init + beta_0)
+    assert upper > total
+    gap = upper + np.log1p(-np.exp(total - upper))  # log(Z_up - Z)
+    assert gap <= _dp._log_raised(space, em, init, log_raise) + 1e-9
