@@ -22,6 +22,10 @@ matrix::
     space = build_state_space(config, params)
     em = TranscriptionHmm(space, tp).emission_matrix(performance.durations)
     path = viterbi(space, em)          # or forward, ffbs, ffbs_batch
+
+The matrix has one column per note value up to the bar length.  An `ffbs`
+draw carries its forward pass's total, log P(observations), as
+`path.log_likelihood`.
 """
 
 from ._dp import ffbs, ffbs_batch, forward, viterbi

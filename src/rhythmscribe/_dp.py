@@ -52,6 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .core import integral
+
 NEG_INF = -np.inf
 
 # Exact forward passes over spaces with at least this many edges run the
@@ -100,7 +102,7 @@ LOG_UNDERFLOW = -1072 * float(np.log(2.0))
 # could add at most e^-40 of it.
 DROP_MARGIN = 40.0
 
-# The least raise of a backward entry for bounds (see `_scaled_backward`).
+# The least raise of an upper backward entry (see `_upper_beta`).
 RAISE = 2.0**-700
 
 
@@ -300,6 +302,7 @@ def _effective_width(width: int | None, space, n_init: int) -> int | None:
     """
     if width is None:
         return None
+    width = integral(width, "beam_width")
     if width < 1:
         raise ValueError("beam width must be >= 1")
     eff = _next_pow2(width)
@@ -453,14 +456,18 @@ class PathSample:
     state_indices: list[int]
     output_values: list[int]
     log_prob: float
-    # the log total over every path, when a certified decode settled it
+    # the log total over every path: an FFBS draw's forward total, or a
+    # certified decode's upper one when it settled it (else None)
     log_likelihood: float | None = None
 
 
-def _emission_steps(em: np.ndarray):
+def _emission_steps(space, em: np.ndarray):
     em = np.asarray(em, dtype=np.float64)
     if em.ndim != 2 or em.shape[0] < 1:
         raise ValueError("emission matrix must be (n_steps, bar_length) with n_steps >= 1")
+    if em.shape[1] != space.bar_length:
+        raise ValueError(f"emission matrix has {em.shape[1]} columns, "
+                         f"the space's bar length is {space.bar_length}")
     bad = ~(em < np.inf)  # NaN or +inf; -inf stays legal (indicator rows)
     if bad.any():
         step = int(np.argmax(bad.any(axis=1))) + 1
@@ -571,7 +578,7 @@ def _scaled_forward(space, em, init, keep_table=True):
                 table.append(np.log(x) + log_scale)
             edges = space.trans
     for edges, lo, hi in _step_edges(space, n_steps):
-        n_values, mat_t, _, with_edges = _transposed(edges)
+        n_values, mat_t, with_edges = _transposed(edges)
         # the products and sums of A @ x and of w @ z, and the division by
         # s, each weighed at most by the largest emission of a value with
         # edges: A @ x loses its underflowed products before they are
@@ -737,7 +744,7 @@ def _log_growth(space, em) -> np.ndarray:
 
 def _log_raised(space, em, init, log_raise) -> float:
     """Log of the most that the raises of an upper backward pass (see
-    `_scaled_backward`) add to its total ``Z_up = sum_s init(s)
+    `_upper_beta`) add to its total ``Z_up = sum_s init(s)
     beta_up_0(s)``.
 
     ``log_raise[n]`` is the log of the raise of slot n's entries in
@@ -772,97 +779,64 @@ def _regrown(space, em, lost):
 
 
 def _upper_beta(space, em):
-    """Yields ``(n, log_beta, log_raise)`` for n = N, N-1, ..., 0: the rows
-    of `_scaled_backward` with `upper` set, in log space, each entry an
-    upper bound on the backward value of its state, and the log of what the
-    raise added to each entry (-inf at slot N).  The one pass behind both
-    the forward guard (`_regrown`) and the certified decode
+    """Scaled backward rows over the transposed per-value CSR matrices,
+    each entry raised to an upper bound on the backward value of its state.
+
+    Yields ``(n, log_beta, log_raise)`` for n = N, N-1, ..., 0: the row of
+    slot n in log space (over the boundary slot at n = 0), and the log of
+    what the raise added to each entry (-inf at slot N).  The one pass
+    behind both the forward guard (`_regrown`) and the certified decode
     (`_certified_sweep`).  Stops early when no path is feasible.
-    """
-    for n, b, log_scale, raise_by in _scaled_backward(space, em, upper=True):
-        log_beta = np.log(b)
-        log_beta += log_scale
-        yield n, log_beta, np.log(raise_by) + log_scale if raise_by else NEG_INF
 
-
-def _transposed(edges: EdgeSet):
-    """``(n_values, A^T, entered, any_entered)`` for the backward kernel:
-    `A` as in `EdgeSet.by_value`, ``entered[v, d]`` whether some edge of
-    value v enters d, and ``any_entered[v]`` whether any does."""
-    n_values, mat = edges.by_value()
-    entered = np.diff(mat.indptr).reshape(n_values, edges.n_dst) > 0
-    return n_values, mat.T, entered, entered.any(axis=1)
-
-
-def _scaled_backward(space, em, upper: bool = False):
-    """Scaled backward vectors over the transposed per-value CSR matrices.
-
-    Yields ``(n, b, log_scale, raise_by)`` for n = N, N-1, ..., 0, where
-    ``log(b) + log_scale`` is the backward vector of slot n (over the
-    boundary slot at n = 0), `b` sums to 1 before its raise, and
-    `raise_by` is that raise (0 without `upper`, and at slot N).  The
-    mirror of `_scaled_forward`: a step is ``b' = A^T (w (x) b)`` with
-    ``w_v = exp(em[n, v] - c)``, where ``c`` is the largest emission among
-    the values of edges entering a state with ``b > 0``.  Stops early when
-    no path is feasible.
-
-    With `upper`, every entry of a step is raised by the most that
-    underflow can have dropped from it, and at least by 2^-700:
-    ``log(b) + log_scale`` then bounds beta from above (up to rounding),
-    and no path's mass is ever flushed from `b`.  A raise of the smallest
-    normal double would do, but its products in the next step would be
-    subnormal, which is many times slower; 2^-700 times any emission
-    weight above e^-200 and any edge probability above 2^-33 stays
-    normal, and still lies 485 nats below the step's total.
+    The mirror of `_scaled_forward`: the scaled row ``b`` sums to 1 before
+    its raise, and a step is ``b' = A^T (w (x) b)`` with ``w_v = exp(em[n,
+    v] - c)``, where ``c`` is the largest emission among the values of
+    some edge of the step.  Every entry of a step is then raised by the
+    most that underflow can have dropped from it, and at least by 2^-700:
+    ``log(b) + log_scale`` bounds beta from above (up to rounding), and no
+    path's mass is ever flushed from ``b``.  A raise of the smallest normal
+    double would do, but its products in the next step would be subnormal,
+    which is many times slower; 2^-700 times any emission weight above
+    e^-200 and any edge probability above 2^-33 stays normal, and still
+    lies 485 nats below the step's total.
     """
     n_states = space.trans.n_dst
     b = np.full(n_states, 1.0 / n_states)
     log_scale = np.log(n_states)
-    yield em.shape[0], b, log_scale, 0.0
-    raise_by = 0.0
+    log_beta = np.log(b)
+    log_beta += log_scale
+    yield em.shape[0], log_beta, NEG_INF
     trans = _transposed(space.trans) if em.shape[0] > 1 else None
-    with np.errstate(divide="ignore"):
-        for n in range(em.shape[0] - 1, -1, -1):
-            n_values, mat_t, entered, any_entered = trans if n else _transposed(space.first)
-            reached = b > 0
-            live = any_entered if reached.all() else (entered & reached).any(axis=1)
-            row = em[n, :n_values][live]
-            c = np.max(row) if row.size else NEG_INF
-            if not np.isfinite(c):
-                return
-            w = np.zeros(n_values)
-            w[live] = np.exp(row - c)
-            u = mat_t @ (w[:, None] * b).ravel()
-            s = u.sum()
-            if not s > 0:
-                return
-            if upper:
-                # each of at most n_values * n_dst terms of an entry of u,
-                # a product p * w * b with p <= 1 and w <= 1, loses under
-                # 2^-1072 * max(1, max b) to underflow
-                raise_by = max(RAISE, mat_t.shape[1] * 2.0**-1072 * max(1.0, b.max()) / s)
-            b = u / s
-            if upper:
-                b += raise_by
-            log_scale += c + np.log(s)
-            yield n, b, log_scale, raise_by
+    for n in range(em.shape[0] - 1, -1, -1):
+        n_values, mat_t, with_edges = trans if n else _transposed(space.first)
+        row = em[n, :n_values][with_edges]
+        c = np.max(row) if row.size else NEG_INF
+        if not np.isfinite(c):
+            return
+        w = np.zeros(n_values)
+        w[with_edges] = np.exp(row - c)
+        u = mat_t @ (w[:, None] * b).ravel()
+        s = u.sum()
+        if not s > 0:
+            return
+        # each of at most n_values * n_dst terms of an entry of u, a
+        # product p * w * b with p <= 1 and w <= 1, loses under 2^-1072 *
+        # max(1, max b) to underflow
+        raise_by = max(RAISE, mat_t.shape[1] * 2.0**-1072 * max(1.0, b.max()) / s)
+        b = u / s
+        b += raise_by
+        log_scale += c + np.log(s)
+        log_beta = np.log(b)
+        log_beta += log_scale
+        yield n, log_beta, np.log(raise_by) + log_scale
 
 
-def backward(space, em):
-    """Backward recursion: ``beta[n][s]`` is the log probability of the
-    observations after step n given the slot-n state s.
-
-    Returns the table ``[beta_0, ..., beta_N]`` (``beta_0`` over the boundary
-    slot, ``beta_N`` all zero), or None when no path is feasible.  Runs the
-    scaled kernel (`_scaled_backward`) on every space, so entries whose
-    scaled value underflows read -inf.
-    """
-    em = _emission_steps(em)
-    table = [None] * (em.shape[0] + 1)
-    with np.errstate(divide="ignore"):
-        for n, b, log_scale, _ in _scaled_backward(space, em):
-            table[n] = np.log(b) + log_scale
-    return table if table[0] is not None else None
+def _transposed(edges: EdgeSet):
+    """``(n_values, A^T, with_edges)`` for the backward kernel: `A` as in
+    `EdgeSet.by_value`, and ``with_edges[v]`` whether some edge produces
+    value v."""
+    n_values, mat = edges.by_value()
+    return n_values, mat.T, np.diff(mat.indptr[:: edges.n_dst]) > 0
 
 
 def forward(
@@ -887,7 +861,7 @@ def forward(
     `log_init` replaces the space's boundary distribution, e.g. to condition
     on an observed initial metrical position.
     """
-    em = _emission_steps(em)
+    em = _emission_steps(space, em)
     init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
     if not np.isfinite(init).any():
         return (NEG_INF, None) if return_table else NEG_INF
@@ -1116,14 +1090,6 @@ def _certified_sweep(space, em, init):
     return _pruned_sweep(space, em, init, passing, scratch), log_total
 
 
-def _check_table(space, em, init, table):
-    """Raise ValueError unless `table` has one row per slot of `em`, each
-    the size of its slot."""
-    sizes = [init.size] + [space.n_states] * em.shape[0]
-    if [np.size(row) for row in table] != sizes:
-        raise ValueError("table is not a forward table of these emissions and space")
-
-
 def viterbi(space, em, beam_width: int | None = None) -> PathSample:
     """Most probable latent path; ties break toward the lowest state index.
 
@@ -1145,7 +1111,7 @@ def viterbi(space, em, beam_width: int | None = None) -> PathSample:
     the width grows and the decode is exact once the effective width covers
     the whole space.
     """
-    em = _emission_steps(em)
+    em = _emission_steps(space, em)
     init = space.log_initial
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
@@ -1301,26 +1267,25 @@ def _paths_from_edges(space, eids: np.ndarray):
     return space.first.src[eids[:, 0]], states, outs
 
 
-def ffbs(space, em, rng: np.random.Generator, beam_width: int | None = None, table=None):
+def ffbs(space, em, rng: np.random.Generator, beam_width: int | None = None) -> PathSample:
     """Forward filtering, backward sampling: one exact posterior path draw.
 
-    The one-draw case of `ffbs_batch`.  `table` is the forward table of
-    these emissions, ``forward(space, em, beam_width, return_table=True)[1]``;
-    a caller that already holds it passes it, and no forward pass runs.  For
+    The one-draw case of `ffbs_batch`.  The path's `log_likelihood` is the
+    total of its forward pass, ``forward(space, em, beam_width)``, so a
+    Gibbs sweep reads the data likelihood off its draw (Scott 2002).  For
     models whose emission depends only on the destination state the
     backward kernel reduces to the state-emission form.
     """
-    em = _emission_steps(em)
+    em = _emission_steps(space, em)
     init = space.log_initial
-    if table is None:
-        _, table = forward(space, em, beam_width=beam_width, return_table=True)
-    else:
-        _check_table(space, em, init, table)
+    total, table = forward(space, em, beam_width=beam_width, return_table=True)
     eids = _sample_backward(space, em, table, rng, 1)[0]
     boundary, states, outs = (a[0] for a in _paths_from_edges(space, eids[None]))
     logp = np.concatenate([space.first.logp[eids[:1]], space.trans.logp[eids[1:]]])
     log_prob = float(init[boundary]) + float(np.sum(logp + em[np.arange(outs.size), outs - 1]))
-    return _path_sample(space, boundary, states, outs, log_prob)
+    path = _path_sample(space, boundary, states, outs, log_prob)
+    path.log_likelihood = total
+    return path
 
 
 def sample_generative(space, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -1361,8 +1326,9 @@ def ffbs_batch(space, em, rng: np.random.Generator, size: int,
     Returns ``(boundary, states, outputs)`` int arrays of shapes (size,),
     (size, n_steps), (size, n_steps).
     """
+    size = integral(size, "size")
     if size < 1:
         raise ValueError("size must be >= 1")
-    em = _emission_steps(em)
+    em = _emission_steps(space, em)
     _, table = forward(space, em, beam_width=beam_width, return_table=True)
     return _paths_from_edges(space, _sample_backward(space, em, table, rng, size))

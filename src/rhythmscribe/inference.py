@@ -324,26 +324,19 @@ def gibbs_fit(
     # the emission matrix depends on the bar length and timing only
     em = TranscriptionHmm(space, tp).emission_matrix(durations)
 
-    def forward_then_sample(space):
-        # one forward pass per iteration: its total is the trace entry, its
-        # table feeds the backward sampler
-        loglik, table = _dp.forward(space, em, beam_width=width, return_table=True)
-        if table is None:
-            raise InferenceError("zero data likelihood: nothing to sample")
-        return loglik, _dp.ffbs(space, em, rng, beam_width=width, table=table)
-
-    loglik, path = forward_then_sample(space)
-    trace = [loglik]
-    best = (loglik, params, space)
+    # one FFBS draw per iteration: its forward total is the trace entry
+    path = _dp.ffbs(space, em, rng, beam_width=width)
+    trace = [path.log_likelihood]
+    best = (path.log_likelihood, params, space)
 
     for _ in range(gibbs.iterations):
         counts = gather_counts(space, path)
         params = sample_posterior(hp, counts, rng)
         space = build_state_space(config, params)
-        loglik, path = forward_then_sample(space)
-        trace.append(loglik)
-        if loglik > best[0]:
-            best = (loglik, params, space)
+        path = _dp.ffbs(space, em, rng, beam_width=width)
+        trace.append(path.log_likelihood)
+        if path.log_likelihood > best[0]:
+            best = (path.log_likelihood, params, space)
 
     best_loglik, best_params, best_space = best
     best_path = _dp.viterbi(best_space, em, beam_width=width)

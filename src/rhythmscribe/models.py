@@ -46,7 +46,6 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -1268,32 +1267,8 @@ class LatentStateSpace:
         return len(self.state_tags)
 
     @property
-    def n_boundary(self) -> int:
-        return len(self.boundary_tags)
-
-    @property
     def n_edges(self) -> int:
         return self.first.n_edges + self.trans.n_edges
-
-    @cached_property
-    def state_index(self) -> dict:
-        return {tag: i for i, tag in enumerate(self.state_tags)}
-
-    @cached_property
-    def boundary_index(self) -> dict:
-        return {tag: i for i, tag in enumerate(self.boundary_tags)}
-
-    def trans_prob(self, tag_from, tag_to) -> float:
-        e = _edge_at(self.trans, self.state_index[tag_from], self.state_index[tag_to])
-        return 0.0 if e is None else float(np.exp(self.trans.logp[e]))
-
-    def output_value(self, tag_from, tag_to) -> int | None:
-        e = _edge_at(self.trans, self.state_index[tag_from], self.state_index[tag_to])
-        return None if e is None else int(self.trans.out[e])
-
-    def first_output(self, boundary_tag, tag) -> int | None:
-        e = _edge_at(self.first, self.boundary_index[boundary_tag], self.state_index[tag])
-        return None if e is None else int(self.first.out[e])
 
     @property
     def layout(self) -> _Layout:
@@ -1317,14 +1292,6 @@ class LatentStateSpace:
         if self._factors is None:
             raise ValueError("this space has no parameter slots; build it with build_state_space")
         return self._factors
-
-
-def _edge_at(edges: EdgeSet, src: int, dst: int) -> int | None:
-    """Id of the edge src -> dst, or None: a search of dst's in-edges, whose
-    sources ascend since edges are (dst, src)-sorted."""
-    sl = edges.in_slice(dst)
-    e = int(sl.start + np.searchsorted(edges.src[sl], src))
-    return e if e < sl.stop and edges.src[e] == src else None
 
 
 def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:

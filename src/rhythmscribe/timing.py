@@ -197,8 +197,10 @@ class TranscriptionHmm:
     """A score model's latent chain paired with the timing densities.
 
     `emission_matrix` turns observed durations into the per-step
-    log-density table that the DP engine's `forward`, `viterbi`, `ffbs` and
-    `ffbs_batch` take together with the state space.
+    log-density table, one column per note value up to the bar length,
+    that the DP engine's `forward`, `viterbi`, `ffbs` and `ffbs_batch` take
+    together with the state space.  An `ffbs` draw carries the table's
+    forward total as its `log_likelihood`.
     """
 
     space: LatentStateSpace

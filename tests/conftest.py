@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from rhythmscribe.models import ModelConfig, build_state_space, random_params
+from rhythmscribe.models import ModelConfig, _edge_ids, build_state_space, random_params
 from rhythmscribe.timing import TimingParams
 
 ALL_VARIANTS = [
@@ -44,6 +44,21 @@ _TINY_BAR = {
     ("pat", 1, False, True): 2,
     ("pat", 1, True, True): 2,
 }
+
+
+def edge_id(space, tag_from, tag_to, first: bool = False):
+    """Id of the edge between two tagged states, or None when there is
+    none: in `space.trans`, or with `first` in `space.first`, from a
+    boundary tag."""
+    edges = space.first if first else space.trans
+    src = (space.boundary_tags if first else space.state_tags).index(tag_from)
+    dst = space.state_tags.index(tag_to)
+    for value in range(1, space.bar_length + 1):
+        try:
+            return int(_edge_ids(edges, np.array([src]), np.array([dst]), np.array([value]))[0])
+        except ValueError:  # no edge src -> dst producing `value`
+            continue
+    return None
 
 
 def tiny_config(name: str) -> ModelConfig:

@@ -97,7 +97,7 @@ class TestScaledForward:
         nb = space.bar_length
         em = np.full((6, nb), -np.inf)
         em[np.arange(6), np.asarray(path.output_values) - 1] = 0.0
-        init = np.full(space.n_boundary, -np.inf)
+        init = np.full(len(space.boundary_tags), -np.inf)
         b = path.boundary_index if path.boundary_index is not None else 0
         init[b] = space.log_initial[b]
         want, want_table = _dp._edge_list_forward(space, em, init)
@@ -156,7 +156,8 @@ class TestScaledForward:
         # step's own entry covers whatever a flushed boundary state passes on
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=4)
         em = TranscriptionHmm(space, tp).emission_matrix(durations)
-        init = np.log(np.full(space.n_boundary, 1.0 / space.n_boundary))
+        n_boundary = len(space.boundary_tags)
+        init = np.log(np.full(n_boundary, 1.0 / n_boundary))
         init[1] -= 800.0
         assert np.exp(init[1] - init.max()) == 0.0
         ledgers = []
@@ -204,12 +205,12 @@ class TestScaledForward:
         want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
         route_to(monkeypatch, kernel)
         backward_passes = []
-        real = _dp._scaled_backward
-        monkeypatch.setattr(_dp, "_scaled_backward",
-                            lambda *a, **k: backward_passes.append(k) or real(*a, **k))
+        real = _dp._upper_beta
+        monkeypatch.setattr(_dp, "_upper_beta",
+                            lambda *a: backward_passes.append(a) or real(*a))
         ran = kernels_run(monkeypatch)
         got, got_table = _dp.forward(space, em, return_table=True)
-        assert backward_passes == [{"upper": True}]  # the second stage ran
+        assert len(backward_passes) == 1  # the second stage ran, once
         assert ran == [f"_{kernel}_forward"]  # and cleared the total
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
@@ -449,14 +450,6 @@ class TestBackwardSampler:
         self.check(space, em, range(2))
         assert made == []
 
-    def test_a_misshapen_table_is_refused(self, rng):
-        _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=8)
-        em = TranscriptionHmm(space, tp).emission_matrix(durations)
-        short = _dp.forward(space, em[:5], return_table=True)[1]
-        for table in ([], short):
-            with pytest.raises(ValueError, match="not a forward table"):
-                _dp.ffbs(space, em, rng, table=table)
-
     def test_uniforms_are_drawn_up_front(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=5)
         em = TranscriptionHmm(space, tp).emission_matrix(durations)
@@ -497,6 +490,33 @@ class TestEmissionChecks:
             for call in calls:
                 with pytest.raises(ValueError, match="NaN or \\+inf entry at step 4"):
                     call()
+
+    def test_emission_width_must_be_the_bar_length(self, rng):
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        for space in self.spaces(rng):
+            em = TranscriptionHmm(space, tp).emission_matrix(np.full(6, 0.3))[:, :4]
+            calls = [
+                lambda: _dp.forward(space, em),
+                lambda: _dp.viterbi(space, em),
+                lambda: _dp.ffbs(space, em, rng),
+                lambda: _dp.ffbs_batch(space, em, rng, 5),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="has 4 columns, the space's bar length is 8"):
+                    call()
+
+    def test_integer_arguments_are_checked(self, rng):
+        space, _ = self.spaces(rng)
+        em = TranscriptionHmm(space, TimingParams.from_bpm(144.0, 0.04)).emission_matrix(
+            np.full(6, 0.3))
+        with pytest.raises(ValueError, match="size must be an integer, got 2.5"):
+            _dp.ffbs_batch(space, em, rng, size=2.5)
+        with pytest.raises(ValueError, match="beam_width must be an integer, got 2.5"):
+            _dp.viterbi(space, em, beam_width=2.5)
+        # integral floats stand for their ints, as in `GibbsConfig`
+        for got, want in zip(_dp.ffbs_batch(space, em, np.random.default_rng(3), size=2.0),
+                             _dp.ffbs_batch(space, em, np.random.default_rng(3), size=2)):
+            np.testing.assert_array_equal(got, want)
 
     def test_minus_inf_stays_legal(self, rng):
         space, _ = self.spaces(rng)
@@ -662,7 +682,6 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         em = np.tile(np.r_[0.0, np.ones(7)], (800, 1))
         _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[800][0])
-        assert not np.isfinite(_dp.backward(space, em)[1][0])
         path = _dp.viterbi(space, em)
         assert path.output_values == [1] * 800
         assert_same_path(space, path, backpointer_viterbi(space, em))
@@ -693,7 +712,6 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         space, em = two_path_emissions([0.25, 0.5, 0.5, 0.5, 0.25])
         _, table, _ = _dp._scaled_forward(space, em, space.log_initial)
         assert not np.isfinite(table[1][1])
-        assert not np.isfinite(_dp.backward(space, em)[4][1])
         self.check_flushed_optimum(space, em, [2] * 5)
 
     def test_path_through_a_value_no_state_produces_is_certified(self):
@@ -819,6 +837,34 @@ class TestOneForwardPerIteration:
         assert result.note_values == tuple(path.output_values)
         assert calls == []  # the decode's upper backward pass gave the likelihood
         assert result.log_likelihood == pytest.approx(original(space, em), rel=1e-12)
+
+
+class TestFfbsTotal:
+    """An FFBS draw carries its forward pass's total, bit for bit."""
+
+    @pytest.mark.parametrize("name, beam_width", [("metmm1", None), ("patmm1", None),
+                                                  ("patmm1", 64)])
+    def test_draw_carries_the_forward_total(self, name, beam_width, rng):
+        cfg = ModelConfig.from_name(name)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        assert _dp._batched(space) == (name == "metmm1")
+        assert beam_width is None or beam_width < space.n_states  # a true beam
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        perf = synthesize(sample_score(space, 20, rng), tp, rng)
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        path = _dp.ffbs(space, em, rng, beam_width=beam_width)
+        assert path.log_likelihood == _dp.forward(space, em, beam_width=beam_width)
+
+    def test_gibbs_trace_starts_at_the_base_draw(self, rng):
+        cfg = ModelConfig.from_name("metmm1b")
+        hp = assemble_hyperparams(random_params(cfg.plain(), rng), cfg)
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        space = build_state_space(cfg.plain(), hp.base)
+        perf = synthesize(sample_score(space, 20, rng), tp, rng)
+        _, result = gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=2, seed=5))
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        base = _dp.ffbs(space, em, np.random.default_rng(5))
+        assert result.trace[0] == base.log_likelihood
 
 
 def transcribe_counting_forwards(monkeypatch, config, params, perf, tp):

@@ -26,6 +26,7 @@ from rhythmscribe.timing import TimingParams, TranscriptionHmm, synthesize
 from rhythmscribe.core import RhythmScore
 
 from conftest import (
+    edge_id,
     enumerate_paths,
     oracle_argmax,
     oracle_forward,
@@ -190,9 +191,11 @@ class TestFfbs:
         boundary, states, outputs = ffbs_batch(space, hmm.emission_matrix(durations), rng, size=50)
         for b, srow, orow in zip(boundary, states, outputs):
             tags = [space.state_tags[i] for i in srow]
-            assert orow[0] == space.first_output(space.boundary_tags[b], tags[0])
+            first = edge_id(space, space.boundary_tags[b], tags[0], first=True)
+            assert first is not None and orow[0] == space.first.out[first]
             for i in range(1, len(tags)):
-                assert orow[i] == space.output_value(tags[i - 1], tags[i])
+                e = edge_id(space, tags[i - 1], tags[i])
+                assert e is not None and orow[i] == space.trans.out[e]
 
 
 class TestDirichlet:
@@ -268,9 +271,9 @@ class TestGatherCounts:
         # hand-built path for positions 0 -> 2 -> 4 -> 0
         cfg = ModelConfig.from_name("metmm2")
         space = build_state_space(cfg, random_params(cfg, rng))
-        states = [space.state_index[t] for t in [(0, 2), (2, 4), (4, 0)]]
+        states = [space.state_tags.index(t) for t in [(0, 2), (2, 4), (4, 0)]]
         path = _dp.PathSample(
-            boundary_index=space.boundary_index[0],
+            boundary_index=space.boundary_tags.index(0),
             state_indices=states,
             output_values=[2, 2, 4],
             log_prob=0.0,

@@ -27,7 +27,19 @@ from rhythmscribe.models import (
     uniform_params,
 )
 
-from conftest import ALL_VARIANTS, enumerate_paths, tiny_instance
+from conftest import ALL_VARIANTS, edge_id, enumerate_paths, tiny_instance
+
+
+def trans_prob(space, tag_from, tag_to) -> float:
+    """Weight of the transition edge between two tagged states, 0 if none."""
+    e = edge_id(space, tag_from, tag_to)
+    return 0.0 if e is None else float(np.exp(space.trans.logp[e]))
+
+
+def output_value(space, tag_from, tag_to):
+    """Note value of the transition edge between two tagged states, None if none."""
+    e = edge_id(space, tag_from, tag_to)
+    return None if e is None else int(space.trans.out[e])
 
 
 class TestConfig:
@@ -108,8 +120,8 @@ class TestStateSpaces:
         assert space.n_states == 3
         assert space.state_tags == ((0, 1), (1, 1), (1, 2))
         # within-pattern steps are deterministic
-        assert space.trans_prob((1, 1), (1, 2)) == pytest.approx(1.0)
-        assert space.output_value((1, 1), (1, 2)) == 4
+        assert trans_prob(space, (1, 1), (1, 2)) == pytest.approx(1.0)
+        assert output_value(space, (1, 1), (1, 2)) == 4
 
     def test_pattern_transition_closed_form(self, rng):
         # trans[(k',i'),(k,i)] = [k=k', i=i'+1] + [i'=len(k')] Gamma[k',k] [i=1]
@@ -126,7 +138,7 @@ class TestStateSpaces:
                             expected = 1.0
                         elif ip == len(patp) and i == 1:
                             expected = params.transition[kp, k]
-                        got = space.trans_prob((kp, ip), (k, i))
+                        got = trans_prob(space, (kp, ip), (k, i))
                         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_pattern_outputs_use_interval_to_next_onset(self, rng):
@@ -135,7 +147,7 @@ class TestStateSpaces:
         space = build_state_space(cfg, random_params(cfg, rng, patterns=patterns))
         for kp, patp in enumerate(patterns):
             for k, pat in enumerate(patterns):
-                got = space.output_value((kp, len(patp)), (k, 1))
+                got = output_value(space, (kp, len(patp)), (k, 1))
                 assert got == interval(patp[-1], pat[0], 3)
 
     def test_note_order0_rows_equal_unigram(self, rng):
@@ -144,7 +156,7 @@ class TestStateSpaces:
         space = build_state_space(cfg, params)
         for src in range(1, 9):
             for dst in range(1, 9):
-                assert space.trans_prob(src, dst) == pytest.approx(params.unigram[dst - 1])
+                assert trans_prob(space, src, dst) == pytest.approx(params.unigram[dst - 1])
 
     def test_note_order2_state_count(self, rng):
         cfg = ModelConfig.from_name("notemm2")
@@ -156,9 +168,9 @@ class TestStateSpaces:
         params = random_params(cfg, rng)
         space = build_state_space(cfg, params)
         assert space.n_states == 64
-        assert space.n_boundary == 8
-        assert space.trans_prob((2, 5), (5, 1)) == pytest.approx(params.transition2[2, 5, 1])
-        assert space.output_value((2, 5), (5, 1)) == 4  # interval(5, 1) = 4
+        assert len(space.boundary_tags) == 8
+        assert trans_prob(space, (2, 5), (5, 1)) == pytest.approx(params.transition2[2, 5, 1])
+        assert output_value(space, (2, 5), (5, 1)) == 4  # interval(5, 1) = 4
 
 
 class TestShiftAugmentation:
@@ -167,7 +179,7 @@ class TestShiftAugmentation:
         params = random_params(cfg, rng)
         space = build_state_space(cfg, params)
         # base value 2 from state (4, 0) to (2, 1): output 2 + 1 - 0 = 3
-        assert space.output_value((4, 0), (2, 1)) == 3
+        assert output_value(space, (4, 0), (2, 1)) == 3
 
     def test_unnormalized_edge_weight_is_product(self, rng):
         cfg = ModelConfig.from_name("notemm1s", renormalize_masked=False)
@@ -175,7 +187,7 @@ class TestShiftAugmentation:
         space = build_state_space(cfg, params)
         nb = 8
         expected = params.transition[3, 1] * params.shift_probs[1 + (nb - 1)]
-        assert space.trans_prob((4, 0), (2, 1)) == pytest.approx(expected)
+        assert trans_prob(space, (4, 0), (2, 1)) == pytest.approx(expected)
 
     def test_shift_state_count(self, rng):
         # shift alphabet for value r is {s : -r < s <= r} within [-(nb-1), nb-1]
@@ -191,15 +203,15 @@ class TestShiftAugmentation:
         cfg = ModelConfig.from_name("metmm1s")
         space = build_state_space(cfg, random_params(cfg, rng))
         assert space.n_states == 8 * 15
-        assert space.n_boundary == 8 * 15
+        assert len(space.boundary_tags) == 8 * 15
 
     def test_infeasible_shifts_pruned(self, rng):
         cfg = ModelConfig.from_name("notemm1s")
         space = build_state_space(cfg, random_params(cfg, rng))
-        idx = space.state_index
-        assert (1, 1) in idx and (1, 0) in idx
-        assert (1, 2) not in idx  # s=2 needs value > 2
-        assert (3, -3) not in idx  # s <= -r infeasible
+        tags = space.state_tags
+        assert (1, 1) in tags and (1, 0) in tags
+        assert (1, 2) not in tags  # s=2 needs value > 2
+        assert (3, -3) not in tags  # s <= -r infeasible
 
 
 class TestDivisionAugmentation:
@@ -208,8 +220,8 @@ class TestDivisionAugmentation:
         space = build_state_space(cfg, random_params(cfg, rng))
         cat = build_division_catalog(8)
         h = cat.patterns_for(4).index((2, 2))
-        assert space.trans_prob((4, h, 1), (4, h, 2)) == pytest.approx(1.0)
-        assert space.output_value((4, h, 1), (4, h, 2)) == 2
+        assert trans_prob(space, (4, h, 1), (4, h, 2)) == pytest.approx(1.0)
+        assert output_value(space, (4, h, 1), (4, h, 2)) == 2
 
     def test_division_state_counts_match_catalog(self, rng):
         cat = build_division_catalog(8)
@@ -246,7 +258,7 @@ class TestDivisionAugmentation:
         params = params.copy()
         params.division_probs = tuple(rows)
         space = build_state_space(cfg, params)
-        assert (4, h, 1) not in space.state_index
+        assert (4, h, 1) not in space.state_tags
 
 
 class TestCollapseLimits:
