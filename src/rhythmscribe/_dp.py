@@ -13,8 +13,13 @@ Emissions enter as a matrix ``em`` of shape ``(N, bar_length)``:
 ``n``.  Indicator rows (0 / -inf) recover score probabilities; Gaussian
 log-densities give performance likelihoods.
 
-Beams, Viterbi and the reference forward kernel work in log space over the
-edge lists.  The exact forward pass runs in scaled linear space (Rabiner
+Viterbi, beams and the reference forward kernel work in log space over the
+edge lists.  Every Viterbi decode and every beam runs one sweep,
+`_pruned_sweep`, which carries from each slot only the states a keep
+policy picks: all of them for the plain decode, those that can still lie
+on an optimal path for the certified one (below), and a fixed number of
+the best for a beam, whose forward pass is the same sweep in sum-product
+form.  The exact forward pass runs in scaled linear space (Rabiner
 1989) and converts its table back to log space: large spaces over
 per-output-value sparse matrices, small ones over the edge list with every
 step's edge weights made at once.  A scaled kernel flushes entries below the
@@ -240,9 +245,9 @@ class EdgeSet:
         """Per-edge score alpha[src] + logp + em(out), over every edge or the
         edge ids `eids`.
 
-        `scratch`, two float arrays of at least as many entries as edges
-        scored, receives the scores (a view of the first is returned) and a
-        temporary.  A sweep that passes the same pair at every step then
+        `scratch`, two float arrays, receives the scores (a view of the first
+        is returned) and a temporary when they hold as many entries as edges
+        scored.  A sweep that passes the same pair at every step then
         allocates no edge-length array: a fresh one is mapped anew by the
         allocator and page-faults on every step, which costs a third of a
         step on large spaces.
@@ -254,12 +259,12 @@ class EdgeSet:
         # temporaries beside the result
         em_by_out = np.empty(em_row.size + 1)
         em_by_out[1:] = em_row
-        if scratch is None:
-            scores = alpha[take(self.src)]
+        src = take(self.src)
+        if scratch is None or scratch[0].size < src.size:
+            scores = alpha[src]
             scores += take(self.logp)
             scores += em_by_out[take(self.out)]
             return scores
-        src = take(self.src)
         scores, tmp = scratch[0][:src.size], scratch[1][:src.size]
         np.take(alpha, src, out=scores, mode="clip")  # "raise" copies
         scores += take(self.logp)
@@ -328,22 +333,16 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _out_edge_ids(edges: EdgeSet, srcs: np.ndarray) -> np.ndarray:
-    """Edge ids (in dst-sorted numbering) leaving the given source states."""
-    order, indptr = edges.src_view()
-    return order[_concat_ranges(indptr[srcs], indptr[srcs + 1] - indptr[srcs])]
-
-
-def _relax(edges: EdgeSet, alpha, srcs, em_row, use_max, scratch=None):
-    """One pruned DP step: propagate scores along the survivors' out-edges.
+def _relax(edges: EdgeSet, alpha, eids, em_row, use_max, scratch=None):
+    """One pruned DP step: propagate scores along the edges `eids`, the
+    out-edges of the kept states.
 
     Returns per-destination values (max or logsumexp over incoming edge
-    scores, -inf where nothing arrives).  Cost scales with the survivors'
+    scores, -inf where nothing arrives).  Cost scales with the kept states'
     out-degree, not the full edge count.  `scratch` is as in
     `EdgeSet.step_scores`.
     """
     val = np.full(edges.n_dst, NEG_INF)
-    eids = _out_edge_ids(edges, srcs)
     if eids.size == 0:
         return val
     sc = edges.step_scores(alpha, em_row, eids, scratch)
@@ -358,9 +357,6 @@ def _relax(edges: EdgeSet, alpha, srcs, em_row, use_max, scratch=None):
     lse = np.full(edges.n_dst, NEG_INF)
     lse[ok] = val[ok] + np.log(tot[ok])
     return lse
-
-
-_NO_SURVIVORS = np.empty(0, dtype=np.int64)
 
 
 def _extend_survivors(locked: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
@@ -385,12 +381,6 @@ def _extend_survivors(locked: np.ndarray, values: np.ndarray, width: int) -> np.
     return np.concatenate([locked, cand]) if cand.size else locked
 
 
-def _sparse_step(values: np.ndarray, ids: np.ndarray):
-    """One step of a sparse DP table: ``(ids, values[ids])``, ids ascending."""
-    ids = np.sort(ids)
-    return ids, values[ids]
-
-
 def _dense_step(step, size: int) -> np.ndarray:
     """A sparse table step as a full vector, -inf outside its ids."""
     ids, vals = step
@@ -400,52 +390,40 @@ def _dense_step(step, size: int) -> np.ndarray:
 
 
 def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool):
-    """Beam recursion whose survivor sets are nested across widths.
+    """Beam sweep whose survivor sets are nested across widths.
 
-    Sweeps widths 1, 2, 4, ..., `eff` in turn; each level's per-step
-    survivors extend the previous level's, and only the survivors' out-edges
-    are relaxed.  Because a narrower request's final level is one of a wider
-    request's intermediate levels, survivor sets never reshuffle as the
-    width grows: path sets only gain members, so beam scores are
-    non-decreasing in the width and reach the exact values once every state
-    fits.  The doubling ladder costs at most twice the widest level's work.
+    Runs `_pruned_sweep` at widths 1, 2, 4, ..., `eff` in turn; at each
+    width a slot keeps the previous width's survivors and then the best
+    other states up to the width (see `_extend_survivors`).  Because a
+    narrower request's sweep is one of a wider request's earlier ones,
+    survivor sets never reshuffle as the width grows: path sets only gain
+    members, so beam scores are non-decreasing in the width and reach the
+    exact values once every state fits.  The doubling ladder costs at most
+    twice the widest sweep's work.  A narrower width that keeps no
+    feasible state passes on the survivors of the slots it kept; only the
+    widest one raises.
 
-    Returns the widest level's sparse table: per step ``(ids, values)`` of
-    its survivors (see `_sparse_step`), step 0 over the boundary slot.
+    Returns the widest sweep's table (see `_pruned_sweep`).
     """
-    n_steps = em.shape[0]
-    widths = []
-    w = 1
-    while w < eff:
-        widths.append(w)
-        w *= 2
-    widths.append(eff)
-    prev: list[np.ndarray] | None = None
-    for width in widths:
-        locked = prev[0] if prev is not None else _NO_SURVIVORS
-        survivors = [_extend_survivors(locked, init, width)]
-        steps = [_sparse_step(init, survivors[0])]
-        alpha = init
-        edges = space.first
-        died_at = None
-        for n in range(n_steps):
-            if survivors[-1].size == 0:
-                died_at = n if died_at is None else died_at
-                survivors.append(_NO_SURVIVORS)
-                continue
-            val = _relax(edges, alpha, survivors[-1], em[n], use_max)
-            locked = prev[n + 1] if prev is not None else _NO_SURVIVORS
-            survivors.append(_extend_survivors(locked, val, width))
-            if survivors[-1].size == 0 and died_at is None:
-                died_at = n + 1
-            alpha = val
-            steps.append(_sparse_step(val, survivors[-1]))
-            edges = space.trans
-        prev = survivors
-    if died_at is not None or survivors[-1].size == 0:
-        step = died_at if died_at is not None else n_steps
-        raise InferenceError(f"beam emptied at step {step}: no feasible state retained")
-    return steps
+    scratch = _scratch(space)
+    prev, width = [], 1
+    while True:
+        kept = []
+
+        def keep(n, values):
+            locked = prev[n] if n < len(prev) else np.empty(0, dtype=np.int64)
+            kept.append(np.sort(_extend_survivors(locked, values, width)))
+            return kept[-1]
+
+        try:
+            steps = _pruned_sweep(space, em, init, keep, scratch, use_max)
+        except InferenceError:
+            if width == eff:
+                raise InferenceError(f"beam emptied at step {len(kept)}: "
+                                     "no feasible state retained") from None
+        if width == eff:
+            return steps
+        prev, width = kept, 2 * width
 
 
 @dataclass
@@ -863,6 +841,9 @@ def forward(
     """
     em = _emission_steps(space, em)
     init = space.log_initial if log_init is None else np.asarray(log_init, dtype=np.float64)
+    if init.shape != space.log_initial.shape:
+        raise ValueError(f"log_init has {init.size} entries, the space's boundary slot "
+                         f"has {space.log_initial.size}")
     if not np.isfinite(init).any():
         return (NEG_INF, None) if return_table else NEG_INF
     eff = _effective_width(beam_width, space, init.size)
@@ -907,12 +888,12 @@ def _lookup(ids: np.ndarray, vals: np.ndarray, states: np.ndarray) -> np.ndarray
 def _backtrack(space, em, steps) -> PathSample:
     """Viterbi path from the per-step maxima alone.
 
-    `steps` is a sparse table (see `_sparse_step`) of per-step maxima.  Each
+    `steps` is the table of per-step maxima of a `_pruned_sweep`.  Each
     backward step rescores only the current state's incoming edges, exactly
     as the forward sweep scored them, and takes the lowest-index best one:
     the edge a stored back-pointer would have named.  States outside a
-    step's ids read -inf, so the same rule recovers the path of a pruned
-    sweep and of a beam.
+    step's ids read -inf, so the same rule recovers the path of the plain,
+    the certified and the beam sweep.
     """
     ids, vals = steps[-1]
     best = int(np.argmax(vals))
@@ -978,22 +959,25 @@ def _max_step(edges: EdgeSet, row, em_row, scratch) -> np.ndarray:
     return best
 
 
-def _pruned_sweep(space, em, init, keep, scratch):
-    """Max-product sweep that carries on from slot n only the states
-    ``keep(n, delta)`` picks, given the slot's maxima `delta`.
+def _pruned_sweep(space, em, init, keep, scratch, use_max=True):
+    """Max-product (or, without `use_max`, sum-product) sweep that carries
+    on from slot n only the states ``keep(n, delta)`` picks, given the
+    slot's values `delta`.
 
     `keep` returns ascending ids of states of finite `delta`, or None to
     keep every state: with ``keep = lambda n, delta: None`` this is the
-    plain exact sweep.  A step relaxes the kept states' out-edges (see
-    `_relax`), or takes the maximum over every edge (`_max_step`) once
-    those out-edges are more than `DENSE_STEP_FRACTION` of all edges.
-    Either way each edge is scored as ``delta[src] + logp + em(out)``, into
+    plain exact Viterbi sweep, and a beam is the keep policy of
+    `_tiered_sweep`.  A step relaxes the kept states' out-edges (see
+    `_relax`); a max-product step takes the maximum over every edge
+    (`_max_step`) instead when it keeps a whole row or when those
+    out-edges are more than `DENSE_STEP_FRACTION` of all edges.  Either
+    way each edge is scored as ``delta[src] + logp + em(out)``, into
     `scratch` (see `_scratch`), so a state's maximum is bit-identical to
     the full sweep's whenever its best in-edge leaves a kept state.
     Returns the sparse table of the kept states, a slot keeping every state
-    or more than half of them as a whole row (ids ``arange(size)``, which
-    `_backtrack` indexes directly); raises InferenceError when some slot
-    reaches none.
+    or more than half of them as a whole row (ids ``arange(size)``, -inf
+    outside the kept states, which `_backtrack` indexes directly); raises
+    InferenceError when some slot reaches none.
     """
     every = np.arange(max(space.n_states, init.size))
     steps = []
@@ -1001,15 +985,20 @@ def _pruned_sweep(space, em, init, keep, scratch):
     for n in range(em.shape[0] + 1):
         if n:
             ids, row = steps[-1]
-            if ids.size == edges.n_src:  # a whole row
+            whole = ids.size == edges.n_src
+            if use_max and whole:
                 delta = _max_step(edges, row, em[n - 1], scratch)
             else:
-                _, indptr = edges.src_view()
-                if (indptr[ids + 1] - indptr[ids]).sum() > DENSE_STEP_FRACTION * edges.n_edges:
+                order, indptr = edges.src_view()
+                starts = indptr[ids]
+                counts = indptr[ids + 1] - starts
+                if use_max and counts.sum() > DENSE_STEP_FRACTION * edges.n_edges:
                     delta = _max_step(edges, _dense_step(steps[-1], edges.n_src),
                                       em[n - 1], scratch)
                 else:
-                    delta = _relax(edges, delta, ids, em[n - 1], True, scratch)
+                    delta = _relax(edges, row if whole else delta,
+                                   order[_concat_ranges(starts, counts)], em[n - 1],
+                                   use_max, scratch)
             if not np.isfinite(delta).any():
                 raise InferenceError(f"no feasible path at step {n}")
             edges = space.trans
@@ -1115,11 +1104,12 @@ def viterbi(space, em, beam_width: int | None = None) -> PathSample:
     init = space.log_initial
     eff = _effective_width(beam_width, space, init.size)
     if eff is not None:
-        return _backtrack(space, em, _tiered_sweep(space, em, eff, init, use_max=True))
-    if space.n_edges < CERTIFY_MIN_EDGES:
-        return _backtrack(space, em, _pruned_sweep(space, em, init, lambda n, delta: None,
-                                                   _scratch(space)))
-    steps, log_total = _certified_sweep(space, em, init)
+        steps, log_total = _tiered_sweep(space, em, eff, init, use_max=True), None
+    elif space.n_edges < CERTIFY_MIN_EDGES:
+        steps = _pruned_sweep(space, em, init, lambda n, delta: None, _scratch(space))
+        log_total = None
+    else:
+        steps, log_total = _certified_sweep(space, em, init)
     path = _backtrack(space, em, steps)
     path.log_likelihood = log_total
     return path

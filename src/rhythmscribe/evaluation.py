@@ -16,17 +16,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Corpus, RhythmScore, segment_patterns, to_metrical, to_note_values
+from .core import Corpus, to_note_values
 from .inference import GibbsConfig, sample_dirichlet, transcribe
 from .models import (
     ModelConfig,
     ModelParams,
     build_state_space,
-    pattern_index,
     sample_score,
     sequence_log_prob,
 )
 from .timing import TimingParams, synthesize
+from .training import _symbol_sequences
 
 STATIONARY_SMOOTHING = 1e-12
 POWER_ITERATION_TOL = 1e-12
@@ -143,15 +143,6 @@ def cross_entropy(
     return -total_log2 / total_symbols
 
 
-def _piece_symbols(score: RhythmScore, family: str) -> np.ndarray:
-    if family == "note":
-        return to_note_values(score) - 1
-    if family == "met":
-        return to_metrical(score)
-    nb = score.bar_length
-    return np.array([pattern_index(p.positions, nb) for p in segment_patterns(score)])
-
-
 def _empirical_entropy(seq: np.ndarray) -> float:
     counts = np.bincount(seq)
     return distribution_entropy(counts / counts.sum())
@@ -229,16 +220,9 @@ def sparseness_study(
     family = config.family
     k = params.n_symbols
 
-    piece_sym, piece_trans = [], []
-    resamp_sym, resamp_trans = [], []
-    for score in corpus.pieces:
-        seq = _piece_symbols(score, family)
-        piece_sym.append(_empirical_entropy(seq))
-        piece_trans.append(_plugin_transition_entropy(seq, k))
-        sampled = sample_score(space, score.n_notes, rng)
-        sseq = _piece_symbols(sampled, family)
-        resamp_sym.append(_empirical_entropy(sseq))
-        resamp_trans.append(_plugin_transition_entropy(sseq, k))
+    seqs = _symbol_sequences(corpus.pieces, family, params.patterns)
+    sampled = [sample_score(space, score.n_notes, rng) for score in corpus.pieces]
+    sseqs = _symbol_sequences(sampled, family, params.patterns)
 
     if params.unigram is not None:
         marginal = params.unigram
@@ -252,10 +236,11 @@ def sparseness_study(
     return SparsenessStudy(
         family=family,
         alpha=alpha,
-        piece_symbol_entropy=np.array(piece_sym),
-        piece_transition_entropy=np.array(piece_trans),
-        resampled_symbol_entropy=np.array(resamp_sym),
-        resampled_transition_entropy=np.array(resamp_trans),
+        piece_symbol_entropy=np.array([_empirical_entropy(seq) for seq in seqs]),
+        piece_transition_entropy=np.array([_plugin_transition_entropy(seq, k) for seq in seqs]),
+        resampled_symbol_entropy=np.array([_empirical_entropy(seq) for seq in sseqs]),
+        resampled_transition_entropy=np.array(
+            [_plugin_transition_entropy(seq, k) for seq in sseqs]),
         dirichlet_entropy=dir_entropy,
         generic_entropy_rate=rate,
     )

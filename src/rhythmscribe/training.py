@@ -21,7 +21,6 @@ from .models import (
     build_division_catalog,
     params_from_dict,
     params_to_dict,
-    pattern_index,
     pattern_vocabulary,
 )
 
@@ -62,21 +61,32 @@ class SmoothingConfig:
             raise ValueError("pattern_interpolation must be in [0, 1]")
 
 
-def _symbol_sequences(corpus: Corpus, family: str) -> list[np.ndarray]:
-    """Per-piece 0-based symbol index sequences; element 0 is the initial symbol."""
-    nb = corpus.bar_length
+def _symbol_sequences(pieces, family: str, patterns=None) -> list[np.ndarray]:
+    """Per-piece 0-based symbol index sequences; element 0 is the initial
+    symbol.
+
+    A pattern model's symbols index each bar's pattern in `patterns`.  The
+    final onset may cut its bar short, so the last bar takes the first of
+    `patterns` that begins with it when its own is not among them; any
+    other bar outside them raises ValueError.
+    """
+    if family == "note":
+        return [to_note_values(score) - 1 for score in pieces]
+    if family == "met":
+        return [to_metrical(score) for score in pieces]
+    index = {pattern: i for i, pattern in enumerate(patterns)}
     seqs = []
-    for score in corpus.pieces:
-        if family == "note":
-            seqs.append(to_note_values(score) - 1)
-        elif family == "met":
-            seqs.append(to_metrical(score))
-        else:
-            seqs.append(
-                np.array(
-                    [pattern_index(p.positions, nb) for p in segment_patterns(score)]
-                )
-            )
+    for score in pieces:
+        bars = [tuple(int(p) for p in bar.positions) for bar in segment_patterns(score)]
+        seq = [index.get(bar) for bar in bars]
+        if seq[-1] is None:
+            last = bars[-1]
+            seq[-1] = next((i for i, pattern in enumerate(patterns)
+                            if pattern[:len(last)] == last), None)
+        if None in seq:
+            raise ValueError(f"bar pattern {bars[seq.index(None)]} is not in the "
+                             f"model's {len(index)}-pattern vocabulary")
+        seqs.append(np.array(seq))
     return seqs
 
 
@@ -116,7 +126,7 @@ def estimate_params(
     k = len(patterns) if family == "pat" else nb
     eps = smoothing.epsilon
 
-    seqs = _symbol_sequences(corpus, family)
+    seqs = _symbol_sequences(corpus.pieces, family, patterns)
     c_ini = np.zeros(k)
     c_uni = np.zeros(k)
     c_bi = np.zeros((k, k))

@@ -6,6 +6,7 @@ import pytest
 
 from rhythmscribe import _dp
 from rhythmscribe.cli import main
+from rhythmscribe.models import ModelConfig, random_params, save_params
 
 RAW = [
     {"id": "alpha", "onsets": [0, 2, 4, 6, 8, 12, 14, 16, 20, 24, 26, 28, 32]},
@@ -248,6 +249,21 @@ class TestStudyAndBench:
                     "dirichlet_entropy"):
             assert key in data
         assert data["seed"] == 2
+
+    def test_study_rejects_a_bar_outside_the_pattern_vocabulary(self, pipeline, tmp_path,
+                                                                capsys):
+        params = tmp_path / "pat.json"
+        cfg = ModelConfig.from_name("patmm1")
+        save_params(random_params(cfg, np.random.default_rng(0),
+                                  patterns=((0,), (0, 2, 4, 6), (0, 4))), params)
+        out = tmp_path / "study.json"
+        assert run("study-sparseness", "--corpus", pipeline["corpus"], "--model", "patmm1",
+                   "--params", params, "--seed", 2, "--n-samples", 10, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        # bar 1 of the first piece plays positions 0, 4 and 6
+        assert err == ["error: bar pattern (0, 4, 6) is not in the model's "
+                       "3-pattern vocabulary"]
+        assert not out.exists()
 
     def test_bench_summary(self, pipeline, tmp_path, capsys):
         out = tmp_path / "bench.json"

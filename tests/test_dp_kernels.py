@@ -518,12 +518,51 @@ class TestEmissionChecks:
                              _dp.ffbs_batch(space, em, np.random.default_rng(3), size=2)):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["metmm1", "patmm1"])
+    @pytest.mark.parametrize("size", [3, 10])
+    def test_log_init_must_span_the_boundary_slot(self, name, size, rng):
+        cfg = ModelConfig.from_name(name)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        assert space.log_initial.size not in (3, 10)
+        with pytest.raises(ValueError, match=f"log_init has {size} entries, the space's "
+                                             f"boundary slot has {space.log_initial.size}"):
+            _dp.forward(space, np.zeros((5, 8)), log_init=np.zeros(size))
+
     def test_minus_inf_stays_legal(self, rng):
         space, _ = self.spaces(rng)
         em = np.full((4, space.bar_length), -np.inf)
         em[:, 0] = 0.0
         assert np.isfinite(_dp.forward(space, em))
         assert _dp.viterbi(space, em).output_values == [1] * 4
+
+
+class TestEmptiedBeam:
+    """A beam that keeps no feasible state raises, naming how many slots
+    it kept; the narrower widths of its ladder may empty first."""
+
+    @staticmethod
+    def emissions(duration):
+        # random tables with divisions and shifts leave dead-end states
+        cfg = ModelConfig.from_name("notemm1sd")
+        space = build_state_space(cfg, random_params(cfg, np.random.default_rng(0)))
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        return space, TranscriptionHmm(space, tp).emission_matrix(np.full(12, duration))
+
+    @pytest.mark.parametrize("duration, width, step", [(0.6, 1, 4), (0.7, 2, 2)])
+    def test_message_names_the_step(self, duration, width, step, rng):
+        space, em = self.emissions(duration)
+        calls = [
+            lambda: _dp.viterbi(space, em, beam_width=width),
+            lambda: _dp.forward(space, em, beam_width=width),
+            lambda: _dp.ffbs(space, em, rng, beam_width=width),
+        ]
+        for call in calls:
+            with pytest.raises(InferenceError) as err:
+                call()
+            assert str(err.value) == f"beam emptied at step {step}: no feasible state retained"
+        # the next width passes the emptied ladder step and keeps a path
+        assert np.isfinite(_dp.viterbi(space, em, beam_width=2 * width).log_prob)
+        assert np.isfinite(_dp.forward(space, em, beam_width=2 * width))
 
 
 def backpointer_viterbi(space, em):
@@ -732,6 +771,37 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
             em = TranscriptionHmm(space, tp).emission_matrix(durations)
             self._check(space, em)
 
+    def test_restriction_without_a_path_grows_to_every_state(self, monkeypatch):
+        # values 5-8 fit the first note 1000 nats better than value 1, but
+        # only state 1 produces the second note's value 1.  The raised
+        # backward pass bounds the dead-end states 5-8 about 485 nats below
+        # the step's total, so they outrank state 1 and fill the top 4: that
+        # restriction has no path, and k = 16 keeps every state
+        transition = np.zeros((8, 8))
+        transition[0, 0] = 1.0
+        transition[1:4] = 1 / 8
+        transition[4:, 4:] = 1 / 4
+        space = notemm1_space(np.full(8, 1 / 8), transition)
+        em = np.full((2, 8), -np.inf)
+        em[0, 0], em[0, 4:] = -1000.0, 0.0
+        em[1, 0] = 0.0
+        ks = []
+        real = _dp._top
+
+        def top(values, k):
+            ks.append(k)
+            return real(values, k)
+
+        monkeypatch.setattr(_dp, "_top", top)
+        path = _dp.viterbi(space, em)
+        assert sorted(set(ks)) == [_dp.TOP_K_START, _dp.TOP_K_START * _dp.TOP_K_GROWTH]
+        assert _dp.TOP_K_START < space.n_states <= _dp.TOP_K_START * _dp.TOP_K_GROWTH
+        monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", 10**9)
+        plain = _dp.viterbi(space, em)
+        assert path.output_values == [1, 1]
+        assert (path.boundary_index, path.state_indices, path.output_values, path.log_prob) == (
+            plain.boundary_index, plain.state_indices, plain.output_values, plain.log_prob)
+
     def test_infeasible_data_raises_as_the_plain_sweep(self):
         em = np.full((3, 8), -np.inf)
         em[:, 7] = 0.0
@@ -795,6 +865,20 @@ def test_out_edge_index_in_blocks_is_a_stable_sort(least, rng, monkeypatch):
     assert order.dtype == np.int32
     assert np.array_equal(order, np.argsort(edges.src, kind="stable"))
     assert np.array_equal(indptr, np.searchsorted(edges.src[order], np.arange(edges.n_src + 1)))
+
+
+def test_only_relaxed_steps_read_the_out_edge_index(rng, monkeypatch):
+    # the plain sweep's full steps read in-edges; a beam relaxes out-edges
+    _, _, space, tp, durations = tiny_instance("metmm1sb", rng, n_notes=6)
+    em = TranscriptionHmm(space, tp).emission_matrix(durations)
+    read = []
+    real = _dp.EdgeSet.src_view
+    monkeypatch.setattr(_dp.EdgeSet, "src_view", lambda edges: read.append(edges) or real(edges))
+    assert space.n_edges < _dp.CERTIFY_MIN_EDGES and 2 < space.n_states
+    _dp.viterbi(space, em)
+    assert read == []
+    _dp.viterbi(space, em, beam_width=2)
+    assert read
 
 
 class TestOneForwardPerIteration:

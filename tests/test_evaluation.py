@@ -125,6 +125,10 @@ class TestCrossEntropy:
         assert cross_entropy(cfg, true_params, corpus) < cross_entropy(cfg, other, corpus)
 
 
+# an explicit pattern vocabulary (bar length 8)
+VOCABULARY = ((0,), (0, 2, 4, 6), (0, 4))
+
+
 def repetitive_corpus(n_pieces=6, reps=8):
     # each piece loops one short bar-aligned cell, so its empirical
     # distributions are far sparser than any generic model
@@ -163,6 +167,35 @@ class TestSparsenessStudy:
             )
             means.append(study.dirichlet_entropy.mean())
         assert means[0] > means[1] > means[2]
+
+    @pytest.mark.parametrize("name", ["metmm1", "patmm1"])
+    def test_metrical_and_pattern_families(self, name, rng):
+        corpus = repetitive_corpus()
+        cfg = ModelConfig.from_name(name)
+        params = estimate_params(corpus, cfg)
+        study = sparseness_study(cfg, params, corpus, alpha=10.0, n_samples=200, rng=rng)
+        assert study.family == cfg.family
+        assert study.piece_symbol_entropy.mean() < study.resampled_symbol_entropy.mean()
+        assert np.isfinite(study.piece_transition_entropy).all()
+
+    def test_pattern_model_with_its_own_vocabulary(self, rng):
+        cfg = ModelConfig.from_name("patmm1")
+        params = random_params(cfg, rng, patterns=VOCABULARY)
+        corpus = sample_corpus(build_state_space(cfg, params), 5, 20, rng)
+        study = sparseness_study(cfg, params, corpus, alpha=1.0, n_samples=50, rng=rng)
+        assert len(study.piece_symbol_entropy) == len(study.resampled_symbol_entropy) == 5
+        # three symbols: at most log2(3) bits each
+        assert study.piece_symbol_entropy.max() <= np.log2(3) + 1e-12
+        assert study.resampled_symbol_entropy.max() <= np.log2(3) + 1e-12
+
+    def test_pattern_outside_the_vocabulary_is_rejected(self, rng):
+        cfg = ModelConfig.from_name("patmm1")
+        params = random_params(cfg, rng, patterns=VOCABULARY)
+        # bar 1 plays positions 0 and 1, which no pattern has
+        corpus = Corpus((RhythmScore((0, 4, 8, 9, 16)),), ("a",))
+        with pytest.raises(ValueError, match=r"bar pattern \(0, 1\) is not in the "
+                                              "model's 3-pattern vocabulary"):
+            sparseness_study(cfg, params, corpus, 1.0, 10, rng)
 
     def test_modified_configs_rejected(self, rng):
         cfg = ModelConfig.from_name("notemm1s")

@@ -8,9 +8,11 @@ from rhythmscribe.models import (
     build_division_catalog,
     build_state_space,
     pattern_index,
+    pattern_vocabulary,
 )
 from rhythmscribe.training import (
     SmoothingConfig,
+    _symbol_sequences,
     assemble_hyperparams,
     attach_modification_presets,
     build_modification_base,
@@ -117,6 +119,34 @@ class TestEstimation:
             SmoothingConfig(epsilon=-0.1)
         with pytest.raises(ValueError):
             SmoothingConfig(pattern_interpolation=1.5)
+
+
+class TestSymbolSequences:
+    # bars (0, 2, 4, 6), (0, 4), (0,) and a last bar cut short at (0, 2)
+    SCORE = RhythmScore((0, 2, 4, 6, 8, 12, 16, 24, 26))
+    BARS = [(0, 2, 4, 6), (0, 4), (0,), (0, 2)]
+
+    def test_note_and_metrical_symbols(self):
+        (notes,), (onsets,) = (_symbol_sequences([self.SCORE], family)
+                               for family in ("note", "met"))
+        assert notes.tolist() == [1, 1, 1, 1, 3, 3, 7, 1]
+        assert onsets.tolist() == [0, 2, 4, 6, 0, 4, 0, 0, 2]
+
+    def test_canonical_vocabulary_indexes_every_bar(self):
+        (seq,) = _symbol_sequences([self.SCORE], "pat", pattern_vocabulary(8))
+        assert seq.tolist() == [pattern_index(bar) for bar in self.BARS]
+
+    def test_last_bar_takes_the_first_pattern_it_begins(self):
+        vocabulary = ((0,), (0, 4), (0, 2, 4, 6), (0, 2))
+        (seq,) = _symbol_sequences([self.SCORE], "pat", vocabulary[:3])
+        assert seq.tolist() == [2, 1, 0, 2]
+        (seq,) = _symbol_sequences([self.SCORE], "pat", vocabulary)
+        assert seq.tolist() == [2, 1, 0, 3]  # its own pattern when present
+
+    def test_other_bar_outside_the_vocabulary_is_rejected(self):
+        with pytest.raises(ValueError, match=r"bar pattern \(0, 4\) is not in the "
+                                              "model's 2-pattern vocabulary"):
+            _symbol_sequences([self.SCORE], "pat", ((0,), (0, 2, 4, 6)))
 
 
 class TestModificationPresets:
