@@ -64,12 +64,11 @@ from .inference import (
     transcribe,
 )
 from .models import (
-    DivisionCatalog,
     LatentStateSpace,
     ModelConfig,
     ModelParams,
-    build_division_catalog,
     build_state_space,
+    division_parts,
     load_params,
     params_from_dict,
     params_to_dict,
@@ -103,7 +102,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_BAR_LENGTH",
     "Corpus",
-    "DivisionCatalog",
     "EvalReport",
     "EvaluationError",
     "GibbsConfig",
@@ -125,11 +123,11 @@ __all__ = [
     "assemble_hyperparams",
     "attach_modification_presets",
     "benchmark",
-    "build_division_catalog",
     "build_modification_base",
     "build_state_space",
     "cross_entropy",
     "distribution_entropy",
+    "division_parts",
     "duration_log_density",
     "entropy_rate",
     "error_rate",

@@ -190,6 +190,24 @@ def _transcribe_one(task):
     return pid, result.to_dict(), None
 
 
+def _model_tables(settings, config: ModelConfig, params):
+    """What `transcribe` takes for `config`, built around `params`.
+
+    A Bayesian config gets Hyperparams of concentration `alpha`; any other
+    gets `params` with the preset shift/division rows the config uses.  The
+    presets put `xi0` on the zero shift and `zeta0` on the identity division.
+    """
+    xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
+    zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
+    if config.bayesian:
+        alpha = float(settings.get("alpha", DEFAULT_CONCENTRATION, float))
+        return assemble_hyperparams(params, config, alpha=alpha,
+                                    no_shift_mass=xi0, identity_division_mass=zeta0)
+    if config.shift or config.division:
+        return attach_modification_presets(params, config, xi0, zeta0)
+    return params
+
+
 def cmd_transcribe(args, parser) -> int:
     settings = _Settings(args)
     config = _model_config(parser, args.model)
@@ -201,9 +219,6 @@ def cmd_transcribe(args, parser) -> int:
         )
     pc = PerformedCorpus.load(args.performances)
     tp = _timing(settings, parser, pc)
-    xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
-    zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
-    alpha = float(settings.get("alpha", DEFAULT_CONCENTRATION, float))
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
     width = _beam_width(settings)
     jobs = int(settings.get("jobs", 1, int))
@@ -211,13 +226,7 @@ def cmd_transcribe(args, parser) -> int:
     seed = settings.get("seed", None, int)
     if config.bayesian:
         seed = _fresh_seed() if seed is None else int(seed)
-        param_obj = assemble_hyperparams(params, config, alpha=alpha,
-                                         no_shift_mass=xi0, identity_division_mass=zeta0)
-    else:
-        if config.shift or config.division:
-            param_obj = attach_modification_presets(params, config, xi0, zeta0)
-        else:
-            param_obj = params
+    param_obj = _model_tables(settings, config, params)
 
     tasks = []
     for pid, perf in zip(pc.ids, pc.performances):
@@ -252,7 +261,7 @@ def cmd_transcribe(args, parser) -> int:
     }
     if config.bayesian:
         out["seed"] = seed
-        out["alpha"] = alpha
+        out["alpha"] = param_obj.alpha_initial
         out["iterations"] = iterations
     _write_json(args.out, out)
     return 1 if failures else 0
@@ -331,9 +340,6 @@ def cmd_bench(args, parser) -> int:
     tempo = float(settings.get("tempo_bpm", DEFAULT_TEMPO_BPM, float))
     sigma = float(settings.get("sigma_t", DEFAULT_SIGMA_T, float))
     tp = TimingParams.from_bpm(tempo, sigma)
-    alpha = float(settings.get("alpha", DEFAULT_CONCENTRATION, float))
-    xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
-    zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
     jobs = int(settings.get("jobs", 1, int))
     seeds = [int(s) for s in str(settings.get("seeds", "0", str)).split(",") if s != ""]
@@ -343,15 +349,8 @@ def cmd_bench(args, parser) -> int:
     models = {}
     for name in args.models.split(","):
         config = _model_config(parser, name.strip())
-        params = estimate_params(train_corpus, config, smoothing, xi0, zeta0)
-        if config.bayesian:
-            models[config.name] = (
-                config,
-                assemble_hyperparams(params, config, alpha=alpha,
-                                     no_shift_mass=xi0, identity_division_mass=zeta0),
-            )
-        else:
-            models[config.name] = (config, params)
+        params = estimate_params(train_corpus, config, smoothing)
+        models[config.name] = (config, _model_tables(settings, config, params))
 
     gibbs = GibbsConfig(iterations=iterations, beam_width=_beam_width(settings))
     if jobs > 1 and len(seeds) > 1:

@@ -224,6 +224,18 @@ class PathCounts:
     division: list[np.ndarray] | None = None
 
 
+# Each table of a model's layout (see `models._TABLES`): its `PathCounts`
+# field and its `Hyperparams` concentration, in layout order.
+_POSTERIOR = {
+    "initial": ("initial", "alpha_initial"),
+    "unigram": ("unigram", "alpha_transition"),
+    "transition": ("transition", "alpha_transition"),
+    "transition2": ("transition2", "alpha_transition"),
+    "shift_probs": ("shift", "alpha_shift"),
+    "division_probs": ("division", "alpha_division"),
+}
+
+
 def gather_counts(space: LatentStateSpace, path: PathSample) -> PathCounts:
     """Sufficient statistics of a sampled path for the Dirichlet posteriors.
 
@@ -232,43 +244,33 @@ def gather_counts(space: LatentStateSpace, path: PathSample) -> PathCounts:
     boundary state and edges use each entry.
     """
     tables = space.layout.tables(space.slot_counts(path))
-    return PathCounts(
-        initial=tables["initial"],
-        transition=tables.get("transition"),
-        transition2=tables.get("transition2"),
-        unigram=tables.get("unigram"),
-        shift=tables.get("shift_probs"),
-        division=tables.get("division_probs"),
-    )
+    return PathCounts(**{_POSTERIOR[name][0]: table for name, table in tables.items()})
 
 
 def sample_posterior(
     hp: Hyperparams, counts: PathCounts, rng: np.random.Generator
 ) -> ModelParams:
-    """Draw a parameter set from the Dirichlet posteriors around the base."""
+    """Draw a parameter set from the Dirichlet posteriors around the base.
+
+    Every table the counts hold is drawn, in layout order; a base table
+    they leave out (one the space does not weigh) is copied.
+    """
     base = hp.base
-    out = base.copy()
-    out.initial = _sample_table(hp.alpha_initial * base.initial + counts.initial, rng)
-    if base.transition is not None:
-        out.transition = _sample_table(
-            hp.alpha_transition * base.transition + counts.transition, rng
-        )
-    if base.transition2 is not None:
-        out.transition2 = _sample_table(
-            hp.alpha_transition * base.transition2 + counts.transition2, rng
-        )
-    if base.unigram is not None:
-        out.unigram = _sample_table(hp.alpha_transition * base.unigram + counts.unigram, rng)
-    if base.shift_probs is not None and counts.shift is not None:
-        out.shift_probs = _sample_table(
-            hp.alpha_shift * base.shift_probs + counts.shift, rng
-        )
-    if base.division_probs is not None and counts.division is not None:
-        out.division_probs = _sample_ragged(
-            [hp.alpha_division * b + c for b, c in zip(base.division_probs, counts.division)],
-            rng,
-        )
-    return out
+    rest = None  # the base's copy, made once if a table needs it
+    tables = {}
+    for name, (field, alpha) in _POSTERIOR.items():
+        count, prior = getattr(counts, field), getattr(base, name)
+        if count is None:
+            if prior is not None:
+                rest = base.copy() if rest is None else rest
+                tables[name] = getattr(rest, name)
+        elif name == "division_probs":  # one row per base value, of differing lengths
+            weight = getattr(hp, alpha)
+            tables[name] = _sample_ragged([weight * b + c for b, c in zip(prior, count)], rng)
+        else:
+            tables[name] = _sample_table(getattr(hp, alpha) * prior + count, rng)
+    return ModelParams(base.family, base.order, base.bar_length,
+                       patterns=base.patterns, **tables)
 
 
 # ---------------------------------------------------------------------------

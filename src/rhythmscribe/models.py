@@ -23,10 +23,10 @@ note modifications:
 A model with both divides first and then shifts each part's onset, with the
 part as the base value.
 
-State tags, exposed for inspection and tests (``h`` indexes the division
-catalog of the base value, 0 = identity; ``g`` is the 1-based part number;
-``k`` is a 0-based pattern index; ``i`` is the 1-based note number within the
-pattern):
+State tags, exposed for inspection and tests (``h`` indexes the divisions
+of the base value, ``division_parts(bar_length)[r-1]``, 0 = identity; ``g``
+is the 1-based part number; ``k`` is a 0-based pattern index; ``i`` is the
+1-based note number within the pattern):
 
 ====== ============== =========================== =======================
 family plain           shift                      division / both
@@ -43,10 +43,11 @@ have a single virtual boundary.
 """
 from __future__ import annotations
 
+import math
 import re
 import threading
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, product
 
 import numpy as np
 
@@ -71,9 +72,8 @@ __all__ = [
     "FAMILIES",
     "ModelConfig",
     "ModelParams",
-    "DivisionCatalog",
     "LatentStateSpace",
-    "build_division_catalog",
+    "division_parts",
     "pattern_vocabulary",
     "pattern_table_bytes",
     "pattern_index",
@@ -199,32 +199,112 @@ def pattern_index(positions, bar_length: int = DEFAULT_BAR_LENGTH) -> int:
     return mask - 1
 
 
-@dataclass(frozen=True)
-class DivisionCatalog:
-    """Division patterns per base value: identity plus all two-part splits."""
+def division_parts(bar_length: int = DEFAULT_BAR_LENGTH) -> tuple:
+    """Divisions of each base value into at most two notes.
 
-    bar_length: int
-    parts: tuple[tuple[tuple[int, ...], ...], ...]  # parts[r-1][h] = q_h
-
-    def patterns_for(self, base_value: int) -> tuple[tuple[int, ...], ...]:
-        return self.parts[base_value - 1]
-
-    def size(self, base_value: int) -> int:
-        return len(self.parts[base_value - 1])
-
-    IDENTITY = 0  # the identity pattern is always catalog entry 0
-
-
-def build_division_catalog(bar_length: int = DEFAULT_BAR_LENGTH) -> DivisionCatalog:
-    """Catalog of divisions of each base value into at most two notes."""
+    ``parts[r-1][h]`` is division h of base value r, a tuple of part values
+    summing to r; h = 0 is the identity ``(r,)``, then ``(a, r - a)`` for
+    a = 1..r-1.
+    """
     if bar_length < 1:
         raise ValueError("bar_length must be positive")
-    parts = []
-    for r in range(1, bar_length + 1):
-        entries = [(r,)]
-        entries.extend((a, r - a) for a in range(1, r))
-        parts.append(tuple(entries))
-    return DivisionCatalog(bar_length, tuple(parts))
+    return tuple(((r,),) + tuple((a, r - a) for a in range(1, r))
+                 for r in range(1, bar_length + 1))
+
+
+# ---------------------------------------------------------------------------
+# parameter tables, and the flat layout of the entries whose products weigh
+# the edges
+
+# Every table a model may have, in layout order.  An order-0 model has a
+# unigram, higher orders a transition table, order 2 also transition2; shift
+# and division tables come with those modifications.  The first four are
+# indexed by symbols; `division_probs` is ragged, one row per base value.
+_TABLES = ("initial", "unigram", "transition", "transition2", "shift_probs", "division_probs")
+_SYMBOL_TABLES = _TABLES[:4]
+
+
+class _Layout:
+    """Slots of the flat parameter vector a model's weights are read from.
+
+    One slot per entry of each table the model uses, in `_TABLES` order
+    (division rows r = 1..N_b back to back, row r at offset r(r-1)/2), then
+    one constant-1 slot for the steps no table weighs: pattern-internal and
+    mid-division edges.
+    """
+
+    def __init__(self, order: int, shift: bool, division: bool, bar_length: int, n_symbols: int):
+        used = (True, order == 0, order >= 1, order == 2, shift, division)
+        shapes = self.table_shapes(bar_length, n_symbols)
+        self.bar_length = bar_length
+        self.shapes = {name: shapes[name] for name, use in zip(_TABLES, used) if use}
+        self.offset = {}
+        size = 0
+        for name, shape in self.shapes.items():
+            self.offset[name] = size
+            size += math.prod(shape)
+        self.one = size
+        self.size = size + 1
+
+    @staticmethod
+    def table_shapes(bar_length: int, n_symbols: int) -> dict:
+        """The shape of every table of `_TABLES` (division: its rows back to back)."""
+        nb, k = bar_length, n_symbols
+        shapes = ((k,), (k,), (k, k), (k, k, k), (2 * nb - 1,), (nb * (nb + 1) // 2,))
+        return dict(zip(_TABLES, shapes))
+
+    def slots(self, name: str) -> np.ndarray:
+        """Slot of every entry of one table, shaped like the table."""
+        shape = self.shapes[name]
+        return self.offset[name] + np.arange(math.prod(shape)).reshape(shape)
+
+    def division_slot(self, rt, h):
+        """Slot of division entry h of base value rt."""
+        return self.offset["division_probs"] + rt * (rt - 1) // 2 + h
+
+    def flatten(self, params: "ModelParams") -> np.ndarray:
+        parts = [
+            np.concatenate(params.division_probs)
+            if name == "division_probs"
+            else getattr(params, name).ravel()
+            for name in self.shapes
+        ]
+        return np.concatenate(parts + [np.ones(1)])
+
+    def tables(self, flat: np.ndarray) -> dict:
+        """Views of a flat vector shaped like the tables (division: a list of rows)."""
+        out = {}
+        for name, shape in self.shapes.items():
+            block = flat[self.offset[name]: self.offset[name] + math.prod(shape)]
+            if name == "division_probs":
+                out[name] = np.split(block, np.cumsum(np.arange(1, self.bar_length)))
+            else:
+                out[name] = block.reshape(shape)
+        return out
+
+
+def _mapped(name: str, table, f):
+    """`f` of a table, or of each row of the ragged division table; None stays None."""
+    if table is None:
+        return None
+    if name == "division_probs":
+        return tuple(f(row) for row in table)
+    return f(table)
+
+
+def _float_array(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64)
+
+
+def _check_rows(name: str, table: np.ndarray) -> None:
+    rows = table.reshape(-1, table.shape[-1])
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.any(rows < 0):
+        raise ValueError(f"{name} has negative entries")
+    bad = np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL
+    if np.any(bad):
+        raise ValueError(f"{name} rows do not sum to 1 (first bad row {np.flatnonzero(bad)[0]})")
 
 
 @dataclass
@@ -236,8 +316,9 @@ class ModelParams:
     order-2 models add ``transition2`` and use ``transition`` for the first
     step only; order-0 models use ``unigram`` in place of transition rows.
     ``shift_probs[s + bar_length - 1]`` is the shift distribution;
-    ``division_probs[r-1]`` is the distribution over the division catalog of
-    base value ``r``.
+    ``division_probs[r-1][h]`` is the probability of division h of base
+    value ``r`` (see `division_parts`).  `_TABLES` lists the tables in the
+    order every walk over them takes.
     """
 
     family: str
@@ -252,19 +333,8 @@ class ModelParams:
     patterns: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        self.initial = np.asarray(self.initial, dtype=np.float64)
-        if self.transition is not None:
-            self.transition = np.asarray(self.transition, dtype=np.float64)
-        if self.transition2 is not None:
-            self.transition2 = np.asarray(self.transition2, dtype=np.float64)
-        if self.unigram is not None:
-            self.unigram = np.asarray(self.unigram, dtype=np.float64)
-        if self.shift_probs is not None:
-            self.shift_probs = np.asarray(self.shift_probs, dtype=np.float64)
-        if self.division_probs is not None:
-            self.division_probs = tuple(
-                np.asarray(row, dtype=np.float64) for row in self.division_probs
-            )
+        for name in _TABLES:
+            setattr(self, name, _mapped(name, getattr(self, name), _float_array))
         if self.patterns is not None:
             self.patterns = tuple(
                 tuple(integral(p, "pattern position") for p in pat) for pat in self.patterns
@@ -279,51 +349,29 @@ class ModelParams:
         return self.bar_length
 
     def validate(self) -> None:
-        def check_rows(name, arr, size):
-            rows = arr.reshape(-1, size)
-            if not np.all(np.isfinite(rows)):
-                raise ValueError(f"{name} has non-finite entries")
-            if np.any(rows < 0):
-                raise ValueError(f"{name} has negative entries")
-            bad = np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL
-            if np.any(bad):
-                raise ValueError(f"{name} rows do not sum to 1 (first bad row {np.flatnonzero(bad)[0]})")
+        """Check every table the layout of these params names, then the patterns.
 
-        k = self.n_symbols
-        if self.initial.shape != (k,):
-            raise ValueError(f"initial must have shape ({k},)")
-        check_rows("initial", self.initial, k)
-        if self.order == 0:
-            if self.unigram is None:
-                raise ValueError("order-0 params need a unigram")
-            check_rows("unigram", self.unigram, k)
-        if self.order >= 1:
-            if self.transition is None:
-                raise ValueError("order>=1 params need a transition table")
-            if self.transition.shape != (k, k):
-                raise ValueError(f"transition must have shape ({k},{k})")
-            check_rows("transition", self.transition, k)
-        if self.order == 2:
-            if self.transition2 is None:
-                raise ValueError("order-2 params need transition2")
-            if self.transition2.shape != (k, k, k):
-                raise ValueError(f"transition2 must have shape ({k},{k},{k})")
-            check_rows("transition2", self.transition2, k)
-        if self.shift_probs is not None:
-            n = 2 * self.bar_length - 1
-            if self.shift_probs.shape != (n,):
-                raise ValueError(f"shift_probs must have shape ({n},)")
-            check_rows("shift_probs", self.shift_probs, n)
-        if self.division_probs is not None:
-            if len(self.division_probs) != self.bar_length:
-                raise ValueError("division_probs needs one row per base value")
-            for r, row in enumerate(self.division_probs, start=1):
-                if row.shape != (r,):
-                    raise ValueError(f"division row for base value {r} must have {r} entries")
-                check_rows(f"division_probs[{r}]", row, r)
+        Shift and division tables are optional: a model uses them when present.
+        """
+        layout = _Layout(self.order, self.shift_probs is not None,
+                         self.division_probs is not None, self.bar_length, self.n_symbols)
+        for name, shape in layout.shapes.items():
+            table = getattr(self, name)
+            if table is None:
+                raise ValueError(f"order-{self.order} params need table {name}")
+            if name == "division_probs":
+                if len(table) != self.bar_length:
+                    raise ValueError(f"{name} needs one row per base value, "
+                                     f"got {len(table)} for bar length {self.bar_length}")
+                rows = [(f"{name}[{r}]", row, (r,)) for r, row in enumerate(table, start=1)]
+            else:
+                rows = [(name, table, shape)]
+            for label, row, want in rows:
+                if row.shape != want:
+                    raise ValueError(f"{label} must have shape {want}, got {row.shape}")
+                _check_rows(label, row)
         if self.family == "pat":
-            if self.patterns is None:
-                raise ValueError("pattern params need a pattern vocabulary")
+            k = self.n_symbols
             if len(self.patterns) != k:
                 raise ValueError("pattern vocabulary size mismatch")
             nb = self.bar_length
@@ -339,20 +387,9 @@ class ModelParams:
                 raise ValueError("pattern vocabulary has duplicate patterns")
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            family=self.family,
-            order=self.order,
-            bar_length=self.bar_length,
-            initial=self.initial.copy(),
-            transition=None if self.transition is None else self.transition.copy(),
-            transition2=None if self.transition2 is None else self.transition2.copy(),
-            unigram=None if self.unigram is None else self.unigram.copy(),
-            shift_probs=None if self.shift_probs is None else self.shift_probs.copy(),
-            division_probs=None
-            if self.division_probs is None
-            else tuple(r.copy() for r in self.division_probs),
-            patterns=self.patterns,
-        )
+        tables = {name: _mapped(name, getattr(self, name), np.ndarray.copy) for name in _TABLES}
+        return ModelParams(self.family, self.order, self.bar_length,
+                           patterns=self.patterns, **tables)
 
 
 _SYMBOL_PREFIX = {"note": "r", "met": "b", "pat": "k"}
@@ -371,6 +408,10 @@ def _symbol_from_label(family: str, label: str) -> int:
     return int(value) - 1 if family == "note" else int(value)
 
 
+def _division_label(parts: tuple) -> str:
+    return "(" + ",".join(map(str, parts)) + ")"
+
+
 def params_to_dict(params: ModelParams) -> dict:
     """ModelParams as a JSON-ready dict with labeled probability entries.
 
@@ -380,43 +421,23 @@ def params_to_dict(params: ModelParams) -> dict:
     entries keyed by their part tuple.
     """
     fam = params.family
-    k = params.n_symbols
-    lab = [_symbol_label(fam, i) for i in range(k)]
-    data: dict = {
-        "family": fam,
-        "order": params.order,
-        "bar_length": params.bar_length,
-        "initial": {lab[i]: float(params.initial[i]) for i in range(k)},
-    }
-    if params.unigram is not None:
-        data["unigram"] = {lab[i]: float(params.unigram[i]) for i in range(k)}
-    if params.transition is not None:
-        data["transition"] = {
-            f"{lab[i]}->{lab[j]}": float(params.transition[i, j])
-            for i in range(k)
-            for j in range(k)
-        }
-    if params.transition2 is not None:
-        data["transition2"] = {
-            f"{lab[i]}->{lab[j]}->{lab[m]}": float(params.transition2[i, j, m])
-            for i in range(k)
-            for j in range(k)
-            for m in range(k)
-        }
+    lab = [_symbol_label(fam, i) for i in range(params.n_symbols)]
+    data: dict = {"family": fam, "order": params.order, "bar_length": params.bar_length}
+    for name in _SYMBOL_TABLES:
+        table = getattr(params, name)
+        if table is not None:
+            data[name] = {"->".join(key): p for key, p in
+                          zip(product(lab, repeat=table.ndim), table.ravel().tolist())}
+    nb = params.bar_length
     if params.shift_probs is not None:
-        nb = params.bar_length
         data["shift"] = {
             f"s:{s - (nb - 1)}": float(params.shift_probs[s])
             for s in range(2 * nb - 1)
         }
     if params.division_probs is not None:
-        catalog = build_division_catalog(params.bar_length)
         data["division"] = {
-            f"r:{r}": {
-                "(" + ",".join(map(str, parts)) + ")": float(row[h])
-                for h, parts in enumerate(catalog.patterns_for(r))
-            }
-            for r, row in enumerate(params.division_probs, start=1)
+            f"r:{r}": {_division_label(parts): float(row[h]) for h, parts in enumerate(divs)}
+            for r, (row, divs) in enumerate(zip(params.division_probs, division_parts(nb)), start=1)
         }
     if params.patterns is not None:
         data["patterns"] = [list(p) for p in params.patterns]
@@ -433,59 +454,30 @@ def params_from_dict(data: dict) -> ModelParams:
     if data.get("patterns") is not None:
         patterns = tuple(tuple(p) for p in data["patterns"])  # checked by ModelParams
     k = len(patterns) if fam == "pat" else nb
-
-    def vector(entries):
-        v = np.zeros(k)
-        for label, p in entries.items():
-            v[_symbol_from_label(fam, label)] = p
-        return v
-
-    initial = vector(json_field(data, "initial", where))
-    unigram = vector(data["unigram"]) if "unigram" in data else None
-    transition = None
-    if "transition" in data:
-        transition = np.zeros((k, k))
-        for key, p in data["transition"].items():
-            a, b = key.split("->")
-            transition[_symbol_from_label(fam, a), _symbol_from_label(fam, b)] = p
-    transition2 = None
-    if "transition2" in data:
-        transition2 = np.zeros((k, k, k))
-        for key, p in data["transition2"].items():
-            a, b, c = key.split("->")
-            transition2[
-                _symbol_from_label(fam, a),
-                _symbol_from_label(fam, b),
-                _symbol_from_label(fam, c),
-            ] = p
-    shift = None
+    json_field(data, "initial", where)  # the one table every model has
+    shapes = _Layout.table_shapes(nb, k)
+    tables = {}
+    for name in _SYMBOL_TABLES:
+        if name not in data:
+            continue
+        table = tables[name] = np.zeros(shapes[name])
+        for key, p in data[name].items():
+            labels = key.split("->")
+            if len(labels) != table.ndim:
+                raise ValueError(f"{where}: {name} key {key!r} needs {table.ndim} "
+                                 f"label(s) joined by '->'")
+            table[tuple(_symbol_from_label(fam, label) for label in labels)] = p
     if "shift" in data:
-        shift = np.zeros(2 * nb - 1)
+        shift = tables["shift_probs"] = np.zeros(2 * nb - 1)
         for label, p in data["shift"].items():
             shift[int(label.split(":")[1]) + nb - 1] = p
-    division = None
     if "division" in data:
-        catalog = build_division_catalog(nb)
         rows = []
-        for r in range(1, nb + 1):
+        for r, divs in enumerate(division_parts(nb), start=1):
             entries = json_field(data["division"], f"r:{r}", f"{where} division")
-            row = np.zeros(r)
-            for h, parts in enumerate(catalog.patterns_for(r)):
-                row[h] = entries["(" + ",".join(map(str, parts)) + ")"]
-            rows.append(row)
-        division = tuple(rows)
-    return ModelParams(
-        family=fam,
-        order=order,
-        bar_length=nb,
-        initial=initial,
-        transition=transition,
-        transition2=transition2,
-        unigram=unigram,
-        shift_probs=shift,
-        division_probs=division,
-        patterns=patterns,
-    )
+            rows.append(np.array([entries[_division_label(parts)] for parts in divs], dtype=float))
+        tables["division_probs"] = tuple(rows)
+    return ModelParams(fam, order, nb, patterns=patterns, **tables)
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -502,131 +494,44 @@ def load_params(path) -> ModelParams:
     return params_from_dict(json.loads(Path(path).read_text()))
 
 
-def _modification_rows(config: ModelConfig, rng=None):
-    """Uniform (or Dirichlet-random) shift/division rows for a config."""
+def _filled_params(config: ModelConfig, patterns, fill) -> ModelParams:
+    """Params with every table the config uses made by `fill(shape)`.
+
+    `fill` returns an array of the shape whose rows (last axis) are
+    distributions; the ragged division table takes one row per base value.
+    Modification tables are filled first, then the symbol tables in layout
+    order: the order seeded `random_params` tables have always been drawn in.
+    The pattern family defaults to the full vocabulary.
+    """
     nb = config.bar_length
-    shift = None
-    division = None
-    if config.shift:
-        n = 2 * nb - 1
-        shift = np.full(n, 1.0 / n) if rng is None else rng.dirichlet(np.ones(n))
-    if config.division:
-        rows = []
-        for r in range(1, nb + 1):
-            rows.append(np.full(r, 1.0 / r) if rng is None else rng.dirichlet(np.ones(r)))
-        division = tuple(rows)
-    return shift, division
+    if config.family == "pat":
+        patterns = tuple(patterns) if patterns is not None else pattern_vocabulary(nb)
+        k = len(patterns)
+    else:
+        patterns, k = None, nb
+    layout = _Layout(config.order, config.shift, config.division, nb, k)
+    tables = {}
+    for name in sorted(layout.shapes, key=_SYMBOL_TABLES.__contains__):
+        if name == "division_probs":
+            tables[name] = tuple(fill((r,)) for r in range(1, nb + 1))
+        else:
+            tables[name] = fill(layout.shapes[name])
+    return ModelParams(config.family, config.order, nb, patterns=patterns, **tables)
 
 
 def uniform_params(config: ModelConfig, patterns=None) -> ModelParams:
     """Uniform tables for a config (pattern family defaults to the full vocabulary)."""
-    if config.family == "pat":
-        patterns = tuple(patterns) if patterns is not None else pattern_vocabulary(config.bar_length)
-        k = len(patterns)
-    else:
-        patterns, k = None, config.bar_length
-    shift, division = _modification_rows(config)
-    return ModelParams(
-        family=config.family,
-        order=config.order,
-        bar_length=config.bar_length,
-        initial=np.full(k, 1.0 / k),
-        transition=np.full((k, k), 1.0 / k) if config.order >= 1 else None,
-        transition2=np.full((k, k, k), 1.0 / k) if config.order == 2 else None,
-        unigram=np.full(k, 1.0 / k) if config.order == 0 else None,
-        shift_probs=shift,
-        division_probs=division,
-        patterns=patterns,
-    )
+    return _filled_params(config, patterns, lambda shape: np.full(shape, 1.0 / shape[-1]))
 
 
 def random_params(config: ModelConfig, rng: np.random.Generator, patterns=None) -> ModelParams:
     """Dirichlet(1)-random tables for a config; used by tests and demos."""
-    if config.family == "pat":
-        patterns = tuple(patterns) if patterns is not None else pattern_vocabulary(config.bar_length)
-        k = len(patterns)
-    else:
-        patterns, k = None, config.bar_length
-    shift, division = _modification_rows(config, rng)
-    ones = np.ones(k)
-    return ModelParams(
-        family=config.family,
-        order=config.order,
-        bar_length=config.bar_length,
-        initial=rng.dirichlet(ones),
-        transition=rng.dirichlet(ones, size=k) if config.order >= 1 else None,
-        transition2=rng.dirichlet(ones, size=(k, k)) if config.order == 2 else None,
-        unigram=rng.dirichlet(ones) if config.order == 0 else None,
-        shift_probs=shift,
-        division_probs=division,
-        patterns=patterns,
-    )
+    return _filled_params(config, patterns, lambda shape: rng.dirichlet(
+        np.ones(shape[-1]), size=shape[:-1] or None))
 
 
 # ---------------------------------------------------------------------------
-# flat parameter layout: the table entries edge weights are products of
-
-
-class _Layout:
-    """Slots of the flat parameter vector a config's weights are read from.
-
-    One slot per entry of each table the config uses, in the order initial,
-    unigram or transition, transition2, shift, division (rows r = 1..N_b back
-    to back, row r at offset r(r-1)/2), then one constant-1 slot for the
-    steps no table weighs: pattern-internal and mid-division edges.
-    """
-
-    def __init__(self, config: ModelConfig, n_symbols: int):
-        nb, k = config.bar_length, n_symbols
-        shapes = {"initial": (k,)}
-        if config.order == 0:
-            shapes["unigram"] = (k,)
-        else:
-            shapes["transition"] = (k, k)
-        if config.order == 2:
-            shapes["transition2"] = (k, k, k)
-        if config.shift:
-            shapes["shift_probs"] = (2 * nb - 1,)
-        if config.division:
-            shapes["division_probs"] = (nb * (nb + 1) // 2,)
-        self.bar_length = nb
-        self.shapes = shapes
-        self.offset = {}
-        size = 0
-        for name, shape in shapes.items():
-            self.offset[name] = size
-            size += int(np.prod(shape))
-        self.one = size
-        self.size = size + 1
-
-    def slots(self, name: str) -> np.ndarray:
-        """Slot of every entry of one table, shaped like the table."""
-        shape = self.shapes[name]
-        return self.offset[name] + np.arange(int(np.prod(shape))).reshape(shape)
-
-    def division_slot(self, rt, h):
-        """Slot of division entry h of base value rt."""
-        return self.offset["division_probs"] + rt * (rt - 1) // 2 + h
-
-    def flatten(self, params: ModelParams) -> np.ndarray:
-        parts = [
-            np.concatenate(params.division_probs)
-            if name == "division_probs"
-            else getattr(params, name).ravel()
-            for name in self.shapes
-        ]
-        return np.concatenate(parts + [np.ones(1)])
-
-    def tables(self, flat: np.ndarray) -> dict:
-        """Views of a flat vector shaped like the tables (division: a list of rows)."""
-        out = {}
-        for name, shape in self.shapes.items():
-            block = flat[self.offset[name]: self.offset[name] + int(np.prod(shape))]
-            if name == "division_probs":
-                out[name] = np.split(block, np.cumsum(np.arange(1, self.bar_length)))
-            else:
-                out[name] = block.reshape(shape)
-        return out
+# weights from the flat parameter vector
 
 
 def _product(theta: np.ndarray, slots: tuple) -> np.ndarray:
@@ -853,9 +758,7 @@ def _chunk_ranges(counts: np.ndarray, limit: int = 65_536):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _augment_division(
-    chain: _Parts, layout: _Layout, support: np.ndarray, catalog: DivisionCatalog
-) -> _Parts:
+def _augment_division(chain: _Parts, layout: _Layout, support: np.ndarray) -> _Parts:
     """States (sym, [rt,] h, g): part g of division h of base value rt.
 
     A chain edge into symbol j producing rt enters the first part of every
@@ -871,9 +774,10 @@ def _augment_division(
     for keys in edge_keys:
         reach[keys] = True
     # per base value rt, a row per part g of each supported division h
+    divisions = division_parts(nb)
     rows = [(rt, h, g, part) for rt in range(1, nb + 1)
             for h in np.flatnonzero(support[layout.division_slot(rt, np.arange(rt))]).tolist()
-            for g, part in enumerate(catalog.patterns_for(rt)[h], start=1)]
+            for g, part in enumerate(divisions[rt - 1][h], start=1)]
     row_rt, row_h, row_g, row_part = (np.array(c, dtype=np.int64) for c in zip(*rows))
     row_n = np.bincount(row_rt, minlength=nb + 1)
     # states in (symbol, rt) key order: a key's rows, each division's parts in turn
@@ -1215,11 +1119,11 @@ class _TopologyCache:
 _TOPOLOGY_CACHE = _TopologyCache(size=4)
 
 
-def _build_topology(config, layout, support, patterns, catalog) -> _Topology:
+def _build_topology(config, layout, support, patterns) -> _Topology:
     parts = _CHAIN_BUILDERS[config.family](config, layout, patterns)
     parts.first, parts.trans = (_supported(e, support) for e in (parts.first, parts.trans))
     if config.division:
-        parts = _augment_division(parts, layout, support, catalog)
+        parts = _augment_division(parts, layout, support)
     if config.shift:
         parts = _augment_shift(parts, layout, support)
     return _Topology(layout, support, parts)
@@ -1306,9 +1210,7 @@ def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:
     return pos
 
 
-def build_state_space(
-    config: ModelConfig, params: ModelParams, catalog: DivisionCatalog | None = None
-) -> LatentStateSpace:
+def build_state_space(config: ModelConfig, params: ModelParams) -> LatentStateSpace:
     """Build the latent state space of any supported model variant.
 
     The structure comes from a cached topology (see `_Topology`) whose
@@ -1327,16 +1229,15 @@ def build_state_space(
     if config.division and params.division_probs is None:
         raise ValueError("division model needs params.division_probs")
     params.validate()
-    if config.division and catalog is None:
-        catalog = build_division_catalog(config.bar_length)
     patterns = params.patterns if config.family == "pat" else None
     key = (config.family, config.order, config.shift, config.division, config.bar_length,
-           patterns, catalog if config.division else None)
-    layout = _Layout(config, params.n_symbols)
+           patterns)
+    layout = _Layout(config.order, config.shift, config.division, config.bar_length,
+                     params.n_symbols)
     theta = layout.flatten(params)
     topology = _TOPOLOGY_CACHE.find(key, theta)
     if topology is None:
-        topology = _build_topology(config, layout, theta > 0, patterns, catalog)
+        topology = _build_topology(config, layout, theta > 0, patterns)
         _TOPOLOGY_CACHE.add(key, topology)
     return topology.weigh(config, theta, params.patterns)
 

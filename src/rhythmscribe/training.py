@@ -18,7 +18,7 @@ from .inference import DEFAULT_CONCENTRATION, Hyperparams
 from .models import (
     ModelConfig,
     ModelParams,
-    build_division_catalog,
+    division_parts,
     params_from_dict,
     params_to_dict,
     pattern_vocabulary,
@@ -196,15 +196,14 @@ def build_modification_base(
     n = 2 * bar_length - 1
     shift = np.full(n, (1.0 - no_shift_mass) / (n - 1) if n > 1 else 0.0)
     shift[bar_length - 1] = no_shift_mass
-    catalog = build_division_catalog(bar_length)
     rows = []
-    for r in range(1, bar_length + 1):
-        size = catalog.size(r)
+    for divisions in division_parts(bar_length):
+        size = len(divisions)
         if size == 1:
             rows.append(np.array([1.0]))
             continue
         row = np.full(size, (1.0 - identity_division_mass) / (size - 1))
-        row[catalog.IDENTITY] = identity_division_mass
+        row[0] = identity_division_mass  # the identity division
         rows.append(row)
     return tuple(rows), shift
 

@@ -5,8 +5,8 @@ import pytest
 from rhythmscribe.core import Corpus, RhythmScore
 from rhythmscribe.models import (
     ModelConfig,
-    build_division_catalog,
     build_state_space,
+    division_parts,
     pattern_index,
     pattern_vocabulary,
 )
@@ -159,14 +159,14 @@ class TestModificationPresets:
 
     def test_division_rows_layout(self):
         division, _ = build_modification_base(8, identity_division_mass=0.9)
-        cat = build_division_catalog(8)
+        parts = division_parts(8)
         assert len(division) == 8
         assert division[0].tolist() == [1.0]  # a value of 1 cannot divide
         for r in range(2, 9):
             row = division[r - 1]
-            assert len(row) == cat.size(r)
-            assert row[cat.IDENTITY] == pytest.approx(0.9)
-            assert np.allclose(row[1:], 0.1 / (cat.size(r) - 1))
+            assert len(row) == len(parts[r - 1])
+            assert row[0] == pytest.approx(0.9)  # the identity division
+            assert np.allclose(row[1:], 0.1 / (len(parts[r - 1]) - 1))
 
     def test_point_mass_presets(self):
         division, shift = build_modification_base(
