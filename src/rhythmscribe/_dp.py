@@ -13,23 +13,23 @@ Emissions enter as a matrix ``em`` of shape ``(N, bar_length)``:
 ``n``.  Indicator rows (0 / -inf) recover score probabilities; Gaussian
 log-densities give performance likelihoods.
 
-Viterbi, beams and the reference forward kernel work in log space over the
-edge lists.  Every Viterbi decode and every beam runs one sweep,
-`_pruned_sweep`, which carries from each slot only the states a keep
-policy picks: all of them for the plain decode, those that can still lie
-on an optimal path for the certified one (below), and a fixed number of
-the best for a beam, whose forward pass is the same sweep in sum-product
-form.  The exact forward pass runs in scaled linear space (Rabiner
-1989) and converts its table back to log space: large spaces over
-per-output-value sparse matrices, small ones over the edge list with every
-step's edge weights made at once.  A scaled kernel flushes entries below the
-smallest normal double, and a flushed path may later dominate; so each one
-keeps a ledger of the mass it may have dropped making each slot, bounds
-from it the share of its total that flushed mass could carry, and the pass
-reruns in log space when that share could matter (see `_log_flushed`).  The
-backward pass for the bounds below runs scaled over the transposed
-per-value matrices.  Backward sampling (FFBS) draws every uniform up front
-and inverts one cumulative sum over the in-edges of each sampled state.
+Every log-space pass is one sweep over the edge lists, `_pruned_sweep`,
+max-product for Viterbi and sum-product for a forward pass.  It carries from
+each slot only the states a keep policy picks: all of them for the plain
+decode and the forward rerun (below), those that can still lie on an optimal
+path for the certified decode (below), and a fixed number of the best for a
+beam.  The exact forward pass runs in scaled linear space (Rabiner 1989) and
+converts its table back to log space: large spaces over per-output-value
+sparse matrices, small ones over the edge list with every step's edge
+weights made at once.  A scaled kernel flushes entries below the smallest
+normal double, and a flushed path may later dominate; so each one keeps a
+ledger of the mass it may have dropped making each slot, bounds from it the
+share of its total that flushed mass could carry, and the pass reruns as the
+sweep that keeps every state when that share could matter (see
+`_log_flushed`).  The backward pass for the bounds below runs scaled over
+the transposed per-value matrices.  Backward sampling (FFBS) draws every
+uniform up front and inverts one cumulative sum over the in-edges of each
+sampled state.
 
 Exact Viterbi on large spaces is certified rather than swept over every edge.
 A sweep that carries only some states computes, for each state it reaches,
@@ -67,22 +67,22 @@ NEG_INF = -np.inf
 # of many steps at once, in blocks of at most `BATCH_MAX_ENTRIES` entries
 # (512 KiB, one step at least), and backward sampling precomputes its
 # per-edge weights the same way.  A pass whose scaled kernel trips its
-# underflow guard reruns on the log-space edge-list recursion
-# (`_edge_list_forward`).  The crossover was picked from single-thread
+# underflow guard reruns in log space, as the sum-product `_pruned_sweep`
+# that keeps every state.  The crossover was picked from single-thread
 # timings at 200 notes; see CHANGES.md.
 SPARSE_MIN_EDGES = 5_000
 BATCH_MAX_ENTRIES = 1 << 16
 
 # Exact Viterbi over spaces with at least this many edges is certified
 # (`_certified_sweep`); smaller spaces keep the plain sweep.
-# With trained tables a 200-300 note transcribe call (forward and decode)
-# took 3-17% longer certified at 38.8k edges and 0-17% less at 68.1k;
-# CHANGES.md has the timings.
+# With trained tables a 300-note transcribe call (decode plus likelihood)
+# took 1.57x as long certified at 38.8k edges and 0.63x at 68.1k; README.md
+# has the timings.
 CERTIFY_MIN_EDGES = 60_000
 
-# A pruned max-product step relaxes the out-edges of the states it keeps; once
-# those are more than this share of all edges, one plain `reduce_max` step
-# over every edge is cheaper.  Relaxing gathers each edge at random, 6-7x
+# A pruned step relaxes the out-edges of the states it keeps; once those are
+# more than this share of all edges, one `_full_step` over every edge is
+# cheaper.  Relaxing gathers each edge at random, 6-7x
 # the cost per edge of the full step on `patmm1`, `metmm1sd` and `patmm1d`
 # (single thread), so the two cross at 14-16% of the edges.
 DENSE_STEP_FRACTION = 0.15
@@ -240,62 +240,26 @@ class EdgeSet:
         """Slice of edges entering `state` (arrays are dst-sorted)."""
         return slice(self.dst_indptr[state], self.dst_indptr[state + 1])
 
-    def step_scores(self, alpha: np.ndarray, em_row: np.ndarray, eids=None,
-                    scratch=None) -> np.ndarray:
-        """Per-edge score alpha[src] + logp + em(out), over every edge or the
-        edge ids `eids`.
+    def step_scores(self, alpha: np.ndarray, em_row: np.ndarray, eids, scratch) -> np.ndarray:
+        """Per-edge score alpha[src] + logp + em(out) of the edges `eids`, a
+        slice or an array of edge ids.
 
-        `scratch`, two float arrays, receives the scores (a view of the first
-        is returned) and a temporary when they hold as many entries as edges
-        scored.  A sweep that passes the same pair at every step then
+        `scratch`, two float arrays that hold as many entries as edges
+        scored, receives the scores (a view of the first is returned) and a
+        temporary.  A sweep that passes the same pair at every step then
         allocates no edge-length array: a fresh one is mapped anew by the
         allocator and page-faults on every step, which costs a third of a
         step on large spaces.
         """
-        def take(a):
-            return a if eids is None else a[eids]
-
-        # in place and indexed by `out` itself: at most two edge-length
-        # temporaries beside the result
+        # indexed by `out` itself, with no shifted copy of it
         em_by_out = np.empty(em_row.size + 1)
         em_by_out[1:] = em_row
-        src = take(self.src)
-        if scratch is None or scratch[0].size < src.size:
-            scores = alpha[src]
-            scores += take(self.logp)
-            scores += em_by_out[take(self.out)]
-            return scores
+        src = self.src[eids]
         scores, tmp = scratch[0][:src.size], scratch[1][:src.size]
         np.take(alpha, src, out=scores, mode="clip")  # "raise" copies
-        scores += take(self.logp)
-        scores += np.take(em_by_out, take(self.out), out=tmp, mode="clip")
+        scores += self.logp[eids]
+        scores += np.take(em_by_out, self.out[eids], out=tmp, mode="clip")
         return scores
-
-    def reduce_logsumexp(self, scores: np.ndarray) -> np.ndarray:
-        """Per-destination logsumexp of edge scores; -inf where no edge."""
-        new = np.full(self.n_dst, NEG_INF)
-        if self.n_edges == 0:
-            return new
-        m = np.maximum.reduceat(scores, self._starts)
-        m_safe = np.where(np.isfinite(m), m, 0.0)
-        sums = np.add.reduceat(np.exp(scores - np.repeat(m_safe, self._seg_counts)), self._starts)
-        ok = np.isfinite(m)
-        new[self._rows[ok]] = m[ok] + np.log(sums[ok])
-        return new
-
-    def reduce_max(self, scores: np.ndarray) -> np.ndarray:
-        """Per-destination max score; -inf where no edge."""
-        best = np.full(self.n_dst, NEG_INF)
-        if self.n_edges:
-            best[self._rows] = np.maximum.reduceat(scores, self._starts)
-        return best
-
-
-def _next_pow2(width: int) -> int:
-    eff = 1
-    while eff < width:
-        eff *= 2
-    return eff
 
 
 def _effective_width(width: int | None, space, n_init: int) -> int | None:
@@ -310,7 +274,7 @@ def _effective_width(width: int | None, space, n_init: int) -> int | None:
     width = integral(width, "beam_width")
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    eff = _next_pow2(width)
+    eff = 1 << (width - 1).bit_length()  # the next power of two
     if eff >= max(space.trans.n_dst, n_init):
         return None
     return eff
@@ -333,7 +297,7 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _relax(edges: EdgeSet, alpha, eids, em_row, use_max, scratch=None):
+def _relax(edges: EdgeSet, alpha, eids, em_row, use_max, scratch):
     """One pruned DP step: propagate scores along the edges `eids`, the
     out-edges of the kept states.
 
@@ -350,13 +314,11 @@ def _relax(edges: EdgeSet, alpha, eids, em_row, use_max, scratch=None):
     np.maximum.at(val, dst, sc)
     if use_max:
         return val
-    shift = np.where(np.isfinite(val), val, 0.0)
-    tot = np.zeros(edges.n_dst)
-    np.add.at(tot, dst, np.exp(sc - shift[dst]))
     ok = np.isfinite(val)
-    lse = np.full(edges.n_dst, NEG_INF)
-    lse[ok] = val[ok] + np.log(tot[ok])
-    return lse
+    tot = np.zeros(edges.n_dst)
+    np.add.at(tot, dst, np.exp(sc - np.where(ok, val, 0.0)[dst]))
+    val[ok] += np.log(tot[ok])
+    return val
 
 
 def _extend_survivors(locked: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
@@ -462,25 +424,6 @@ def _log_total(alpha: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(finite - m))))
 
 
-def _edge_list_forward(space, em, init, keep_table=True):
-    """Exact forward in log space over the edge lists (the reference kernel).
-
-    Returns ``(total, table)``, or ``(-inf, None)`` when no path is feasible;
-    the table is None unless `keep_table` is set.
-    """
-    alpha = init.copy()
-    table = [alpha] if keep_table else None
-    edges = space.first
-    for n in range(em.shape[0]):
-        alpha = edges.reduce_logsumexp(edges.step_scores(alpha, em[n]))
-        if not np.isfinite(alpha).any():
-            return NEG_INF, None
-        if keep_table:
-            table.append(alpha)
-        edges = space.trans
-    return _log_total(alpha), table
-
-
 def _step_edges(space, n_steps: int, max_entries=None):
     """``(edges, lo, hi)`` for the edge sets that run steps lo..hi-1: the
     first step over `space.first`, the rest over `space.trans`, split into
@@ -524,9 +467,10 @@ def _scaled_forward(space, em, init, keep_table=True):
     can produce, so the leading term is never scaled to 0 even when a
     duration lies far from every reachable value.
 
-    Returns ``(total, table, log_flushed)``: the contract of
-    `_edge_list_forward`, with the table in log space, and the log of the
-    share of the total that flushed mass could carry (see `_log_flushed`).
+    Returns ``(total, table, log_flushed)``: the log total, -inf when no
+    path is feasible; the forward table in log space, None then or without
+    `keep_table`; and the log of the share of the total that flushed mass
+    could carry (see `_log_flushed`).
     A step where no current state produces a value of finite emission
     returns -inf, and `_reaches` decides whether a flushed path could pass
     there: ``log_flushed`` is then +inf, and -inf when no path can.
@@ -831,8 +775,9 @@ def forward(
     observations and the slot-n state.  Returns -inf when no
     path is feasible (the beam variant raises instead, since an emptied
     beam is a search failure rather than a model statement).  Exact passes run a
-    scaled kernel picked by size (see `SPARSE_MIN_EDGES`), or the log-space
-    edge-list recursion when that kernel's underflow guard fires.  Beam
+    scaled kernel picked by size (see `SPARSE_MIN_EDGES`), or, when that
+    kernel's underflow guard fires, the sum-product `_pruned_sweep` that
+    keeps every state, in log space.  Beam
     widths round up to the next power of two and prune through nested
     survivor sets (see `_tiered_sweep`), so totals never decrease as the
     width grows.
@@ -847,25 +792,28 @@ def forward(
     if not np.isfinite(init).any():
         return (NEG_INF, None) if return_table else NEG_INF
     eff = _effective_width(beam_width, space, init.size)
-    if eff is not None:
-        steps = _tiered_sweep(space, em, eff, init, use_max=False)
-        total, table = _log_total(steps[-1][1]), None
-        if return_table:
-            table = [_dense_step(steps[0], init.size)]
-            table += [_dense_step(step, space.trans.n_dst) for step in steps[1:]]
+    if eff is None:
+        kernel = _batched_forward if _batched(space) else _scaled_forward
+        total, table, log_flushed = kernel(space, em, init, return_table)
+        if log_flushed <= -DROP_MARGIN:
+            return (total, table) if return_table else total
+        # flushed mass could carry more than e^-40 of the total: rerun in
+        # log space, as the sum-product sweep that keeps every state
+        try:
+            steps = _pruned_sweep(space, em, init, lambda n, delta: None, _scratch(space),
+                                  use_max=False, keep_table=return_table)
+        except InferenceError:
+            return (NEG_INF, None) if return_table else NEG_INF
     else:
-        total, table = _exact_forward(space, em, init, return_table)
-    return (total, table) if return_table else total
-
-
-def _exact_forward(space, em, init, keep_table):
-    """The exact forward pass on the kernel its size picks (see
-    `SPARSE_MIN_EDGES`), rerun in log space when a scaled kernel's flushed
-    mass could carry more than e^-40 of its total."""
-    kernel = _batched_forward if _batched(space) else _scaled_forward
-    total, table, log_flushed = kernel(space, em, init, keep_table)
-    if log_flushed > -DROP_MARGIN:
-        return _edge_list_forward(space, em, init, keep_table)
+        steps = _tiered_sweep(space, em, eff, init, use_max=False)
+    total = _log_total(steps[-1][1])
+    if not return_table:
+        return total
+    # whole rows go in as the sweep made them: copies would double the peak
+    n_dst = space.trans.n_dst
+    table = [_dense_step(steps[0], init.size)]
+    table += [row if row.size == n_dst else _dense_step((ids, row), n_dst)
+              for ids, row in steps[1:]]
     return total, table
 
 
@@ -927,7 +875,7 @@ def _block_length(n_edges: int) -> int:
 def _scratch(space):
     """Two float arrays for `EdgeSet.step_scores`, a block long (see
     `_block_length`) for the larger edge set: room for the out-edges a
-    pruned step relaxes and, as a block of `_max_step`, for the in-edges
+    pruned step relaxes and, as a block of `_full_step`, for the in-edges
     of any one state."""
     sets = (space.first, space.trans)
     size = max(_block_length(max(e.n_edges for e in sets)),
@@ -935,49 +883,68 @@ def _scratch(space):
     return np.empty(size), np.empty(size)
 
 
-def _max_step(edges: EdgeSet, row, em_row, scratch) -> np.ndarray:
-    """``edges.reduce_max(edges.step_scores(row, em_row))``, scored into
-    `scratch` a block of whole destinations at a time; `scratch` must hold
-    the in-edges of any one destination.
+def _dst_blocks(edges: EdgeSet, size: int):
+    """``(eids, cuts, rows, counts)`` of each block of whole destinations
+    whose in-edges fit in `size` entries: the slice of its edges, where
+    each destination's in-edges begin in it, the destinations and their
+    in-degrees.  Made once per edge structure and size."""
+    blocks = edges._structure.get(("dst_blocks", size))
+    if blocks is None:
+        starts, ends = edges._starts, edges._starts + edges._seg_counts
+        blocks, a = [], 0
+        while a < starts.size:
+            b = int(np.searchsorted(ends, starts[a] + size, side="right"))
+            lo, hi = int(starts[a]), int(ends[b - 1])
+            blocks.append((slice(lo, hi), starts[a:b] - lo, edges._rows[a:b],
+                           edges._seg_counts[a:b]))
+            a = b
+        edges._structure[("dst_blocks", size)] = blocks
+    return blocks
 
-    However many edges a space has, a full step then writes no more of
-    memory than a pruned one, so the pages a decode touches do not depend
-    on which of its steps run in full.
+
+def _full_step(edges: EdgeSet, row, em_row, scratch, use_max) -> np.ndarray:
+    """Per destination, the max (with `use_max`) or the logsumexp of its
+    in-edges' scores ``row[src] + logp + em(out)``; -inf where none arrives.
+
+    Scores a block of whole destinations at a time into `scratch` (see
+    `_dst_blocks`), which must hold the in-edges of any one.  However many
+    edges a space has, a full step then writes no more of memory than a
+    pruned one, so the pages a sweep touches do not depend on which of its
+    steps run in full.
     """
-    size = scratch[0].size
-    if edges.n_edges <= size:
-        return edges.reduce_max(edges.step_scores(row, em_row, scratch=scratch))
-    best = np.full(edges.n_dst, NEG_INF)
-    starts, ends = edges._starts, edges._starts + edges._seg_counts
-    a = 0
-    while a < starts.size:
-        b = int(np.searchsorted(ends, starts[a] + size, side="right"))
-        lo, hi = int(starts[a]), int(ends[b - 1])
-        scores = edges.step_scores(row, em_row, slice(lo, hi), scratch)
-        best[edges._rows[a:b]] = np.maximum.reduceat(scores, starts[a:b] - lo)
-        a = b
-    return best
+    new = np.full(edges.n_dst, NEG_INF)
+    for eids, cuts, rows, counts in _dst_blocks(edges, scratch[0].size):
+        scores = edges.step_scores(row, em_row, eids, scratch)
+        best = np.maximum.reduceat(scores, cuts)
+        if not use_max:
+            ok = np.isfinite(best)
+            scores -= np.repeat(np.where(ok, best, 0.0), counts)
+            sums = np.add.reduceat(np.exp(scores, out=scores), cuts)
+            best[ok] += np.log(sums[ok])
+        new[rows] = best
+    return new
 
 
-def _pruned_sweep(space, em, init, keep, scratch, use_max=True):
+def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True):
     """Max-product (or, without `use_max`, sum-product) sweep that carries
     on from slot n only the states ``keep(n, delta)`` picks, given the
     slot's values `delta`.
 
     `keep` returns ascending ids of states of finite `delta`, or None to
     keep every state: with ``keep = lambda n, delta: None`` this is the
-    plain exact Viterbi sweep, and a beam is the keep policy of
-    `_tiered_sweep`.  A step relaxes the kept states' out-edges (see
-    `_relax`); a max-product step takes the maximum over every edge
-    (`_max_step`) instead when it keeps a whole row or when those
-    out-edges are more than `DENSE_STEP_FRACTION` of all edges.  Either
-    way each edge is scored as ``delta[src] + logp + em(out)``, into
-    `scratch` (see `_scratch`), so a state's maximum is bit-identical to
-    the full sweep's whenever its best in-edge leaves a kept state.
+    plain exact Viterbi sweep, or the exact forward pass in log space, and
+    a beam is the keep policy of `_tiered_sweep`.  A step relaxes the kept
+    states' out-edges (see `_relax`), or reduces over every edge
+    (`_full_step`) when it keeps a whole row or when those out-edges are
+    more than `DENSE_STEP_FRACTION` of all edges.  Either way each edge is
+    scored as ``delta[src] + logp + em(out)``, into `scratch` (see
+    `_scratch`), so a state's maximum is bit-identical to the full sweep's
+    whenever its best in-edge leaves a kept state.
     Returns the sparse table of the kept states, a slot keeping every state
     or more than half of them as a whole row (ids ``arange(size)``, -inf
-    outside the kept states, which `_backtrack` indexes directly); raises
-    InferenceError when some slot reaches none.
+    outside the kept states, which `_backtrack` indexes directly); without
+    `keep_table`, only its last slot.  Raises InferenceError when some
+    slot reaches none.
     """
     every = np.arange(max(space.n_states, init.size))
     steps = []
@@ -985,20 +952,18 @@ def _pruned_sweep(space, em, init, keep, scratch, use_max=True):
     for n in range(em.shape[0] + 1):
         if n:
             ids, row = steps[-1]
-            whole = ids.size == edges.n_src
-            if use_max and whole:
-                delta = _max_step(edges, row, em[n - 1], scratch)
+            if ids.size == edges.n_src:
+                delta = _full_step(edges, row, em[n - 1], scratch, use_max)
             else:
                 order, indptr = edges.src_view()
                 starts = indptr[ids]
                 counts = indptr[ids + 1] - starts
-                if use_max and counts.sum() > DENSE_STEP_FRACTION * edges.n_edges:
-                    delta = _max_step(edges, _dense_step(steps[-1], edges.n_src),
-                                      em[n - 1], scratch)
+                if counts.sum() > DENSE_STEP_FRACTION * edges.n_edges:
+                    delta = _full_step(edges, _dense_step(steps[-1], edges.n_src),
+                                       em[n - 1], scratch, use_max)
                 else:
-                    delta = _relax(edges, row if whole else delta,
-                                   order[_concat_ranges(starts, counts)], em[n - 1],
-                                   use_max, scratch)
+                    delta = _relax(edges, delta, order[_concat_ranges(starts, counts)],
+                                   em[n - 1], use_max, scratch)
             if not np.isfinite(delta).any():
                 raise InferenceError(f"no feasible path at step {n}")
             edges = space.trans
@@ -1009,6 +974,8 @@ def _pruned_sweep(space, em, init, keep, scratch, use_max=True):
             steps.append((every[:delta.size], _dense_step((kept, delta[kept]), delta.size)))
         else:
             steps.append((kept, delta[kept]))
+        if not keep_table:
+            del steps[:-1]
     return steps
 
 
@@ -1280,11 +1247,7 @@ def ffbs(space, em, rng: np.random.Generator, beam_width: int | None = None) -> 
 
 def sample_generative(space, n_steps: int, rng: np.random.Generator) -> PathSample:
     """Sample a latent path (and its output values) from the prior."""
-    logp0 = space.log_initial
-    p0 = np.exp(logp0 - np.max(logp0[np.isfinite(logp0)]))
-    p0[~np.isfinite(logp0)] = 0.0
-    p0 /= p0.sum()
-    boundary = int(rng.choice(len(p0), p=p0))
+    boundary = _sample_index(space.log_initial, rng)
     log_prob = float(space.log_initial[boundary])
     states = []
     outs = []
@@ -1301,12 +1264,7 @@ def sample_generative(space, n_steps: int, rng: np.random.Generator) -> PathSamp
         state = int(edges.dst[e])
         states.append(state)
         edges = space.trans
-    return PathSample(
-        boundary_index=None if space.virtual_boundary else boundary,
-        state_indices=states,
-        output_values=outs,
-        log_prob=log_prob,
-    )
+    return _path_sample(space, boundary, states, outs, log_prob)
 
 
 def ffbs_batch(space, em, rng: np.random.Generator, size: int,

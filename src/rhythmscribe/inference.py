@@ -71,8 +71,9 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("alpha_initial", "alpha_transition", "alpha_shift", "alpha_division"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.base.validate()
 
 
@@ -91,6 +92,8 @@ class GibbsConfig:
             object.__setattr__(self, "beam_width", integral(self.beam_width, "beam_width"))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError("beam_width must be >= 1 (or None for exact)")
 

@@ -114,6 +114,9 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "order", integral(self.order, "order"))
         object.__setattr__(self, "bar_length", integral(self.bar_length, "bar_length"))
+        for flag in ("shift", "division", "bayesian", "renormalize_masked"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.order not in (0, 1, 2):
@@ -1273,7 +1276,10 @@ def sequence_log_prob(space: LatentStateSpace, score: RhythmScore) -> float:
 def sample_score(
     space: LatentStateSpace, n_notes: int, rng: np.random.Generator
 ) -> RhythmScore:
-    """Draw a random rhythm from a score model."""
+    """Draw a random rhythm of `n_notes` >= 1 notes from a score model."""
+    n_notes = integral(n_notes, "n_notes")
+    if n_notes < 1:
+        raise ValueError(f"n_notes must be >= 1, got {n_notes}")
     path = _sample_generative(space, n_notes, rng)
     boundary = path.boundary_index if path.boundary_index is not None else 0
     tau0 = (
@@ -1292,7 +1298,10 @@ def sample_corpus(
     rng: np.random.Generator,
     id_prefix: str = "sampled",
 ) -> Corpus:
-    """A corpus of independent draws from one score model."""
+    """A corpus of `n_pieces` >= 1 independent draws from one score model."""
+    n_pieces = integral(n_pieces, "n_pieces")
+    if n_pieces < 1:
+        raise ValueError(f"n_pieces must be >= 1, got {n_pieces}")
     pieces = tuple(sample_score(space, n_notes, rng) for _ in range(n_pieces))
     ids = tuple(f"{id_prefix}-{i:04d}" for i in range(n_pieces))
     return Corpus(pieces, ids, space.bar_length)

@@ -49,8 +49,8 @@ class TimingParams:
     @classmethod
     def from_bpm(cls, tempo_bpm: float, sigma_t: float) -> "TimingParams":
         """Quarter-note BPM to seconds per 16th note."""
-        if not tempo_bpm > 0:
-            raise ValueError("tempo_bpm must be positive")
+        if not (tempo_bpm > 0 and np.isfinite(tempo_bpm)):
+            raise ValueError(f"tempo_bpm must be positive and finite, got {tempo_bpm!r}")
         return cls(seconds_per_unit=60.0 / (tempo_bpm * 4.0), sigma_t=sigma_t)
 
     @property

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's dynamic-programming
 recursions: likelihoods and best paths are computed by materializing every
 feasible latent path explicitly and reducing over the full list, so any
 agreement with the forward/Viterbi/FFBS implementations is evidence, not
-circularity.
+circularity.  `log_space_forward` is the one exception: the reference
+kernel the scaled forward passes are checked against.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from rhythmscribe import _dp
 from rhythmscribe.models import ModelConfig, _edge_ids, build_state_space, random_params
 from rhythmscribe.timing import TimingParams
 
@@ -59,6 +61,19 @@ def edge_id(space, tag_from, tag_to, first: bool = False):
         except ValueError:  # no edge src -> dst producing `value`
             continue
     return None
+
+
+def log_space_forward(space, em, init, keep_table=True):
+    """``(total, table)`` of the exact forward pass in log space, or
+    ``(-inf, None)`` when no path is feasible: the sum-product sweep that
+    keeps every state, which `_dp.forward` reruns when a scaled kernel's
+    underflow guard fires.  The table is None unless `keep_table` is set."""
+    try:
+        steps = _dp._pruned_sweep(space, em, init, lambda n, delta: None, _dp._scratch(space),
+                                  use_max=False, keep_table=keep_table)
+    except _dp.InferenceError:
+        return -np.inf, None
+    return _dp._log_total(steps[-1][1]), [row for _, row in steps] if keep_table else None
 
 
 def tiny_config(name: str) -> ModelConfig:

@@ -1,6 +1,9 @@
 """The scaled forward kernels and their underflow guard, the backward
 sampler, the argmax-free Viterbi sweep, its certified pruned form and the
 one-forward-per-iteration Gibbs loop, each against a reference."""
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from rhythmscribe.timing import (
 )
 from rhythmscribe.training import assemble_hyperparams
 
-from conftest import ALL_VARIANTS, tiny_instance
+from conftest import ALL_VARIANTS, log_space_forward, tiny_instance
 
 # criterion 01's tolerance on forward totals
 REL_TOL = 1e-9
@@ -53,22 +56,33 @@ SCALED_KERNELS = {"batched": _dp._batched_forward, "scaled": _dp._scaled_forward
 
 def route_to(monkeypatch, route):
     """Send every exact forward to one kernel: a route of `ROUTES`, or
-    "edge_list", the reference, which no space's size picks."""
-    if route == "edge_list":
-        monkeypatch.setattr(_dp, "_exact_forward", lambda space, em, init, keep_table:
-                            _dp._edge_list_forward(space, em, init, keep_table))
+    "rerun", the log-space sum sweep, which no space's size picks: both
+    scaled kernels then report a guard that fires."""
+    if route == "rerun":
+        for name in SCALED_KERNELS.values():
+            monkeypatch.setattr(_dp, name.__name__, lambda space, em, init, keep_table=True:
+                                (np.nan, None, np.inf))
     else:
         monkeypatch.setattr(_dp, "SPARSE_MIN_EDGES", ROUTES[route])
 
 
 def kernels_run(monkeypatch):
-    """Names of the forward kernels run, in call order, from now on."""
+    """Names of the forward kernels run, in call order, from now on; the
+    log-space rerun, a sum-product `_pruned_sweep`, runs as "sum_sweep"."""
     ran = []
-    for name in ("_edge_list_forward", "_batched_forward", "_scaled_forward"):
+    for name in ("_batched_forward", "_scaled_forward"):
         def spy(*args, _real=getattr(_dp, name), _name=name, **kwargs):
             ran.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(_dp, name, spy)
+    real_sweep = _dp._pruned_sweep
+
+    def sweep(*args, **kwargs):
+        if kwargs.get("use_max") is False:
+            ran.append("sum_sweep")
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(_dp, "_pruned_sweep", sweep)
     return ran
 
 
@@ -84,7 +98,7 @@ class TestScaledForward:
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
             em = TranscriptionHmm(space, tp).emission_matrix(durations)
-            want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+            want, want_table = log_space_forward(space, em, space.log_initial)
             got, got_table = self.run(kernel, space, em, space.log_initial)
             assert got == pytest.approx(want, rel=REL_TOL)
             assert_tables_match(got_table, want_table)
@@ -100,7 +114,7 @@ class TestScaledForward:
         init = np.full(len(space.boundary_tags), -np.inf)
         b = path.boundary_index if path.boundary_index is not None else 0
         init[b] = space.log_initial[b]
-        want, want_table = _dp._edge_list_forward(space, em, init)
+        want, want_table = log_space_forward(space, em, init)
         got, got_table = self.run(kernel, space, em, init)
         assert np.isfinite(want)
         assert got == pytest.approx(want, rel=REL_TOL)
@@ -114,7 +128,7 @@ class TestScaledForward:
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.01)
         em = TranscriptionHmm(space, tp).emission_matrix(np.full(50, 2.0))
         assert np.exp(em[0, 0] - em[0].max()) == 0.0
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         got, got_table = self.run(kernel, space, em, space.log_initial)
         assert np.isfinite(want) and want < -1e5
         assert got == pytest.approx(want, rel=REL_TOL)
@@ -135,7 +149,7 @@ class TestScaledForward:
     def test_flushed_path_that_dominates_trips_the_guard(self, kernel, durations, want,
                                                          monkeypatch):
         space, em = two_path_emissions(durations)
-        reference = _dp._edge_list_forward(space, em, space.log_initial)
+        reference = log_space_forward(space, em, space.log_initial)
         if want is not None:
             assert reference[0] == pytest.approx(want, abs=0.005)
         total, _, log_flushed = SCALED_KERNELS[kernel](space, em, space.log_initial)
@@ -144,7 +158,7 @@ class TestScaledForward:
         route_to(monkeypatch, kernel)
         ran = kernels_run(monkeypatch)
         got, got_table = _dp.forward(space, em, return_table=True)
-        assert ran == [f"_{kernel}_forward", "_edge_list_forward"]
+        assert ran == [f"_{kernel}_forward", "sum_sweep"]
         assert got == pytest.approx(reference[0], rel=REL_TOL)
         assert_tables_match(got_table, reference[1])
 
@@ -179,13 +193,13 @@ class TestScaledForward:
         # 2's, 1000 nats higher, and the guard reruns the pass.  The batched
         # kernel weighs each edge with its own probability and stays exact
         space, em = unseen_value_emissions()
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         assert want == pytest.approx(-760.0, abs=0.5)
         route_to(monkeypatch, kernel)
         ran = kernels_run(monkeypatch)
         got, got_table = _dp.forward(space, em, return_table=True)
         assert ran == {"batched": ["_batched_forward"],
-                       "scaled": ["_scaled_forward", "_edge_list_forward"]}[kernel]
+                       "scaled": ["_scaled_forward", "sum_sweep"]}[kernel]
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
 
@@ -202,7 +216,7 @@ class TestScaledForward:
         space = notemm1_space(np.r_[0.5, 0.5, np.zeros(6)], transition)
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.02)
         em = TranscriptionHmm(space, tp).emission_matrix(np.full(100, 0.25))
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         route_to(monkeypatch, kernel)
         backward_passes = []
         real = _dp._upper_beta
@@ -221,13 +235,13 @@ class TestScaledForward:
         # produce, so the kernels keep no mass there
         space, em = two_path_emissions([0.5, 0.25])
         em[1, 1:] = -np.inf
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         assert np.isfinite(want)
         assert SCALED_KERNELS[kernel](space, em, space.log_initial) == (-np.inf, None, np.inf)
         route_to(monkeypatch, kernel)
         ran = kernels_run(monkeypatch)
         got, got_table = _dp.forward(space, em, return_table=True)
-        assert ran == [f"_{kernel}_forward", "_edge_list_forward"]
+        assert ran == [f"_{kernel}_forward", "sum_sweep"]
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
 
@@ -250,7 +264,7 @@ class TestScaledForward:
             values[8] = rng.integers(1, space.bar_length + 1)
             em = np.full((12, space.bar_length), -np.inf)
             em[np.arange(12), values - 1] = 0.0
-            if _dp._edge_list_forward(space, em, space.log_initial)[0] == -np.inf:
+            if log_space_forward(space, em, space.log_initial)[0] == -np.inf:
                 break
         else:
             pytest.fail("no infeasible rhythm found")
@@ -264,11 +278,11 @@ class TestScaledForward:
         space = point_mass_space()
         em = np.full((3, 8), -np.inf)
         em[:, 7] = 0.0  # only value 8 can explain the data
-        assert _dp._edge_list_forward(space, em, space.log_initial) == (-np.inf, None)
+        assert log_space_forward(space, em, space.log_initial) == (-np.inf, None)
         # no edge can produce value 8, so the kernels know no path exists
         assert SCALED_KERNELS[kernel](space, em, space.log_initial) == (-np.inf, None, -np.inf)
         messages = set()
-        for route in (kernel, "edge_list"):
+        for route in (kernel, "rerun"):
             route_to(monkeypatch, route)
             assert _dp.forward(space, em, return_table=True) == (-np.inf, None)
             with pytest.raises(InferenceError) as exc:
@@ -285,7 +299,7 @@ class TestScaledForward:
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.01)
         perf = Performance((0.0, 2.0, 4.0, 6.0))
         results = []
-        for route in (kernel, "edge_list"):
+        for route in (kernel, "rerun"):
             route_to(monkeypatch, route)
             _, result = gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=2, seed=1))
             results.append(result)
@@ -300,7 +314,7 @@ class TestForwardRouting:
     def test_each_route_reaches_its_kernel(self, route, rng, monkeypatch):
         _, _, space, tp, durations = tiny_instance("metmm1", rng, n_notes=6)
         em = TranscriptionHmm(space, tp).emission_matrix(durations)
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         route_to(monkeypatch, route)
         ran = kernels_run(monkeypatch)
         got, got_table = _dp.forward(space, em, return_table=True)
@@ -327,7 +341,7 @@ class TestForwardRouting:
         tp = TimingParams.from_bpm(144.0, 0.04)
         perf = synthesize(sample_score(space, 30, rng), tp, rng)
         em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         got, got_table = _dp.forward(space, em, return_table=True)
         assert got == pytest.approx(want, rel=1e-12)
         assert_tables_match(got_table, want_table)
@@ -344,6 +358,58 @@ class TestForwardRouting:
         got, got_table, _ = _dp._batched_forward(space, em, space.log_initial)
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
+
+
+# Forced-rerun totals and table digests, recorded from the log-space
+# edge-list recursion that the rerun ran before it was the sum-product sweep.
+RECORDED_RERUNS = {
+    "notemm0": (-1.8764883372013612, "9db8dd4afd0ef2c2d39f"),  # 5 states, 30 edges
+    "notemm0b": (-2.8256776506556665, "b96407ebd5932ff111d1"),  # 5 states, 30 edges
+    "notemm1": (-1.3293738947445832, "0f2394a383f16d155c2b"),  # 5 states, 30 edges
+    "notemm1b": (-2.873819425178242, "5d4818f3574168fa04c2"),  # 5 states, 30 edges
+    "notemm1sb": (-0.8266846581058853, "a764fa3421c737a02aec"),  # 11 states, 99 edges
+    "notemm1db": (-0.1003480442927921, "77c1310a0cd20e3ad72b"),  # 9 states, 45 edges
+    "notemm1sdb": (1.1333880166125152, "a31d31046d915912537a"),  # 9 states, 49 edges
+    "notemm2": (-1.6714855859345132, "a8cc073f488c87400866"),  # 20 states, 84 edges
+    "notemm2b": (-2.709683854643716, "dcc861c0d2fdf9b033ad"),  # 20 states, 84 edges
+    "metmm0": (-4.641505466511395, "ccf3d94a8f02896ebbb9"),  # 5 states, 50 edges
+    "metmm0b": (-3.481490776259704, "4760b3a22c888dad99d1"),  # 5 states, 50 edges
+    "metmm1": (-2.6287530394516074, "5aebbabcaf3d1b107a11"),  # 5 states, 50 edges
+    "metmm1b": (-2.1567675036257525, "5a4be387f6d0a883fac9"),  # 5 states, 50 edges
+    "metmm1sb": (-0.31104413677318044, "8b76bfe02bb712dff43b"),  # 15 states, 174 edges
+    "metmm1db": (0.19329228091577422, "be5a4e31fa2183541be8"),  # 27 states, 135 edges
+    "metmm1sdb": (0.7701930710343151, "85a1a2db6f461be34023"),  # 18 states, 98 edges
+    "metmm2": (-1.662643232302713, "9ae211a8c55cc9cdfd75"),  # 16 states, 80 edges
+    "metmm2b": (-1.2321762524903597, "d9a2b82f2712bd6784f6"),  # 16 states, 80 edges
+    "patmm0": (0.48548726929093844, "563da7a538cc623861e6"),  # 12 states, 79 edges
+    "patmm0b": (-0.5304637541905781, "837c01528a1768f47a34"),  # 12 states, 79 edges
+    "patmm1": (0.03257263014551137, "de64f9fb5c4a14c59d0d"),  # 12 states, 79 edges
+    "patmm1b": (0.0710889363047984, "0402ed75a66685ded546"),  # 12 states, 79 edges
+    "patmm1sb": (0.7658100814076698, "ad3f9592cbccc0d54017"),  # 12 states, 75 edges
+    "patmm1db": (1.0276023511424641, "250a33df3e114e7b38e6"),  # 13 states, 47 edges
+    "patmm1sdb": (0.9630036354304928, "b6671201071eea04919e"),  # 29 states, 174 edges
+}
+
+
+def table_digest(table) -> str:
+    h = hashlib.sha256()
+    for row in table:
+        h.update(np.ascontiguousarray(row, dtype=np.float64).tobytes())
+    return h.hexdigest()[:20]
+
+
+@pytest.mark.parametrize("name", ALL_VARIANTS)
+def test_forced_rerun_reproduces_recorded_tables(name, monkeypatch):
+    rng = np.random.default_rng([20261019, zlib.crc32(name.encode())])
+    _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
+    em = TranscriptionHmm(space, tp).emission_matrix(durations)
+    route_to(monkeypatch, "rerun")
+    ran = kernels_run(monkeypatch)
+    total, table = _dp.forward(space, em, return_table=True)
+    assert (total, table_digest(table)) == RECORDED_RERUNS[name]
+    # a table-less rerun keeps one slot and gives the same total
+    assert _dp.forward(space, em) == total
+    assert ran == ["_batched_forward", "sum_sweep"] * 2
 
 
 def grouped_sample_backward(space, em, table, rng, size):
@@ -430,7 +496,7 @@ class TestBackwardSampler:
         space = notemm1_space(np.full(8, 1 / 8), transition)
         tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
         em = TranscriptionHmm(space, tp).emission_matrix(rng.uniform(0.15, 2.0, size=12))
-        want, want_table = _dp._edge_list_forward(space, em, space.log_initial)
+        want, want_table = log_space_forward(space, em, space.log_initial)
         got, got_table, _ = _dp._batched_forward(space, em, space.log_initial)
         assert got == pytest.approx(want, rel=REL_TOL)
         assert_tables_match(got_table, want_table)
@@ -571,7 +637,7 @@ def backpointer_viterbi(space, em):
     back = []
     edges = space.first
     for n in range(em.shape[0]):
-        scores = edges.step_scores(delta, em[n])
+        scores = delta[edges.src] + edges.logp + em[n][edges.out - 1]
         new = np.full(edges.n_dst, -np.inf)
         arg = np.full(edges.n_dst, -1)
         for d in range(edges.n_dst):
@@ -835,7 +901,8 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         assert sum(kept[-1]) < 0.2 * space.n_states * em.shape[0]
 
 
-def test_full_step_in_blocks_matches_one_block(rng):
+@pytest.mark.parametrize("use_max", [True, False], ids=["max", "sum"])
+def test_full_step_in_blocks_matches_one_block(use_max, rng):
     cfg = ModelConfig.from_name("patmm1")
     space = build_state_space(cfg, random_params(cfg, rng))
     edges = space.trans
@@ -844,13 +911,22 @@ def test_full_step_in_blocks_matches_one_block(rng):
     em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
     row = np.log(rng.dirichlet(np.ones(space.n_states)))
     row[rng.random(space.n_states) < 0.3] = -np.inf
-    want = edges.reduce_max(edges.step_scores(row, em[1]))
+    scores = row[edges.src] + edges.logp + em[1][edges.out - 1]
+    whole = (np.empty(edges.n_edges), np.empty(edges.n_edges))
+    want = _dp._full_step(edges, row, em[1], whole, use_max)
+    assert np.isneginf(np.delete(want, edges._rows)).all()  # no in-edge
+    if use_max:
+        assert np.array_equal(want[edges._rows], np.maximum.reduceat(scores, edges._starts))
+    else:
+        with np.errstate(divide="ignore"):
+            sums = np.log(np.add.reduceat(np.exp(scores), edges._starts))
+        np.testing.assert_allclose(want[edges._rows], sums, rtol=1e-12)
     # a large space's scratch holds a share of its edges, not all of them
     assert _dp._scratch(space)[0].size < edges.n_edges
     # down to blocks of a single destination's in-edges
-    for size in (edges._seg_counts.max(), 1000, _dp._scratch(space)[0].size, edges.n_edges):
+    for size in (edges._seg_counts.max(), 1000, _dp._scratch(space)[0].size):
         scratch = (np.empty(size), np.empty(size))
-        assert np.array_equal(_dp._max_step(edges, row, em[1], scratch), want)
+        assert np.array_equal(_dp._full_step(edges, row, em[1], scratch, use_max), want)
 
 
 @pytest.mark.parametrize("least", [_dp.CERTIFY_MIN_EDGES, 0])

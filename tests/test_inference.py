@@ -465,6 +465,19 @@ class TestTranscribe:
         assert (gc.iterations, gc.beam_width, gc.seed) == (3, 8, 2)
         assert type(gc.iterations) is int and type(gc.beam_width) is int
 
+    def test_negative_seed_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            GibbsConfig(seed=-1)
+        assert GibbsConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("name", ["alpha_initial", "alpha_transition", "alpha_shift",
+                                      "alpha_division"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_concentrations_must_be_finite_and_positive(self, name, bad):
+        base = uniform_params(ModelConfig.from_name("notemm1"))
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got"):
+            Hyperparams(base=base, **{name: bad})
+
     def test_gibbs_config_validation(self):
         with pytest.raises(ValueError):
             GibbsConfig(iterations=0)

@@ -64,6 +64,12 @@ class TestConfig:
             ModelConfig.from_name("metmm1", bar_length=8.5)
         uniform_params(ModelConfig.from_name("metmm1", bar_length=8.0)).validate()
 
+    @pytest.mark.parametrize("flag", ["shift", "division", "bayesian", "renormalize_masked"])
+    @pytest.mark.parametrize("bad", ["false", "no", 1, 0, None])
+    def test_flags_must_be_bools(self, flag, bad):
+        with pytest.raises(ValueError, match=f"{flag} must be a bool, got {bad!r}"):
+            ModelConfig("note", 1, **{flag: bad})
+
     def test_plain_strips_bayesian_flag(self):
         assert ModelConfig.from_name("metmm1sdb").plain().name == "metmm1sd"
 
@@ -384,6 +390,40 @@ class TestSampling:
         b = sample_corpus(space, 3, 5, np.random.default_rng(7), id_prefix="x")
         assert a.ids == ("x-0000", "x-0001", "x-0002")
         assert [p.onsets for p in a.pieces] == [p.onsets for p in b.pieces]
+
+    @pytest.mark.parametrize("n_notes, message", [
+        (2.5, "n_notes must be an integer, got 2.5"),
+        ("3", "n_notes must be an integer, got '3'"),
+        (0, "n_notes must be >= 1, got 0"),
+        (-2, "n_notes must be >= 1, got -2"),
+    ])
+    def test_note_count_is_checked_before_sampling(self, n_notes, message):
+        space = build_state_space(ModelConfig.from_name("notemm1"),
+                                  uniform_params(ModelConfig.from_name("notemm1")))
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match=message):
+            sample_score(space, n_notes, rng)
+        with pytest.raises(ValueError, match=message):
+            sample_corpus(space, 2, n_notes, rng)
+        assert rng.random() == np.random.default_rng(7).random()  # nothing drawn
+
+    @pytest.mark.parametrize("n_pieces, message", [
+        (1.5, "n_pieces must be an integer, got 1.5"),
+        (0, "n_pieces must be >= 1, got 0"),
+        (-1, "n_pieces must be >= 1, got -1"),
+    ])
+    def test_piece_count_is_checked(self, n_pieces, message):
+        space = build_state_space(ModelConfig.from_name("notemm1"),
+                                  uniform_params(ModelConfig.from_name("notemm1")))
+        with pytest.raises(ValueError, match=message):
+            sample_corpus(space, n_pieces, 5, np.random.default_rng(7))
+
+    def test_integral_float_counts_stand_for_ints(self):
+        space = build_state_space(ModelConfig.from_name("notemm1"),
+                                  uniform_params(ModelConfig.from_name("notemm1")))
+        a = sample_corpus(space, 2.0, 5.0, np.random.default_rng(7))
+        b = sample_corpus(space, 2, 5, np.random.default_rng(7))
+        assert a == b
 
     def test_outputs_always_positive(self, rng):
         for name in ALL_VARIANTS:

@@ -21,7 +21,7 @@ from rhythmscribe.models import (  # noqa: E402
 )
 from rhythmscribe.timing import TimingParams, TranscriptionHmm  # noqa: E402
 
-from conftest import ALL_VARIANTS, enumerate_paths, tiny_config  # noqa: E402
+from conftest import ALL_VARIANTS, enumerate_paths, log_space_forward, tiny_config  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -182,7 +182,7 @@ def test_scaled_forward_matches_the_edge_list_kernel(kernel, name, seed, n_steps
             init[~keep] = -np.inf
     elif restrict:
         init[rng.random(init.size) < 0.5] = -np.inf
-    want, want_table = _dp._edge_list_forward(space, em, init)
+    want, want_table = log_space_forward(space, em, init)
     assume(np.isfinite(want))
     got, got_table, log_flushed = getattr(_dp, kernel)(space, em, init)
     assert log_flushed <= -_dp.DROP_MARGIN
@@ -194,7 +194,7 @@ def test_scaled_forward_matches_the_edge_list_kernel(kernel, name, seed, n_steps
 @given(**KERNEL_CASES)
 def test_backward_matches_references_and_the_forward_total(name, seed, n_steps):
     space, em = small_instance(name, seed, n_steps)
-    total, alphas = _dp._edge_list_forward(space, em, space.log_initial)
+    total, alphas = log_space_forward(space, em, space.log_initial)
     assume(np.isfinite(total))
     betas = [None] * (n_steps + 1)
     for n, log_beta, _ in _dp._upper_beta(space, em):
@@ -224,7 +224,7 @@ def test_upper_total_exceeds_the_total_by_at_most_the_raise_bound(name, seed, n_
     # would vanish in their rounding
     space, em = small_instance(name, seed, n_steps)
     init = space.log_initial
-    total, _ = _dp._edge_list_forward(space, em, init, keep_table=False)
+    total, _ = log_space_forward(space, em, init, keep_table=False)
     assume(np.isfinite(total))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_dp, "RAISE", 2.0**-10)

@@ -48,6 +48,8 @@ class TestTimingParams:
             TimingParams(seconds_per_unit=bad, sigma_t=0.02)
         with pytest.raises(ValueError, match="sigma_t"):
             TimingParams(seconds_per_unit=0.1, sigma_t=bad)
+        with pytest.raises(ValueError, match="tempo_bpm must be positive and finite"):
+            TimingParams.from_bpm(bad, 0.02)
 
 
 class TestDensity:
