@@ -85,6 +85,7 @@ class RhythmScore:
 
     def __post_init__(self):
         object.__setattr__(self, "onsets", tuple(integral(t, "onset") for t in self.onsets))
+        object.__setattr__(self, "bar_length", integral(self.bar_length, "bar_length"))
         if self.bar_length < 1:
             raise ValueError("bar_length must be positive")
         if len(self.onsets) < 2:
@@ -172,6 +173,9 @@ class Corpus:
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
+        object.__setattr__(self, "bar_length", integral(self.bar_length, "bar_length"))
+        if self.bar_length < 1:
+            raise ValueError("bar_length must be positive")
         if len(self.pieces) != len(self.ids):
             raise ValueError("pieces and ids must have equal length")
         for p in self.pieces:

@@ -130,6 +130,8 @@ def cross_entropy(
 
     Returns +inf when the model assigns probability zero to any piece.
     """
+    if len(corpus.pieces) == 0:
+        raise ValueError("empty corpus: cross entropy needs at least one piece")
     space = build_state_space(config, params)
     total_log2 = 0.0
     total_symbols = 0

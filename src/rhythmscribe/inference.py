@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from . import _dp
 from ._dp import InferenceError, PathSample
-from .core import integral
+from .core import integral, score_from_metrical
 from .models import (
     LatentStateSpace,
     ModelConfig,
@@ -289,13 +289,11 @@ def _result_from_path(
         boundary = space.boundary_tags[path.boundary_index]
     if space.initial_positions is not None:
         tau0 = int(space.initial_positions[path.boundary_index])
-    onsets = [tau0]
-    for v in path.output_values:
-        onsets.append(onsets[-1] + int(v))
+    score = score_from_metrical(tau0, path.output_values, space.bar_length)
     return TranscriptionResult(
         model=space.config.name,
         note_values=tuple(int(v) for v in path.output_values),
-        onsets=tuple(onsets),
+        onsets=score.onsets,
         state_tags=tuple(space.state_tags[i] for i in path.state_indices),
         boundary_tag=boundary,
         log_likelihood=float(loglik),

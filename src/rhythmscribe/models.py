@@ -58,6 +58,7 @@ from .core import (
     RhythmScore,
     integral,
     json_field,
+    score_from_metrical,
     to_note_values,
 )
 
@@ -95,13 +96,7 @@ _NAME_RE = re.compile(r"^(note|met|pat)mm([012])(s?)(d?)(b?)$")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One score-model variant: family, order, modifications, Bayesian flag.
-
-    `renormalize_masked` controls what happens to transition rows after
-    infeasible shift/division combinations are removed: True renormalizes
-    each row to a proper distribution (the default), False keeps the raw
-    masked weights.
-    """
+    """One score-model variant: family, order, modifications, Bayesian flag."""
 
     family: str
     order: int
@@ -109,12 +104,11 @@ class ModelConfig:
     division: bool = False
     bayesian: bool = False
     bar_length: int = DEFAULT_BAR_LENGTH
-    renormalize_masked: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "order", integral(self.order, "order"))
         object.__setattr__(self, "bar_length", integral(self.bar_length, "bar_length"))
-        for flag in ("shift", "division", "bayesian", "renormalize_masked"):
+        for flag in ("shift", "division", "bayesian"):
             if not isinstance(getattr(self, flag), bool):
                 raise ValueError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
         if self.family not in FAMILIES:
@@ -146,12 +140,7 @@ class ModelConfig:
         )
 
     @classmethod
-    def from_name(
-        cls,
-        name: str,
-        bar_length: int = DEFAULT_BAR_LENGTH,
-        renormalize_masked: bool = True,
-    ) -> "ModelConfig":
+    def from_name(cls, name: str, bar_length: int = DEFAULT_BAR_LENGTH) -> "ModelConfig":
         m = _NAME_RE.match(name.strip().lower())
         if not m:
             raise ValueError(
@@ -165,7 +154,6 @@ class ModelConfig:
             division=bool(d),
             bayesian=bool(b),
             bar_length=bar_length,
-            renormalize_masked=renormalize_masked,
         )
 
     def plain(self) -> "ModelConfig":
@@ -310,6 +298,14 @@ def _check_rows(name: str, table: np.ndarray) -> None:
         raise ValueError(f"{name} rows do not sum to 1 (first bad row {np.flatnonzero(bad)[0]})")
 
 
+class _Vocabulary(tuple):
+    """A pattern vocabulary whose positions `ModelParams` has made ints.
+
+    Params drawn or copied from checked params hand theirs on, so each
+    Gibbs sweep does not check every position again.
+    """
+
+
 @dataclass
 class ModelParams:
     """Probability tables for one model family.
@@ -338,8 +334,8 @@ class ModelParams:
     def __post_init__(self):
         for name in _TABLES:
             setattr(self, name, _mapped(name, getattr(self, name), _float_array))
-        if self.patterns is not None:
-            self.patterns = tuple(
+        if self.patterns is not None and not isinstance(self.patterns, _Vocabulary):
+            self.patterns = _Vocabulary(
                 tuple(integral(p, "pattern position") for p in pat) for pat in self.patterns
             )
 
@@ -938,11 +934,12 @@ class _EdgeTopology:
         self.template = EdgeSet(
             _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst)
 
-    def weigh(self, theta, factor, src_map, dst_map, renormalize: bool):
+    def weigh(self, theta, factor, src_map, dst_map):
         """(EdgeSet, ids of the kept edges or None when all are kept).
 
-        `factor` is the per-destination-state factor (0 for dropped states),
-        or None for unmodified models; `src_map` / `dst_map` are
+        Each source row is renormalized to a distribution over its kept
+        edges.  `factor` is the per-destination-state factor (0 for dropped
+        states), or None for unmodified models; `src_map` / `dst_map` are
         `_renumbering`s of the endpoint slots, or None when every endpoint
         state is kept.
         """
@@ -965,13 +962,10 @@ class _EdgeTopology:
         # within each source row, build order is dst order, so this bincount
         # adds each row's terms in build order: row sums match to the last bit
         # the logs overwrite `prob` (a fresh array) to save an edge-length copy
-        if renormalize and len(src):
-            rowsum = np.bincount(src, weights=prob, minlength=n_src)
-            with np.errstate(divide="ignore"):  # rows left without edges
-                logp = np.log(prob, out=prob)
-                logp -= np.log(rowsum)[src]
-        else:
-            logp = np.log(prob, out=prob) if len(src) else prob
+        rowsum = np.bincount(src, weights=prob, minlength=n_src)
+        with np.errstate(divide="ignore"):  # rows left without edges
+            logp = np.log(prob, out=prob)
+            logp -= np.log(rowsum)[src]
         if kept is None:
             return t.reweighted(logp), None
         return EdgeSet(src, dst, logp, out, n_src, n_dst), kept
@@ -1031,7 +1025,7 @@ class _Topology:
             mask &= reach[state_key]
         return mask
 
-    def weigh(self, config: ModelConfig, theta: np.ndarray, patterns) -> "LatentStateSpace":
+    def weigh(self, config: ModelConfig, theta: np.ndarray) -> "LatentStateSpace":
         mask = self._state_mask(theta)
         factor = None
         if self.state_slots:
@@ -1041,9 +1035,8 @@ class _Topology:
         states = _renumbering(mask)
         shifts = self.boundary_slots[1:]
         bounds = _renumbering(theta[shifts[0]] > 0 if shifts else None)
-        renormalize = config.renormalize_masked
-        first, first_kept = self.first.weigh(theta, factor, bounds, states, renormalize)
-        trans, trans_kept = self.trans.weigh(theta, factor, states, states, renormalize)
+        first, first_kept = self.first.weigh(theta, factor, bounds, states)
+        trans, trans_kept = self.trans.weigh(theta, factor, states, states)
         init_p = _product(theta, self.boundary_slots)
         boundary_tags, state_tags, init_pos = self.boundary_tags, self.state_tags, self.init_pos
         boundary_kept = None
@@ -1065,34 +1058,11 @@ class _Topology:
             first=first,
             trans=trans,
             virtual_boundary=self.virtual,
-            patterns=patterns,
-            factors=_Factors(self, boundary_kept, first_kept, trans_kept),
+            topology=self,
+            boundary_kept=boundary_kept,
+            first_kept=first_kept,
+            trans_kept=trans_kept,
         )
-
-
-@dataclass(frozen=True)
-class _Factors:
-    """Where a weighed space's boundary states and edges sit in its topology."""
-
-    topology: _Topology
-    boundary_kept: np.ndarray | None
-    first_kept: np.ndarray | None
-    trans_kept: np.ndarray | None
-
-    def slot_counts(self, boundary: int, first_edge: np.ndarray, trans_edges: np.ndarray):
-        """How often each parameter slot weighs the given boundary state and edges."""
-        topo = self.topology
-
-        def origin(ids, kept):
-            return ids if kept is None else kept[ids]
-
-        b = origin(np.array([boundary]), self.boundary_kept)
-        f = origin(first_edge, self.first_kept)
-        t = origin(trans_edges, self.trans_kept)
-        entered = np.concatenate([topo.first.template.dst[f], topo.trans.template.dst[t]])
-        used = [s[b] for s in topo.boundary_slots]
-        used += [topo.first.slot[f], topo.trans.slot[t]] + [s[entered] for s in topo.state_slots]
-        return np.bincount(np.concatenate(used), minlength=topo.layout.size).astype(np.float64)
 
 
 class _TopologyCache:
@@ -1140,6 +1110,10 @@ class LatentStateSpace:
     before the first note) to emitting states; `trans` connects emitting
     states.  Models without an explicit pre-first-note state use a single
     virtual boundary whose tag is None.
+
+    A space is its `topology` weighed (see `_Topology.weigh`); the kept
+    arrays give the topology index of each boundary state and edge the
+    weighing kept, or are None where it kept them all.
     """
 
     def __init__(
@@ -1152,8 +1126,10 @@ class LatentStateSpace:
         first: EdgeSet,
         trans: EdgeSet,
         virtual_boundary: bool,
-        patterns=None,
-        factors=None,
+        topology: _Topology,
+        boundary_kept: np.ndarray | None,
+        first_kept: np.ndarray | None,
+        trans_kept: np.ndarray | None,
     ):
         self.config = config
         self.bar_length = config.bar_length
@@ -1166,8 +1142,8 @@ class LatentStateSpace:
         self.first = first
         self.trans = trans
         self.virtual_boundary = virtual_boundary
-        self.patterns = patterns
-        self._factors = factors
+        self._topology = topology
+        self._kept = (boundary_kept, first_kept, trans_kept)
 
     @property
     def n_states(self) -> int:
@@ -1180,7 +1156,7 @@ class LatentStateSpace:
     @property
     def layout(self) -> _Layout:
         """The flat parameter layout this space's weights are read from."""
-        return self._weighed().topology.layout
+        return self._topology.layout
 
     def slot_counts(self, path) -> np.ndarray:
         """How often `path` uses each parameter slot (see `layout`).
@@ -1193,12 +1169,14 @@ class LatentStateSpace:
         outs = np.asarray(path.output_values, dtype=np.int64)
         first = _edge_ids(self.first, np.array([boundary]), states[:1], outs[:1])
         trans = _edge_ids(self.trans, states[:-1], states[1:], outs[1:])
-        return self._weighed().slot_counts(boundary, first, trans)
-
-    def _weighed(self) -> "_Factors":
-        if self._factors is None:
-            raise ValueError("this space has no parameter slots; build it with build_state_space")
-        return self._factors
+        # the same ids in the topology, whose arrays hold every edge's slots
+        b, f, t = (ids if kept is None else kept[ids]
+                   for ids, kept in zip((np.array([boundary]), first, trans), self._kept))
+        topo = self._topology
+        entered = np.concatenate([topo.first.template.dst[f], topo.trans.template.dst[t]])
+        used = [s[b] for s in topo.boundary_slots]
+        used += [topo.first.slot[f], topo.trans.slot[t]] + [s[entered] for s in topo.state_slots]
+        return np.bincount(np.concatenate(used), minlength=topo.layout.size).astype(np.float64)
 
 
 def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:
@@ -1242,7 +1220,7 @@ def build_state_space(config: ModelConfig, params: ModelParams) -> LatentStateSp
     if topology is None:
         topology = _build_topology(config, layout, theta > 0, patterns)
         _TOPOLOGY_CACHE.add(key, topology)
-    return topology.weigh(config, theta, params.patterns)
+    return topology.weigh(config, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -1287,8 +1265,7 @@ def sample_score(
         if space.initial_positions is not None
         else 0
     )
-    onsets = np.concatenate([[tau0], tau0 + np.cumsum(path.output_values)])
-    return RhythmScore(tuple(int(t) for t in onsets), space.bar_length)
+    return score_from_metrical(tau0, path.output_values, space.bar_length)
 
 
 def sample_corpus(

@@ -202,6 +202,16 @@ class TestTranscribeAndEval:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
 
+    def test_eval_of_an_empty_corpus_is_one_error_line(self, pipeline, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"bar_length": 8, "pieces": []}))
+        out = tmp_path / "ce.json"
+        assert run("eval", "--params", pipeline["params"], "--corpus", empty,
+                   "--model", "metmm1", "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "empty corpus" in err[0], err
+        assert not out.exists()
+
     def test_unknown_model_exits_2(self, pipeline, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("train", "--corpus", pipeline["corpus"], "--model", "polkamm9",

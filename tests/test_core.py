@@ -58,6 +58,17 @@ class TestEncodings:
         assert score.onsets == (0, 1, 3)
         assert all(type(t) is int for t in score.onsets)
 
+    @pytest.mark.parametrize("bad", [8.5, "8", None])
+    def test_non_integral_bar_length_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"bar_length must be an integer, got {bad!r}"):
+            RhythmScore((0, 2, 4), bar_length=bad)
+
+    def test_integral_bar_length_becomes_an_int(self):
+        for nb in (8.0, np.int64(8)):
+            score = RhythmScore((0, 2, 4), bar_length=nb)
+            assert type(score.bar_length) is int
+            assert to_metrical(score).dtype == np.int64  # an index, as training uses it
+
     def test_overlong_note_rejected(self):
         with pytest.raises(ValueError):
             RhythmScore((0, 9))
@@ -205,3 +216,12 @@ class TestCorpus:
             Corpus.from_dict(data)
         data["bar_length"] = 8.0
         assert type(Corpus.from_dict(data).bar_length) is int
+
+    def test_constructor_checks_bar_length(self):
+        for bad in (8.5, "8"):
+            with pytest.raises(ValueError, match=f"bar_length must be an integer, got {bad!r}"):
+                Corpus((), (), bar_length=bad)
+        with pytest.raises(ValueError, match="bar_length must be positive"):
+            Corpus((), (), bar_length=0)
+        corpus = Corpus((RhythmScore((0, 2), bar_length=8.0),), ("a",), bar_length=8.0)
+        assert type(corpus.bar_length) is int

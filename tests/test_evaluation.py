@@ -97,6 +97,11 @@ class TestCrossEntropy:
             cfg, params, corpus, count_initial_symbol=True
         )
 
+    def test_empty_corpus_is_rejected(self, rng):
+        cfg = ModelConfig.from_name("metmm1")
+        with pytest.raises(ValueError, match="empty corpus"):
+            cross_entropy(cfg, random_params(cfg, rng), Corpus((), ()))
+
     def test_impossible_piece_gives_infinity(self):
         cfg = ModelConfig.from_name("notemm1")
         train = Corpus((RhythmScore((0, 2, 4, 6)),), ("a",))

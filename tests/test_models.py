@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from rhythmscribe import models
 from rhythmscribe._dp import InferenceError, forward
 from rhythmscribe.core import RhythmScore, interval
 from rhythmscribe.models import (
@@ -64,7 +65,7 @@ class TestConfig:
             ModelConfig.from_name("metmm1", bar_length=8.5)
         uniform_params(ModelConfig.from_name("metmm1", bar_length=8.0)).validate()
 
-    @pytest.mark.parametrize("flag", ["shift", "division", "bayesian", "renormalize_masked"])
+    @pytest.mark.parametrize("flag", ["shift", "division", "bayesian"])
     @pytest.mark.parametrize("bad", ["false", "no", 1, 0, None])
     def test_flags_must_be_bools(self, flag, bad):
         with pytest.raises(ValueError, match=f"{flag} must be a bool, got {bad!r}"):
@@ -189,11 +190,16 @@ class TestShiftAugmentation:
         assert output_value(space, (4, 0), (2, 1)) == 3
 
     def test_unnormalized_edge_weight_is_product(self, rng):
-        cfg = ModelConfig.from_name("notemm1s", renormalize_masked=False)
+        cfg = ModelConfig.from_name("notemm1s")
         params = random_params(cfg, rng)
         space = build_state_space(cfg, params)
         nb = 8
-        expected = params.transition[3, 1] * params.shift_probs[1 + (nb - 1)]
+        # every edge out of (4, 0) enters some (r, s) with -r < s <= r and
+        # produces r + s inside [1, nb]
+        row_sum = sum(params.transition[3, r - 1] * params.shift_probs[s + (nb - 1)]
+                      for r in range(1, nb + 1) for s in range(1 - r, r + 1)
+                      if s < nb and 1 <= r + s <= nb)
+        expected = params.transition[3, 1] * params.shift_probs[1 + (nb - 1)] / row_sum
         assert trans_prob(space, (4, 0), (2, 1)) == pytest.approx(expected)
 
     def test_shift_state_count(self, rng):
@@ -594,6 +600,23 @@ class TestParamsSerialization:
             params_from_dict(data)
         data["patterns"][-1] = [0.0, 3.0]  # integral floats load as ints
         assert params_from_dict(data).patterns[-1] == (0, 3)
+
+    def test_checked_vocabulary_is_not_checked_again(self, rng, monkeypatch):
+        # params drawn or copied from checked params (each Gibbs sweep) hand
+        # on a vocabulary whose positions were made ints once
+        params = random_params(ModelConfig.from_name("patmm1", bar_length=4), rng)
+        checked = []
+        monkeypatch.setattr(models, "integral", lambda v, what: checked.append(what) or int(v))
+
+        def rebuilt(patterns):
+            return ModelParams("pat", 1, 4, params.initial, params.transition, patterns=patterns)
+
+        assert rebuilt(params.patterns).patterns is params.patterns
+        assert params.copy().patterns is params.patterns
+        assert checked == []
+        again = rebuilt(tuple(params.patterns))  # a plain tuple is checked
+        assert again.patterns == params.patterns
+        assert checked == ["pattern position"] * sum(map(len, params.patterns))
 
     @pytest.mark.parametrize("bad, message", [
         ((0, 4), r"pattern \(0, 4\) is not a strictly increasing"),

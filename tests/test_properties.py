@@ -12,7 +12,6 @@ from rhythmscribe import _dp  # noqa: E402
 from rhythmscribe.core import normalize_corpus, to_note_values  # noqa: E402
 from rhythmscribe.inference import gather_counts  # noqa: E402
 from rhythmscribe.models import (  # noqa: E402
-    ModelConfig,
     build_state_space,
     params_from_dict,
     params_to_dict,
@@ -28,15 +27,13 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 TABLES = ("initial", "transition", "transition2", "unigram", "shift_probs")
 
 
-def variant_params(name: str, seed: int, subset: bool, renormalize_masked: bool = True):
+def variant_params(name: str, seed: int, subset: bool):
     """A tiny config of `name` and Dirichlet-random tables with some zero entries.
 
     With `subset`, pattern models get a shuffled part of the vocabulary.
     """
     rng = np.random.default_rng(seed)
-    base = tiny_config(name)
-    config = ModelConfig(base.family, base.order, base.shift, base.division,
-                         base.bayesian, base.bar_length, renormalize_masked)
+    config = tiny_config(name)
     patterns = None
     if subset and config.family == "pat":
         vocab = pattern_vocabulary(config.bar_length)
@@ -89,17 +86,45 @@ def log_prior_from_counts(params, counts) -> float:
     return total
 
 
+def log_row_sums(space, params, path) -> float:
+    """sum of log Z_s over the rows the path leaves: its boundary state's
+    first-edge row, then the row of every state but its last.
+
+    Z_s sums the unnormalized weights of s's out-edges in the space's
+    topology, each the product of its slots' entries and the entered
+    state's slots' entries.
+    """
+    topology = space._topology
+    theta = space.layout.flatten(params)
+    rows = []
+    for edges in (topology.first, topology.trans):
+        t = edges.template
+        weight = theta[edges.slot]
+        for slots in topology.state_slots:
+            weight = weight * theta[slots[t.dst]]
+        rows.append(np.bincount(t.src, weights=weight, minlength=t.n_src))
+    # the space keeps a subset of the topology's states: match them by tag
+    boundary = topology.boundary_tags.index(space.boundary_tags[path.boundary_index or 0])
+    states = [topology.state_tags.index(space.state_tags[s]) for s in path.state_indices[:-1]]
+    return float(np.log(rows[0][boundary]) + np.log(rows[1][states]).sum())
+
+
 @PROPERTY_SETTINGS
 @given(name=st.sampled_from(ALL_VARIANTS), seed=st.integers(0, 2**32 - 1),
        subset=st.booleans(), n_steps=st.integers(1, 7))
 def test_counts_give_the_path_log_prior(name, seed, subset, n_steps):
-    # without renormalization every weight is a product of table entries, so
-    # a path's log prior is its counts dotted with the log tables
-    config, params = variant_params(name, seed, subset, renormalize_masked=False)
+    # every weight is a product of table entries over its source row's sum
+    # Z_s, so a path's log prior is its counts dotted with the log tables,
+    # less log Z_s for each time it leaves s.  FFBS on all-zero emissions
+    # draws from the prior over paths of the full length
+    config, params = variant_params(name, seed, subset)
     space = build_state_space(config, params)
-    path = _dp.sample_generative(space, n_steps, np.random.default_rng(seed + 1))
+    em = np.zeros((n_steps, config.bar_length))
+    path = _dp.ffbs(space, em, np.random.default_rng(seed + 1))
     counts = gather_counts(space, path)
-    assert log_prior_from_counts(params, counts) == pytest.approx(path.log_prob, rel=1e-9, abs=1e-9)
+    left = log_row_sums(space, params, path)
+    assert log_prior_from_counts(params, counts) - left == pytest.approx(
+        path.log_prob, rel=1e-9, abs=1e-9)
     # one initial count and one count per step from the shift table, if any
     assert counts.initial.sum() == 1
     if counts.shift is not None:

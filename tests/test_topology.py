@@ -54,20 +54,17 @@ def zeroed_params(config, rng, patterns=None):
 
 def reference_cases():
     """(case id, config, params): every variant at its tiny bar length plus a
-    few larger, unnormalized and pattern-subset instances."""
-    specs = [(name, None, True, None) for name in ALL_VARIANTS]
+    few larger and pattern-subset instances."""
+    specs = [(name, None, None) for name in ALL_VARIANTS]
     specs += [
-        ("patmm1", 4, True, None), ("patmm1sd", 3, True, None), ("metmm1sd", 5, True, None),
-        ("notemm1sd", 4, True, None), ("metmm2", 6, True, None), ("patmm1d", 4, True, None),
-        ("metmm1sd", 3, False, None), ("patmm1sd", 2, False, None), ("notemm1s", 4, False, None),
-        ("patmm1", 4, True, (5, 0, 14, 9, 2, 7)), ("patmm1sd", 3, True, (6, 2, 0, 4)),
-        ("metmm1sd", 8, True, None), ("notemm1sd", 8, True, None),
+        ("patmm1", 4, None), ("patmm1sd", 3, None), ("metmm1sd", 5, None),
+        ("notemm1sd", 4, None), ("metmm2", 6, None), ("patmm1d", 4, None),
+        ("patmm1", 4, (5, 0, 14, 9, 2, 7)), ("patmm1sd", 3, (6, 2, 0, 4)),
+        ("metmm1sd", 8, None), ("notemm1sd", 8, None),
     ]
-    for name, nb, renorm, subset in specs:
-        base = tiny_config(name) if nb is None else ModelConfig.from_name(name, bar_length=nb)
-        config = ModelConfig(base.family, base.order, base.shift, base.division,
-                             base.bayesian, base.bar_length, renorm)
-        case = f"{name}-nb{config.bar_length}" + ("" if renorm else "-raw")
+    for name, nb, subset in specs:
+        config = tiny_config(name) if nb is None else ModelConfig.from_name(name, bar_length=nb)
+        case = f"{name}-nb{config.bar_length}"
         patterns = None
         if subset is not None:
             vocab = pattern_vocabulary(config.bar_length)
@@ -141,9 +138,6 @@ RECORDED = {
     "notemm1sd-nb4": ("c5b18efdd86f9d5be304", "806f51ea8bf5a7d25e35"),  # 33 states, 238 edges
     "metmm2-nb6": ("3451b2b3430c2d0e30b1", "23ab39906b617af136bf"),  # 36 states, 181 edges
     "patmm1d-nb4": ("35b4578f44af3e8b2b8a", "13b7bf4c5b00356c90bf"),  # 250 states, 1614 edges
-    "metmm1sd-nb3-raw": ("b8283fdec8f6f0122183", "c9b61e978101d278d877"),  # 51 states, 489 edges
-    "patmm1sd-nb2-raw": ("021f03ba71ee416549d9", "9cef487a15eeae07841e"),  # 26 states, 141 edges
-    "notemm1s-nb4-raw": ("ed143ac417914b5790d9", "53ad6a6f60cd9e09311a"),  # 17 states, 185 edges
     "patmm1-nb4-subset": ("8612469d47e497892001", "a3460a89d6ba97728a5f"),  # 12 states, 46 edges
     "patmm1sd-nb3-subset": ("4dbf064f3440567153d9", "fbc94b341a8957447315"),  # 54 states, 157 edges
     "metmm1sd-nb8": ("7597cd26a637647e75a1", "d3e6ca68b8d42b4ce90b"),  # 594 states, 10375 edges
@@ -288,12 +282,3 @@ class TestGatherCounts:
                               output_values=[1, 1], log_prob=0.0)
         with pytest.raises(ValueError, match="not a path of this state space"):
             gather_counts(space, path)
-
-    def test_space_without_slots_is_rejected(self, rng):
-        cfg = ModelConfig.from_name("notemm1", bar_length=4)
-        space = build_state_space(cfg, random_params(cfg, rng))
-        bare = models.LatentStateSpace(cfg, space.boundary_tags, space.log_initial, None,
-                                       space.state_tags, space.first, space.trans, True)
-        path = _dp.sample_generative(space, 3, rng)
-        with pytest.raises(ValueError, match="build it with build_state_space"):
-            gather_counts(bare, path)

@@ -108,8 +108,19 @@ class TestEstimation:
             space = build_state_space(cfg, params)
             assert space.n_states > 0
 
+    def test_float_bar_length_trains_as_an_int(self):
+        # a float bar length made metrical positions floats, which then
+        # failed as table indices
+        onsets = ((0, 2, 4, 8), (4, 6, 8, 12, 16))
+        floats = Corpus(tuple(RhythmScore(t, 8.0) for t in onsets), ("0", "1"), 8.0)
+        cfg = ModelConfig.from_name("metmm1")
+        want = estimate_params(corpus_of(*onsets), cfg)
+        got = estimate_params(floats, cfg)
+        np.testing.assert_array_equal(got.initial, want.initial)
+        np.testing.assert_array_equal(got.transition, want.transition)
+
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty corpus"):
             estimate_params(Corpus((), ()), ModelConfig.from_name("notemm1"))
         # single-note pieces have no note-value pairs to estimate from
         corpus = corpus_of((0, 2), (4, 8))
