@@ -59,6 +59,7 @@ def reference_cases():
     specs += [
         ("patmm1", 4, None), ("patmm1sd", 3, None), ("metmm1sd", 5, None),
         ("notemm1sd", 4, None), ("metmm2", 6, None), ("patmm1d", 4, None),
+        ("metmm1sd", 3, None), ("patmm1sd", 2, None), ("notemm1s", 4, None),
         ("patmm1", 4, (5, 0, 14, 9, 2, 7)), ("patmm1sd", 3, (6, 2, 0, 4)),
         ("metmm1sd", 8, None), ("notemm1sd", 8, None),
     ]
@@ -138,6 +139,11 @@ RECORDED = {
     "notemm1sd-nb4": ("c5b18efdd86f9d5be304", "806f51ea8bf5a7d25e35"),  # 33 states, 238 edges
     "metmm2-nb6": ("3451b2b3430c2d0e30b1", "23ab39906b617af136bf"),  # 36 states, 181 edges
     "patmm1d-nb4": ("35b4578f44af3e8b2b8a", "13b7bf4c5b00356c90bf"),  # 250 states, 1614 edges
+    # these three were recorded from the cached builder that still had the
+    # unnormalized mode, on the topologies the unnormalized cases used to cover
+    "metmm1sd-nb3": ("f3c5e5f2af3a8368e209", "599b2d1a8b15c734a279"),  # 37 states, 256 edges
+    "patmm1sd-nb2": ("40296fb08d74ca4660ed", "57d7741aec7a5e970657"),  # 10 states, 40 edges
+    "notemm1s-nb4": ("95a864d9f8d2bc4cb386", "b6cdfbd4000643b28d51"),  # 15 states, 116 edges
     "patmm1-nb4-subset": ("8612469d47e497892001", "a3460a89d6ba97728a5f"),  # 12 states, 46 edges
     "patmm1sd-nb3-subset": ("4dbf064f3440567153d9", "fbc94b341a8957447315"),  # 54 states, 157 edges
     "metmm1sd-nb8": ("7597cd26a637647e75a1", "d3e6ca68b8d42b4ce90b"),  # 594 states, 10375 edges
