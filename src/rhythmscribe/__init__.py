@@ -93,8 +93,6 @@ from .training import (
     attach_modification_presets,
     build_modification_base,
     estimate_params,
-    hyperparams_from_dict,
-    hyperparams_to_dict,
 )
 
 __version__ = "0.1.0"
@@ -136,8 +134,6 @@ __all__ = [
     "ffbs_batch",
     "forward",
     "gibbs_fit",
-    "hyperparams_from_dict",
-    "hyperparams_to_dict",
     "interval",
     "load_params",
     "normalize_corpus",

@@ -296,6 +296,9 @@ def normalize_corpus(
         inserting an onset at the start of every bar a longer note covers.
         Pieces left with fewer than two onsets are dropped and recorded.
     """
+    bar_length = integral(bar_length, "bar_length")
+    if bar_length < 1:
+        raise ValueError(f"bar_length must be >= 1, got {bar_length}")
     report = NormalizationReport()
     pieces: list[RhythmScore] = []
     ids: list[str] = []

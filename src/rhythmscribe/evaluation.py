@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Corpus, to_note_values
+from .core import Corpus, integral, to_note_values
 from .inference import GibbsConfig, sample_dirichlet, transcribe
 from .models import (
     ModelConfig,
@@ -218,6 +218,9 @@ def sparseness_study(
     """
     if config.shift or config.division:
         raise ValueError("sparseness_study expects a modification-free config")
+    n_samples = integral(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     space = build_state_space(config, params)
     family = config.family
     k = params.n_symbols

@@ -19,7 +19,7 @@ the base value being divided.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -31,6 +31,7 @@ from .models import (
     LatentStateSpace,
     ModelConfig,
     ModelParams,
+    _Layout,
     build_state_space,
 )
 from .timing import TimingParams, TranscriptionHmm
@@ -44,7 +45,6 @@ __all__ = [
     "GibbsConfig",
     "TranscriptionResult",
     "sample_dirichlet",
-    "PathCounts",
     "gather_counts",
     "sample_posterior",
     "gibbs_fit",
@@ -155,6 +155,10 @@ def sample_dirichlet(params, rng: np.random.Generator, size: int | None = None) 
         raise ValueError("params must be a nonempty vector")
     if np.any(params <= 0):
         raise ValueError("Dirichlet parameters must be strictly positive")
+    if size is not None:
+        size = integral(size, "size")
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
     shape = (len(params),) if size is None else (size, len(params))
     g = rng.gamma(np.broadcast_to(params, shape)).reshape(-1, len(params))
     return _normalized(np.broadcast_to(params, g.shape), g, rng).reshape(shape)
@@ -193,87 +197,64 @@ def _normalized(shapes: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> 
     return out
 
 
-def _sample_table(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Dirichlet draw per row (last axis) of a posterior table."""
-    rows = table.reshape(-1, table.shape[-1])
-    bad = np.any(rows < 0, axis=1) | ~(rows.sum(axis=1) > 0)
-    if bad.any():
-        _check_posterior_row(rows[np.argmax(bad)])
-    return _normalized(rows, rng.gamma(rows), rng).reshape(table.shape)
-
-
-def _sample_ragged(rows: list, rng: np.random.Generator) -> tuple:
-    """One Dirichlet draw per posterior row of differing lengths."""
-    for row in rows:
-        _check_posterior_row(row)
-    g = rng.gamma(np.concatenate(rows))
-    draws = np.split(g, np.cumsum([len(r) for r in rows[:-1]]))
-    return tuple(_normalized(r[None], x[None], rng)[0] for r, x in zip(rows, draws))
-
-
 # ---------------------------------------------------------------------------
-# path statistics
+# path statistics and the posterior draw, both flat over a space's layout
 
 
-@dataclass
-class PathCounts:
-    """Sufficient statistics of one latent path, shaped like ModelParams."""
-
-    initial: np.ndarray
-    transition: np.ndarray | None = None
-    transition2: np.ndarray | None = None
-    unigram: np.ndarray | None = None
-    shift: np.ndarray | None = None
-    division: list[np.ndarray] | None = None
-
-
-# Each table of a model's layout (see `models._TABLES`): its `PathCounts`
-# field and its `Hyperparams` concentration, in layout order.
-_POSTERIOR = {
-    "initial": ("initial", "alpha_initial"),
-    "unigram": ("unigram", "alpha_transition"),
-    "transition": ("transition", "alpha_transition"),
-    "transition2": ("transition2", "alpha_transition"),
-    "shift_probs": ("shift", "alpha_shift"),
-    "division_probs": ("division", "alpha_division"),
+# The `Hyperparams` concentration of each table a layout may hold.
+_CONCENTRATION = {
+    "initial": "alpha_initial",
+    "unigram": "alpha_transition",
+    "transition": "alpha_transition",
+    "transition2": "alpha_transition",
+    "shift_probs": "alpha_shift",
+    "division_probs": "alpha_division",
 }
 
 
-def gather_counts(space: LatentStateSpace, path: PathSample) -> PathCounts:
+def gather_counts(space: LatentStateSpace, path: PathSample) -> np.ndarray:
     """Sufficient statistics of a sampled path for the Dirichlet posteriors.
 
-    Each weight of the space is a product of table entries (see
-    `LatentStateSpace.slot_counts`), so the counts are how often the path's
-    boundary state and edges use each entry.
+    Each weight of the space is a product of table entries, so the counts
+    are how often the path's boundary state and edges use each slot of
+    `space.layout` (see `LatentStateSpace.slot_counts`).
     """
-    tables = space.layout.tables(space.slot_counts(path))
-    return PathCounts(**{_POSTERIOR[name][0]: table for name, table in tables.items()})
+    return space.slot_counts(path)
+
+
+def _row_groups(layout: _Layout, name: str, block: np.ndarray) -> list:
+    """2-D views of one table's block of a flat vector, rows on the last axis:
+    all rows of a symbol table together, or each ragged division row alone."""
+    if name == "division_probs":
+        return [row[None] for row in np.split(block, np.cumsum(np.arange(1, layout.bar_length)))]
+    return [block.reshape(-1, layout.shapes[name][-1])]
 
 
 def sample_posterior(
-    hp: Hyperparams, counts: PathCounts, rng: np.random.Generator
-) -> ModelParams:
-    """Draw a parameter set from the Dirichlet posteriors around the base.
+    hp: Hyperparams, counts: np.ndarray, layout: _Layout, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw a flat parameter vector from the Dirichlet posteriors around the base.
 
-    Every table the counts hold is drawn, in layout order; a base table
-    they leave out (one the space does not weigh) is copied.
+    `counts` and the result are flat over `layout`.  Every row of every
+    table is drawn from Dir(alpha * base row + its counts), table by table
+    in layout order, by one Gamma call over the table's rows back to back;
+    the constant-1 slot stays 1.
     """
-    base = hp.base
-    rest = None  # the base's copy, made once if a table needs it
-    tables = {}
-    for name, (field, alpha) in _POSTERIOR.items():
-        count, prior = getattr(counts, field), getattr(base, name)
-        if count is None:
-            if prior is not None:
-                rest = base.copy() if rest is None else rest
-                tables[name] = getattr(rest, name)
-        elif name == "division_probs":  # one row per base value, of differing lengths
-            weight = getattr(hp, alpha)
-            tables[name] = _sample_ragged([weight * b + c for b, c in zip(prior, count)], rng)
-        else:
-            tables[name] = _sample_table(getattr(hp, alpha) * prior + count, rng)
-    return ModelParams(base.family, base.order, base.bar_length,
-                       patterns=base.patterns, **tables)
+    theta = np.ones(layout.size)
+    for name in layout.shapes:
+        block = layout.block(name)
+        prior = getattr(hp.base, name)
+        prior = np.concatenate(prior) if name == "division_probs" else prior.ravel()
+        shapes = getattr(hp, _CONCENTRATION[name]) * prior + counts[block]
+        groups = _row_groups(layout, name, shapes)
+        for group in groups:
+            bad = np.any(group < 0, axis=1) | ~(group.sum(axis=1) > 0)
+            if bad.any():
+                _check_posterior_row(group[np.argmax(bad)])
+        theta[block] = rng.gamma(shapes)
+        for group, g in zip(groups, _row_groups(layout, name, theta[block])):
+            g[...] = _normalized(group, g, rng)
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +298,40 @@ def gibbs_fit(
     then resamples the path.  The likelihood-maximizing parameter set over
     all iterations (base included) is returned along with its Viterbi
     transcription; the result carries the full likelihood trace.
+
+    The space is built once, from the base; each draw is a flat parameter
+    vector that re-weighs its topology (see `LatentStateSpace.reweighed`).
     """
     rng = np.random.default_rng(gibbs.seed)
     durations = np.asarray(performance.durations, dtype=np.float64)
     width = gibbs.beam_width
 
-    params = hp.base.copy()
-    space = build_state_space(config, params)
+    space = build_state_space(config, hp.base)
+    layout = space.layout
     # the emission matrix depends on the bar length and timing only
     em = TranscriptionHmm(space, tp).emission_matrix(durations)
 
     # one FFBS draw per iteration: its forward total is the trace entry
     path = _dp.ffbs(space, em, rng, beam_width=width)
     trace = [path.log_likelihood]
-    best = (path.log_likelihood, params, space)
+    best = (path.log_likelihood, layout.flatten(hp.base), space)
 
+    # a posterior draw is zero wherever the base is, so every draw weighs
+    # the base's topology, which every space of the fit shares
     for _ in range(gibbs.iterations):
         counts = gather_counts(space, path)
-        params = sample_posterior(hp, counts, rng)
-        space = build_state_space(config, params)
+        theta = sample_posterior(hp, counts, layout, rng)
+        space = space.reweighed(theta)
         path = _dp.ffbs(space, em, rng, beam_width=width)
         trace.append(path.log_likelihood)
         if path.log_likelihood > best[0]:
-            best = (path.log_likelihood, params, space)
+            best = (path.log_likelihood, theta, space)
 
-    best_loglik, best_params, best_space = best
+    best_loglik, best_theta, best_space = best
     best_path = _dp.viterbi(best_space, em, beam_width=width)
     result = _result_from_path(best_space, best_path, best_loglik, trace)
-    return best_params, result
+    # tables of the base that the layout leaves out are kept
+    return replace(hp.base.copy(), **layout.tables(best_theta)), result
 
 
 def transcribe(

@@ -244,6 +244,10 @@ class _Layout:
         shapes = ((k,), (k,), (k, k), (k, k, k), (2 * nb - 1,), (nb * (nb + 1) // 2,))
         return dict(zip(_TABLES, shapes))
 
+    def block(self, name: str) -> slice:
+        """The slots of one table, back to back."""
+        return slice(self.offset[name], self.offset[name] + math.prod(self.shapes[name]))
+
     def slots(self, name: str) -> np.ndarray:
         """Slot of every entry of one table, shaped like the table."""
         shape = self.shapes[name]
@@ -266,7 +270,7 @@ class _Layout:
         """Views of a flat vector shaped like the tables (division: a list of rows)."""
         out = {}
         for name, shape in self.shapes.items():
-            block = flat[self.offset[name]: self.offset[name] + math.prod(shape)]
+            block = flat[self.block(name)]
             if name == "division_probs":
                 out[name] = np.split(block, np.cumsum(np.arange(1, self.bar_length)))
             else:
@@ -298,14 +302,6 @@ def _check_rows(name: str, table: np.ndarray) -> None:
         raise ValueError(f"{name} rows do not sum to 1 (first bad row {np.flatnonzero(bad)[0]})")
 
 
-class _Vocabulary(tuple):
-    """A pattern vocabulary whose positions `ModelParams` has made ints.
-
-    Params drawn or copied from checked params hand theirs on, so each
-    Gibbs sweep does not check every position again.
-    """
-
-
 @dataclass
 class ModelParams:
     """Probability tables for one model family.
@@ -334,8 +330,8 @@ class ModelParams:
     def __post_init__(self):
         for name in _TABLES:
             setattr(self, name, _mapped(name, getattr(self, name), _float_array))
-        if self.patterns is not None and not isinstance(self.patterns, _Vocabulary):
-            self.patterns = _Vocabulary(
+        if self.patterns is not None:
+            self.patterns = tuple(
                 tuple(integral(p, "pattern position") for p in pat) for pat in self.patterns
             )
 
@@ -370,9 +366,6 @@ class ModelParams:
                     raise ValueError(f"{label} must have shape {want}, got {row.shape}")
                 _check_rows(label, row)
         if self.family == "pat":
-            k = self.n_symbols
-            if len(self.patterns) != k:
-                raise ValueError("pattern vocabulary size mismatch")
             nb = self.bar_length
             for pat in self.patterns:
                 if not pat or not 0 <= pat[0] or not pat[-1] < nb or any(
@@ -382,7 +375,7 @@ class ModelParams:
                         f"pattern {pat} is not a strictly increasing, nonempty "
                         f"sequence of positions in [0, {nb})"
                     )
-            if len(set(self.patterns)) != k:
+            if len(set(self.patterns)) != len(self.patterns):
                 raise ValueError("pattern vocabulary has duplicate patterns")
 
     def copy(self) -> "ModelParams":
@@ -1157,6 +1150,21 @@ class LatentStateSpace:
     def layout(self) -> _Layout:
         """The flat parameter layout this space's weights are read from."""
         return self._topology.layout
+
+    def reweighed(self, theta: np.ndarray) -> "LatentStateSpace":
+        """This space's topology weighed with the flat parameter vector `theta`.
+
+        `theta` is laid out as `layout`; the result equals a build from the
+        tables it holds, array for array.  ValueError if `theta` is positive
+        outside the support the topology was built for.
+        """
+        topo = self._topology
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (topo.layout.size,):
+            raise ValueError(f"theta must have shape ({topo.layout.size},), got {theta.shape}")
+        if not topo.covers(theta):
+            raise ValueError("theta is positive outside this space's topology")
+        return topo.weigh(self.config, theta)
 
     def slot_counts(self, path) -> np.ndarray:
         """How often `path` uses each parameter slot (see `layout`).

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Corpus, json_field, segment_patterns, to_metrical, to_note_values
+from .core import Corpus, segment_patterns, to_metrical, to_note_values
 from .inference import DEFAULT_CONCENTRATION, Hyperparams
 from .models import (
     ModelConfig,
     ModelParams,
     division_parts,
-    params_from_dict,
-    params_to_dict,
     pattern_vocabulary,
 )
 
@@ -34,8 +32,6 @@ __all__ = [
     "build_modification_base",
     "attach_modification_presets",
     "assemble_hyperparams",
-    "hyperparams_to_dict",
-    "hyperparams_from_dict",
     "DEFAULT_EPSILON",
     "DEFAULT_PATTERN_INTERPOLATION",
     "DEFAULT_NO_MODIFICATION_MASS",
@@ -250,27 +246,4 @@ def assemble_hyperparams(
         alpha_transition=alpha if alpha_transition is None else alpha_transition,
         alpha_shift=alpha if alpha_shift is None else alpha_shift,
         alpha_division=alpha if alpha_division is None else alpha_division,
-    )
-
-
-def hyperparams_to_dict(hp: Hyperparams) -> dict:
-    return {
-        "base": params_to_dict(hp.base),
-        "alpha_initial": hp.alpha_initial,
-        "alpha_transition": hp.alpha_transition,
-        "alpha_shift": hp.alpha_shift,
-        "alpha_division": hp.alpha_division,
-    }
-
-
-def hyperparams_from_dict(data: dict) -> Hyperparams:
-    def alpha(key):
-        return float(json_field(data, key, "hyperparameters"))
-
-    return Hyperparams(
-        base=params_from_dict(json_field(data, "base", "hyperparameters")),
-        alpha_initial=alpha("alpha_initial"),
-        alpha_transition=alpha("alpha_transition"),
-        alpha_shift=alpha("alpha_shift"),
-        alpha_division=alpha("alpha_division"),
     )

@@ -70,6 +70,14 @@ class TestPrepare:
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
         assert not (tmp_path / "o.json").exists()
 
+    def test_zero_bar_length_is_one_error_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps(RAW))
+        assert run("prepare", raw, "--bar-length", 0, "--out", tmp_path / "c.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: bar_length must be >= 1, got 0"]
+        assert not (tmp_path / "c.json").exists()
+
     def test_empty_input_fails(self, tmp_path):
         raw = tmp_path / "raw.json"
         raw.write_text(json.dumps([{"id": "w", "onsets": [0, 2], "meter": "3/4"}]))
@@ -259,6 +267,14 @@ class TestStudyAndBench:
                     "dirichlet_entropy"):
             assert key in data
         assert data["seed"] == 2
+
+    def test_study_rejects_zero_samples(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "study.json"
+        assert run("study-sparseness", "--corpus", pipeline["corpus"], "--model", "metmm1",
+                   "--params", pipeline["params"], "--n-samples", 0, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: n_samples must be >= 1, got 0"]
+        assert not out.exists()
 
     def test_study_rejects_a_bar_outside_the_pattern_vocabulary(self, pipeline, tmp_path,
                                                                 capsys):

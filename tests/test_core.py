@@ -150,6 +150,14 @@ class TestNormalize:
         assert len(corpus.pieces) == 0
         assert report.dropped[0][0] == "x"
 
+    @pytest.mark.parametrize("bar_length, message", [
+        (0, "bar_length must be >= 1, got 0"), (-8, "bar_length must be >= 1, got -8"),
+        (2.5, "bar_length must be an integer, got 2.5"),
+    ])
+    def test_bad_bar_length_is_rejected(self, bar_length, message):
+        with pytest.raises(ValueError, match=message):
+            normalize_corpus([{"id": "x", "onsets": [0, 2, 4]}], bar_length=bar_length)
+
     def test_non_quadruple_meter_dropped(self):
         corpus, report = normalize_corpus(
             [{"id": "w", "onsets": [0, 2, 4], "meter": "3/4"},

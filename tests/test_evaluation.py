@@ -202,6 +202,19 @@ class TestSparsenessStudy:
                                               "model's 3-pattern vocabulary"):
             sparseness_study(cfg, params, corpus, 1.0, 10, rng)
 
+    @pytest.mark.parametrize("n_samples, message", [
+        (0, "n_samples must be >= 1, got 0"), (-1, "n_samples must be >= 1, got -1"),
+        (2.5, "n_samples must be an integer, got 2.5"),
+    ])
+    def test_bad_sample_counts_are_rejected(self, n_samples, message):
+        cfg = ModelConfig.from_name("notemm1")
+        corpus = repetitive_corpus()
+        params = estimate_params(corpus, cfg)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            sparseness_study(cfg, params, corpus, 1.0, n_samples, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_modified_configs_rejected(self, rng):
         cfg = ModelConfig.from_name("notemm1s")
         params = random_params(cfg, rng)

@@ -1,15 +1,15 @@
 """Decoding and Gibbs machinery against enumeration oracles."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rhythmscribe import _dp, ffbs, ffbs_batch, forward, viterbi
+from rhythmscribe import _dp, ffbs, ffbs_batch, forward, inference, viterbi
 from rhythmscribe.inference import (
     GibbsConfig,
     Hyperparams,
     InferenceError,
-    PathCounts,
     gather_counts,
     gibbs_fit,
     sample_dirichlet,
@@ -219,6 +219,15 @@ class TestDirichlet:
         b = sample_dirichlet([1.0, 2.0], np.random.default_rng(5), size=3)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("size, message", [
+        (0, "size must be >= 1, got 0"), (-1, "size must be >= 1, got -1"),
+        (2.5, "size must be an integer, got 2.5"), ("3", "size must be an integer"),
+    ])
+    def test_bad_sample_counts_are_rejected(self, size, message, rng):
+        with pytest.raises(ValueError, match=message):
+            sample_dirichlet([1.0, 2.0], rng, size=size)
+        assert sample_dirichlet([1.0, 2.0], rng, size=np.int64(2)).shape == (2, 2)
+
     def test_tiny_parameters_give_finite_draws(self):
         # most draws of Gamma(1e-4) underflow to 0, whole rows of them often
         draws = sample_dirichlet(np.full(8, 1e-4), np.random.default_rng(0), size=200)
@@ -238,9 +247,9 @@ class TestGatherCounts:
         score = RhythmScore((2, 4, 6))
         durations = np.diff(score.onsets) * 0.25
         path = viterbi(space, hmm.emission_matrix(durations))
-        counts = gather_counts(space, path)
-        assert counts.initial.sum() == 1
-        assert counts.transition.sum() == 2
+        counts = space.layout.tables(gather_counts(space, path))
+        assert counts["initial"].sum() == 1
+        assert counts["transition"].sum() == 2
 
     def test_note_counts_split_initial_and_pairs(self, rng):
         cfg = ModelConfig.from_name("notemm1")
@@ -250,22 +259,22 @@ class TestGatherCounts:
         hmm = TranscriptionHmm(space, tp)
         durations = np.array([2, 2, 4, 2]) * 0.25
         path = viterbi(space, hmm.emission_matrix(durations))
-        counts = gather_counts(space, path)
-        assert counts.initial[1] == 1  # r=2 starts the piece
-        assert counts.transition[1, 1] == 1
-        assert counts.transition[1, 3] == 1
-        assert counts.transition[3, 1] == 1
-        assert counts.transition.sum() == 3
+        counts = space.layout.tables(gather_counts(space, path))
+        assert counts["initial"][1] == 1  # r=2 starts the piece
+        assert counts["transition"][1, 1] == 1
+        assert counts["transition"][1, 3] == 1
+        assert counts["transition"][3, 1] == 1
+        assert counts["transition"].sum() == 3
 
     def test_shift_and_division_counts(self, rng):
         _, _, space, tp, durations = tiny_instance("metmm1sd", rng, n_notes=4)
         hmm = TranscriptionHmm(space, tp)
         path = viterbi(space, hmm.emission_matrix(durations))
-        counts = gather_counts(space, path)
+        counts = space.layout.tables(gather_counts(space, path))
         # one shift per emitted part plus the boundary shift
-        assert counts.shift.sum() == len(path.state_indices) + 1
+        assert counts["shift_probs"].sum() == len(path.state_indices) + 1
         # one division choice per note value
-        assert sum(row.sum() for row in counts.division) >= 1
+        assert sum(row.sum() for row in counts["division_probs"]) >= 1
 
     def test_order2_triple_counts(self, rng):
         # hand-built path for positions 0 -> 2 -> 4 -> 0
@@ -279,11 +288,14 @@ class TestGatherCounts:
             log_prob=0.0,
         )
         counts = gather_counts(space, path)
-        assert counts.initial[0] == 1
-        assert counts.transition[0, 2] == 1
-        assert counts.transition2[0, 2, 4] == 1
-        assert counts.transition2[2, 4, 0] == 1
-        assert counts.transition2.sum() == 2
+        assert counts.shape == (space.layout.size,)
+        tables = space.layout.tables(counts)
+        assert list(tables) == ["initial", "transition", "transition2"]
+        assert tables["initial"][0] == 1
+        assert tables["transition"][0, 2] == 1
+        assert tables["transition2"][0, 2, 4] == 1
+        assert tables["transition2"][2, 4, 0] == 1
+        assert tables["transition2"].sum() == 2
 
 
 class TestGibbs:
@@ -319,6 +331,26 @@ class TestGibbs:
         assert result.log_likelihood == pytest.approx(max(result.trace), rel=1e-12)
         params.validate()
 
+    def test_one_build_per_fit(self, rng, monkeypatch):
+        # every sweep re-weighs the topology of the base's space
+        cfg, hp, perf, tp = self._setup(rng, "metmm1sdb")
+        calls = []
+        build = inference.build_state_space
+        monkeypatch.setattr(inference, "build_state_space",
+                            lambda *args: calls.append(args) or build(*args))
+        gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=5, seed=1))
+        assert len(calls) == 1 and calls[0][0] is cfg and calls[0][1] is hp.base
+
+    def test_base_tables_outside_the_layout_are_kept(self, rng):
+        cfg, _, perf, tp = self._setup(rng)
+        base = random_params(ModelConfig.from_name("metmm1s"), rng)  # metmm1b weighs no shifts
+        params, _ = gibbs_fit(cfg, Hyperparams(base=base), perf, tp,
+                              GibbsConfig(iterations=5, seed=2))
+        np.testing.assert_array_equal(params.shift_probs, base.shift_probs)
+        assert params.shift_probs is not base.shift_probs
+        assert params.patterns is None and params.division_probs is None
+        params.validate()
+
     def test_sample_posterior_respects_zero_support(self, rng):
         cfg = ModelConfig.from_name("metmm1b")
         base = uniform_params(cfg.plain())
@@ -330,13 +362,16 @@ class TestGibbs:
         hmm = TranscriptionHmm(space, tp)
         path = ffbs(space, hmm.emission_matrix(perf.durations), rng)
         counts = gather_counts(space, path)
-        drawn = sample_posterior(hp, counts, rng)
-        assert drawn.initial[2] == 1.0
-        assert np.all(drawn.initial[np.arange(8) != 2] == 0.0)
+        drawn = space.layout.tables(sample_posterior(hp, counts, space.layout, rng))
+        assert drawn["initial"][2] == 1.0
+        assert np.all(drawn["initial"][np.arange(8) != 2] == 0.0)
 
 
-def per_row_posterior(hp, counts, rng):
-    """`sample_posterior` as one Gamma call per table row: the reference."""
+def per_row_posterior(hp, counts, layout, rng):
+    """`sample_posterior` as one Gamma call per table row: the reference.
+
+    Returns the drawn tables by name, in layout order (division: its rows).
+    """
 
     def draw(row):
         if np.any(row < 0):
@@ -350,20 +385,16 @@ def per_row_posterior(hp, counts, rng):
         rows = t.reshape(-1, t.shape[-1])
         return np.vstack([draw(r) for r in rows]).reshape(t.shape)
 
-    base, out = hp.base, hp.base.copy()
-    out.initial = table(hp.alpha_initial * base.initial + counts.initial)
-    if base.transition is not None:
-        out.transition = table(hp.alpha_transition * base.transition + counts.transition)
-    if base.transition2 is not None:
-        out.transition2 = table(hp.alpha_transition * base.transition2 + counts.transition2)
-    if base.unigram is not None:
-        out.unigram = table(hp.alpha_transition * base.unigram + counts.unigram)
-    if base.shift_probs is not None:
-        out.shift_probs = table(hp.alpha_shift * base.shift_probs + counts.shift)
-    if base.division_probs is not None:
-        out.division_probs = tuple(
-            draw(hp.alpha_division * b + c) for b, c in zip(base.division_probs, counts.division)
-        )
+    alpha = {"initial": hp.alpha_initial, "unigram": hp.alpha_transition,
+             "transition": hp.alpha_transition, "transition2": hp.alpha_transition,
+             "shift_probs": hp.alpha_shift}
+    out = {}
+    for name, count in layout.tables(counts).items():
+        base = getattr(hp.base, name)
+        if name == "division_probs":
+            out[name] = [draw(hp.alpha_division * b + c) for b, c in zip(base, count)]
+        else:
+            out[name] = table(alpha[name] * base + count)
     return out
 
 
@@ -377,30 +408,35 @@ class TestSamplePosterior:
         hp = Hyperparams(base=params, alpha_transition=2.0, alpha_shift=0.5)
         space = build_state_space(cfg.plain(), params)
         path = ffbs(space, TranscriptionHmm(space, tp).emission_matrix(durations), rng)
-        counts = gather_counts(space, path)
+        counts, layout = gather_counts(space, path), space.layout
         for seed in range(3):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_posterior(hp, counts, got_rng)
-            want = per_row_posterior(hp, counts, want_rng)
-            for key in ("initial", "transition", "transition2", "unigram", "shift_probs"):
-                if getattr(want, key) is not None:
-                    np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
-            for a, b in zip(got.division_probs or (), want.division_probs or ()):
-                np.testing.assert_array_equal(a, b)
+            theta = sample_posterior(hp, counts, layout, got_rng)
+            want = per_row_posterior(hp, counts, layout, want_rng)
+            got = layout.tables(theta)
+            assert list(got) == list(want)
+            for key in got:
+                if key == "division_probs":
+                    for a, b in zip(got[key], want[key], strict=True):
+                        np.testing.assert_array_equal(a, b)
+                else:
+                    np.testing.assert_array_equal(got[key], want[key])
+            assert theta[layout.one] == 1.0
             assert got_rng.random() == want_rng.random()  # same generator state
 
     def test_bad_rows_raise_the_first_rows_error(self, rng):
         cfg = ModelConfig.from_name("metmm1b")
         base = uniform_params(cfg.plain())
         hp = Hyperparams(base=base)
-        counts = gather_counts(build_state_space(cfg.plain(), base),
-                               _dp.PathSample(0, [1], [1], 0.0))
-        counts.transition[2] = -1e9  # row 2: negative entries
+        space = build_state_space(cfg.plain(), base)
+        counts = gather_counts(space, _dp.PathSample(0, [1], [1], 0.0))
+        transition = space.layout.tables(counts)["transition"]  # a view of the counts
+        transition[2] = -1e9  # row 2: negative entries
         with pytest.raises(ValueError, match="negative posterior parameters"):
-            sample_posterior(hp, counts, rng)
-        counts.transition[1] = -hp.alpha_transition * base.transition[1]  # row 1: no support
+            sample_posterior(hp, counts, space.layout, rng)
+        transition[1] = -hp.alpha_transition * base.transition[1]  # row 1: no support
         with pytest.raises(InferenceError, match="posterior row with no support"):
-            sample_posterior(hp, counts, rng)
+            sample_posterior(hp, counts, space.layout, rng)
 
 
     def test_underflowed_rows_are_drawn_in_log_space(self):
@@ -410,11 +446,11 @@ class TestSamplePosterior:
         base.transition2[..., 0] = 0.0
         base.transition2 /= base.transition2.sum(axis=-1, keepdims=True)
         hp = Hyperparams(base=base, alpha_transition=1e-3)
-        counts = PathCounts(initial=np.zeros(8), transition=np.zeros((8, 8)),
-                            transition2=np.zeros((8, 8, 8)))
+        layout = build_state_space(cfg.plain(), base).layout
+        counts = np.zeros(layout.size)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            drawn = sample_posterior(hp, counts, rng)
+            drawn = replace(base, **layout.tables(sample_posterior(hp, counts, layout, rng)))
             assert np.isfinite(drawn.transition2).all()
             drawn.validate()
             assert np.all(drawn.transition2[..., 0] == 0.0)  # zero shapes stay 0

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from rhythmscribe import models
 from rhythmscribe._dp import InferenceError, forward
 from rhythmscribe.core import RhythmScore, interval
 from rhythmscribe.models import (
     DEFAULT_BAR_LENGTH,
     ModelConfig,
-    ModelParams,
     build_state_space,
     division_parts,
     load_params,
@@ -600,23 +598,6 @@ class TestParamsSerialization:
             params_from_dict(data)
         data["patterns"][-1] = [0.0, 3.0]  # integral floats load as ints
         assert params_from_dict(data).patterns[-1] == (0, 3)
-
-    def test_checked_vocabulary_is_not_checked_again(self, rng, monkeypatch):
-        # params drawn or copied from checked params (each Gibbs sweep) hand
-        # on a vocabulary whose positions were made ints once
-        params = random_params(ModelConfig.from_name("patmm1", bar_length=4), rng)
-        checked = []
-        monkeypatch.setattr(models, "integral", lambda v, what: checked.append(what) or int(v))
-
-        def rebuilt(patterns):
-            return ModelParams("pat", 1, 4, params.initial, params.transition, patterns=patterns)
-
-        assert rebuilt(params.patterns).patterns is params.patterns
-        assert params.copy().patterns is params.patterns
-        assert checked == []
-        again = rebuilt(tuple(params.patterns))  # a plain tuple is checked
-        assert again.patterns == params.patterns
-        assert checked == ["pattern position"] * sum(map(len, params.patterns))
 
     @pytest.mark.parametrize("bad, message", [
         ((0, 4), r"pattern \(0, 4\) is not a strictly increasing"),

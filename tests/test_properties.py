@@ -70,19 +70,15 @@ def test_params_dict_round_trip(name, seed, subset):
 
 
 def log_prior_from_counts(params, counts) -> float:
-    """sum over table entries of count x log(entry)."""
-    pairs = [
-        (counts.initial, params.initial),
-        (counts.transition, params.transition),
-        (counts.transition2, params.transition2),
-        (counts.unigram, params.unigram),
-        (counts.shift, params.shift_probs),
-    ] + list(zip(counts.division or (), params.division_probs or ()))
+    """sum over table entries of count x log(entry); `counts` by table name."""
+    pairs = []
+    for name, c in counts.items():
+        p = getattr(params, name)
+        pairs += zip(c, p, strict=True) if name == "division_probs" else [(c, p)]
     total = 0.0
     for c, p in pairs:
-        if c is not None:
-            used = c > 0
-            total += float(np.sum(c[used] * np.log(p[used])))
+        used = c > 0
+        total += float(np.sum(c[used] * np.log(p[used])))
     return total
 
 
@@ -121,14 +117,14 @@ def test_counts_give_the_path_log_prior(name, seed, subset, n_steps):
     space = build_state_space(config, params)
     em = np.zeros((n_steps, config.bar_length))
     path = _dp.ffbs(space, em, np.random.default_rng(seed + 1))
-    counts = gather_counts(space, path)
+    counts = space.layout.tables(gather_counts(space, path))
     left = log_row_sums(space, params, path)
     assert log_prior_from_counts(params, counts) - left == pytest.approx(
         path.log_prob, rel=1e-9, abs=1e-9)
     # one initial count and one count per step from the shift table, if any
-    assert counts.initial.sum() == 1
-    if counts.shift is not None:
-        assert counts.shift.sum() == n_steps + 1
+    assert counts["initial"].sum() == 1
+    if "shift_probs" in counts:
+        assert counts["shift_probs"].sum() == n_steps + 1
 
 
 @PROPERTY_SETTINGS

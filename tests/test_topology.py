@@ -97,11 +97,11 @@ def counts_digest(space, n_draws=4, n_notes=6) -> str:
     for _ in range(n_draws):
         durations = rng.uniform(0.15, 0.25 * space.bar_length, size=n_notes)
         em = TranscriptionHmm(space, tp).emission_matrix(durations)
-        counts = gather_counts(space, _dp.ffbs(space, em, rng))
-        for name in ("initial", "transition", "transition2", "unigram", "shift"):
-            a = getattr(counts, name)
+        counts = space.layout.tables(gather_counts(space, _dp.ffbs(space, em, rng)))
+        for name in ("initial", "transition", "transition2", "unigram", "shift_probs"):
+            a = counts.get(name)
             h.update(b"-" if a is None else np.asarray(a, np.float64).tobytes())
-        for row in counts.division or ():
+        for row in counts.get("division_probs", ()):
             h.update(np.asarray(row, np.float64).tobytes())
     return h.hexdigest()[:20]
 
@@ -182,11 +182,15 @@ class TestAgainstRecordedBuilds:
         assert len(fresh_cache) == 1
 
     def test_wider_topology_weighs_to_the_same_space(self, case, config, params, fresh_cache):
-        wide = random_params(config, np.random.default_rng(1), params.patterns)
-        build_state_space(config, wide)
+        wide = build_state_space(config, random_params(config, np.random.default_rng(1),
+                                                       params.patterns))
         space = build_state_space(config, params)
         assert len(fresh_cache) == 1  # the narrow params reuse the wide topology
         assert space_digest(space) == RECORDED[case][0]
+        # so does re-weighing the wide space with the narrow params' flat vector
+        space = wide.reweighed(wide.layout.flatten(params))
+        assert space_digest(space) == RECORDED[case][0]
+        assert counts_digest(space) == RECORDED[case][1]
 
     def test_counts_match(self, case, config, params, fresh_cache):
         assert counts_digest(build_state_space(config, params)) == RECORDED[case][1]
@@ -276,6 +280,18 @@ class TestCache:
         with pytest.raises(ValueError):
             space.trans.src[0] = 1
         assert space.trans.logp.flags.writeable
+
+
+class TestReweighed:
+    def test_theta_outside_the_support_is_rejected(self, rng):
+        cfg = ModelConfig.from_name("metmm1sd", bar_length=4)
+        narrow = build_state_space(cfg, zeroed_params(cfg, rng))
+        theta = narrow.layout.flatten(random_params(cfg, rng))
+        assert not narrow._topology.covers(theta)
+        with pytest.raises(ValueError, match="positive outside this space's topology"):
+            narrow.reweighed(theta)
+        with pytest.raises(ValueError, match="theta must have shape"):
+            narrow.reweighed(theta[:-1])
 
 
 class TestGatherCounts:

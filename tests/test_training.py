@@ -17,8 +17,6 @@ from rhythmscribe.training import (
     attach_modification_presets,
     build_modification_base,
     estimate_params,
-    hyperparams_from_dict,
-    hyperparams_to_dict,
 )
 
 
@@ -222,12 +220,3 @@ class TestHyperparams:
         )
         assert hp.alpha_initial == 5.0
         assert hp.alpha_transition == 2.0
-
-    def test_dict_round_trip(self):
-        corpus = corpus_of((0, 2, 4, 8), (0, 4, 6, 8))
-        params = estimate_params(corpus, ModelConfig.from_name("notemm1"))
-        hp = assemble_hyperparams(params, ModelConfig.from_name("notemm1sdb"), alpha=3.0)
-        again = hyperparams_from_dict(hyperparams_to_dict(hp))
-        assert again.alpha_shift == 3.0
-        np.testing.assert_allclose(again.base.transition, hp.base.transition, rtol=1e-15)
-        np.testing.assert_allclose(again.base.shift_probs, hp.base.shift_probs, rtol=1e-15)
