@@ -72,7 +72,6 @@ from .models import (
     load_params,
     params_from_dict,
     params_to_dict,
-    pattern_index,
     pattern_vocabulary,
     sample_corpus,
     sample_score,
@@ -139,7 +138,6 @@ __all__ = [
     "normalize_corpus",
     "params_from_dict",
     "params_to_dict",
-    "pattern_index",
     "pattern_vocabulary",
     "sample_corpus",
     "sample_dirichlet",

@@ -14,16 +14,15 @@ and is the documented exception).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus, json_field, normalize_corpus, to_note_values
+from .core import (Corpus, json_field, json_list, json_object, normalize_corpus, read_json,
+                   to_note_values, write_json)
 from .evaluation import (
     benchmark_cells,
     cross_entropy,
@@ -56,22 +55,13 @@ DEFAULT_SIGMA_T = 0.04
 __all__ = ["main"]
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
-
-
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 class _Settings:
     """Flag > environment > config file > default, per key."""
 
     def __init__(self, args):
         self.args = args
         cfg_path = getattr(args, "config", None)
-        self.file_cfg = _read_json(cfg_path) if cfg_path else {}
+        self.file_cfg = json_object(read_json(cfg_path), cfg_path) if cfg_path else {}
 
     def get(self, key: str, default, cast):
         flag = getattr(self.args, key, None)
@@ -123,13 +113,10 @@ def _timing(settings: _Settings, parser, pc: PerformedCorpus | None = None) -> T
 
 
 def cmd_prepare(args, parser) -> int:
-    try:
-        data = _read_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
+    data = read_json(args.input)
     entries = json_field(data, "pieces", args.input) if isinstance(data, dict) else data
-    corpus, report = normalize_corpus(entries, bar_length=args.bar_length)
+    corpus, report = normalize_corpus(json_list(entries, f"{args.input} pieces"),
+                                      bar_length=args.bar_length)
     print(report.summary())
     if len(corpus.pieces) == 0:
         print("no pieces survived normalization", file=sys.stderr)
@@ -177,7 +164,7 @@ def cmd_synth(args, parser) -> int:
     )
     data = pc.to_dict()
     data["seed"] = seed
-    _write_json(args.out, data)
+    write_json(args.out, data)
     return 0
 
 
@@ -263,7 +250,7 @@ def cmd_transcribe(args, parser) -> int:
         out["seed"] = seed
         out["alpha"] = param_obj.alpha_initial
         out["iterations"] = iterations
-    _write_json(args.out, out)
+    write_json(args.out, out)
     return 1 if failures else 0
 
 
@@ -271,11 +258,12 @@ def cmd_eval(args, parser) -> int:
     if args.transcriptions is not None:
         if args.truth is None:
             parser.error("--transcriptions requires --truth (ground-truth corpus)")
-        data = _read_json(args.transcriptions)
+        data = read_json(args.transcriptions)
         truth = Corpus.load(args.truth)
         truth_values = {pid: to_note_values(p) for pid, p in zip(truth.ids, truth.pieces)}
         per_piece, weights = {}, {}
-        for item in json_field(data, "items", args.transcriptions):
+        for item in json_list(json_field(data, "items", args.transcriptions),
+                              f"{args.transcriptions} items"):
             pid = json_field(item, "id", "transcription item")
             if pid not in truth_values:
                 print(f"no ground truth for piece {pid}", file=sys.stderr)
@@ -294,7 +282,7 @@ def cmd_eval(args, parser) -> int:
             "error_rate": aggregate,
             "n_notes": total,
         }
-        _write_json(args.out, report)
+        write_json(args.out, report)
         print(f"error rate {aggregate:.4f} over {total} notes")
         return 0
     if args.params is None or args.corpus is None:
@@ -311,7 +299,7 @@ def cmd_eval(args, parser) -> int:
         ),
         "n_pieces": len(corpus.pieces),
     }
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"cross entropy {report['cross_entropy']:.4f} bits/symbol")
     return 0
 
@@ -329,7 +317,7 @@ def cmd_study(args, parser) -> int:
     rng = _derived_rng(seed, "sparseness")
     study = sparseness_study(config, params, corpus, alpha, args.n_samples, rng)
     out = {"model": config.name, "seed": seed, **study.to_dict()}
-    _write_json(args.out, out)
+    write_json(args.out, out)
     return 0
 
 
@@ -369,7 +357,7 @@ def cmd_bench(args, parser) -> int:
         "seeds": seeds,
         "models": [r.to_dict() for r in reports],
     }
-    _write_json(args.out, out)
+    write_json(args.out, out)
     failed = 0
     for r in reports:
         line = f"{r.model}: error {r.error_mean:.4f} +/- {r.error_sd:.4f} ({r.runtime_seconds:.1f} s)"

@@ -12,8 +12,12 @@ Bars are ``bar_length`` 16th positions long (default 8, a half note), so a
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Real
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,13 +50,63 @@ def integral(value, what: str) -> int:
     return as_int
 
 
-def json_field(data, key: str, where: str):
-    """``data[key]`` of a parsed JSON object; ValueError naming a missing field."""
+def json_object(data, where: str) -> dict:
+    """`data` if it is a parsed JSON object; ValueError naming `where` if not."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
-    if key not in data:
+    return data
+
+
+def json_list(data, where: str) -> list:
+    """`data` if it is a parsed JSON list; ValueError naming `where` if not."""
+    if not isinstance(data, list):
+        raise ValueError(f"{where}: expected a JSON list, got {type(data).__name__}")
+    return data
+
+
+def json_numbers(data, where: str) -> list:
+    """`data` if it is a parsed JSON list of finite numbers; ValueError naming `where` if not."""
+    for value in json_list(data, where):
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{where}: expected finite numbers, got {value!r}")
+    return data
+
+
+def json_field(data, key: str, where: str):
+    """``data[key]`` of a parsed JSON object; ValueError naming a missing field."""
+    if key not in json_object(data, where):
         raise ValueError(f"{where}: missing field {key!r}")
     return data[key]
+
+
+def jsonable(obj):
+    """`obj` as dicts, lists, str, int, float, bool and None only.
+
+    Dataclass fields map by name, tuples and numpy arrays become lists, and
+    numpy scalars become Python numbers.
+    """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(value) for value in obj]
+    return obj
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as every artifact is written: sorted keys, one-space indent, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The parsed JSON value of the file at `path`; ValueError naming a file that is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
 
 
 def interval(b_prev: int, b: int, bar_length: int) -> int:
@@ -193,25 +247,22 @@ class Corpus:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Corpus":
-        entries = json_field(data, "pieces", "corpus")
+        entries = json_list(json_field(data, "pieces", "corpus"), "corpus pieces")
         bar_length = integral(data.get("bar_length", DEFAULT_BAR_LENGTH), "bar_length")
         pieces = []
         ids = []
         for entry in entries:
-            onsets = json_field(entry, "onsets", "corpus piece")
+            onsets = json_list(json_field(entry, "onsets", "corpus piece"), "corpus piece onsets")
             pieces.append(RhythmScore(tuple(onsets), bar_length))
             ids.append(str(json_field(entry, "id", "corpus piece")))
         return cls(tuple(pieces), tuple(ids), bar_length)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 @dataclass
@@ -236,38 +287,38 @@ class NormalizationReport:
 
 _ACCEPTED_METERS = {"4/4", "2/4", "2/2", "4/2", "8/4"}
 
+# Most segment-start onsets normalization may insert into one piece: 2^20
+# is a rest of over a million bars, about 10 days at 144 BPM, so only a
+# corrupt onset reaches it, and the inserts would otherwise run unbounded.
+INSERTED_ONSET_BUDGET = 1 << 20
 
-def _normalize_onsets(raw: Sequence[float], bar_length: int) -> tuple[list[int], int, int]:
+
+def _normalize_onsets(
+    raw: Sequence[float], bar_length: int, where: str
+) -> tuple[list[int], int, int]:
     """Snap to the 16th grid, merge collisions, rebase to bar 0, split long gaps.
 
     Returns (onsets, n_inserted, n_merged).
     """
     # round half up for determinism; finer-than-16th positions are dropped
-    snapped = sorted(int(np.floor(t + 0.5)) for t in raw)
-    merged: list[int] = []
-    n_merged = 0
-    for t in snapped:
-        if merged and t == merged[-1]:
-            n_merged += 1
-            continue
-        merged.append(t)
+    merged = sorted({math.floor(t + 0.5) for t in raw})
+    n_merged = len(raw) - len(merged)
     if not merged:
         return [], 0, n_merged
     # drop empty leading bars, preserving the metrical phase of the first onset
     shift = (merged[0] // bar_length) * bar_length
     merged = [t - shift for t in merged]
     # a note value longer than a bar gets an onset at the start of every bar
-    # it covers, capping note values at bar_length
+    # it covers after the note's own, capping note values at bar_length
+    n_inserted = sum((t - 1) // bar_length - prev // bar_length
+                     for prev, t in zip(merged, merged[1:]) if t - prev > bar_length)
+    if n_inserted > INSERTED_ONSET_BUDGET:
+        raise ValueError(f"{where}: its long rests would insert over "
+                         f"{INSERTED_ONSET_BUDGET} bar-start onsets")
     out = [merged[0]]
-    n_inserted = 0
-    for t in merged[1:]:
-        prev = out[-1]
+    for prev, t in zip(merged, merged[1:]):
         if t - prev > bar_length:
-            first_bar_start = (prev // bar_length + 1) * bar_length
-            for start in range(first_bar_start, t, bar_length):
-                if start > prev:
-                    out.append(start)
-                    n_inserted += 1
+            out.extend(range((prev // bar_length + 1) * bar_length, t, bar_length))
         out.append(t)
     return out, n_inserted, n_merged
 
@@ -305,11 +356,12 @@ def normalize_corpus(
     for idx, entry in enumerate(raw_pieces):
         raw = json_field(entry, "onsets", f"piece {idx}")
         pid = str(entry.get("id", idx))
+        json_numbers(raw, f"piece {pid} onsets")
         meter = entry.get("meter", "4/4")
         if meter not in _ACCEPTED_METERS:
             report.dropped.append((pid, f"meter {meter} not 4/4-equivalent"))
             continue
-        onsets, n_ins, n_mrg = _normalize_onsets(raw, bar_length)
+        onsets, n_ins, n_mrg = _normalize_onsets(raw, bar_length, f"piece {pid}")
         report.inserted_onsets += n_ins
         report.merged_onsets += n_mrg
         if len(onsets) < 2:

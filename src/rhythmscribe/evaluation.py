@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Corpus, integral, to_note_values
+from .core import Corpus, integral, jsonable, to_note_values
 from .inference import GibbsConfig, sample_dirichlet, transcribe
 from .models import (
     ModelConfig,
@@ -184,22 +184,7 @@ class SparsenessStudy:
     generic_entropy_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "generic_entropy_rate": self.generic_entropy_rate,
-            "piece_symbol_entropy": [float(x) for x in self.piece_symbol_entropy],
-            "piece_transition_entropy": [
-                float(x) for x in self.piece_transition_entropy
-            ],
-            "resampled_symbol_entropy": [
-                float(x) for x in self.resampled_symbol_entropy
-            ],
-            "resampled_transition_entropy": [
-                float(x) for x in self.resampled_transition_entropy
-            ],
-            "dirichlet_entropy": [float(x) for x in self.dirichlet_entropy],
-        }
+        return jsonable(self)
 
 
 def sparseness_study(
@@ -272,17 +257,7 @@ class EvalReport:
     failures: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "seeds": list(self.seeds),
-            "piece_ids": list(self.piece_ids),
-            "per_piece_error": {k: float(v) for k, v in self.per_piece_error.items()},
-            "error_mean": float(self.error_mean),
-            "error_sd": float(self.error_sd),
-            "runtime_seconds": float(self.runtime_seconds),
-            "n_transcriptions": self.n_transcriptions,
-            "failures": list(self.failures),
-        }
+        return jsonable(self)
 
 
 def _cell_seed(seed: int, piece_id: str, purpose: int) -> np.random.SeedSequence:

@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from . import _dp
 from ._dp import InferenceError, PathSample
-from .core import integral, score_from_metrical
+from .core import integral, jsonable, score_from_metrical
 from .models import (
     LatentStateSpace,
     ModelConfig,
@@ -122,22 +122,7 @@ class TranscriptionResult:
         return len(self.note_values)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "note_values": list(self.note_values),
-            "onsets": list(self.onsets),
-            "state_tags": [_tag_to_json(t) for t in self.state_tags],
-            "boundary_tag": _tag_to_json(self.boundary_tag),
-            "log_likelihood": self.log_likelihood,
-            "path_log_prob": self.path_log_prob,
-            "trace": list(self.trace),
-        }
-
-
-def _tag_to_json(tag):
-    if isinstance(tag, tuple):
-        return [_tag_to_json(t) for t in tag]
-    return tag
+        return jsonable(self)
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,12 @@ from .core import (
     RhythmScore,
     integral,
     json_field,
+    json_list,
+    json_object,
+    read_json,
     score_from_metrical,
     to_note_values,
+    write_json,
 )
 
 ROW_TOL = 1e-9
@@ -77,7 +81,6 @@ __all__ = [
     "division_parts",
     "pattern_vocabulary",
     "pattern_table_bytes",
-    "pattern_index",
     "build_state_space",
     "params_to_dict",
     "params_from_dict",
@@ -176,18 +179,6 @@ def pattern_vocabulary(bar_length: int = DEFAULT_BAR_LENGTH) -> tuple[tuple[int,
     for mask in range(1, 1 << bar_length):
         vocab.append(tuple(p for p in range(bar_length) if mask >> p & 1))
     return tuple(vocab)
-
-
-def pattern_index(positions, bar_length: int = DEFAULT_BAR_LENGTH) -> int:
-    """Index of a pattern in the canonical vocabulary."""
-    mask = 0
-    for p in positions:
-        if not 0 <= p < bar_length:
-            raise ValueError(f"position {p} outside [0, {bar_length})")
-        mask |= 1 << int(p)
-    if mask == 0:
-        raise ValueError("empty pattern")
-    return mask - 1
 
 
 def division_parts(bar_length: int = DEFAULT_BAR_LENGTH) -> tuple:
@@ -442,9 +433,10 @@ def params_from_dict(data: dict) -> ModelParams:
     fam = json_field(data, "family", where)
     nb = integral(json_field(data, "bar_length", where), "bar_length")
     order = integral(json_field(data, "order", where), "order")
-    patterns = None
-    if data.get("patterns") is not None:
-        patterns = tuple(tuple(p) for p in data["patterns"])  # checked by ModelParams
+    patterns = data.get("patterns")
+    if patterns is not None or fam == "pat":
+        patterns = tuple(tuple(json_list(p, f"{where} pattern"))  # checked by ModelParams
+                         for p in json_list(patterns, f"{where} patterns"))
     k = len(patterns) if fam == "pat" else nb
     json_field(data, "initial", where)  # the one table every model has
     shapes = _Layout.table_shapes(nb, k)
@@ -453,7 +445,7 @@ def params_from_dict(data: dict) -> ModelParams:
         if name not in data:
             continue
         table = tables[name] = np.zeros(shapes[name])
-        for key, p in data[name].items():
+        for key, p in json_object(data[name], f"{where} {name}").items():
             labels = key.split("->")
             if len(labels) != table.ndim:
                 raise ValueError(f"{where}: {name} key {key!r} needs {table.ndim} "
@@ -461,29 +453,25 @@ def params_from_dict(data: dict) -> ModelParams:
             table[tuple(_symbol_from_label(fam, label) for label in labels)] = p
     if "shift" in data:
         shift = tables["shift_probs"] = np.zeros(2 * nb - 1)
-        for label, p in data["shift"].items():
+        for label, p in json_object(data["shift"], f"{where} shift").items():
             shift[int(label.split(":")[1]) + nb - 1] = p
     if "division" in data:
         rows = []
         for r, divs in enumerate(division_parts(nb), start=1):
             entries = json_field(data["division"], f"r:{r}", f"{where} division")
-            rows.append(np.array([entries[_division_label(parts)] for parts in divs], dtype=float))
+            rows.append(np.array([json_field(entries, _division_label(parts),
+                                             f"{where} division r:{r}") for parts in divs],
+                                 dtype=float))
         tables["division_probs"] = tuple(rows)
     return ModelParams(fam, order, nb, patterns=patterns, **tables)
 
 
 def save_params(params: ModelParams, path) -> None:
-    from pathlib import Path
-    import json
-
-    Path(path).write_text(json.dumps(params_to_dict(params), indent=1, sort_keys=True) + "\n")
+    write_json(path, params_to_dict(params))
 
 
 def load_params(path) -> ModelParams:
-    from pathlib import Path
-    import json
-
-    return params_from_dict(json.loads(Path(path).read_text()))
+    return params_from_dict(read_json(path))
 
 
 def _filled_params(config: ModelConfig, patterns, fill) -> ModelParams:

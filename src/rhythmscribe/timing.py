@@ -9,13 +9,12 @@ note value the transition produces.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_BAR_LENGTH, RhythmScore, integral, json_field, to_note_values
+from .core import (DEFAULT_BAR_LENGTH, RhythmScore, integral, json_field, json_list, json_numbers,
+                   read_json, to_note_values, write_json)
 from .models import LatentStateSpace
 
 DEFAULT_MIN_DURATION = 1e-3  # seconds; Gaussian draws below this are redrawn
@@ -124,17 +123,20 @@ class PerformedCorpus:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerformedCorpus":
-        items = json_field(data, "items", "performances")
+        items = json_list(json_field(data, "items", "performances"), "performance items")
         nb = integral(data.get("bar_length", DEFAULT_BAR_LENGTH), "bar_length")
         perfs, ids, sources = [], [], []
         for item in items:
             onsets = json_field(item, "onsets_sec", "performance item")
-            perfs.append(
-                Performance(tuple(float(t) for t in onsets), redraws=int(item.get("redraws", 0)))
-            )
             ids.append(str(json_field(item, "id", "performance item")))
+            where = f"performance {ids[-1]}"
+            perfs.append(Performance(
+                tuple(float(t) for t in json_numbers(onsets, f"{where} onsets_sec")),
+                redraws=integral(item.get("redraws", 0), f"{where} redraws"),
+            ))
             so = item.get("score_onsets")
-            sources.append(None if so is None else RhythmScore(tuple(so), nb))
+            sources.append(None if so is None else
+                           RhythmScore(tuple(json_list(so, f"{where} score_onsets")), nb))
         return cls(
             performances=tuple(perfs),
             ids=tuple(ids),
@@ -145,11 +147,11 @@ class PerformedCorpus:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "PerformedCorpus":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 def duration_log_density(note_value, duration_sec, tp: TimingParams):

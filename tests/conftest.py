@@ -176,6 +176,19 @@ def total_variation(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+def assert_json_native(data):
+    """`data` holds only dicts with str keys, lists, str, int, float, bool and None."""
+    if isinstance(data, dict):
+        assert all(type(key) is str for key in data), list(data)
+        for value in data.values():
+            assert_json_native(value)
+    elif isinstance(data, list):
+        for value in data:
+            assert_json_native(value)
+    else:
+        assert data is None or type(data) in (str, int, float, bool), (type(data), data)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

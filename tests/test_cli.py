@@ -78,6 +78,25 @@ class TestPrepare:
         assert err == ["error: bar_length must be >= 1, got 0"]
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        ('[{"id": "a", "onsets": ["x", 2, 4]}]',
+         "piece a onsets: expected finite numbers, got 'x'"),
+        ('[{"id": "a", "onsets": null}]', "piece a onsets: expected a JSON list, got NoneType"),
+        ('[{"id": "a", "onsets": [0, 2, Infinity]}]', "piece a onsets: expected finite numbers"),
+        ('[{"id": "a", "onsets": [0, NaN, 4]}]', "piece a onsets: expected finite numbers"),
+        ('{"pieces": 5}', "pieces: expected a JSON list, got int"),
+        ('[{"id": "a", "onsets": [0, 2, 1e300]}]',
+         "piece a: its long rests would insert over 1048576 bar-start onsets"),
+        ('[{"id": "a", "onsets": [0, 2', "not JSON"),
+    ])
+    def test_malformed_input_is_one_error_line(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_text(raw)
+        assert run("prepare", path, "--out", tmp_path / "o.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not (tmp_path / "o.json").exists()
+
     def test_empty_input_fails(self, tmp_path):
         raw = tmp_path / "raw.json"
         raw.write_text(json.dumps([{"id": "w", "onsets": [0, 2], "meter": "3/4"}]))
@@ -210,6 +229,32 @@ class TestTranscribeAndEval:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
 
+    @pytest.mark.parametrize("command, data, message", [
+        ("train", {"pieces": 5}, "corpus pieces: expected a JSON list, got int"),
+        ("transcribe", {"items": 5}, "performance items: expected a JSON list, got int"),
+        ("config", ["epsilon", 0.5], "expected a JSON object, got list"),
+        ("eval", {"initial": [1.0]}, "model parameters initial: expected a JSON object, got list"),
+    ])
+    def test_malformed_structure_is_one_error_line(self, pipeline, tmp_path, capsys,
+                                                   command, data, message):
+        bad = tmp_path / "bad.json"
+        if command == "eval":
+            data = {**json.loads(pipeline["params"].read_text()), **data}
+        bad.write_text(json.dumps(data))
+        argv = {
+            "train": ("train", "--corpus", bad, "--model", "metmm1"),
+            "transcribe": ("transcribe", "--performances", bad, "--model", "metmm1",
+                           "--params", pipeline["params"]),
+            "config": ("train", "--corpus", pipeline["corpus"], "--model", "metmm1",
+                       "--config", bad),
+            "eval": ("eval", "--params", bad, "--corpus", pipeline["corpus"], "--model", "metmm1"),
+        }[command]
+        out = tmp_path / "x.json"
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not out.exists()
+
     def test_eval_of_an_empty_corpus_is_one_error_line(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"bar_length": 8, "pieces": []}))
@@ -315,6 +360,31 @@ class TestStudyAndBench:
         for report in a["models"] + b["models"]:
             report.pop("runtime_seconds")
         assert a == b
+
+
+def test_every_artifact_is_canonical_json(pipeline, tmp_path):
+    # the rest of the seeded pipeline, through every writer the CLI has
+    p = pipeline
+    steps = [
+        ("synth", "--corpus", p["corpus"], "--seed", 1, "--tempo-bpm", 144, "--sigma-t", 0.03,
+         "--out", p["perf"]),
+        ("transcribe", "--performances", p["perf"], "--model", "metmm1b", "--params",
+         p["params"], "--iterations", 2, "--seed", 2, "--out", p["trans"]),
+        ("eval", "--transcriptions", p["trans"], "--truth", p["corpus"], "--out", p["report"]),
+        ("eval", "--params", p["params"], "--corpus", p["corpus"], "--model", "metmm1",
+         "--out", tmp_path / "ce.json"),
+        ("study-sparseness", "--corpus", p["corpus"], "--model", "metmm1", "--params",
+         p["params"], "--seed", 3, "--n-samples", 5, "--out", tmp_path / "study.json"),
+        ("bench", "--corpus", p["corpus"], "--models", "metmm1", "--iterations", 2,
+         "--out", tmp_path / "bench.json"),
+    ]
+    for argv in steps:
+        assert run(*argv) == 0, argv
+    written = sorted(set(tmp_path.glob("*.json")) - {p["raw"]})
+    assert len(written) == 8
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", path.name
 
 
 class TestBeamWidthFlag:

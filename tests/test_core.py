@@ -1,19 +1,25 @@
 """Rhythm encodings, pattern segmentation, and corpus normalization."""
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from rhythmscribe import core
 from rhythmscribe.core import (
+    INSERTED_ONSET_BUDGET,
     Corpus,
     NotePattern,
     RhythmScore,
     interval,
+    jsonable,
     normalize_corpus,
+    read_json,
     score_from_metrical,
     segment_patterns,
     to_metrical,
     to_note_values,
+    write_json,
 )
 
 
@@ -158,6 +164,36 @@ class TestNormalize:
         with pytest.raises(ValueError, match=message):
             normalize_corpus([{"id": "x", "onsets": [0, 2, 4]}], bar_length=bar_length)
 
+    @pytest.mark.parametrize("onsets, message", [
+        (["x", 2, 4], "piece a onsets: expected finite numbers, got 'x'"),
+        ([0, None, 4], "piece a onsets: expected finite numbers, got None"),
+        ([0, 2, float("inf")], "piece a onsets: expected finite numbers, got inf"),
+        ([0, float("nan")], "piece a onsets: expected finite numbers, got nan"),
+        ([0, True], "piece a onsets: expected finite numbers, got True"),
+        (None, "piece a onsets: expected a JSON list, got NoneType"),
+        (5, "piece a onsets: expected a JSON list, got int"),
+    ])
+    def test_malformed_onsets_name_the_piece(self, onsets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            normalize_corpus([{"id": "a", "onsets": onsets}])
+
+    def test_inserts_up_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "INSERTED_ONSET_BUDGET", 4)
+        # bar starts 8, 16, 24 and 32 lie inside the rest from 2 to 33
+        corpus, report = normalize_corpus([{"id": "a", "onsets": [0, 2, 33]}])
+        assert corpus.pieces[0].onsets == (0, 2, 8, 16, 24, 32, 33)
+        assert report.inserted_onsets == 4
+        with pytest.raises(ValueError, match="piece a: its long rests would insert over 4 "):
+            normalize_corpus([{"id": "a", "onsets": [0, 2, 41]}])
+
+    @pytest.mark.parametrize("last", [8 * (INSERTED_ONSET_BUDGET + 1) + 1, 1e300])
+    def test_a_rest_over_the_budget_is_refused_before_any_insert(self, last):
+        # the rest from 2 to `last` covers one bar start more than the budget;
+        # 1e300 covers about 1e299, which used to run without bound
+        with pytest.raises(ValueError, match="piece big: its long rests would insert over "
+                                             f"{INSERTED_ONSET_BUDGET} bar-start onsets"):
+            normalize_corpus([{"id": "big", "onsets": [0, 2, last]}])
+
     def test_non_quadruple_meter_dropped(self):
         corpus, report = normalize_corpus(
             [{"id": "w", "onsets": [0, 2, 4], "meter": "3/4"},
@@ -214,6 +250,16 @@ class TestCorpus:
         assert data["bar_length"] == 8
         assert data["pieces"][0]["id"] == "a"
 
+    @pytest.mark.parametrize("data, message", [
+        ({"pieces": 5}, "corpus pieces: expected a JSON list, got int"),
+        ({"pieces": [{"id": "a", "onsets": None}]},
+         "corpus piece onsets: expected a JSON list, got NoneType"),
+        ({"pieces": [{"id": "a", "onsets": [0, "x"]}]}, "onset must be an integer, got 'x'"),
+    ])
+    def test_malformed_structure_names_the_field(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Corpus.from_dict(data)
+
     def test_mismatched_bar_length_rejected(self):
         with pytest.raises(ValueError):
             Corpus(pieces=(RhythmScore((0, 2), bar_length=4),), ids=("a",), bar_length=8)
@@ -233,3 +279,32 @@ class TestCorpus:
             Corpus((), (), bar_length=0)
         corpus = Corpus((RhythmScore((0, 2), bar_length=8.0),), ("a",), bar_length=8.0)
         assert type(corpus.bar_length) is int
+
+
+class TestJsonCodec:
+    def test_jsonable_keeps_only_json_types(self):
+        @dataclass
+        class Row:
+            name: str
+            values: np.ndarray
+            tags: tuple
+
+        row = Row("r", np.array([0.5, 1.0]), ((np.int64(3), None), True))
+        got = jsonable({"row": row, "n": np.int64(2), "x": np.float64(0.1), "b": np.bool_(True)})
+        assert got == {"row": {"name": "r", "values": [0.5, 1.0], "tags": [[3, None], True]},
+                       "n": 2, "x": 0.1, "b": True}
+        assert type(got["n"]) is int and type(got["x"]) is float and type(got["b"]) is bool
+        assert type(got["row"]["tags"][0][0]) is int
+
+    def test_write_json_is_canonical_and_read_json_inverts_it(self, tmp_path):
+        path = tmp_path / "a.json"
+        obj = {"b": [1, 2.5], "a": {"z": None, "y": "s"}}
+        write_json(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+        assert read_json(path) == obj
+
+    def test_read_json_names_a_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="bad.json: not JSON: "):
+            read_json(path)

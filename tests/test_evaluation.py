@@ -27,6 +27,8 @@ from rhythmscribe.models import (
 from rhythmscribe.timing import TimingParams
 from rhythmscribe.training import SmoothingConfig, assemble_hyperparams, estimate_params
 
+from conftest import assert_json_native
+
 
 class TestEntropies:
     def test_distribution_entropy(self):
@@ -159,6 +161,7 @@ class TestSparsenessStudy:
         assert study.generic_entropy_rate > 0
         d = study.to_dict()
         assert d["family"] == "note" and len(d["piece_symbol_entropy"]) == 6
+        assert_json_native(d)
 
     def test_dirichlet_entropy_decreases_with_alpha(self, rng):
         corpus = repetitive_corpus()
@@ -289,6 +292,7 @@ class TestBenchmark:
         assert d["model"] == "m"
         assert set(d["per_piece_error"]) == set(corpus.ids)
         assert d["runtime_seconds"] >= 0
+        assert_json_native(d)
 
     def test_empty_seeds_rejected(self, rng):
         cfg, params, corpus = self._setup(rng)

@@ -26,6 +26,7 @@ from rhythmscribe.timing import TimingParams, TranscriptionHmm, synthesize
 from rhythmscribe.core import RhythmScore
 
 from conftest import (
+    assert_json_native,
     edge_id,
     enumerate_paths,
     oracle_argmax,
@@ -491,6 +492,20 @@ class TestTranscribe:
         assert data["model"] == "metmm1sd"
         assert all(isinstance(v, int) for v in data["note_values"])
         assert isinstance(data["state_tags"][0], list)
+
+    def test_order_2_result_serializes_to_json_types_only(self, rng):
+        cfg = ModelConfig.from_name("notemm2b")
+        tp = TimingParams.from_bpm(144.0, 0.02)
+        perf = synthesize(RhythmScore((0, 2, 4, 8, 10, 12)), tp, rng)
+        hp = Hyperparams(base=random_params(cfg.plain(), rng))
+        result = transcribe(cfg, hp, perf, tp, GibbsConfig(iterations=2, seed=1))
+        data = result.to_dict()
+        assert_json_native(data)
+        # an order-2 tag holds the note value before the first one as None
+        assert data["state_tags"][0][0] is None
+        assert data["trace"] == list(result.trace) and len(data["trace"]) == 3
+        assert set(data) == {"model", "note_values", "onsets", "state_tags", "boundary_tag",
+                             "log_likelihood", "path_log_prob", "trace"}
 
     def test_gibbs_config_rejects_non_integral_values(self):
         for kwargs in ({"iterations": 2.5}, {"beam_width": 7.5}, {"seed": 0.5},

@@ -17,7 +17,6 @@ from rhythmscribe.models import (
     load_params,
     params_from_dict,
     params_to_dict,
-    pattern_index,
     pattern_table_bytes,
     pattern_vocabulary,
     random_params,
@@ -91,10 +90,10 @@ class TestVocabularyAndCatalog:
         assert len(pattern_vocabulary(8)) == 255
         assert len(pattern_vocabulary(3)) == 7
 
-    def test_pattern_index_inverts_vocabulary(self):
-        vocab = pattern_vocabulary(8)
-        for k in (0, 17, 101, 254):
-            assert pattern_index(vocab[k], 8) == k
+    def test_pattern_k_holds_the_set_bits_of_k_plus_1(self):
+        for bar_length in (1, 3, 8):
+            for k, pattern in enumerate(pattern_vocabulary(bar_length)):
+                assert pattern == tuple(p for p in range(bar_length) if (k + 1) >> p & 1)
 
     def test_catalog_worked_examples(self):
         parts = division_parts(8)
@@ -588,6 +587,26 @@ class TestParamsSerialization:
         data = params_to_dict(random_params(ModelConfig.from_name("metmm1"), rng))
         data[key] = 8.5
         with pytest.raises(ValueError, match=key):
+            params_from_dict(data)
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("metmm1", {"initial": [0.5, 0.5]},
+         "model parameters initial: expected a JSON object, got list"),
+        ("metmm1s", {"shift": [1.0]}, "model parameters shift: expected a JSON object, got list"),
+        ("metmm1d", {"division": {"r:1": 1.0}},
+         "model parameters division r:1: expected a JSON object, got float"),
+        ("metmm1d", {"division": {"r:1": {}}},
+         "model parameters division r:1: missing field '(1)'"),
+        ("patmm1", {"patterns": 5}, "model parameters patterns: expected a JSON list, got int"),
+        ("patmm1", {"patterns": None},
+         "model parameters patterns: expected a JSON list, got NoneType"),
+        ("patmm1", {"patterns": [[0], 3]},
+         "model parameters pattern: expected a JSON list, got int"),
+    ])
+    def test_malformed_structure_names_the_field(self, name, edit, message, rng):
+        cfg = ModelConfig.from_name(name, bar_length=4)
+        data = {**params_to_dict(random_params(cfg, rng)), **edit}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             params_from_dict(data)
 
     def test_non_integral_pattern_position_rejected(self, rng):

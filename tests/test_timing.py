@@ -177,6 +177,21 @@ class TestPerformanceTypes:
         with pytest.raises(ValueError, match="'items'"):
             PerformedCorpus.from_dict({"bar_length": 8})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"items": 5}, "performance items: expected a JSON list, got int"),
+        ({"items": [{"id": "a", "onsets_sec": None}]},
+         "performance a onsets_sec: expected a JSON list, got NoneType"),
+        ({"items": [{"id": "a", "onsets_sec": [0.0, "x"]}]},
+         "performance a onsets_sec: expected finite numbers, got 'x'"),
+        ({"items": [{"id": "a", "onsets_sec": [0.0, 0.5], "score_onsets": 5}]},
+         "performance a score_onsets: expected a JSON list, got int"),
+        ({"items": [{"id": "a", "onsets_sec": [0.0, 0.5], "redraws": None}]},
+         "performance a redraws must be an integer, got None"),
+    ])
+    def test_malformed_structure_names_the_field(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PerformedCorpus.from_dict(data)
+
     def test_non_integral_bar_length_rejected(self):
         data = {"bar_length": 8.5, "items": [{"id": "a", "onsets_sec": [0.0, 0.5]}]}
         with pytest.raises(ValueError, match="bar_length"):

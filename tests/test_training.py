@@ -7,7 +7,6 @@ from rhythmscribe.models import (
     ModelConfig,
     build_state_space,
     division_parts,
-    pattern_index,
     pattern_vocabulary,
 )
 from rhythmscribe.training import (
@@ -93,9 +92,8 @@ class TestEstimation:
     def test_pattern_vocabulary_is_full_by_default(self):
         corpus = corpus_of((0, 4, 8))
         params = estimate_params(corpus, ModelConfig.from_name("patmm1"))
-        assert len(params.patterns) == 255
-        k = pattern_index((0, 4), 8)
-        assert params.patterns[k] == (0, 4)
+        assert params.patterns == pattern_vocabulary(8)
+        k = params.patterns.index((0, 4))
         assert params.initial[k] > 1 / 255  # observed pattern outweighs smoothing
 
     def test_estimated_params_build_spaces(self):
@@ -143,7 +141,7 @@ class TestSymbolSequences:
 
     def test_canonical_vocabulary_indexes_every_bar(self):
         (seq,) = _symbol_sequences([self.SCORE], "pat", pattern_vocabulary(8))
-        assert seq.tolist() == [pattern_index(bar) for bar in self.BARS]
+        assert seq.tolist() == [pattern_vocabulary(8).index(bar) for bar in self.BARS]
 
     def test_last_bar_takes_the_first_pattern_it_begins(self):
         vocabulary = ((0,), (0, 4), (0, 2, 4, 6), (0, 2))
