@@ -296,14 +296,14 @@ class TestJsonCodec:
         assert type(got["n"]) is int and type(got["x"]) is float and type(got["b"]) is bool
         assert type(got["row"]["tags"][0][0]) is int
 
-    def test_write_json_is_canonical_and_read_json_inverts_it(self, tmp_path):
+    def test_writes_canonical_text_that_reads_back(self, tmp_path):
         path = tmp_path / "a.json"
         obj = {"b": [1, 2.5], "a": {"z": None, "y": "s"}}
         write_json(path, obj)
         assert path.read_text() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
         assert read_json(path) == obj
 
-    def test_read_json_names_a_file_that_is_not_json(self, tmp_path):
+    def test_a_file_that_is_not_json_is_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="bad.json: not JSON: "):
