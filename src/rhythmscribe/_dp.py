@@ -120,18 +120,24 @@ class EdgeSet:
 
     Stored sorted by (dst, src) so per-destination reductions are contiguous
     and ties resolve toward the lowest source index.  A src-sorted view (for
-    out-edge steps and generative sampling) and per-output-value transition
-    matrices (for the scaled kernels) are built lazily; the structure behind
-    both is shared with every `reweighted` copy.
+    out-edge steps and generative sampling), per-output-value transition
+    matrices (for the scaled forward kernel) and the rows of the backward
+    kernel, one per class of sources with identical out-edges (see
+    `row_classes`), are built lazily; the structure behind them is shared
+    with every `reweighted` copy.
     """
 
-    def __init__(self, src, dst, logp, out, n_src: int, n_dst: int):
+    def __init__(self, src, dst, logp, out, n_src: int, n_dst: int, slot=None):
         """Edges from int64/float64 arrays already in (dst, src) order,
-        used as given, not copied."""
+        used as given, not copied.  `slot` is the parameter slot that each
+        edge's weight reads: sources whose out-edges match in (dst, out,
+        slot) weigh alike under any parameters.  Without it every source is
+        a class of its own."""
         self.src = src
         self.dst = dst
         self.logp = logp
         self.out = out
+        self.slot = slot
         self.n_src = int(n_src)
         self.n_dst = int(n_dst)
         self.n_edges = len(self.src)
@@ -142,7 +148,9 @@ class EdgeSet:
         self._starts = self.dst_indptr[self._rows]
         self._seg_counts = counts[self._rows]
         self._structure = {}  # lazy views of src/dst/out, shared by reweighted copies
+        self._origin = None  # (edges, kept sources) whose classes these derive from
         self._by_value = None
+        self._class_rows = None
         self._log_kappa = None
 
     def reweighted(self, logp) -> "EdgeSet":
@@ -150,7 +158,21 @@ class EdgeSet:
         edges = copy.copy(self)
         edges.logp = logp
         edges._by_value = None
+        edges._class_rows = None
         edges._log_kappa = None
+        return edges
+
+    def subset(self, src, dst, logp, out, n_src: int, n_dst: int, kept_src) -> "EdgeSet":
+        """Some of these edges, renumbered, whose row classes derive from
+        this set's (see `row_classes`) on first use.
+
+        The sources kept are those of the mask `kept_src` (None for all),
+        in order, and the rule that kept the edges must keep or drop alike
+        the edges of one (dst, out, slot) in every row: then members of a
+        class stay members of one.
+        """
+        edges = EdgeSet(src, dst, logp, out, n_src, n_dst)
+        edges._origin = (self, kept_src)
         return edges
 
     def src_view(self):
@@ -182,22 +204,27 @@ class EdgeSet:
             view = self._structure["src_view"] = (order, indptr)
         return view
 
-    def _value_layout(self):
-        """``(n_values, order, indices, indptr)`` of `by_value`'s matrix:
-        edge ids in (out, dst, src) order, their sources, and row pointers."""
-        layout = self._structure.get("by_value")
-        if layout is None:
-            n_values = int(self.out.max()) if self.n_edges else 0
-            # (out, dst, src) order; a stable sort of small ints is a radix sort
-            order = np.argsort(self.out.astype(np.min_scalar_type(n_values)), kind="stable")
-            rows = self.out - 1
-            rows *= self.n_dst
-            rows += self.dst
-            indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
-            del rows
-            layout = self._structure["by_value"] = (n_values, order, self.src[order], indptr)
-        return layout
+    def row_classes(self):
+        """``(cls, reps)``: the class of each source state, and each
+        class's representative, its lowest-index member.
+
+        The members of a class have out-edges of the same (dst, out, slot)
+        in (src, dst) order, so they get the same weights, row sums and
+        backward values under any parameters.  Found once per structure,
+        on first use (see `_row_classes`), or derived from those of the set
+        this one is a `subset` of.
+        """
+        classes = self._structure.get("row_classes")
+        if classes is None:
+            if self._origin is not None:
+                origin, kept_src = self._origin
+                classes = _kept_classes(*origin.row_classes(), kept_src)
+            elif self.slot is None:
+                classes = (np.arange(self.n_src), np.arange(self.n_src))
+            else:
+                classes = _row_classes(self)
+            self._structure["row_classes"] = classes
+        return classes
 
     def by_value(self):
         """(n_values, A): edge probabilities grouped by output value.
@@ -208,7 +235,19 @@ class EdgeSet:
         produce v.  One product ``A @ x`` thus yields every ``A_v @ x``.
         """
         if self._by_value is None:
-            n_values, order, indices, indptr = self._value_layout()
+            layout = self._structure.get("by_value")
+            if layout is None:
+                n_values = int(self.out.max()) if self.n_edges else 0
+                # (out, dst, src) order; a stable sort of small ints is a radix sort
+                order = np.argsort(self.out.astype(np.min_scalar_type(n_values)), kind="stable")
+                rows = self.out - 1
+                rows *= self.n_dst
+                rows += self.dst
+                indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
+                np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
+                del rows
+                layout = (n_values, order, self.src[order], indptr)
+            n_values, order, indices, indptr = layout
             data = self.logp[order]
             mat = sparse.csr_matrix(
                 (np.exp(data, out=data), indices, indptr),
@@ -220,18 +259,57 @@ class EdgeSet:
             self._by_value = (n_values, mat)
         return self._by_value
 
+    def class_rows(self):
+        """``(n_values, with_edges, cls, C)``: the backward kernel's rows.
+
+        Row k of the CSR matrix `C`, of shape ``(n_classes, n_values *
+        n_dst)``, is the column of `by_value`'s `A` of class k's
+        representative (see `row_classes`): its out-edges' probabilities in
+        ascending columns ``(v-1) * n_dst + d``, so ``(C @ y)[cls]`` is ``A^T
+        @ y`` with the same sums in the same order.  ``cls`` maps each
+        source to its class, and ``with_edges[v-1]`` says whether some edge
+        produces v.  The edge order of the rows is kept with the structure,
+        so a reweighted copy only exponentiates its representatives'
+        weights.
+        """
+        if self._class_rows is None:
+            layout = self._structure.get("class_rows")
+            if layout is None:
+                layout = _class_layout(self)
+            n_values, with_edges, cls, order, indices, indptr = layout
+            data = self.logp[order]
+            mat = sparse.csr_matrix((np.exp(data, out=data), indices, indptr),
+                                    shape=(indptr.size - 1, n_values * self.n_dst))
+            self._structure["class_rows"] = (n_values, with_edges, cls, order,
+                                             mat.indices, mat.indptr)
+            self._class_rows = (n_values, with_edges, cls, mat)
+        return self._class_rows
+
     def log_kappa(self) -> np.ndarray:
         """Per output value v, the log of the largest column sum of its block
         `A_v` of `by_value`: the most probability that one source sends along
-        edges producing v (-inf for a value without edges)."""
+        edges producing v (-inf for a value without edges).
+
+        Read off `by_value`'s matrix when a forward pass has built it, else
+        off `class_rows`, so that a decode allocates nothing per edge.
+        Both add each source's entries of a value in ascending destinations,
+        so the two agree to the bit.
+        """
         if self._log_kappa is None:
-            n_values, order, indices, indptr = self._value_layout()
-            p = self._by_value[1].data if self._by_value else np.exp(self.logp[order])
-            blocks = indptr[:: self.n_dst].tolist()  # where each value's entries begin
-            kappa = np.zeros(n_values)
-            for v, (a, b) in enumerate(zip(blocks[:-1], blocks[1:])):
-                if b > a:
-                    kappa[v] = np.bincount(indices[a:b], weights=p[a:b]).max()
+            if self._by_value is not None:
+                n_values, mat = self._by_value
+                blocks = mat.indptr[:: self.n_dst].tolist()  # where each value's entries begin
+                kappa = np.zeros(n_values)
+                for v, (a, b) in enumerate(zip(blocks[:-1], blocks[1:])):
+                    if b > a:
+                        kappa[v] = np.bincount(mat.indices[a:b], weights=mat.data[a:b]).max()
+            else:
+                n_values, _, _, mat = self.class_rows()
+                n_classes = mat.shape[0]
+                key = np.repeat(np.arange(n_classes) * n_values, np.diff(mat.indptr))
+                key += mat.indices // self.n_dst
+                sums = np.bincount(key, weights=mat.data, minlength=n_classes * n_values)
+                kappa = sums.reshape(n_classes, n_values).max(axis=0, initial=0.0)
             with np.errstate(divide="ignore"):
                 self._log_kappa = np.log(kappa)
         return self._log_kappa
@@ -260,6 +338,115 @@ class EdgeSet:
         scores += self.logp[eids]
         scores += np.take(em_by_out, self.out[eids], out=tmp, mode="clip")
         return scores
+
+
+def _mixed(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer (Steele, Lea and Flood 2014), in place on a
+    uint64 array, whose products wrap without a warning: sums of mixed
+    tokens rarely collide."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _row_tokens(edges: EdgeSet, order) -> np.ndarray | None:
+    """Each edge's (dst, out, slot) as one int64, in the (src, dst) order
+    `order` of `EdgeSet.src_view`; None when the packed tokens could
+    overflow."""
+    n_values = int(edges.out.max(initial=0)) + 1
+    if (int(edges.slot.max(initial=0)) + 1) * n_values * edges.n_dst >= 2**63:
+        return None
+    tokens = edges.slot * n_values
+    tokens += edges.out
+    tokens *= edges.n_dst
+    tokens += edges.dst
+    return tokens[order]  # one gather rather than one per field
+
+
+def _row_hashes(tokens: np.ndarray, indptr) -> np.ndarray:
+    """A uint64 hash per row of `tokens`, rows as in `EdgeSet.src_view`,
+    free of the tokens' order: the wrapped sum of the mixed tokens, and the
+    mixed out-degree."""
+    degree = np.diff(indptr)
+    hashes = _mixed(degree.astype(np.uint64))
+    rows = np.flatnonzero(degree)
+    if rows.size:
+        hashes[rows] += np.add.reduceat(_mixed(tokens.astype(np.uint64)), indptr[rows])
+    return hashes
+
+
+def _row_classes(edges: EdgeSet):
+    """``(cls, reps)`` of `EdgeSet.row_classes`, found exactly.
+
+    Sources of equal `_row_hashes` are grouped, and each is checked edge by
+    edge against its group's lowest-index source; one that differs becomes
+    a class of its own, so a collision splits a class but never merges two.
+    """
+    every = np.arange(edges.n_src)
+    order, indptr = edges.src_view()
+    tokens = _row_tokens(edges, order)
+    if tokens is None:
+        return every, every
+    degree = np.diff(indptr)
+    _, first, group = np.unique(_row_hashes(tokens, indptr),
+                                return_index=True, return_inverse=True)
+    rep = first[group]  # the group's lowest-index source
+    alone = rep != every
+    members = np.flatnonzero(alone & (degree == degree[rep]))
+    counts = degree[members]
+    at = _concat_ranges(indptr[members], counts)
+    theirs = tokens[at]
+    at += np.repeat(indptr[rep[members]] - indptr[members], counts)
+    differs = theirs != tokens[at]
+    del at, theirs, tokens
+    same = np.ones(members.size, dtype=bool)
+    rows = np.flatnonzero(counts)
+    if rows.size:
+        same[rows] = ~np.logical_or.reduceat(differs, (np.cumsum(counts) - counts)[rows])
+    alone[members[same]] = False
+    rep[alone] = every[alone]
+    is_rep = rep == every
+    cls = np.cumsum(is_rep) - 1
+    return cls[rep], every[is_rep]
+
+
+def _kept_classes(cls, reps, kept_src):
+    """The `EdgeSet.row_classes` of an `EdgeSet.subset` whose sources are
+    those of the mask `kept_src` (None for all), from the classes
+    ``(cls, reps)`` of the set it was taken from: each kept source stays in
+    its class, classes with no kept member go, and each class's
+    representative is its first kept member."""
+    if kept_src is None:
+        return cls, reps
+    _, reps, cls = np.unique(cls[kept_src], return_index=True, return_inverse=True)
+    return cls, reps
+
+
+def _class_layout(edges: EdgeSet):
+    """``(n_values, with_edges, cls, order, indices, indptr)`` of
+    `EdgeSet.class_rows`'s matrix: the edge ids of its entries, their
+    columns ``(v-1) * n_dst + d``, and row pointers."""
+    cls, reps = edges.row_classes()
+    n_values = int(edges.out.max()) if edges.n_edges else 0
+    with_edges = np.bincount(edges.out, minlength=n_values + 1)[1:] > 0
+    src_order, src_indptr = edges.src_view()
+    starts = src_indptr[reps]
+    counts = src_indptr[reps + 1] - starts
+    order = src_order[_concat_ranges(starts, counts)]
+    cols = edges.out[order] - 1
+    cols *= edges.n_dst
+    cols += edges.dst[order]
+    # within a row, ascending columns; the same column keeps edge order
+    key = np.repeat(np.arange(reps.size) * (n_values * edges.n_dst), counts)
+    key += cols
+    by_column = np.argsort(key, kind="stable")
+    del key
+    indptr = np.zeros(reps.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return n_values, with_edges, cls, order[by_column], cols[by_column], indptr
 
 
 def _effective_width(width: int | None, space, n_init: int) -> int | None:
@@ -500,13 +687,14 @@ def _scaled_forward(space, em, init, keep_table=True):
                 table.append(np.log(x) + log_scale)
             edges = space.trans
     for edges, lo, hi in _step_edges(space, n_steps):
-        n_values, mat_t, with_edges = _transposed(edges)
+        n_values, mat = edges.by_value()
+        with_edges = np.diff(mat.indptr[:: edges.n_dst]) > 0
         # the products and sums of A @ x and of w @ z, and the division by
         # s, each weighed at most by the largest emission of a value with
         # edges: A @ x loses its underflowed products before they are
         # weighed by exp(em[n, v]), also for a value that no current state
         # produced, which may lie above c
-        log_step = np.log(mat_t.nnz + (2 * n_values + 1) * edges.n_dst) + LOG_UNDERFLOW
+        log_step = np.log(mat.nnz + (2 * n_values + 1) * edges.n_dst) + LOG_UNDERFLOW
         top = np.max(em[lo:hi, :n_values][:, with_edges], axis=1)
         log_loss[lo + 1:hi + 1] = log_step + top
     log_flushed, _ = _log_flushed(space, em, offsets, scales, log_loss)
@@ -728,37 +916,29 @@ def _upper_beta(space, em):
     log_beta = np.log(b)
     log_beta += log_scale
     yield em.shape[0], log_beta, NEG_INF
-    trans = _transposed(space.trans) if em.shape[0] > 1 else None
+    trans = space.trans.class_rows() if em.shape[0] > 1 else None
     for n in range(em.shape[0] - 1, -1, -1):
-        n_values, mat_t, with_edges = trans if n else _transposed(space.first)
+        n_values, with_edges, cls, mat = trans if n else space.first.class_rows()
         row = em[n, :n_values][with_edges]
         c = np.max(row) if row.size else NEG_INF
         if not np.isfinite(c):
             return
         w = np.zeros(n_values)
         w[with_edges] = np.exp(row - c)
-        u = mat_t @ (w[:, None] * b).ravel()
+        u = (mat @ (w[:, None] * b).ravel())[cls]
         s = u.sum()
         if not s > 0:
             return
         # each of at most n_values * n_dst terms of an entry of u, a
         # product p * w * b with p <= 1 and w <= 1, loses under 2^-1072 *
         # max(1, max b) to underflow
-        raise_by = max(RAISE, mat_t.shape[1] * 2.0**-1072 * max(1.0, b.max()) / s)
+        raise_by = max(RAISE, mat.shape[1] * 2.0**-1072 * max(1.0, b.max()) / s)
         b = u / s
         b += raise_by
         log_scale += c + np.log(s)
         log_beta = np.log(b)
         log_beta += log_scale
         yield n, log_beta, np.log(raise_by) + log_scale
-
-
-def _transposed(edges: EdgeSet):
-    """``(n_values, A^T, with_edges)`` for the backward kernel: `A` as in
-    `EdgeSet.by_value`, and ``with_edges[v]`` whether some edge produces
-    value v."""
-    n_values, mat = edges.by_value()
-    return n_values, mat.T, np.diff(mat.indptr[:: edges.n_dst]) > 0
 
 
 def forward(
@@ -1008,7 +1188,9 @@ def _certified_sweep(space, em, init):
     size = max(space.n_states, init.size)
     scratch = _scratch(space)
     for edges in (space.first, space.trans):
-        edges.src_view()  # built before the rows, so its sort's temporaries come first
+        # built before the rows, so that their temporaries come first
+        edges.src_view()
+        edges.class_rows()
     # the rows are made side by side before the pass: made between its
     # temporaries, they fragmented the heap and raised peak RSS by up to 4%
     beta = [np.empty(init.size)] + [np.empty(space.n_states) for _ in range(em.shape[0])]

@@ -64,12 +64,25 @@ def json_list(data, where: str) -> list:
     return data
 
 
+def _finite(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+
+
 def json_numbers(data, where: str) -> list:
     """`data` if it is a parsed JSON list of finite numbers; ValueError naming `where` if not."""
     for value in json_list(data, where):
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        if not _finite(value):
             raise ValueError(f"{where}: expected finite numbers, got {value!r}")
     return data
+
+
+def json_number(value, where: str, positive: bool = False):
+    """`value` if it is a finite JSON number, and above 0 with `positive`;
+    ValueError naming `where` if not."""
+    if not _finite(value) or (positive and not value > 0):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ValueError(f"{where}: expected {kind}, got {value!r}")
+    return value
 
 
 def json_field(data, key: str, where: str):

@@ -59,6 +59,7 @@ from .core import (
     integral,
     json_field,
     json_list,
+    json_number,
     json_object,
     read_json,
     score_from_metrical,
@@ -384,11 +385,16 @@ def _symbol_label(family: str, index: int) -> str:
     return f"{_SYMBOL_PREFIX[family]}:{index}"
 
 
-def _symbol_from_label(family: str, label: str) -> int:
-    prefix, value = label.split(":")
-    if prefix != _SYMBOL_PREFIX[family]:
-        raise ValueError(f"expected a {_SYMBOL_PREFIX[family]}: label, got {label!r}")
-    return int(value) - 1 if family == "note" else int(value)
+def _label_index(label: str, prefix: str, first: int, size: int, where: str) -> int:
+    """The index on a table axis of `size` entries that `label`,
+    ``prefix:value`` for a value from `first` on, names; ValueError naming
+    `where` and the label if it names none."""
+    head, _, value = label.partition(":")
+    index = int(value) - first if head == prefix and re.fullmatch(r"-?[0-9]+", value) else -1
+    if not 0 <= index < size:
+        raise ValueError(f"{where}: label {label!r} is not one of "
+                         f"{prefix}:{first}..{prefix}:{first + size - 1}")
+    return index
 
 
 def _division_label(parts: tuple) -> str:
@@ -445,23 +451,28 @@ def params_from_dict(data: dict) -> ModelParams:
         if name not in data:
             continue
         table = tables[name] = np.zeros(shapes[name])
+        prefix, first = _SYMBOL_PREFIX[fam], int(fam == "note")
         for key, p in json_object(data[name], f"{where} {name}").items():
             labels = key.split("->")
             if len(labels) != table.ndim:
                 raise ValueError(f"{where}: {name} key {key!r} needs {table.ndim} "
                                  f"label(s) joined by '->'")
-            table[tuple(_symbol_from_label(fam, label) for label in labels)] = p
+            index = tuple(_label_index(label, prefix, first, size, f"{where} {name}")
+                          for label, size in zip(labels, table.shape))
+            table[index] = json_number(p, f"{where} {name} {key}")
     if "shift" in data:
         shift = tables["shift_probs"] = np.zeros(2 * nb - 1)
         for label, p in json_object(data["shift"], f"{where} shift").items():
-            shift[int(label.split(":")[1]) + nb - 1] = p
+            at = _label_index(label, "s", 1 - nb, shift.size, f"{where} shift")
+            shift[at] = json_number(p, f"{where} shift {label}")
     if "division" in data:
         rows = []
         for r, divs in enumerate(division_parts(nb), start=1):
             entries = json_field(data["division"], f"r:{r}", f"{where} division")
-            rows.append(np.array([json_field(entries, _division_label(parts),
-                                             f"{where} division r:{r}") for parts in divs],
-                                 dtype=float))
+            rows.append(np.array([
+                json_number(json_field(entries, label, f"{where} division r:{r}"),
+                            f"{where} division r:{r} {label}")
+                for label in map(_division_label, divs)], dtype=float))
         tables["division_probs"] = tuple(rows)
     return ModelParams(fam, order, nb, patterns=patterns, **tables)
 
@@ -913,7 +924,7 @@ class _EdgeTopology:
         dst = key // n_src
         src = np.remainder(key, n_src, out=key)
         self.template = EdgeSet(
-            _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst)
+            _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst, self.slot)
 
     def weigh(self, theta, factor, src_map, dst_map):
         """(EdgeSet, ids of the kept edges or None when all are kept).
@@ -949,7 +960,10 @@ class _EdgeTopology:
             logp -= np.log(rowsum)[src]
         if kept is None:
             return t.reweighted(logp), None
-        return EdgeSet(src, dst, logp, out, n_src, n_dst), kept
+        # prob is theta[slot] * factor[dst], so every row keeps or drops an
+        # edge by its (dst, out, slot) alike, as `EdgeSet.subset` needs
+        return t.subset(src, dst, logp, out, n_src, n_dst,
+                        None if src_map is None else src_map[0]), kept
 
 
 def _renumbering(mask):

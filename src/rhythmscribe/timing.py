@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_BAR_LENGTH, RhythmScore, integral, json_field, json_list, json_numbers,
-                   read_json, to_note_values, write_json)
+from .core import (DEFAULT_BAR_LENGTH, RhythmScore, integral, json_field, json_list, json_number,
+                   json_numbers, read_json, to_note_values, write_json)
 from .models import LatentStateSpace
 
 DEFAULT_MIN_DURATION = 1e-3  # seconds; Gaussian draws below this are redrawn
@@ -141,10 +141,16 @@ class PerformedCorpus:
             performances=tuple(perfs),
             ids=tuple(ids),
             sources=tuple(sources),
-            tempo_bpm=data.get("tempo_bpm"),
-            sigma_t=data.get("sigma_t"),
+            tempo_bpm=cls._recorded(data, "tempo_bpm"),
+            sigma_t=cls._recorded(data, "sigma_t"),
             bar_length=nb,
         )
+
+    @staticmethod
+    def _recorded(data: dict, key: str):
+        """A timing setting the file records, a finite positive number, or None."""
+        value = data.get(key)
+        return None if value is None else json_number(value, f"performances {key}", positive=True)
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())

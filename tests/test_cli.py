@@ -255,6 +255,29 @@ class TestTranscribeAndEval:
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_file, message", [
+        ("params", "model parameters initial: label 'b:99' is not one of b:0..b:7"),
+        ("performances", "performances tempo_bpm: expected a finite positive number, got [144]"),
+    ])
+    def test_bad_table_label_or_recorded_tempo_is_one_error_line(self, pipeline, tmp_path,
+                                                                capsys, bad_file, message):
+        assert run("synth", "--corpus", pipeline["corpus"], "--seed", 1, "--tempo-bpm", 120,
+                   "--sigma-t", 0.03, "--out", pipeline["perf"]) == 0
+        files = {"params": pipeline["params"], "performances": pipeline["perf"]}
+        data = json.loads(files[bad_file].read_text())
+        if bad_file == "params":
+            data["initial"] = {**data["initial"], "b:99": 0.0}
+        else:
+            data["tempo_bpm"] = [144]
+        files[bad_file] = tmp_path / "bad.json"
+        files[bad_file].write_text(json.dumps(data))
+        out = tmp_path / "x.json"
+        assert run("transcribe", "--performances", files["performances"], "--model", "metmm1",
+                   "--params", files["params"], "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
     def test_eval_of_an_empty_corpus_is_one_error_line(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"bar_length": 8, "pieces": []}))

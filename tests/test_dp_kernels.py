@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rhythmscribe import _dp
+from rhythmscribe import _dp, models
 from rhythmscribe.inference import GibbsConfig, InferenceError, gibbs_fit, transcribe
 from rhythmscribe.models import (
     ModelConfig,
@@ -899,6 +899,186 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         assert_same_path(space, path, backpointer_viterbi(space, em))
         # the last sweep is the certified one; it visits few of the states
         assert sum(kept[-1]) < 0.2 * space.n_states * em.shape[0]
+
+
+def full_matrix_upper_beta(space, em):
+    """`_dp._upper_beta` over every state: ``A^T`` of `EdgeSet.by_value` as
+    scipy's CSC transpose, one matrix row per source.  The kernel the class
+    rows replaced, kept as the reference they must match bit for bit."""
+    n_states = space.trans.n_dst
+    b = np.full(n_states, 1.0 / n_states)
+    log_scale = np.log(n_states)
+    rows = [(em.shape[0], np.log(b) + log_scale, -np.inf)]
+    for n in range(em.shape[0] - 1, -1, -1):
+        edges = space.trans if n else space.first
+        n_values, mat = edges.by_value()
+        with_edges = np.diff(mat.indptr[:: edges.n_dst]) > 0
+        row = em[n, :n_values][with_edges]
+        c = np.max(row) if row.size else -np.inf
+        if not np.isfinite(c):
+            break
+        w = np.zeros(n_values)
+        w[with_edges] = np.exp(row - c)
+        u = mat.T @ (w[:, None] * b).ravel()
+        s = u.sum()
+        if not s > 0:
+            break
+        raise_by = max(_dp.RAISE, mat.shape[0] * 2.0**-1072 * max(1.0, b.max()) / s)
+        b = u / s
+        b += raise_by
+        log_scale += c + np.log(s)
+        log_beta = np.log(b)
+        log_beta += log_scale
+        rows.append((n, log_beta, np.log(raise_by) + log_scale))
+    return rows
+
+
+# one name per plain structure among ALL_VARIANTS (a Bayesian one shares it)
+PLAIN_VARIANTS = sorted({ModelConfig.from_name(name).plain().name for name in ALL_VARIANTS})
+
+
+def class_row_spaces(name, seed):
+    """A space of `name` at bar lengths 3, 4 and 6 (those under 200k edges),
+    with Dirichlet-random tables, and each reweighed with about 10% of its
+    positive parameters zeroed, so that edges and states drop."""
+    rng = np.random.default_rng([20261019, zlib.crc32(name.encode()), seed])
+    for bar_length in (3, 4, 6):
+        cfg = ModelConfig.from_name(name, bar_length=bar_length)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        if space.n_edges > 200_000:
+            continue
+        theta = space.layout.flatten(random_params(cfg, rng))
+        positive = np.flatnonzero(theta > 0)
+        theta[positive[rng.random(positive.size) < 0.1]] = 0.0
+        for space in (space, space.reweighed(theta)):
+            durations = rng.uniform(0.15, 0.25 * bar_length, size=12)
+            tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
+            yield space, TranscriptionHmm(space, tp).emission_matrix(durations)
+
+
+def source_rows(edges):
+    """Per source, its out-edges' arrays in (src, dst) order: dst, out,
+    logp, and the slot when `edges` has one."""
+    order, indptr = edges.src_view()
+    fields = [edges.dst, edges.out, edges.logp] + ([edges.slot] if edges.slot is not None else [])
+    return [[f[order[a:b]] for f in fields if f is not None]
+            for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+def assert_members_match_their_representative(edges):
+    cls, reps = edges.row_classes()
+    assert np.array_equal(cls[reps], np.arange(reps.size))
+    assert np.all(reps[cls] <= np.arange(edges.n_src))  # the lowest-index member
+    rows = source_rows(edges)
+    for s, k in enumerate(cls):
+        for got, want in zip(rows[s], rows[reps[k]]):
+            assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def fresh_topologies(monkeypatch):
+    """An empty topology cache, so that classes are found anew."""
+    monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
+
+
+class TestClassRows:
+    """The upper backward pass over classes of identical out-edge rows
+    against the full-matrix kernel, and the classes themselves."""
+
+    @pytest.mark.parametrize("name", PLAIN_VARIANTS)
+    def test_upper_beta_matches_the_full_matrix_bit_for_bit(self, name):
+        cases = merged = 0
+        for seed in range(3):
+            for space, em in class_row_spaces(name, seed):
+                got, want = list(_dp._upper_beta(space, em)), full_matrix_upper_beta(space, em)
+                assert [n for n, _, _ in got] == [n for n, _, _ in want]
+                for (_, beta, raised), (_, beta_want, raised_want) in zip(got, want):
+                    assert np.array_equal(beta, beta_want) and raised == raised_want
+                cases += 1
+                merged += space.trans.row_classes()[1].size < space.trans.n_src
+        assert cases >= 12
+        if "d" in name[5:] or name.startswith("notemm0"):
+            assert merged  # division and order-0 models repeat rows
+
+    @pytest.mark.parametrize("name", ["notemm1sd", "metmm1sd", "patmm1d", "patmm0"])
+    def test_members_match_their_representative(self, name, fresh_topologies):
+        rng = np.random.default_rng(5)
+        cfg = ModelConfig.from_name(name, bar_length=4)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        topology = space._topology
+        for edges in (topology.first.template, topology.trans.template):
+            assert_members_match_their_representative(edges)
+            # every class holds all the sources with its row
+            rows = {tuple(tuple(a.tolist()) for a in row) for row in source_rows(edges)}
+            assert edges.row_classes()[1].size == len(rows)
+        for edges in (space.first, space.trans):
+            assert_members_match_their_representative(edges)
+        # a weighing that drops states and edges derives its classes
+        theta = space.layout.flatten(random_params(cfg, rng))
+        positive = np.flatnonzero(theta > 0)
+        theta[positive[rng.random(positive.size) < 0.1]] = 0.0
+        thinned = space.reweighed(theta)
+        assert thinned.trans.n_edges < space.trans.n_edges
+        assert thinned.trans._origin[0] is topology.trans.template
+        for edges in (thinned.first, thinned.trans):
+            assert_members_match_their_representative(edges)
+
+    @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d"])
+    def test_a_constant_hash_still_gives_exact_classes(self, name, fresh_topologies,
+                                                       monkeypatch):
+        monkeypatch.setattr(_dp, "_row_hashes",
+                            lambda tokens, indptr: np.zeros(indptr.size - 1, dtype=np.uint64))
+        seen = []
+        for space, em in class_row_spaces(name, 0):
+            for edges in (space.first, space.trans):
+                assert_members_match_their_representative(edges)
+                seen.append(edges.row_classes()[1].size < edges.n_src)
+            got, want = list(_dp._upper_beta(space, em)), full_matrix_upper_beta(space, em)
+            for (_, beta, raised), (_, beta_want, raised_want) in zip(got, want):
+                assert np.array_equal(beta, beta_want) and raised == raised_want
+        assert any(seen)  # the rows equal to a group's first one still merge
+
+    def test_tokens_that_could_overflow_leave_every_source_alone(self):
+        # two sources with the same row, but slots too large to pack
+        src, dst, out = np.array([0, 1]), np.array([0, 0]), np.array([1, 1])
+        edges = _dp.EdgeSet(src, dst, np.zeros(2), out, 2, 1, slot=np.array([2**62, 2**62]))
+        cls, reps = edges.row_classes()
+        assert np.array_equal(cls, [0, 1]) and np.array_equal(reps, [0, 1])
+        edges = _dp.EdgeSet(src, dst, np.zeros(2), out, 2, 1, slot=np.array([7, 7]))
+        cls, reps = edges.row_classes()
+        assert np.array_equal(cls, [0, 0]) and np.array_equal(reps, [0])
+
+    @pytest.mark.parametrize("name, n_sources, n_classes, n_edges, n_entries", [
+        ("metmm1sd", 3_256, 1_249, 295_712, 19_224),
+        ("patmm1d", 18_133, 8_686, 680_928, 193_796),
+    ])
+    def test_class_counts_at_bar_length_8(self, name, n_sources, n_classes, n_edges,
+                                          n_entries):
+        cfg = ModelConfig.from_name(name, bar_length=8)
+        edges = build_state_space(cfg, uniform_params(cfg)).trans
+        assert (edges.n_src, edges.n_edges) == (n_sources, n_edges)
+        assert edges.row_classes()[1].size == n_classes
+        assert edges.class_rows()[3].nnz == n_entries
+
+    @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d", "patmm1"])
+    def test_log_kappa_off_either_matrix_agrees_to_the_bit(self, name, rng):
+        cfg = ModelConfig.from_name(name, bar_length=4)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        for edges in (space.first, space.trans):
+            from_classes = edges.log_kappa()
+            edges._log_kappa = None
+            edges.by_value()
+            assert np.array_equal(edges.log_kappa(), from_classes)
+
+    def test_a_certified_decode_builds_no_per_value_matrix(self, rng):
+        cfg = ModelConfig.from_name("patmm1")
+        space = build_state_space(cfg, random_params(cfg, rng))
+        assert space.n_edges >= _dp.CERTIFY_MIN_EDGES
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        perf = synthesize(sample_score(space, 30, rng), tp, rng)
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        assert _dp.viterbi(space, em).log_likelihood is not None
+        assert space.first._by_value is None and space.trans._by_value is None
 
 
 @pytest.mark.parametrize("use_max", [True, False], ids=["max", "sum"])

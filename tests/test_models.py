@@ -609,6 +609,39 @@ class TestParamsSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             params_from_dict(data)
 
+    @pytest.mark.parametrize("name, table, key, p, message", [
+        ("metmm1", "initial", "b:99", 0.1,
+         "model parameters initial: label 'b:99' is not one of b:0..b:3"),
+        ("metmm1", "initial", "b:-1", 0.1,
+         "model parameters initial: label 'b:-1' is not one of b:0..b:3"),
+        ("metmm1", "initial", "r:1", 0.1,
+         "model parameters initial: label 'r:1' is not one of b:0..b:3"),
+        ("metmm1", "initial", "b", 0.1,
+         "model parameters initial: label 'b' is not one of b:0..b:3"),
+        ("notemm1", "initial", "r:0", 0.1,
+         "model parameters initial: label 'r:0' is not one of r:1..r:4"),
+        ("metmm1", "transition", "b:0->b:4", 0.1,
+         "model parameters transition: label 'b:4' is not one of b:0..b:3"),
+        ("patmm1", "initial", "k:15", 0.1,
+         "model parameters initial: label 'k:15' is not one of k:0..k:14"),
+        ("metmm1s", "shift", "s:4", 0.1,
+         "model parameters shift: label 's:4' is not one of s:-3..s:3"),
+        ("metmm1", "initial", "b:0", "1.0",
+         "model parameters initial b:0: expected a finite number, got '1.0'"),
+        ("metmm1", "transition", "b:1->b:2", None,
+         "model parameters transition b:1->b:2: expected a finite number, got None"),
+        ("metmm1s", "shift", "s:0", True,
+         "model parameters shift s:0: expected a finite number, got True"),
+        ("metmm1d", "division", "r:2", {"(2)": 0.5, "(1,1)": "0.5"},
+         "model parameters division r:2 (1,1): expected a finite number, got '0.5'"),
+    ])
+    def test_bad_label_or_probability_names_the_table(self, name, table, key, p, message, rng):
+        cfg = ModelConfig.from_name(name, bar_length=4)
+        data = params_to_dict(random_params(cfg, rng))
+        data[table] = {**data[table], key: p}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params_from_dict(data)
+
     def test_non_integral_pattern_position_rejected(self, rng):
         cfg = ModelConfig.from_name("patmm1", bar_length=4)
         data = params_to_dict(random_params(cfg, rng))

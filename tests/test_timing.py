@@ -1,5 +1,6 @@
 """Gaussian timing model: densities, synthesis, and the transcription HMM."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,21 @@ class TestPerformanceTypes:
     def test_malformed_structure_names_the_field(self, data, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             PerformedCorpus.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["tempo_bpm", "sigma_t"])
+    @pytest.mark.parametrize("value, kind", [
+        ([144], "a finite positive number, got [144]"),
+        ("144", "a finite positive number, got '144'"),
+        (0, "a finite positive number, got 0"),
+        (-0.5, "a finite positive number, got -0.5"),
+        (True, "a finite positive number, got True"),
+    ])
+    def test_recorded_timing_must_be_a_positive_number(self, key, value, kind):
+        data = {"items": [{"id": "a", "onsets_sec": [0.0, 0.5]}], key: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'performances {key}: expected {kind}')}$"):
+            PerformedCorpus.from_dict(data)
+        data[key] = 0.25
+        assert getattr(PerformedCorpus.from_dict(data), key) == 0.25
 
     def test_non_integral_bar_length_rejected(self):
         data = {"bar_length": 8.5, "items": [{"id": "a", "onsets_sec": [0.0, 0.5]}]}
