@@ -137,20 +137,15 @@ class PerformedCorpus:
             so = item.get("score_onsets")
             sources.append(None if so is None else
                            RhythmScore(tuple(json_list(so, f"{where} score_onsets")), nb))
+        timing = {key: json_number(data[key], f"performances {key}", positive=True)
+                  for key in ("tempo_bpm", "sigma_t") if data.get(key) is not None}
         return cls(
             performances=tuple(perfs),
             ids=tuple(ids),
             sources=tuple(sources),
-            tempo_bpm=cls._recorded(data, "tempo_bpm"),
-            sigma_t=cls._recorded(data, "sigma_t"),
             bar_length=nb,
+            **timing,
         )
-
-    @staticmethod
-    def _recorded(data: dict, key: str):
-        """A timing setting the file records, a finite positive number, or None."""
-        value = data.get(key)
-        return None if value is None else json_number(value, f"performances {key}", positive=True)
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())

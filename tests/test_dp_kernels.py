@@ -957,12 +957,12 @@ def class_row_spaces(name, seed):
 
 
 def source_rows(edges):
-    """Per source, its out-edges' arrays in (src, dst) order: dst, out,
-    logp, and the slot when `edges` has one."""
+    """Per source, its out-edges' arrays in (src, dst) order: dst, out and,
+    where the set has them, logp (a topology's has none) and slot (a
+    subset's has none)."""
     order, indptr = edges.src_view()
-    fields = [edges.dst, edges.out, edges.logp] + ([edges.slot] if edges.slot is not None else [])
-    return [[f[order[a:b]] for f in fields if f is not None]
-            for a, b in zip(indptr[:-1], indptr[1:])]
+    fields = [f for f in (edges.dst, edges.out, edges.logp, edges.slot) if f is not None]
+    return [[f[order[a:b]] for f in fields] for a, b in zip(indptr[:-1], indptr[1:])]
 
 
 def assert_members_match_their_representative(edges):
@@ -997,8 +997,8 @@ class TestClassRows:
                 cases += 1
                 merged += space.trans.row_classes()[1].size < space.trans.n_src
         assert cases >= 12
-        if "d" in name[5:] or name.startswith("notemm0"):
-            assert merged  # division and order-0 models repeat rows
+        if ModelConfig.from_name(name).division or name == "notemm0":
+            assert merged  # division and order-0 note models repeat rows
 
     @pytest.mark.parametrize("name", ["notemm1sd", "metmm1sd", "patmm1d", "patmm0"])
     def test_members_match_their_representative(self, name, fresh_topologies):
@@ -1013,12 +1013,14 @@ class TestClassRows:
             assert edges.row_classes()[1].size == len(rows)
         for edges in (space.first, space.trans):
             assert_members_match_their_representative(edges)
-        # a weighing that drops states and edges derives its classes
+        # a weighing that drops edges, and states on the modified models,
+        # derives its classes
         theta = space.layout.flatten(random_params(cfg, rng))
         positive = np.flatnonzero(theta > 0)
         theta[positive[rng.random(positive.size) < 0.1]] = 0.0
         thinned = space.reweighed(theta)
         assert thinned.trans.n_edges < space.trans.n_edges
+        assert (thinned.n_states < space.n_states) == (name != "patmm0")
         assert thinned.trans._origin[0] is topology.trans.template
         for edges in (thinned.first, thinned.trans):
             assert_members_match_their_representative(edges)
@@ -1060,15 +1062,18 @@ class TestClassRows:
         assert edges.row_classes()[1].size == n_classes
         assert edges.class_rows()[3].nnz == n_entries
 
-    @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d", "patmm1"])
-    def test_log_kappa_off_either_matrix_agrees_to_the_bit(self, name, rng):
+    @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d", "patmm1", "notemm1sd"])
+    def test_log_kappa_off_any_reading_agrees_to_the_bit(self, name, rng):
         cfg = ModelConfig.from_name(name, bar_length=4)
         space = build_state_space(cfg, random_params(cfg, rng))
         for edges in (space.first, space.trans):
-            from_classes = edges.log_kappa()
-            edges._log_kappa = None
-            edges.by_value()
-            assert np.array_equal(edges.log_kappa(), from_classes)
+            readings = [edges.log_kappa()]  # the edge list
+            for build in (edges.class_rows, edges.by_value):
+                build()
+                edges._log_kappa = None
+                readings.append(edges.log_kappa())
+            assert all(np.array_equal(r, readings[0]) for r in readings[1:])
+            assert np.isfinite(readings[0]).any()
 
     def test_a_certified_decode_builds_no_per_value_matrix(self, rng):
         cfg = ModelConfig.from_name("patmm1")
