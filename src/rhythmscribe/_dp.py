@@ -19,17 +19,16 @@ each slot only the states a keep policy picks: all of them for the plain
 decode and the forward rerun (below), those that can still lie on an optimal
 path for the certified decode (below), and a fixed number of the best for a
 beam.  The exact forward pass runs in scaled linear space (Rabiner 1989) and
-converts its table back to log space: large spaces over per-output-value
-sparse matrices, small ones over the edge list with every step's edge
-weights made at once.  A scaled kernel flushes entries below the smallest
-normal double, and a flushed path may later dominate; so each one keeps a
-ledger of the mass it may have dropped making each slot, bounds from it the
-share of its total that flushed mass could carry, and the pass reruns as the
+converts its table back to log space: large spaces over the class rows
+(below), small ones over the edge list with every step's edge weights made
+at once.  A scaled kernel flushes entries below the smallest normal
+double, and a flushed path may later dominate; so each one keeps a ledger
+of the mass it may have dropped making each slot, bounds from it the share
+of its total that flushed mass could carry, and the pass reruns as the
 sweep that keeps every state when that share could matter (see
 `_log_flushed`).  The backward pass for the bounds below runs scaled over
-classes of identical out-edge rows (below).  Backward sampling (FFBS) draws
-every uniform up front and inverts one cumulative sum over the in-edges of
-each sampled state.
+the same rows.  Backward sampling (FFBS) draws every uniform up front and
+inverts one cumulative sum over the in-edges of each sampled state.
 
 Exact Viterbi on large spaces is certified rather than swept over every edge.
 A sweep that carries only some states computes, for each state it reaches,
@@ -55,15 +54,22 @@ the same destination, value and parameter slot, and so the same weights
 and backward values under any tables.  Each edge set partitions its
 sources into such classes (state minimization, Hopcroft 1971) once per
 topology, on first use, and a weighing that drops edges or states derives
-its classes from the topology's (see `EdgeSet.row_classes`).  The upper
-backward pass multiplies one matrix row per class and gathers the result
-per state; the sums are those of the full transposed matrix, in the same
-order, so every row and raise is bit-identical to it.  At bar length 8,
+its classes from the topology's (see `EdgeSet.row_classes`).  Its one
+weighted matrix has a row per class (see `EdgeSet.class_rows`): the
+forward pass multiplies its transpose by the state vector's class sums,
+and the upper backward pass multiplies it and gathers the result per
+state.  Where every class is a singleton, numbered in source order, both
+add their terms in the order of the per-value matrix with a column per
+source, and agree with it to the bit; merged classes add their members'
+mass before the product, which moves a forward total by rounding alone
+(by at most 1.8e-15 on the test spaces).  At bar length 8,
 `metmm1sd`'s 3,256 sources form 1,249 classes and its 295,712 matrix
 entries become 19,224; `patmm1d`'s 18,133 form 8,686, and 680,928 entries
-become 193,796.  With trained tables a pass over a 300-note piece took
-0.031 s for `metmm1sd` and 0.218 s for `patmm1d`, against 0.213 s and
-0.537 s over every state (one thread, 2-vCPU host; README.md).
+become 193,796.  With trained tables an upper pass over a 300-note piece
+took 0.031 s for `metmm1sd` and 0.218 s for `patmm1d`, against 0.213 s and
+0.537 s over every state, and a forward pass over a 200-note `metmm1sdb`
+piece 15-21 ms, against 67-69 ms over a per-value matrix with a column
+per source (one thread, 2-vCPU host; README.md).
 """
 from __future__ import annotations
 
@@ -78,7 +84,7 @@ from .core import integral
 NEG_INF = -np.inf
 
 # Exact forward passes over spaces with at least this many edges run the
-# scaled per-value CSR kernel (`_scaled_forward`); smaller ones run the
+# scaled kernel over the class rows (`_scaled_forward`); smaller ones run the
 # time-batched kernel (`_batched_forward`), which makes the per-edge weights
 # of many steps at once, in blocks of at most `BATCH_MAX_ENTRIES` entries
 # (512 KiB, one step at least), and backward sampling precomputes its
@@ -136,11 +142,10 @@ class EdgeSet:
 
     Stored sorted by (dst, src) so per-destination reductions are contiguous
     and ties resolve toward the lowest source index.  A src-sorted view (for
-    out-edge steps and generative sampling), per-output-value transition
-    matrices (for the scaled forward kernel) and the rows of the backward
-    kernel, one per class of sources with identical out-edges (see
-    `row_classes`), are built lazily; the structure behind them is shared
-    with every `reweighted` copy.
+    out-edge steps and generative sampling) and one weighted matrix, a row
+    per class of sources with identical out-edges (see `class_rows`), are
+    built lazily; the structure behind them is shared with every
+    `reweighted` copy.
     """
 
     def __init__(self, src, dst, logp, out, n_src: int, n_dst: int, slot=None):
@@ -165,7 +170,6 @@ class EdgeSet:
         self._seg_counts = counts[self._rows]
         self._structure = {}  # lazy views of src/dst/out, shared by reweighted copies
         self._origin = None  # (edges, kept sources) whose classes these derive from
-        self._by_value = None
         self._class_rows = None
         self._log_kappa = None
 
@@ -173,7 +177,6 @@ class EdgeSet:
         """The same edges with log weights `logp` (in this set's edge order)."""
         edges = copy.copy(self)
         edges.logp = logp
-        edges._by_value = None
         edges._class_rows = None
         edges._log_kappa = None
         return edges
@@ -240,51 +243,20 @@ class EdgeSet:
             self._structure["row_classes"] = classes
         return classes
 
-    def by_value(self):
-        """(n_values, A): edge probabilities grouped by output value.
-
-        `A` is a CSR matrix of shape ``(n_values * n_dst, n_src)`` stacking
-        one block per output value v = 1..n_values: row ``(v-1) * n_dst + d``,
-        column ``s`` holds the summed probability of the edges s -> d that
-        produce v.  One product ``A @ x`` thus yields every ``A_v @ x``.
-        """
-        if self._by_value is None:
-            layout = self._structure.get("by_value")
-            if layout is None:
-                n_values = int(self.out.max()) if self.n_edges else 0
-                # (out, dst, src) order; a stable sort of small ints is a radix sort
-                order = np.argsort(self.out.astype(np.min_scalar_type(n_values)), kind="stable")
-                rows = self.out - 1
-                rows *= self.n_dst
-                rows += self.dst
-                indptr = np.zeros(n_values * self.n_dst + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rows, minlength=n_values * self.n_dst), out=indptr[1:])
-                del rows
-                layout = (n_values, order, self.src[order], indptr)
-            n_values, order, indices, indptr = layout
-            data = self.logp[order]
-            mat = sparse.csr_matrix(
-                (np.exp(data, out=data), indices, indptr),
-                shape=(n_values * self.n_dst, self.n_src),
-            )
-            # keep the index arrays in the dtype scipy chose, so later
-            # reweighted copies build their matrix without converting them
-            self._structure["by_value"] = (n_values, order, mat.indices, mat.indptr)
-            self._by_value = (n_values, mat)
-        return self._by_value
-
     def class_rows(self):
-        """``(n_values, with_edges, cls, C)``: the backward kernel's rows.
+        """``(n_values, with_edges, cls, C)``: the set's one weighted
+        matrix, a row per class of sources (see `row_classes`).
 
         Row k of the CSR matrix `C`, of shape ``(n_classes, n_values *
-        n_dst)``, is the column of `by_value`'s `A` of class k's
-        representative (see `row_classes`): its out-edges' probabilities in
-        ascending columns ``(v-1) * n_dst + d``, so ``(C @ y)[cls]`` is ``A^T
-        @ y`` with the same sums in the same order.  ``cls`` maps each
-        source to its class, and ``with_edges[v-1]`` says whether some edge
-        produces v.  The edge order of the rows is kept with the structure,
-        so a reweighted copy only exponentiates its representatives'
-        weights.
+        n_dst)``, holds class k's representative's out-edge probabilities in
+        ascending columns ``(v-1) * n_dst + d``.  ``cls`` maps each source
+        to its class, and ``with_edges[v-1]`` says whether some edge
+        produces v.  The forward pass multiplies ``C^T`` by class sums, the
+        backward pass gathers ``(C @ y)[cls]``; each is bit-identical to a
+        per-value matrix with a column per source where every class is a
+        singleton in source order (see the module docstring).  The edge
+        order of the rows is kept with the structure, so a reweighted copy
+        only exponentiates its representatives' weights.
         """
         if self._class_rows is None:
             layout = self._structure.get("class_rows")
@@ -300,38 +272,28 @@ class EdgeSet:
         return self._class_rows
 
     def log_kappa(self) -> np.ndarray:
-        """Per output value v, the log of the largest column sum of its block
-        `A_v` of `by_value`: the most probability that one source sends along
-        edges producing v (-inf for a value without edges).
+        """Per output value v, the log of the most probability that one
+        source sends along edges producing v (-inf for a value without
+        edges).
 
-        Read off `by_value`'s matrix when a scaled forward pass has built
-        it, else off `class_rows` when a decode has built them, so that a
-        large space allocates nothing per edge here; else, on a small
-        space's forward pass, off the edge list.  Each adds a source's
-        entries of a value in ascending destinations, so all three agree
-        to the bit.
+        Read off `class_rows` when a pass has built them, so that a large
+        space allocates nothing per edge here, and else, on a small space's
+        forward pass, off the edge list.  Both add a source's entries of a
+        value in ascending destinations, so they agree to the bit.
         """
         if self._log_kappa is None:
-            if self._by_value is not None:
-                n_values, mat = self._by_value
-                blocks = mat.indptr[:: self.n_dst].tolist()  # where each value's entries begin
-                kappa = np.zeros(n_values)
-                for v, (a, b) in enumerate(zip(blocks[:-1], blocks[1:])):
-                    if b > a:
-                        kappa[v] = np.bincount(mat.indices[a:b], weights=mat.data[a:b]).max()
+            if self._class_rows is not None:
+                n_values, _, _, mat = self._class_rows
+                n_rows, p = mat.shape[0], mat.data
+                key = np.repeat(np.arange(n_rows) * n_values, np.diff(mat.indptr))
+                key += mat.indices // self.n_dst
             else:
-                if self._class_rows is not None:
-                    n_values, _, _, mat = self._class_rows
-                    n_rows, p = mat.shape[0], mat.data
-                    key = np.repeat(np.arange(n_rows) * n_values, np.diff(mat.indptr))
-                    key += mat.indices // self.n_dst
-                else:
-                    n_values = int(self.out.max()) if self.n_edges else 0
-                    n_rows, p = self.n_src, np.exp(self.logp)
-                    key = self.src * n_values
-                    key += self.out - 1
-                sums = np.bincount(key, weights=p, minlength=n_rows * n_values)
-                kappa = sums.reshape(n_rows, n_values).max(axis=0, initial=0.0)
+                n_values = int(self.out.max()) if self.n_edges else 0
+                n_rows, p = self.n_src, np.exp(self.logp)
+                key = self.src * n_values
+                key += self.out - 1
+            sums = np.bincount(key, weights=p, minlength=n_rows * n_values)
+            kappa = sums.reshape(n_rows, n_values).max(axis=0, initial=0.0)
             with np.errstate(divide="ignore"):
                 self._log_kappa = np.log(kappa)
         return self._log_kappa
@@ -666,15 +628,41 @@ def _scaled_start(init, n_steps: int):
     return x, offsets, scales, log_loss
 
 
+def _forward_rows(space, n_steps: int) -> list:
+    """Per step 0..n_steps-1, ``(n_values, n_dst, cls, C^T)`` of its edge
+    set's `EdgeSet.class_rows`, with ``cls`` None when each source is its
+    own class, in source order.  ``C^T`` is a CSC view that shares C's
+    arrays, taken once per edge set: one made at every step slowed
+    `patmm1b`'s forward by 30-60%."""
+    rows = []
+    for edges in (space.first, space.trans)[:min(n_steps, 2)]:
+        n_values, _, cls, mat = edges.class_rows()
+        if np.array_equal(cls, np.arange(cls.size)):
+            cls = None  # the class sums are x: skipping them saves 2-7% on `patmm1b`
+        rows.append((n_values, edges.n_dst, cls, mat.T))
+    return rows + rows[1:] * (n_steps - 2)
+
+
+def _pushed(rows, x) -> np.ndarray:
+    """``z[v-1, d]``: the probability that the slot vector x sends to d
+    along edges producing v, as ``C^T @ bincount(cls, x)`` over a step's
+    `_forward_rows` `rows`."""
+    n_values, n_dst, cls, mat_t = rows
+    if cls is not None:
+        x = np.bincount(cls, weights=x, minlength=mat_t.shape[1])
+    return (mat_t @ x).reshape(n_values, n_dst)
+
+
 def _scaled_forward(space, em, init, keep_table=True):
-    """Exact forward in scaled linear space over per-value CSR matrices.
+    """Exact forward in scaled linear space over the class rows.
 
     Rabiner's (1989) scaling: the state vector ``x`` is kept normalized to
     sum 1 and the log normalizers accumulate into the total.  A step is
-    ``y = sum_v exp(em[n, v] - c) * (A_v @ x)`` (see `EdgeSet.by_value`),
-    where ``c`` is the largest emission among the values some current state
-    can produce, so the leading term is never scaled to 0 even when a
-    duration lies far from every reachable value.
+    ``y = sum_v exp(em[n, v] - c) * z[v]``, with ``z = C^T @ bincount(cls,
+    x)`` the mass that x sends along each value's edges (see
+    `EdgeSet.class_rows`), where ``c`` is the largest emission among the
+    values some current state can produce, so the leading term is never
+    scaled to 0 even when a duration lies far from every reachable value.
 
     Returns ``(total, table, log_flushed)``: the log total, -inf when no
     path is feasible; the forward table in log space, None then or without
@@ -688,11 +676,10 @@ def _scaled_forward(space, em, init, keep_table=True):
     x, offsets, scales, log_loss = _scaled_start(init, n_steps)
     log_scale = offsets[0] + np.log(scales[0])
     table = [init.copy()] if keep_table else None
-    edges = space.first
     with np.errstate(divide="ignore"):
-        for n in range(n_steps):
-            n_values, mat = edges.by_value()
-            z = (mat @ x).reshape(n_values, edges.n_dst)
+        for n, rows in enumerate(_forward_rows(space, n_steps)):
+            z = _pushed(rows, x)
+            n_values = z.shape[0]
             live = z.max(axis=1) > 0
             row = em[n, :n_values][live]
             c = np.max(row) if row.size else NEG_INF
@@ -707,18 +694,18 @@ def _scaled_forward(space, em, init, keep_table=True):
             log_scale += c + np.log(s)
             if keep_table:
                 table.append(np.log(x) + log_scale)
-            edges = space.trans
     for edges, lo, hi in _step_edges(space, n_steps):
-        n_values, mat = edges.by_value()
-        with_edges = np.diff(mat.indptr[:: edges.n_dst]) > 0
-        # the products and sums of A @ x and of w @ z, and the division by
-        # s, each weighed at most by the largest emission of a value with
-        # edges: A @ x loses its underflowed products before they are
-        # weighed by exp(em[n, v]), also for a value that no current state
-        # produced, which may lie above c
-        log_step = np.log(mat.nnz + (2 * n_values + 1) * edges.n_dst) + LOG_UNDERFLOW
+        n_values, with_edges, _, mat = edges.class_rows()
+        # the terms a step makes, each at most 1 in units of slot n's total
+        # before its emission weight and losing under 2^-1072 to underflow:
+        # the class sums' additions, C^T's products, w @ z's products and
+        # sums, and the division by s.  C^T's products lose theirs before
+        # exp(em[n, v]) weighs them, also for a value that no current state
+        # produced, which may lie above c: so the largest emission of any
+        # value with edges bounds the weight
+        n_terms = edges.n_src + mat.nnz + (2 * n_values + 1) * edges.n_dst
         top = np.max(em[lo:hi, :n_values][:, with_edges], axis=1)
-        log_loss[lo + 1:hi + 1] = log_step + top
+        log_loss[lo + 1:hi + 1] = np.log(n_terms) + LOG_UNDERFLOW + top
     log_flushed, _ = _log_flushed(space, em, offsets, scales, log_loss)
     return float(log_scale), table, log_flushed
 
@@ -788,18 +775,16 @@ def _reaches(space, em, init, n_steps: int) -> bool:
     `n_steps` observations.
 
     Carries the forward pass's support, the states of nonzero mass, as a
-    0/1 vector through the by-value matrices (see `EdgeSet.by_value`):
-    each product is an edge probability or 0, so nothing underflows.
+    0/1 vector through the class rows (see `_pushed`): each class sum is a
+    count and each product an edge probability times a count, so nothing
+    underflows.
     """
     support = np.isfinite(init).astype(np.float64)
-    edges = space.first
-    for n in range(n_steps):
-        n_values, mat = edges.by_value()
-        z = (mat @ support).reshape(n_values, edges.n_dst)
-        support = (z[np.isfinite(em[n, :n_values])] > 0).any(axis=0).astype(np.float64)
+    for n, rows in enumerate(_forward_rows(space, n_steps)):
+        z = _pushed(rows, support)
+        support = (z[np.isfinite(em[n, :z.shape[0]])] > 0).any(axis=0).astype(np.float64)
         if not support.any():
             return False
-        edges = space.trans
     return True
 
 
@@ -911,9 +896,9 @@ def _regrown(space, em, lost):
 
 
 def _upper_beta(space, em):
-    """Scaled backward rows over the class rows of the per-value matrices
-    (see `EdgeSet.class_rows`), each entry raised to an upper bound on the
-    backward value of its state.
+    """Scaled backward rows over the class rows (see `EdgeSet.class_rows`),
+    each entry raised to an upper bound on the backward value of its
+    state.
 
     Yields ``(n, log_beta, log_raise)`` for n = N, N-1, ..., 0: the row of
     slot n in log space (over the boundary slot at n = 0), and the log of
@@ -922,9 +907,9 @@ def _upper_beta(space, em):
     (`_certified_sweep`).  Stops early when no path is feasible.
 
     The mirror of `_scaled_forward`: the scaled row ``b`` sums to 1 before
-    its raise, and a step is ``b' = A^T (w (x) b)`` with ``w_v = exp(em[n,
-    v] - c)``, where ``c`` is the largest emission among the values of
-    some edge of the step.  Every entry of a step is then raised by the
+    its raise, and a step is ``b' = (C @ (w (x) b))[cls]`` with ``w_v =
+    exp(em[n, v] - c)``, where ``c`` is the largest emission among the
+    values of some edge of the step.  Every entry of a step is then raised by the
     most that underflow can have dropped from it, and at least by 2^-700:
     ``log(b) + log_scale`` bounds beta from above (up to rounding), and no
     path's mass is ever flushed from ``b``.  A raise of the smallest normal

@@ -21,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .core import (Corpus, json_field, json_list, json_object, normalize_corpus, read_json,
-                   to_note_values, write_json)
+from .core import (Corpus, integral, json_field, json_list, json_number, json_object,
+                   normalize_corpus, read_json, to_note_values, write_json)
 from .evaluation import (
     benchmark_cells,
     cross_entropy,
@@ -60,10 +60,12 @@ class _Settings:
 
     def __init__(self, args):
         self.args = args
-        cfg_path = getattr(args, "config", None)
-        self.file_cfg = json_object(read_json(cfg_path), cfg_path) if cfg_path else {}
+        path = self.cfg_path = getattr(args, "config", None)
+        self.file_cfg = json_object(read_json(path), path) if path else {}
 
     def get(self, key: str, default, cast):
+        """A flag as parsed, an environment string through `cast`, or a config
+        file's value checked as an int or a finite number, naming file and key."""
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag
@@ -71,7 +73,12 @@ class _Settings:
         if env is not None:
             return cast(env)
         if key in self.file_cfg:
-            return cast(self.file_cfg[key])
+            value, where = self.file_cfg[key], f"{self.cfg_path} {key}"
+            if cast is int:
+                return integral(value, where)
+            if cast is float:
+                return float(json_number(value, where))
+            return cast(value)
         return default
 
 

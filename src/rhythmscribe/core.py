@@ -40,12 +40,12 @@ __all__ = [
 
 
 def integral(value, what: str) -> int:
-    """`value` as an int; ValueError unless it is an integral number."""
+    """`value` as an int; ValueError unless it is an integral number, not a bool."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if as_int != value:
+    if as_int != value or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return as_int
 

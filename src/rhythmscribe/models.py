@@ -437,6 +437,8 @@ def params_from_dict(data: dict) -> ModelParams:
     """Rebuild ModelParams from the labeled-dict form."""
     where = "model parameters"
     fam = json_field(data, "family", where)
+    if fam not in FAMILIES:
+        raise ValueError(f"{where} family: expected one of {FAMILIES}, got {fam!r}")
     nb = integral(json_field(data, "bar_length", where), "bar_length")
     order = integral(json_field(data, "order", where), "order")
     patterns = data.get("patterns")

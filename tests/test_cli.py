@@ -255,6 +255,18 @@ class TestTranscribeAndEval:
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
         assert not out.exists()
 
+    def test_params_of_an_unknown_family_are_one_error_line(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(pipeline["params"].read_text()),
+                                   "family": "foo"}))
+        out = tmp_path / "x.json"
+        assert run("eval", "--params", bad, "--corpus", pipeline["corpus"], "--model", "metmm1",
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: model parameters family: expected one of "
+                       "('note', 'met', 'pat'), got 'foo'"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_file, message", [
         ("params", "model parameters initial: label 'b:99' is not one of b:0..b:7"),
         ("performances", "performances tempo_bpm: expected a finite positive number, got [144]"),
@@ -309,6 +321,37 @@ class TestSettingsPrecedence:
         monkeypatch.setenv("RHYTHMSCRIBE_SEED", "9")
         assert synth(tmp_path / "b.json") == 9  # env beats config
         assert synth(tmp_path / "c.json", "--seed", 5) == 5  # flag beats env
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"iterations": [3]}, "iterations must be an integer, got [3]"),
+        ({"iterations": 2.7}, "iterations must be an integer, got 2.7"),
+        ({"jobs": True}, "jobs must be an integer, got True"),
+        ({"tempo_bpm": "fast"}, "tempo_bpm: expected a finite number, got 'fast'"),
+    ])
+    def test_config_value_of_the_wrong_kind_is_one_error_line(self, pipeline, tmp_path, capsys,
+                                                              setting, message):
+        assert run("synth", "--corpus", pipeline["corpus"], "--seed", 1, "--tempo-bpm", 120,
+                   "--sigma-t", 0.03, "--out", pipeline["perf"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "x.json"
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1b",
+                   "--params", pipeline["params"], "--config", cfg, "--seed", 2,
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg} {message}"]
+        assert not out.exists()
+
+    def test_integral_config_values_keep_working(self, pipeline, tmp_path):
+        assert run("synth", "--corpus", pipeline["corpus"], "--seed", 1, "--tempo-bpm", 120,
+                   "--sigma-t", 0.03, "--out", pipeline["perf"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 2.0, "tempo_bpm": 120}))
+        out = tmp_path / "x.json"
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1b",
+                   "--params", pipeline["params"], "--config", cfg, "--seed", 2,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["iterations"] == 2
 
     def test_env_timing(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("RHYTHMSCRIBE_TEMPO_BPM", "120")

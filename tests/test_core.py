@@ -64,7 +64,7 @@ class TestEncodings:
         assert score.onsets == (0, 1, 3)
         assert all(type(t) is int for t in score.onsets)
 
-    @pytest.mark.parametrize("bad", [8.5, "8", None])
+    @pytest.mark.parametrize("bad", [8.5, "8", None, True])
     def test_non_integral_bar_length_rejected(self, bad):
         with pytest.raises(ValueError, match=f"bar_length must be an integer, got {bad!r}"):
             RhythmScore((0, 2, 4), bar_length=bad)

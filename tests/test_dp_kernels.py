@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rhythmscribe import _dp, models
 from rhythmscribe.inference import GibbsConfig, InferenceError, gibbs_fit, transcribe
@@ -901,17 +902,79 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         assert sum(kept[-1]) < 0.2 * space.n_states * em.shape[0]
 
 
+def per_value_matrix(edges):
+    """``(n_values, A)``: the per-value matrix that `EdgeSet.class_rows`
+    replaced, built from the edge arrays, as the oracle of the passes over
+    the class rows.  `A` is a CSR matrix of shape ``(n_values * n_dst,
+    n_src)``, one block per output value v: row ``(v-1) * n_dst + d``
+    holds one entry per edge s -> d that produces v, in source order, in
+    column s."""
+    n_values = int(edges.out.max()) if edges.n_edges else 0
+    rows = (edges.out - 1) * edges.n_dst + edges.dst
+    order = np.argsort(rows, kind="stable")  # (out, dst, src) order
+    indptr = np.zeros(n_values * edges.n_dst + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_values * edges.n_dst), out=indptr[1:])
+    mat = sparse.csr_matrix((np.exp(edges.logp[order]), edges.src[order], indptr),
+                            shape=(n_values * edges.n_dst, edges.n_src))
+    return n_values, mat
+
+
+def per_value_forward(space, em, init):
+    """``(total, table)`` of `_dp._scaled_forward` with ``z = A @ x`` over
+    `per_value_matrix`, one column per source: the step the class sums
+    replaced."""
+    offset = np.max(init)
+    x = np.exp(init - offset)
+    s = x.sum()
+    x /= s
+    log_scale = offset + np.log(s)
+    table = [init.copy()]
+    first, trans = per_value_matrix(space.first), per_value_matrix(space.trans)
+    with np.errstate(divide="ignore"):
+        for n in range(em.shape[0]):
+            edges, (n_values, mat) = (space.trans, trans) if n else (space.first, first)
+            z = (mat @ x).reshape(n_values, edges.n_dst)
+            live = z.max(axis=1) > 0
+            row = em[n, :n_values][live]
+            c = np.max(row) if row.size else -np.inf
+            if not np.isfinite(c):
+                return -np.inf, None
+            w = np.zeros(n_values)
+            w[live] = np.exp(row - c)
+            y = w @ z
+            s = y.sum()
+            x = y / s
+            log_scale += c + np.log(s)
+            table.append(np.log(x) + log_scale)
+    return float(log_scale), table
+
+
+def per_value_reaches(space, em, init, n_steps):
+    """`_dp._reaches` with the 0/1 support carried through
+    `per_value_matrix`."""
+    support = np.isfinite(init).astype(np.float64)
+    for n in range(n_steps):
+        edges = space.trans if n else space.first
+        n_values, mat = per_value_matrix(edges)
+        z = (mat @ support).reshape(n_values, edges.n_dst)
+        support = (z[np.isfinite(em[n, :n_values])] > 0).any(axis=0).astype(np.float64)
+        if not support.any():
+            return False
+    return True
+
+
 def full_matrix_upper_beta(space, em):
-    """`_dp._upper_beta` over every state: ``A^T`` of `EdgeSet.by_value` as
-    scipy's CSC transpose, one matrix row per source.  The kernel the class
-    rows replaced, kept as the reference they must match bit for bit."""
+    """`_dp._upper_beta` over every state: ``A^T`` of `per_value_matrix`
+    as scipy's CSC transpose, one matrix row per source.  The kernel the
+    class rows replaced, kept as the reference they must match bit for
+    bit."""
     n_states = space.trans.n_dst
     b = np.full(n_states, 1.0 / n_states)
     log_scale = np.log(n_states)
     rows = [(em.shape[0], np.log(b) + log_scale, -np.inf)]
     for n in range(em.shape[0] - 1, -1, -1):
         edges = space.trans if n else space.first
-        n_values, mat = edges.by_value()
+        n_values, mat = per_value_matrix(edges)
         with_edges = np.diff(mat.indptr[:: edges.n_dst]) > 0
         row = em[n, :n_values][with_edges]
         c = np.max(row) if row.size else -np.inf
@@ -981,9 +1044,78 @@ def fresh_topologies(monkeypatch):
     monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
 
 
+def singleton_classes(space) -> bool:
+    """Whether every class of the space's edge sets is a singleton,
+    numbered in source order: then a pass over the class rows adds its
+    terms in the order of one over `per_value_matrix`."""
+    return all(np.array_equal(edges.row_classes()[0], np.arange(edges.n_src))
+               for edges in (space.first, space.trans))
+
+
 class TestClassRows:
-    """The upper backward pass over classes of identical out-edge rows
-    against the full-matrix kernel, and the classes themselves."""
+    """The scaled forward and the upper backward pass over classes of
+    identical out-edge rows against the per-value matrix, and the classes
+    themselves."""
+
+    @pytest.mark.parametrize("name", PLAIN_VARIANTS)
+    def test_scaled_forward_matches_the_per_value_matrix(self, name):
+        # bit for bit where every class is a singleton; merged classes add
+        # their members' mass before the product, which moves only rounding
+        singles = merged = 0
+        for seed in range(3):
+            for space, em in class_row_spaces(name, seed):
+                if not np.isfinite(space.log_initial).any():
+                    continue  # zeroed initial table: `forward` returns before a kernel
+                got, got_table, _ = _dp._scaled_forward(space, em, space.log_initial)
+                want, want_table = per_value_forward(space, em, space.log_initial)
+                if singleton_classes(space):
+                    singles += 1
+                    assert got == want
+                    assert (got_table is None) == (want_table is None)
+                    assert all(np.array_equal(g, w)
+                               for g, w in zip(got_table or [], want_table or []))
+                else:
+                    merged += 1
+                    assert got == pytest.approx(want, rel=REL_TOL)
+                    if want_table is not None:
+                        assert_tables_match(got_table, want_table)
+        assert singles + merged >= 12
+        if ModelConfig.from_name(name).division or name == "notemm0":
+            assert merged  # division and order-0 note models repeat rows
+        if name in ("notemm1", "metmm1", "patmm1"):
+            assert singles
+
+    @pytest.mark.parametrize("name", ["notemm0", "metmm1sd", "patmm1d", "patmm1"])
+    def test_reaches_matches_the_per_value_matrix_on_indicator_data(self, name):
+        # spaces with 70% of their positive parameters zeroed, and rhythms
+        # sampled from them with one note changed or of uniform random
+        # values: many are infeasible from some step on
+        rng = np.random.default_rng([20261020, zlib.crc32(name.encode())])
+        cfg = ModelConfig.from_name(name, bar_length=4)
+        base = build_state_space(cfg, random_params(cfg, rng))
+        outcomes = set()
+        for _ in range(4):
+            theta = base.layout.flatten(random_params(cfg, rng))
+            positive = np.flatnonzero(theta > 0)
+            theta[positive[rng.random(positive.size) < 0.7]] = 0.0
+            space = base.reweighed(theta)
+            if not np.isfinite(space.log_initial).any():
+                continue
+            for draw in range(8):
+                values = rng.integers(1, space.bar_length + 1, size=10)
+                if draw % 2:
+                    try:
+                        values = np.array(_dp.sample_generative(space, 10, rng).output_values)
+                    except InferenceError:
+                        continue  # a state without out-edges
+                    values[rng.integers(1, 10)] = rng.integers(1, space.bar_length + 1)
+                em = np.full((10, space.bar_length), -np.inf)
+                em[np.arange(10), values - 1] = 0.0
+                for n_steps in (1, 5, 10):
+                    got = _dp._reaches(space, em, space.log_initial, n_steps)
+                    assert got == per_value_reaches(space, em, space.log_initial, n_steps)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("name", PLAIN_VARIANTS)
     def test_upper_beta_matches_the_full_matrix_bit_for_bit(self, name):
@@ -1067,23 +1199,36 @@ class TestClassRows:
         cfg = ModelConfig.from_name(name, bar_length=4)
         space = build_state_space(cfg, random_params(cfg, rng))
         for edges in (space.first, space.trans):
-            readings = [edges.log_kappa()]  # the edge list
-            for build in (edges.class_rows, edges.by_value):
-                build()
-                edges._log_kappa = None
-                readings.append(edges.log_kappa())
-            assert all(np.array_equal(r, readings[0]) for r in readings[1:])
-            assert np.isfinite(readings[0]).any()
+            from_edge_list = edges.log_kappa()
+            edges.class_rows()
+            edges._log_kappa = None
+            assert np.array_equal(edges.log_kappa(), from_edge_list)
+            assert np.isfinite(from_edge_list).any()
 
-    def test_a_certified_decode_builds_no_per_value_matrix(self, rng):
+    def test_forward_and_certified_decode_share_one_matrix_per_edge_set(self, rng,
+                                                                         monkeypatch):
         cfg = ModelConfig.from_name("patmm1")
         space = build_state_space(cfg, random_params(cfg, rng))
-        assert space.n_edges >= _dp.CERTIFY_MIN_EDGES
+        assert space.n_edges >= max(_dp.CERTIFY_MIN_EDGES, _dp.SPARSE_MIN_EDGES)
         tp = TimingParams.from_bpm(144.0, 0.04)
         perf = synthesize(sample_score(space, 30, rng), tp, rng)
         em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
-        assert _dp.viterbi(space, em).log_likelihood is not None
-        assert space.first._by_value is None and space.trans._by_value is None
+        matrices = {}
+        real = _dp.EdgeSet.class_rows
+
+        def spy(edges):
+            rows = real(edges)
+            matrices.setdefault(id(edges), set()).add(id(rows[3]))
+            return rows
+
+        monkeypatch.setattr(_dp.EdgeSet, "class_rows", spy)
+        ran = kernels_run(monkeypatch)
+        total = _dp.forward(space, em)
+        assert ran == ["_scaled_forward"]
+        assert _dp.viterbi(space, em).log_likelihood == pytest.approx(total, rel=REL_TOL)
+        assert matrices.keys() == {id(space.first), id(space.trans)}
+        assert all(len(ids) == 1 for ids in matrices.values())
+        assert not hasattr(_dp.EdgeSet, "by_value")
 
 
 @pytest.mark.parametrize("use_max", [True, False], ids=["max", "sum"])

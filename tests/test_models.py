@@ -589,6 +589,14 @@ class TestParamsSerialization:
         with pytest.raises(ValueError, match=key):
             params_from_dict(data)
 
+    @pytest.mark.parametrize("family", ["foo", ["met"], None])
+    def test_unknown_family_names_the_field(self, family, rng):
+        data = {**params_to_dict(random_params(ModelConfig.from_name("metmm1"), rng)),
+                "family": family}
+        message = f"model parameters family: expected one of ('note', 'met', 'pat'), got {family!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params_from_dict(data)
+
     @pytest.mark.parametrize("name, edit, message", [
         ("metmm1", {"initial": [0.5, 0.5]},
          "model parameters initial: expected a JSON object, got list"),
