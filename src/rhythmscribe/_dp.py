@@ -67,9 +67,11 @@ mass before the product, which moves a forward total by rounding alone
 entries become 19,224; `patmm1d`'s 18,133 form 8,686, and 680,928 entries
 become 193,796.  With trained tables an upper pass over a 300-note piece
 took 0.031 s for `metmm1sd` and 0.218 s for `patmm1d`, against 0.213 s and
-0.537 s over every state, and a forward pass over a 200-note `metmm1sdb`
-piece 15-21 ms, against 67-69 ms over a per-value matrix with a column
-per source (one thread, 2-vCPU host; README.md).
+0.537 s over every state.  A forward pass over a 200-note `metmm1sdb`
+piece took 14 ms, against 52 ms over a per-value matrix with a column per
+source; over `patmm1b`, whose classes are all singletons, it took 18 ms
+against 16 ms, since each step adds the class sums and a product that
+scatters (one thread, 2-vCPU host; README.md).
 """
 from __future__ import annotations
 
@@ -419,7 +421,9 @@ def _class_layout(edges: EdgeSet):
     src_order, src_indptr = edges.src_view()
     starts = src_indptr[reps]
     counts = src_indptr[reps + 1] - starts
-    order = src_order[_concat_ranges(starts, counts)]
+    # edge ids as intp: each reweighing gathers `logp` by them, and an int32
+    # index would make that gather convert it first, three times slower
+    order = src_order[_concat_ranges(starts, counts)].astype(np.intp)
     cols = edges.out[order] - 1
     cols *= edges.n_dst
     cols += edges.dst[order]
@@ -630,15 +634,12 @@ def _scaled_start(init, n_steps: int):
 
 def _forward_rows(space, n_steps: int) -> list:
     """Per step 0..n_steps-1, ``(n_values, n_dst, cls, C^T)`` of its edge
-    set's `EdgeSet.class_rows`, with ``cls`` None when each source is its
-    own class, in source order.  ``C^T`` is a CSC view that shares C's
+    set's `EdgeSet.class_rows`.  ``C^T`` is a CSC view that shares C's
     arrays, taken once per edge set: one made at every step slowed
     `patmm1b`'s forward by 30-60%."""
     rows = []
     for edges in (space.first, space.trans)[:min(n_steps, 2)]:
         n_values, _, cls, mat = edges.class_rows()
-        if np.array_equal(cls, np.arange(cls.size)):
-            cls = None  # the class sums are x: skipping them saves 2-7% on `patmm1b`
         rows.append((n_values, edges.n_dst, cls, mat.T))
     return rows + rows[1:] * (n_steps - 2)
 
@@ -648,9 +649,8 @@ def _pushed(rows, x) -> np.ndarray:
     along edges producing v, as ``C^T @ bincount(cls, x)`` over a step's
     `_forward_rows` `rows`."""
     n_values, n_dst, cls, mat_t = rows
-    if cls is not None:
-        x = np.bincount(cls, weights=x, minlength=mat_t.shape[1])
-    return (mat_t @ x).reshape(n_values, n_dst)
+    sums = np.bincount(cls, weights=x, minlength=mat_t.shape[1])
+    return (mat_t @ sums).reshape(n_values, n_dst)
 
 
 def _scaled_forward(space, em, init, keep_table=True):
