@@ -53,8 +53,9 @@ out-edges depend only on where it stands: many sources have out-edges of
 the same destination, value and parameter slot, and so the same weights
 and backward values under any tables.  Each edge set partitions its
 sources into such classes (state minimization, Hopcroft 1971) once per
-topology, on first use, and a weighing that drops edges or states derives
-its classes from the topology's (see `EdgeSet.row_classes`).  Its one
+topology, on first use (see `EdgeSet.row_classes`); a weighing keeps every
+state and edge, a zero weight being a log weight of -inf, so every weighing
+of a topology shares its classes.  Its one
 weighted matrix has a row per class (see `EdgeSet.class_rows`): the
 forward pass multiplies its transpose by the state vector's class sums,
 and the upper backward pass multiplies it and gathers the result per
@@ -154,8 +155,7 @@ class EdgeSet:
         """Edges from int64/float64 arrays already in (dst, src) order,
         used as given, not copied.  `slot` is the parameter slot that each
         edge's weight reads: sources whose out-edges match in (dst, out,
-        slot) weigh alike under any parameters (see `row_classes`).  A
-        `subset` has none."""
+        slot) weigh alike under any parameters (see `row_classes`)."""
         self.src = src
         self.dst = dst
         self.logp = logp
@@ -171,7 +171,6 @@ class EdgeSet:
         self._starts = self.dst_indptr[self._rows]
         self._seg_counts = counts[self._rows]
         self._structure = {}  # lazy views of src/dst/out, shared by reweighted copies
-        self._origin = None  # (edges, kept sources) whose classes these derive from
         self._class_rows = None
         self._log_kappa = None
 
@@ -181,19 +180,6 @@ class EdgeSet:
         edges.logp = logp
         edges._class_rows = None
         edges._log_kappa = None
-        return edges
-
-    def subset(self, src, dst, logp, out, n_src: int, n_dst: int, kept_src) -> "EdgeSet":
-        """Some of these edges, renumbered, whose row classes derive from
-        this set's (see `row_classes`) on first use.
-
-        The sources kept are those of the mask `kept_src` (None for all),
-        in order, and the rule that kept the edges must keep or drop alike
-        the edges of one (dst, out, slot) in every row: then members of a
-        class stay members of one.
-        """
-        edges = EdgeSet(src, dst, logp, out, n_src, n_dst)
-        edges._origin = (self, kept_src)
         return edges
 
     def src_view(self):
@@ -232,17 +218,11 @@ class EdgeSet:
         The members of a class have out-edges of the same (dst, out, slot)
         in (src, dst) order, so they get the same weights, row sums and
         backward values under any parameters.  Found once per structure,
-        on first use (see `_row_classes`), or derived from those of the set
-        this one is a `subset` of.
+        on first use (see `_row_classes`).
         """
         classes = self._structure.get("row_classes")
         if classes is None:
-            if self._origin is None:
-                classes = _row_classes(self)
-            else:
-                origin, kept_src = self._origin
-                classes = _kept_classes(*origin.row_classes(), kept_src)
-            self._structure["row_classes"] = classes
+            classes = self._structure["row_classes"] = _row_classes(self)
         return classes
 
     def class_rows(self):
@@ -397,18 +377,6 @@ def _row_classes(edges: EdgeSet):
     is_rep = rep == every
     cls = np.cumsum(is_rep) - 1
     return cls[rep], every[is_rep]
-
-
-def _kept_classes(cls, reps, kept_src):
-    """The `EdgeSet.row_classes` of an `EdgeSet.subset` whose sources are
-    those of the mask `kept_src` (None for all), from the classes
-    ``(cls, reps)`` of the set it was taken from: each kept source stays in
-    its class, classes with no kept member go, and each class's
-    representative is its first kept member."""
-    if kept_src is None:
-        return cls, reps
-    _, reps, cls = np.unique(cls[kept_src], return_index=True, return_inverse=True)
-    return cls, reps
 
 
 def _class_layout(edges: EdgeSet):
@@ -742,9 +710,10 @@ def _batched_forward(space, em, init, keep_table=True):
         # each step's weights, products and divisions
         log_loss[lo + 1:hi + 1] = np.log(2 * edges.n_edges + edges.n_dst) + LOG_UNDERFLOW + top
         whole = edges._rows.size == edges.n_dst
-        products = np.empty(edges.n_edges)
         for n in range(lo, hi):
-            x.take(edges.src, out=products)
+            # a gather, not `take`: `take` copies an index that is read-only,
+            # as every topology's are, at every step
+            products = x[edges.src]
             products *= w[n - lo]
             y = np.add.reduceat(products, edges._starts)
             s = np.add.reduce(y)

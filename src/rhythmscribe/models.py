@@ -47,7 +47,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass, replace
-from itertools import compress, product
+from itertools import product
 
 import numpy as np
 
@@ -928,51 +928,29 @@ class _EdgeTopology:
         self.template = EdgeSet(
             _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst, self.slot)
 
-    def weigh(self, theta, factor, src_map, dst_map):
-        """(EdgeSet, ids of the kept edges or None when all are kept).
+    def weigh(self, theta, factor) -> EdgeSet:
+        """The template weighed with the flat parameter vector `theta`, in
+        its own edge order.
 
-        Each source row is renormalized to a distribution over its kept
-        edges.  `factor` is the per-destination-state factor (0 for dropped
-        states), or None for unmodified models; `src_map` / `dst_map` are
-        `_renumbering`s of the endpoint slots, or None when every endpoint
-        state is kept.
+        Edge s -> d weighs ``theta[slot] * factor[d]`` over the sum of its
+        source row.  `factor` is the per-destination-state factor (0 for the
+        states the state mask drops), or None for unmodified models.  Every
+        edge is kept: a weight of 0 is a log weight of -inf, and so is every
+        weight of a row with no mass.
         """
         t = self.template
         prob = theta[self.slot]
         if factor is not None:
             prob *= factor[t.dst]
-        keep = prob > 0
-        if src_map is not None:
-            keep &= src_map[0][t.src]
-        src, dst, out, kept = t.src, t.dst, t.out, None
-        n_src, n_dst = t.n_src, t.n_dst
-        if src_map is not None or dst_map is not None or not keep.all():
-            kept = np.flatnonzero(keep)
-            src, dst, out, prob = src[kept], dst[kept], out[kept], prob[kept]
-            if src_map is not None:
-                src, n_src = src_map[1][src], src_map[2]
-            if dst_map is not None:
-                dst, n_dst = dst_map[1][dst], dst_map[2]
         # within each source row, build order is dst order, so this bincount
         # adds each row's terms in build order: row sums match to the last bit
+        rowsum = np.bincount(t.src, weights=prob, minlength=t.n_src)
+        rowsum[rowsum == 0] = 1.0  # log 0 - log 1: -inf rather than NaN
         # the logs overwrite `prob` (a fresh array) to save an edge-length copy
-        rowsum = np.bincount(src, weights=prob, minlength=n_src)
-        with np.errstate(divide="ignore"):  # rows left without edges
+        with np.errstate(divide="ignore"):  # zero weights
             logp = np.log(prob, out=prob)
-            logp -= np.log(rowsum)[src]
-        if kept is None:
-            return t.reweighted(logp), None
-        # prob is theta[slot] * factor[dst], so every row keeps or drops an
-        # edge by its (dst, out, slot) alike, as `EdgeSet.subset` needs
-        return t.subset(src, dst, logp, out, n_src, n_dst,
-                        None if src_map is None else src_map[0]), kept
-
-
-def _renumbering(mask):
-    """(mask, new index per old index, kept count), or None if all are kept."""
-    if mask is None or mask.all():
-        return None
-    return mask, np.cumsum(mask) - 1, int(mask.sum())
+        logp -= np.log(rowsum)[t.src]
+        return t.reweighted(logp)
 
 
 class _Topology:
@@ -982,7 +960,8 @@ class _Topology:
     edges in (dst, src) order and, for every edge, boundary state and
     modification state, the slots of the flat parameter vector whose
     product weighs it.  `weigh` turns a parameter vector whose support lies
-    within the one the topology was built for into the space a build from
+    within the one the topology was built for into a space of the same
+    states and edges; on that support itself, it is the space a build from
     those parameters yields.  Shared arrays are read-only.
     """
 
@@ -1012,8 +991,6 @@ class _Topology:
         return not theta[self.outside].any()
 
     def _state_mask(self, theta):
-        if not self.state_keep:
-            return None
         mask = np.logical_and.reduce([theta[s] > 0 for s in self.state_keep])
         if self.state_rt is not None:
             state_key, base_key, base_slot = self.state_rt
@@ -1023,42 +1000,26 @@ class _Topology:
         return mask
 
     def weigh(self, config: ModelConfig, theta: np.ndarray) -> "LatentStateSpace":
-        mask = self._state_mask(theta)
+        """The space of `theta`, in this topology's state, boundary and edge
+        order: what `theta` gives 0 weighs 0 (see `_EdgeTopology.weigh`),
+        and a boundary state of zero shift entry keeps log_initial -inf."""
         factor = None
         if self.state_slots:
+            # the modifications that weigh states also say which exist
             factor = _product(theta, self.state_slots)
-            if mask is not None:
-                factor[~mask] = 0.0
-        states = _renumbering(mask)
-        shifts = self.boundary_slots[1:]
-        bounds = _renumbering(theta[shifts[0]] > 0 if shifts else None)
-        first, first_kept = self.first.weigh(theta, factor, bounds, states)
-        trans, trans_kept = self.trans.weigh(theta, factor, states, states)
-        init_p = _product(theta, self.boundary_slots)
-        boundary_tags, state_tags, init_pos = self.boundary_tags, self.state_tags, self.init_pos
-        boundary_kept = None
-        if bounds is not None:
-            boundary_kept = np.flatnonzero(bounds[0])
-            boundary_tags = tuple(compress(boundary_tags, bounds[0]))
-            init_p = init_p[boundary_kept]
-            init_pos = None if init_pos is None else init_pos[boundary_kept]
-        if states is not None:
-            state_tags = tuple(compress(state_tags, states[0]))
+            factor[~self._state_mask(theta)] = 0.0
         with np.errstate(divide="ignore"):
-            log_init = np.log(init_p)
+            log_init = np.log(_product(theta, self.boundary_slots))
         return LatentStateSpace(
             config=config,
-            boundary_tags=boundary_tags,
+            boundary_tags=self.boundary_tags,
             log_initial=log_init,
-            initial_positions=init_pos,
-            state_tags=state_tags,
-            first=first,
-            trans=trans,
+            initial_positions=self.init_pos,
+            state_tags=self.state_tags,
+            first=self.first.weigh(theta, factor),
+            trans=self.trans.weigh(theta, factor),
             virtual_boundary=self.virtual,
             topology=self,
-            boundary_kept=boundary_kept,
-            first_kept=first_kept,
-            trans_kept=trans_kept,
         )
 
 
@@ -1070,10 +1031,10 @@ class _TopologyCache:
         self._entries = []  # (key, topology), most recent first
         self._lock = threading.Lock()
 
-    def find(self, key, theta):
+    def find(self, key):
         with self._lock:
             for i, (k, topology) in enumerate(self._entries):
-                if k == key and topology.covers(theta):
+                if k == key:
                     self._entries.insert(0, self._entries.pop(i))
                     return topology
         return None
@@ -1108,9 +1069,9 @@ class LatentStateSpace:
     states.  Models without an explicit pre-first-note state use a single
     virtual boundary whose tag is None.
 
-    A space is its `topology` weighed (see `_Topology.weigh`); the kept
-    arrays give the topology index of each boundary state and edge the
-    weighing kept, or are None where it kept them all.
+    A space is its `topology` weighed (see `_Topology.weigh`): it holds
+    every state, boundary state and edge of the topology, in the
+    topology's order, and what the tables give 0 weighs -inf.
     """
 
     def __init__(
@@ -1124,9 +1085,6 @@ class LatentStateSpace:
         trans: EdgeSet,
         virtual_boundary: bool,
         topology: _Topology,
-        boundary_kept: np.ndarray | None,
-        first_kept: np.ndarray | None,
-        trans_kept: np.ndarray | None,
     ):
         self.config = config
         self.bar_length = config.bar_length
@@ -1140,7 +1098,6 @@ class LatentStateSpace:
         self.trans = trans
         self.virtual_boundary = virtual_boundary
         self._topology = topology
-        self._kept = (boundary_kept, first_kept, trans_kept)
 
     @property
     def n_states(self) -> int:
@@ -1158,9 +1115,10 @@ class LatentStateSpace:
     def reweighed(self, theta: np.ndarray) -> "LatentStateSpace":
         """This space's topology weighed with the flat parameter vector `theta`.
 
-        `theta` is laid out as `layout`; the result equals a build from the
-        tables it holds, array for array.  ValueError if `theta` is positive
-        outside the support the topology was built for.
+        `theta` is laid out as `layout`; the result keeps this space's
+        states and edges, and weighs -inf what `theta` gives 0.  ValueError
+        if `theta` is positive outside the support the topology was built
+        for.
         """
         topo = self._topology
         theta = np.asarray(theta, dtype=np.float64)
@@ -1176,18 +1134,16 @@ class LatentStateSpace:
         Every weight of the space is a product of table entries, so a path's
         sufficient statistics are the slots of its boundary state and edges.
         """
-        boundary = 0 if path.boundary_index is None else int(path.boundary_index)
+        boundary = np.array([0 if path.boundary_index is None else int(path.boundary_index)])
         states = np.asarray(path.state_indices, dtype=np.int64)
         outs = np.asarray(path.output_values, dtype=np.int64)
-        first = _edge_ids(self.first, np.array([boundary]), states[:1], outs[:1])
+        first = _edge_ids(self.first, boundary, states[:1], outs[:1])
         trans = _edge_ids(self.trans, states[:-1], states[1:], outs[1:])
-        # the same ids in the topology, whose arrays hold every edge's slots
-        b, f, t = (ids if kept is None else kept[ids]
-                   for ids, kept in zip((np.array([boundary]), first, trans), self._kept))
         topo = self._topology
-        entered = np.concatenate([topo.first.template.dst[f], topo.trans.template.dst[t]])
-        used = [s[b] for s in topo.boundary_slots]
-        used += [topo.first.slot[f], topo.trans.slot[t]] + [s[entered] for s in topo.state_slots]
+        entered = np.concatenate([self.first.dst[first], self.trans.dst[trans]])
+        used = [s[boundary] for s in topo.boundary_slots]
+        used += [topo.first.slot[first], topo.trans.slot[trans]]
+        used += [s[entered] for s in topo.state_slots]
         return np.bincount(np.concatenate(used), minlength=topo.layout.size).astype(np.float64)
 
 
@@ -1206,10 +1162,10 @@ def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:
 def build_state_space(config: ModelConfig, params: ModelParams) -> LatentStateSpace:
     """Build the latent state space of any supported model variant.
 
-    The structure comes from a cached topology (see `_Topology`) whose
-    support covers the positive entries of `params`, built on a miss; the
-    tables then only weigh it.  The result equals a build from scratch,
-    array for array.
+    The structure comes from a cached topology (see `_Topology`) built for
+    exactly the positive entries of `params`, built on a miss; the tables
+    then only weigh it.  The result equals a build from scratch, array for
+    array.
     """
     if params.family != config.family or params.order != config.order:
         raise ValueError(
@@ -1223,12 +1179,12 @@ def build_state_space(config: ModelConfig, params: ModelParams) -> LatentStateSp
         raise ValueError("division model needs params.division_probs")
     params.validate()
     patterns = params.patterns if config.family == "pat" else None
-    key = (config.family, config.order, config.shift, config.division, config.bar_length,
-           patterns)
     layout = _Layout(config.order, config.shift, config.division, config.bar_length,
                      params.n_symbols)
     theta = layout.flatten(params)
-    topology = _TOPOLOGY_CACHE.find(key, theta)
+    key = (config.family, config.order, config.shift, config.division, config.bar_length,
+           patterns, np.packbits(theta > 0).tobytes())
+    topology = _TOPOLOGY_CACHE.find(key)
     if topology is None:
         topology = _build_topology(config, layout, theta > 0, patterns)
         _TOPOLOGY_CACHE.add(key, topology)

@@ -2,6 +2,7 @@
 sampler, the argmax-free Viterbi sweep, its certified pruned form and the
 one-forward-per-iteration Gibbs loop, each against a reference."""
 import hashlib
+import warnings
 import zlib
 
 import numpy as np
@@ -528,6 +529,40 @@ class TestBackwardSampler:
         assert sampler.random() == follower.random()
 
 
+class TestZeroWeights:
+    """A reweighing keeps every edge and weighs -inf what the tables give
+    0: the samplers never draw such an edge, and a row with no mass is -inf
+    throughout."""
+
+    @pytest.mark.parametrize("w", [[0.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 2.0],
+                                   [1.0, 2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    def test_inverse_cdf_never_returns_a_zero_weight(self, w):
+        w = np.array(w)
+        u = np.array([0.0, np.nextafter(1.0, 0.0)])
+        assert np.all(w[_dp._inverse_cdf(w, u)] > 0)
+        assert all(w[_dp._inverse_cdf(w, x)] > 0 for x in u)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_row_with_no_mass_weighs_minus_inf(self, route, rng, monkeypatch):
+        route_to(monkeypatch, route)
+        cfg = ModelConfig.from_name("metmm1", bar_length=4)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        params = random_params(cfg, rng)
+        params.transition[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thinned = space.reweighed(space.layout.flatten(params))
+        dead = space.trans.src == 2
+        assert np.all(np.isneginf(thinned.trans.logp[dead]))
+        assert np.isfinite(thinned.trans.logp[~dead]).all()
+        tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
+        em = TranscriptionHmm(thinned, tp).emission_matrix(rng.uniform(0.15, 1.0, size=10))
+        assert np.isfinite(_dp.forward(thinned, em))
+        for path in (_dp.ffbs(thinned, em, rng), _dp.viterbi(thinned, em)):
+            assert np.isfinite(path.log_prob)
+            assert 2 not in path.state_indices[:-1]
+
+
 class TestEmissionChecks:
     @staticmethod
     def spaces(rng):
@@ -1003,7 +1038,7 @@ PLAIN_VARIANTS = sorted({ModelConfig.from_name(name).plain().name for name in AL
 def class_row_spaces(name, seed):
     """A space of `name` at bar lengths 3, 4 and 6 (those under 200k edges),
     with Dirichlet-random tables, and each reweighed with about 10% of its
-    positive parameters zeroed, so that edges and states drop."""
+    positive parameters zeroed, so that edges and states weigh 0."""
     rng = np.random.default_rng([20261019, zlib.crc32(name.encode()), seed])
     for bar_length in (3, 4, 6):
         cfg = ModelConfig.from_name(name, bar_length=bar_length)
@@ -1020,9 +1055,8 @@ def class_row_spaces(name, seed):
 
 
 def source_rows(edges):
-    """Per source, its out-edges' arrays in (src, dst) order: dst, out and,
-    where the set has them, logp (a topology's has none) and slot (a
-    subset's has none)."""
+    """Per source, its out-edges' arrays in (src, dst) order: dst, out,
+    logp where the set has them (a topology's has none) and slot."""
     order, indptr = edges.src_view()
     fields = [f for f in (edges.dst, edges.out, edges.logp, edges.slot) if f is not None]
     return [[f[order[a:b]] for f in fields] for a, b in zip(indptr[:-1], indptr[1:])]
@@ -1145,16 +1179,17 @@ class TestClassRows:
             assert edges.row_classes()[1].size == len(rows)
         for edges in (space.first, space.trans):
             assert_members_match_their_representative(edges)
-        # a weighing that drops edges, and states on the modified models,
-        # derives its classes
+        # a weighing that zeroes parameters weighs edges -inf in place, so
+        # it shares the topology's structure and classes
         theta = space.layout.flatten(random_params(cfg, rng))
         positive = np.flatnonzero(theta > 0)
         theta[positive[rng.random(positive.size) < 0.1]] = 0.0
         thinned = space.reweighed(theta)
-        assert thinned.trans.n_edges < space.trans.n_edges
-        assert (thinned.n_states < space.n_states) == (name != "patmm0")
-        assert thinned.trans._origin[0] is topology.trans.template
-        for edges in (thinned.first, thinned.trans):
+        assert np.isneginf(thinned.trans.logp).any()
+        for edges, template in ((thinned.first, topology.first.template),
+                                (thinned.trans, topology.trans.template)):
+            assert edges._structure is template._structure
+            assert edges.row_classes() is template.row_classes()
             assert_members_match_their_representative(edges)
 
     @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d"])

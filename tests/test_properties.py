@@ -99,10 +99,9 @@ def log_row_sums(space, params, path) -> float:
         for slots in topology.state_slots:
             weight = weight * theta[slots[t.dst]]
         rows.append(np.bincount(t.src, weights=weight, minlength=t.n_src))
-    # the space keeps a subset of the topology's states: match them by tag
-    boundary = topology.boundary_tags.index(space.boundary_tags[path.boundary_index or 0])
-    states = [topology.state_tags.index(space.state_tags[s]) for s in path.state_indices[:-1]]
-    return float(np.log(rows[0][boundary]) + np.log(rows[1][states]).sum())
+    # the space keeps every state of its topology, in its order
+    boundary = path.boundary_index or 0
+    return float(np.log(rows[0][boundary]) + np.log(rows[1][path.state_indices[:-1]]).sum())
 
 
 @PROPERTY_SETTINGS

@@ -106,6 +106,55 @@ def counts_digest(space, n_draws=4, n_notes=6) -> str:
     return h.hexdigest()[:20]
 
 
+def tag_map(tags, narrow_tags) -> np.ndarray:
+    """The index in `tags` of each of `narrow_tags`."""
+    index = {tag: i for i, tag in enumerate(tags)}
+    return np.array([index[tag] for tag in narrow_tags], dtype=np.int64)
+
+
+def assert_restricts_to(space, narrow):
+    """`space` restricted to the boundary and state tags of `narrow` holds
+    exactly `narrow`'s finite edges and log_initial, bit for bit; every edge
+    into another state and every other boundary state weighs -inf."""
+    bmap = tag_map(space.boundary_tags, narrow.boundary_tags)
+    smap = tag_map(space.state_tags, narrow.state_tags)
+    assert np.array_equal(space.log_initial[bmap], narrow.log_initial)
+    assert np.all(np.delete(space.log_initial, bmap) == -np.inf)
+    for edges, mine, src_map in ((space.first, narrow.first, bmap),
+                                 (space.trans, narrow.trans, smap)):
+        assert np.all(np.delete(edges.logp, np.flatnonzero(np.isin(edges.dst, smap))) == -np.inf)
+        keep = np.isfinite(edges.logp) & np.isin(edges.src, src_map) & np.isin(edges.dst, smap)
+        got = [edges.src[keep], edges.dst[keep], edges.out[keep], edges.logp[keep]]
+        want = [src_map[mine.src], smap[mine.dst], mine.out, mine.logp]
+        assert np.isfinite(mine.logp).all()
+        for g, w in zip(by_src_dst_out(got), by_src_dst_out(want), strict=True):
+            assert np.array_equal(g, w)
+
+
+def by_src_dst_out(rows) -> list:
+    """The edge arrays `rows` (src, dst, out, ...) in (src, dst, out) order."""
+    order = np.lexsort(rows[2::-1])
+    return [a[order] for a in rows]
+
+
+def ffbs_draws(space, n_draws=4, n_notes=6):
+    """(path, slot counts) of seeded FFBS draws on `space`, from a stream
+    that does not depend on the space's size."""
+    rng = np.random.default_rng(20261020)
+    tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
+    for _ in range(n_draws):
+        durations = rng.uniform(0.15, 0.25 * space.bar_length, size=n_notes)
+        em = TranscriptionHmm(space, tp).emission_matrix(durations)
+        path = _dp.ffbs(space, em, rng)
+        yield path, gather_counts(space, path)
+
+
+def path_tags(space, path) -> tuple:
+    """A path by boundary and state tags, with its output values."""
+    return (space.boundary_tags[path.boundary_index or 0],
+            [space.state_tags[s] for s in path.state_indices], list(path.output_values))
+
+
 # case -> (space digest, gather_counts digest), recorded from scratch builds
 RECORDED = {
     "notemm0-nb5": ("2c139c2aeefa370ca111", "31b16fc94a1ec97dc0ed"),  # 5 states, 18 edges
@@ -181,16 +230,25 @@ class TestAgainstRecordedBuilds:
         assert space_digest(space) == RECORDED[case][0]
         assert len(fresh_cache) == 1
 
-    def test_wider_topology_weighs_to_the_same_space(self, case, config, params, fresh_cache):
+    def test_wider_topology_weighs_zeros_in_place(self, case, config, params, fresh_cache):
         wide = build_state_space(config, random_params(config, np.random.default_rng(1),
                                                        params.patterns))
-        space = build_state_space(config, params)
-        assert len(fresh_cache) == 1  # the narrow params reuse the wide topology
-        assert space_digest(space) == RECORDED[case][0]
-        # so does re-weighing the wide space with the narrow params' flat vector
-        space = wide.reweighed(wide.layout.flatten(params))
-        assert space_digest(space) == RECORDED[case][0]
-        assert counts_digest(space) == RECORDED[case][1]
+        narrow = build_state_space(config, params)
+        theta = wide.layout.flatten(params)
+        # the narrow tables build their own topology, unless no entry of
+        # theirs is 0 (one case)
+        assert len(fresh_cache) == 1 + (not theta.all())
+        assert space_digest(narrow) == RECORDED[case][0]
+        # re-weighing the wide space with the narrow tables keeps its states
+        # and edges, and restricted to the narrow ones it is the narrow build
+        space = wide.reweighed(theta)
+        assert (space.n_states, space.n_edges) == (wide.n_states, wide.n_edges)
+        assert_restricts_to(space, narrow)
+        # so FFBS draws the same paths from both
+        for got, want in zip(ffbs_draws(space), ffbs_draws(narrow)):
+            assert path_tags(space, got[0]) == path_tags(narrow, want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[0].log_likelihood == pytest.approx(want[0].log_likelihood, rel=1e-12)
 
     def test_counts_match(self, case, config, params, fresh_cache):
         assert counts_digest(build_state_space(config, params)) == RECORDED[case][1]
