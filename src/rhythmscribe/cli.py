@@ -64,22 +64,53 @@ class _Settings:
         self.file_cfg = json_object(read_json(path), path) if path else {}
 
     def get(self, key: str, default, cast):
-        """A flag as parsed, an environment string through `cast`, or a config
-        file's value checked as an int or a finite number, naming file and key."""
+        """Setting `key` from a flag, the environment, the config file or
+        `default`, in that order, read as `cast` (int, float or `_seeds`);
+        a value of the wrong kind is refused with one line naming the flag,
+        the variable or the file and key (argparse types int and float
+        flags itself)."""
         flag = getattr(self.args, key, None)
         if flag is not None:
-            return flag
-        env = os.environ.get(ENV_PREFIX + key.upper())
+            return flag if cast in (int, float) else cast(flag, f"--{key}")
+        name = ENV_PREFIX + key.upper()
+        env = os.environ.get(name)
         if env is not None:
-            return cast(env)
+            return _env_number(env, name, cast) if cast in (int, float) else cast(env, name)
         if key in self.file_cfg:
             value, where = self.file_cfg[key], f"{self.cfg_path} {key}"
             if cast is int:
                 return integral(value, where)
             if cast is float:
                 return float(json_number(value, where))
-            return cast(value)
+            return cast(value, where)
         return default
+
+
+def _env_number(text: str, name: str, cast):
+    """An environment string as an int or a finite float; ValueError
+    naming the variable if it is not one."""
+    if cast is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    try:
+        value = float(text)
+    except ValueError:
+        value = text
+    return float(json_number(value, name))
+
+
+def _seeds(value, where: str) -> list:
+    """Seeds from comma-separated integers or a JSON list of integers;
+    ValueError naming `where` for anything else."""
+    if isinstance(value, list):
+        return [integral(s, where) for s in value]
+    try:
+        return [int(s) for s in value.split(",") if s.strip()]
+    except (AttributeError, ValueError):
+        raise ValueError(f"{where}: expected comma-separated integers or a list of "
+                         f"integers, got {value!r}") from None
 
 
 def _derived_rng(seed: int, *keys: str) -> np.random.Generator:
@@ -337,7 +368,7 @@ def cmd_bench(args, parser) -> int:
     tp = TimingParams.from_bpm(tempo, sigma)
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
     jobs = int(settings.get("jobs", 1, int))
-    seeds = [int(s) for s in str(settings.get("seeds", "0", str)).split(",") if s != ""]
+    seeds = settings.get("seeds", [0], _seeds)
     epsilon = float(settings.get("epsilon", DEFAULT_EPSILON, float))
     smoothing = SmoothingConfig(epsilon=epsilon)
 

@@ -353,6 +353,63 @@ class TestSettingsPrecedence:
                    "--out", out) == 0
         assert json.loads(out.read_text())["iterations"] == 2
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("ITERATIONS", "2.5", "RHYTHMSCRIBE_ITERATIONS must be an integer, got '2.5'"),
+        ("JOBS", "x", "RHYTHMSCRIBE_JOBS must be an integer, got 'x'"),
+        ("TEMPO_BPM", "fast", "RHYTHMSCRIBE_TEMPO_BPM: expected a finite number, got 'fast'"),
+        ("SIGMA_T", "inf", "RHYTHMSCRIBE_SIGMA_T: expected a finite number, got inf"),
+    ])
+    def test_env_value_of_the_wrong_kind_is_one_error_line(self, pipeline, tmp_path, capsys,
+                                                           monkeypatch, key, text, message):
+        assert run("synth", "--corpus", pipeline["corpus"], "--seed", 1, "--tempo-bpm", 120,
+                   "--sigma-t", 0.03, "--out", pipeline["perf"]) == 0
+        monkeypatch.setenv("RHYTHMSCRIBE_" + key, text)
+        out = tmp_path / "x.json"
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1b",
+                   "--params", pipeline["params"], "--seed", 2, "--out", out) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0,1", [0, 1], [0, 1.0]])
+    def test_config_seeds_as_a_string_or_a_list(self, pipeline, tmp_path, seeds):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": seeds}))
+        out = tmp_path / "bench.json"
+        assert run("bench", "--corpus", pipeline["corpus"], "--models", "notemm1",
+                   "--config", cfg, "--out", out) == 0
+        assert json.loads(out.read_text())["seeds"] == [0, 1]
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("x", "seeds: expected comma-separated integers or a list of integers, got 'x'"),
+        (5, "seeds: expected comma-separated integers or a list of integers, got 5"),
+        ({"a": 1}, "seeds: expected comma-separated integers or a list of integers, "
+                   "got {'a': 1}"),
+        ([1, 2.5], "seeds must be an integer, got 2.5"),
+        ([True], "seeds must be an integer, got True"),
+    ])
+    def test_config_seeds_of_the_wrong_kind_are_one_error_line(self, pipeline, tmp_path, capsys,
+                                                               seeds, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": seeds}))
+        out = tmp_path / "bench.json"
+        assert run("bench", "--corpus", pipeline["corpus"], "--models", "notemm1",
+                   "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {cfg} {message}"]
+        assert not out.exists()
+
+    def test_seeds_flag_and_env_are_refused_by_name(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        out = tmp_path / "bench.json"
+        monkeypatch.setenv("RHYTHMSCRIBE_SEEDS", "1;2")
+        assert run("bench", "--corpus", pipeline["corpus"], "--models", "notemm1",
+                   "--out", out) == 1
+        assert run("bench", "--corpus", pipeline["corpus"], "--models", "notemm1",
+                   "--seeds", "a", "--out", out) == 1
+        kind = "expected comma-separated integers or a list of integers"
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: RHYTHMSCRIBE_SEEDS: {kind}, got '1;2'", f"error: --seeds: {kind}, got 'a'"]
+        assert not out.exists()
+
     def test_env_timing(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("RHYTHMSCRIBE_TEMPO_BPM", "120")
         monkeypatch.setenv("RHYTHMSCRIBE_SIGMA_T", "0.05")
