@@ -946,6 +946,10 @@ def forward(
     if init.shape != space.log_initial.shape:
         raise ValueError(f"log_init has {init.size} entries, the space's boundary slot "
                          f"has {space.log_initial.size}")
+    bad = ~(init < np.inf)  # NaN or +inf; -inf stays legal
+    if bad.any():
+        raise ValueError(f"log_init has a NaN or +inf entry at boundary index "
+                         f"{int(np.argmax(bad))}")
     if not np.isfinite(init).any():
         return (NEG_INF, None) if return_table else NEG_INF
     eff = _effective_width(beam_width, space, init.size)

@@ -552,30 +552,25 @@ class _Parts:
     """An enumerated state space before sorting: tags, edges, weight slots.
 
     A boundary state weighs the product of its `boundary_slots` columns
-    (initial entry, then the shift entry s_0 when shifting; a shifted
-    boundary state exists only while its shift entry is positive).
+    (initial entry, then the shift entry s_0 when shifting), and has
+    metrical position `initial_positions[i]` where the family fixes one.
     `state_value` is, per state, the value every edge into it produces, or
     None where states do not fix it.  Entering a state multiplies an edge's
     base weight by the product of the state's `state_slots` columns (zeta on
-    entering a division, then shift xi; none for unmodified models).
-    `state_keep` are slot columns that must all be positive for a state to
-    exist; `state_rt` is, for division models, ``(state key, base-edge keys,
-    base-edge slots)``: a division state of symbol j dividing base value rt
-    (key j * (N_b + 1) + rt) exists only while some base edge into j
-    producing rt has positive weight.
+    entering a division, then shift xi; none for unmodified models).  Those
+    products are the only weights: a state that no path of positive weight
+    reaches keeps its rows.
     """
 
     boundary_tags: list
     boundary_slots: tuple
-    init_pos: np.ndarray | None
+    initial_positions: np.ndarray | None
     state_tags: list
     first: tuple
     trans: tuple
-    virtual: bool
+    virtual_boundary: bool
     state_value: np.ndarray | None = None
     state_slots: tuple = ()
-    state_keep: tuple = ()
-    state_rt: tuple | None = None
 
 
 def _row_slots(config: ModelConfig, layout: _Layout, k: int) -> np.ndarray:
@@ -620,11 +615,11 @@ def _note_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
     return _Parts(
         boundary_tags=[None],
         boundary_slots=(np.array([layout.one]),),
-        init_pos=None,
+        initial_positions=None,
         state_tags=sym_tags,
         first=first,
         trans=trans,
-        virtual=True,
+        virtual_boundary=True,
         state_value=base_vals,
     )
 
@@ -645,11 +640,11 @@ def _met_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
         return _Parts(
             boundary_tags=sym_tags.copy(),
             boundary_slots=(layout.slots("initial"),),
-            init_pos=positions.copy(),
+            initial_positions=positions.copy(),
             state_tags=sym_tags,
             first=edges,
             trans=edges,
-            virtual=False,
+            virtual_boundary=False,
         )
     # order 2: symbols are (previous position, position)
     sym_tags = [(int(bp), int(b)) for bp in positions for b in positions]
@@ -658,11 +653,11 @@ def _met_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
     return _Parts(
         boundary_tags=[int(b) for b in positions],
         boundary_slots=(layout.slots("initial"),),
-        init_pos=positions.copy(),
+        initial_positions=positions.copy(),
         state_tags=sym_tags,
         first=(b0, b0 * nb + b1, ivals[b0, b1], layout.slots("transition").ravel()),
         trans=(bpp * nb + bp, bp * nb + b, ivals[bp, b], layout.slots("transition2").ravel()),
-        virtual=False,
+        virtual_boundary=False,
     )
 
 
@@ -692,11 +687,11 @@ def _pat_chain(config: ModelConfig, layout: _Layout, patterns) -> _Parts:
     return _Parts(
         boundary_tags=[(k, 1) for k in range(n_pat)],
         boundary_slots=(layout.slots("initial"),),
-        init_pos=sym_pos[starts],
+        initial_positions=sym_pos[starts],
         state_tags=sym_tags,
         first=first,
         trans=trans,
-        virtual=False,
+        virtual_boundary=False,
     )
 
 
@@ -805,20 +800,16 @@ def _augment_division(chain: _Parts, layout: _Layout, support: np.ndarray) -> _P
     src, _, _, slot = chain.first
     e, within = _expand_blocks(np.diff(entry_ptr)[edge_keys[0]])
     b = entry[entry_ptr[edge_keys[0][e]] + within]
-    zeta = layout.division_slot(rt, h)
     return _Parts(
         boundary_tags=chain.boundary_tags,
         boundary_slots=chain.boundary_slots,
-        init_pos=chain.init_pos,
+        initial_positions=chain.initial_positions,
         state_tags=tags,
         first=(src[e], b, part[b], slot[e]),
         trans=_join(chunks),
-        virtual=chain.virtual,
+        virtual_boundary=chain.virtual_boundary,
         state_value=part,
-        state_slots=(np.where(g == 1, zeta, layout.one),),
-        state_keep=(zeta,),
-        state_rt=(key, np.concatenate(edge_keys),
-                  np.concatenate([chain.first[3], chain.trans[3]])),
+        state_slots=(np.where(g == 1, layout.division_slot(rt, h), layout.one),),
     )
 
 
@@ -852,13 +843,13 @@ def _augment_shift(parts: _Parts, layout: _Layout, support: np.ndarray) -> _Part
     state_tags = [base[j] + (s,) for j, s in zip(parent.tolist(), sval[s_pos].tolist())]
 
     n_b = len(parts.boundary_tags)
-    if parts.virtual:
+    if parts.virtual_boundary:
         boundary_tags = sval.tolist()
     else:
         boundary_tags = [t + (s,) for t in _as_tuples(parts.boundary_tags) for s in sval.tolist()]
-    init_pos = None
-    if parts.init_pos is not None:
-        init_pos = ((parts.init_pos[:, None] + sval[None, :]) % nb).reshape(-1)
+    positions = None
+    if parts.initial_positions is not None:
+        positions = ((parts.initial_positions[:, None] + sval[None, :]) % nb).reshape(-1)
 
     def expand(edges, src_lo, src_n, src_start):
         src, dst, v, slot = edges
@@ -885,15 +876,12 @@ def _augment_shift(parts: _Parts, layout: _Layout, support: np.ndarray) -> _Part
         boundary_tags=boundary_tags,
         boundary_slots=tuple(np.repeat(c, n_s) for c in parts.boundary_slots)
         + (np.tile(xi, n_b),),
-        init_pos=init_pos,
+        initial_positions=positions,
         state_tags=state_tags,
         first=expand(parts.first, boundary_lo, np.full(n_b, n_s), np.arange(n_b) * n_s),
         trans=expand(parts.trans, lo, n_allowed, start),
-        virtual=False,
+        virtual_boundary=False,
         state_slots=tuple(c[parent] for c in parts.state_slots) + (xi[s_pos],),
-        state_keep=tuple(c[parent] for c in parts.state_keep) + (xi[s_pos],),
-        state_rt=None if parts.state_rt is None else (parts.state_rt[0][parent],)
-        + parts.state_rt[1:],
     )
 
 
@@ -907,62 +895,63 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-class _EdgeTopology:
-    """One edge slot's structure in (dst, src) order, with its base slots."""
+def _sorted_edges(edges: list, n_src: int, n_dst: int) -> EdgeSet:
+    """One edge slot's structure in (dst, src) order, unweighed, with its
+    base slots; every array read-only.
 
-    def __init__(self, edges: list, n_src: int, n_dst: int):
-        """`edges` is a [src, dst, out, slot] list holding the only references
-        to its arrays; it is emptied as they are sorted, so that no unsorted
-        array outlives its sorted copy."""
-        # one sort key holds (dst, src), and the sorted key gives both back
-        src, dst = edges.pop(0), edges.pop(0)
-        key = np.asarray(dst, dtype=np.int64) * n_src + src
-        del src, dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        out = np.asarray(edges.pop(0), dtype=np.int64)[order]
-        self.slot = _frozen(np.asarray(edges.pop(0), dtype=np.int64)[order])
-        del order
-        dst = key // n_src
-        src = np.remainder(key, n_src, out=key)
-        self.template = EdgeSet(
-            _frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst, self.slot)
+    `edges` is a [src, dst, out, slot] list holding the only references to
+    its arrays; it is emptied as they are sorted, so that no unsorted array
+    outlives its sorted copy.
+    """
+    # one sort key holds (dst, src), and the sorted key gives both back
+    src, dst = edges.pop(0), edges.pop(0)
+    key = np.asarray(dst, dtype=np.int64) * n_src + src
+    del src, dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    out = np.asarray(edges.pop(0), dtype=np.int64)[order]
+    slot = np.asarray(edges.pop(0), dtype=np.int64)[order]
+    del order
+    dst = key // n_src
+    src = np.remainder(key, n_src, out=key)
+    return EdgeSet(_frozen(src), _frozen(dst), None, _frozen(out), n_src, n_dst, _frozen(slot))
 
-    def weigh(self, theta, factor) -> EdgeSet:
-        """The template weighed with the flat parameter vector `theta`, in
-        its own edge order.
 
-        Edge s -> d weighs ``theta[slot] * factor[d]`` over the sum of its
-        source row.  `factor` is the per-destination-state factor (0 for the
-        states the state mask drops), or None for unmodified models.  Every
-        edge is kept: a weight of 0 is a log weight of -inf, and so is every
-        weight of a row with no mass.
-        """
-        t = self.template
-        prob = theta[self.slot]
-        if factor is not None:
-            prob *= factor[t.dst]
-        # within each source row, build order is dst order, so this bincount
-        # adds each row's terms in build order: row sums match to the last bit
-        rowsum = np.bincount(t.src, weights=prob, minlength=t.n_src)
-        rowsum[rowsum == 0] = 1.0  # log 0 - log 1: -inf rather than NaN
-        # the logs overwrite `prob` (a fresh array) to save an edge-length copy
-        with np.errstate(divide="ignore"):  # zero weights
-            logp = np.log(prob, out=prob)
-        logp -= np.log(rowsum)[t.src]
-        return t.reweighted(logp)
+def _weighed(edges: EdgeSet, theta: np.ndarray, factor) -> EdgeSet:
+    """`edges` weighed with the flat parameter vector `theta`, in its own
+    edge order.
+
+    Edge s -> d weighs ``theta[slot] * factor[d]`` over the sum of its
+    source row.  `factor` is the per-destination-state product of the
+    modification entries, or None for unmodified models.  Every edge is
+    kept: a weight of 0 is a log weight of -inf, and so is every weight of
+    a row with no mass.
+    """
+    prob = theta[edges.slot]
+    if factor is not None:
+        prob *= factor[edges.dst]
+    # within each source row, build order is dst order, so this bincount
+    # adds each row's terms in build order: row sums match to the last bit
+    rowsum = np.bincount(edges.src, weights=prob, minlength=edges.n_src)
+    rowsum[rowsum == 0] = 1.0  # log 0 - log 1: -inf rather than NaN
+    # the logs overwrite `prob` (a fresh array) to save an edge-length copy
+    with np.errstate(divide="ignore"):  # zero weights
+        logp = np.log(prob, out=prob)
+    logp -= np.log(rowsum)[edges.src]
+    return edges.reweighted(logp)
 
 
 class _Topology:
     """Everything about a state space that its weights do not change.
 
     Built once per (config structure, pattern vocabulary, support): tags,
-    edges in (dst, src) order and, for every edge, boundary state and
-    modification state, the slots of the flat parameter vector whose
-    product weighs it.  `weigh` turns a parameter vector whose support lies
-    within the one the topology was built for into a space of the same
-    states and edges; on that support itself, it is the space a build from
-    those parameters yields.  Shared arrays are read-only.
+    boundary positions, and `first`/`trans`, the unweighed edges in (dst,
+    src) order, each with the slot of the flat parameter vector that weighs
+    it; boundary and modification states carry the slots of theirs.
+    `weigh` turns a parameter vector whose support lies within the one the
+    topology was built for into a space of the same states and edges; on
+    that support itself, it is the space a build from those parameters
+    yields.  Shared arrays are read-only.
     """
 
     def __init__(self, layout: _Layout, support: np.ndarray, parts: _Parts):
@@ -971,56 +960,31 @@ class _Topology:
         self.boundary_tags = tuple(parts.boundary_tags)
         self.state_tags = tuple(parts.state_tags)
         self.boundary_slots = tuple(_frozen(s) for s in parts.boundary_slots)
-        self.init_pos = None if parts.init_pos is None else _frozen(
-            np.asarray(parts.init_pos, dtype=np.int64))
+        self.initial_positions = None if parts.initial_positions is None else _frozen(
+            np.asarray(parts.initial_positions, dtype=np.int64))
         self.state_slots = tuple(_frozen(s) for s in parts.state_slots)
-        self.state_keep = tuple(_frozen(s) for s in parts.state_keep)
-        self.state_rt = None if parts.state_rt is None else tuple(
-            _frozen(a) for a in parts.state_rt)
-        self.n_rt_keys = 0 if self.state_rt is None else 1 + max(
-            int(a.max(initial=0)) for a in self.state_rt[:2])
-        self.virtual = parts.virtual
+        self.virtual_boundary = parts.virtual_boundary
         n_b, n_s = len(self.boundary_tags), len(self.state_tags)
         first, trans = list(parts.first), list(parts.trans)
         parts.first = parts.trans = None  # so that sorting frees each unsorted array
-        self.first = _EdgeTopology(first, n_b, n_s)
-        self.trans = _EdgeTopology(trans, n_s, n_s)
+        self.first = _sorted_edges(first, n_b, n_s)
+        self.trans = _sorted_edges(trans, n_s, n_s)
 
     def covers(self, theta: np.ndarray) -> bool:
         """Whether every positive entry of `theta` is in this topology's support."""
         return not theta[self.outside].any()
 
-    def _state_mask(self, theta):
-        mask = np.logical_and.reduce([theta[s] > 0 for s in self.state_keep])
-        if self.state_rt is not None:
-            state_key, base_key, base_slot = self.state_rt
-            reach = np.zeros(self.n_rt_keys, dtype=bool)
-            reach[base_key[theta[base_slot] > 0]] = True
-            mask &= reach[state_key]
-        return mask
-
     def weigh(self, config: ModelConfig, theta: np.ndarray) -> "LatentStateSpace":
         """The space of `theta`, in this topology's state, boundary and edge
-        order: what `theta` gives 0 weighs 0 (see `_EdgeTopology.weigh`),
-        and a boundary state of zero shift entry keeps log_initial -inf."""
-        factor = None
-        if self.state_slots:
-            # the modifications that weigh states also say which exist
-            factor = _product(theta, self.state_slots)
-            factor[~self._state_mask(theta)] = 0.0
+        order.  An edge weighs its slot's entry times the modification
+        entries of the state it enters, over its row's sum (see `_weighed`);
+        what `theta` gives 0 weighs -inf, and a state that no path of
+        positive weight reaches keeps its rows."""
+        factor = _product(theta, self.state_slots) if self.state_slots else None
         with np.errstate(divide="ignore"):
             log_init = np.log(_product(theta, self.boundary_slots))
-        return LatentStateSpace(
-            config=config,
-            boundary_tags=self.boundary_tags,
-            log_initial=log_init,
-            initial_positions=self.init_pos,
-            state_tags=self.state_tags,
-            first=self.first.weigh(theta, factor),
-            trans=self.trans.weigh(theta, factor),
-            virtual_boundary=self.virtual,
-            topology=self,
-        )
+        return LatentStateSpace(config, self, log_init, _weighed(self.first, theta, factor),
+                                _weighed(self.trans, theta, factor))
 
 
 class _TopologyCache:
@@ -1069,34 +1033,25 @@ class LatentStateSpace:
     states.  Models without an explicit pre-first-note state use a single
     virtual boundary whose tag is None.
 
-    A space is its `topology` weighed (see `_Topology.weigh`): it holds
-    every state, boundary state and edge of the topology, in the
-    topology's order, and what the tables give 0 weighs -inf.
+    A space is its `topology` weighed (see `_Topology.weigh`, its only
+    maker): it holds every state, boundary state and edge of the topology,
+    in the topology's order, and reads its tags, boundary positions and
+    `virtual_boundary` off it.  An edge weighs its parameter entries over
+    its row's sum, what the tables give 0 weighs -inf, and a state that no
+    path of positive weight reaches keeps its rows.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        boundary_tags,
-        log_initial,
-        initial_positions,
-        state_tags,
-        first: EdgeSet,
-        trans: EdgeSet,
-        virtual_boundary: bool,
-        topology: _Topology,
-    ):
+    def __init__(self, config: ModelConfig, topology: _Topology, log_initial: np.ndarray,
+                 first: EdgeSet, trans: EdgeSet):
         self.config = config
         self.bar_length = config.bar_length
-        self.boundary_tags = tuple(boundary_tags)
-        self.log_initial = np.asarray(log_initial, dtype=np.float64)
-        self.initial_positions = (
-            None if initial_positions is None else np.asarray(initial_positions, dtype=np.int64)
-        )
-        self.state_tags = tuple(state_tags)
+        self.boundary_tags = topology.boundary_tags
+        self.log_initial = log_initial
+        self.initial_positions = topology.initial_positions
+        self.state_tags = topology.state_tags
         self.first = first
         self.trans = trans
-        self.virtual_boundary = virtual_boundary
+        self.virtual_boundary = topology.virtual_boundary
         self._topology = topology
 
     @property
@@ -1142,7 +1097,7 @@ class LatentStateSpace:
         topo = self._topology
         entered = np.concatenate([self.first.dst[first], self.trans.dst[trans]])
         used = [s[boundary] for s in topo.boundary_slots]
-        used += [topo.first.slot[first], topo.trans.slot[trans]]
+        used += [self.first.slot[first], self.trans.slot[trans]]
         used += [s[entered] for s in topo.state_slots]
         return np.bincount(np.concatenate(used), minlength=topo.layout.size).astype(np.float64)
 

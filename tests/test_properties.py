@@ -94,11 +94,10 @@ def log_row_sums(space, params, path) -> float:
     theta = space.layout.flatten(params)
     rows = []
     for edges in (topology.first, topology.trans):
-        t = edges.template
         weight = theta[edges.slot]
         for slots in topology.state_slots:
-            weight = weight * theta[slots[t.dst]]
-        rows.append(np.bincount(t.src, weights=weight, minlength=t.n_src))
+            weight = weight * theta[slots[edges.dst]]
+        rows.append(np.bincount(edges.src, weights=weight, minlength=edges.n_src))
     # the space keeps every state of its topology, in its order
     boundary = path.boundary_index or 0
     return float(np.log(rows[0][boundary]) + np.log(rows[1][path.state_indices[:-1]]).sum())

@@ -115,14 +115,16 @@ def tag_map(tags, narrow_tags) -> np.ndarray:
 def assert_restricts_to(space, narrow):
     """`space` restricted to the boundary and state tags of `narrow` holds
     exactly `narrow`'s finite edges and log_initial, bit for bit; every edge
-    into another state and every other boundary state weighs -inf."""
+    that leaves a narrow boundary or state for another state, and every
+    other boundary state, weighs -inf: no mass leaves the narrow states."""
     bmap = tag_map(space.boundary_tags, narrow.boundary_tags)
     smap = tag_map(space.state_tags, narrow.state_tags)
     assert np.array_equal(space.log_initial[bmap], narrow.log_initial)
     assert np.all(np.delete(space.log_initial, bmap) == -np.inf)
     for edges, mine, src_map in ((space.first, narrow.first, bmap),
                                  (space.trans, narrow.trans, smap)):
-        assert np.all(np.delete(edges.logp, np.flatnonzero(np.isin(edges.dst, smap))) == -np.inf)
+        leaves = np.isin(edges.src, src_map) & ~np.isin(edges.dst, smap)
+        assert np.all(edges.logp[leaves] == -np.inf)
         keep = np.isfinite(edges.logp) & np.isin(edges.src, src_map) & np.isin(edges.dst, smap)
         got = [edges.src[keep], edges.dst[keep], edges.out[keep], edges.logp[keep]]
         want = [src_map[mine.src], smap[mine.dst], mine.out, mine.logp]
@@ -327,14 +329,13 @@ class TestCache:
         cfg = ModelConfig.from_name("metmm1sd", bar_length=4)
         space = build_state_space(cfg, random_params(cfg, rng))
         (topology,) = fresh_cache
-        arrays = [topology.outside, topology.init_pos, *topology.boundary_slots,
-                  *topology.state_slots, *topology.state_keep, *topology.state_rt]
+        arrays = [topology.outside, topology.initial_positions, *topology.boundary_slots,
+                  *topology.state_slots]
         for edges in (topology.first, topology.trans):
-            t = edges.template
-            arrays += [edges.slot, t.src, t.dst, t.out]
+            arrays += [edges.slot, edges.src, edges.dst, edges.out]
         assert all(not a.flags.writeable for a in arrays)
         # a space weighed with the topology's own support shares its edges
-        assert space.trans.src is topology.trans.template.src
+        assert space.trans.src is topology.trans.src
         with pytest.raises(ValueError):
             space.trans.src[0] = 1
         assert space.trans.logp.flags.writeable
