@@ -11,7 +11,14 @@ import pytest
 from scipy import sparse
 
 from rhythmscribe import _dp, models
-from rhythmscribe.inference import GibbsConfig, InferenceError, gibbs_fit, transcribe
+from rhythmscribe.inference import (
+    GibbsConfig,
+    InferenceError,
+    gather_counts,
+    gibbs_fit,
+    sample_posterior,
+    transcribe,
+)
 from rhythmscribe.models import (
     ModelConfig,
     build_state_space,
@@ -1456,33 +1463,35 @@ class TestLikelihoodFromTheCertificate:
         assert result.log_likelihood == want
 
 
-# Note values and traces of seeded fits recorded before the forward pass was
-# shared with the sampler; the RNG stream and the decode must not move.
-# `metmm1sdb` at alpha = 0.1, whose draws zero table entries, pins the
-# weighing of the several hundred states per draw that no path of positive
-# weight reaches.
+# Note values, traces and Dirichlet concentrations of seeded fits recorded
+# before the forward pass was shared with the sampler; the RNG stream and the
+# decode must not move.  `metmm1sdb` at alpha = 0.1, whose draws zero table
+# entries, pins the weighing of the several hundred states per draw that no
+# path of positive weight reaches.
 RECORDED_FITS = {
     "notemm1b": (
         [7, 8, 1, 1, 2, 3, 1, 8, 1, 7, 8, 7, 8, 7, 4, 7, 2, 6, 2, 8,
          7, 8, 1, 8, 7, 8, 7, 8, 7, 8, 7, 5, 5, 5, 8, 1, 8, 7, 8, 4],
         [24.333475415788396, 27.304631439075273, 21.454356105711813, 23.442162517349303],
+        DEFAULT_CONCENTRATION,
     ),
     "patmm1b": (
         [3, 1, 1, 2, 2, 3, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
          3, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 2, 6, 4, 1, 3],
         [40.50115095301152, 47.725674964912635, 51.44934907555786, 50.986263288697714],
+        DEFAULT_CONCENTRATION,
     ),
     "metmm1sdb": (
         [8, 1, 7, 5, 4, 7, 4, 5, 2, 7, 4, 3, 3, 7, 7, 7, 6, 6, 4, 6,
          5, 4, 2, 4, 3, 6, 1, 1, 1, 4, 3, 6, 6, 2, 6, 3, 4, 4, 5, 4],
         [11.172868295546182, 15.252909572033353, 10.985524007238809, 15.367918499194145],
+        0.1,
     ),
 }
-FIT_CONCENTRATION = {"metmm1sdb": 0.1}
 
 
-@pytest.mark.parametrize("name", sorted(RECORDED_FITS))
-def test_seeded_fit_reproduces_recorded_result(name):
+def recorded_fit_instance(name, alpha):
+    """Config, hyperparameters, performance and timing of a recorded fit."""
     rng = np.random.default_rng([20260816, 3])
     cfg = ModelConfig.from_name(name)
     base = random_params(cfg.plain(), rng)
@@ -1490,9 +1499,38 @@ def test_seeded_fit_reproduces_recorded_result(name):
     # the rhythm comes from the unmodified chain, which has no dead-end state
     unmodified = replace(cfg.plain(), shift=False, division=False)
     perf = synthesize(sample_score(build_state_space(unmodified, base), 40, rng), tp, rng)
-    alpha = FIT_CONCENTRATION.get(name, DEFAULT_CONCENTRATION)
-    _, result = gibbs_fit(cfg, assemble_hyperparams(base, cfg, alpha=alpha), perf, tp,
-                          GibbsConfig(iterations=3, seed=11))
-    values, trace = RECORDED_FITS[name]
+    return cfg, assemble_hyperparams(base, cfg, alpha=alpha), perf, tp
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_FITS))
+def test_seeded_fit_reproduces_recorded_result(name):
+    values, trace, alpha = RECORDED_FITS[name]
+    cfg, hp, perf, tp = recorded_fit_instance(name, alpha)
+    _, result = gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=3, seed=11))
     assert list(result.note_values) == values
     np.testing.assert_allclose(result.trace, trace, rtol=0, atol=1e-9)
+
+
+def test_unreachable_rows_keep_the_bounds_tight():
+    # Draws at alpha = 0.1 zero entries that the base keeps, and so leave
+    # states that no path of positive weight reaches; their rows still
+    # weigh, and enter the upper backward pass.  The forward guard must not
+    # send such a draw to the log-space rerun, and the certified decode must
+    # still settle the likelihood.
+    cfg, hp, perf, tp = recorded_fit_instance("metmm1sdb", RECORDED_FITS["metmm1sdb"][2])
+    space = build_state_space(cfg, hp.base)
+    assert space.n_edges >= _dp.CERTIFY_MIN_EDGES
+    kept = space.layout.flatten(hp.base) > 0
+    em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+    rng = np.random.default_rng(11)
+    path = _dp.ffbs(space, em, rng)
+    for _ in range(3):
+        theta = sample_posterior(hp, gather_counts(space, path), space.layout, rng)
+        assert (kept & (theta == 0)).any()
+        space = space.reweighed(theta)
+        kernel = _dp._batched_forward if _dp._batched(space) else _dp._scaled_forward
+        total, _, log_flushed = kernel(space, em, space.log_initial, False)
+        assert log_flushed <= -_dp.DROP_MARGIN
+        decoded = _dp.viterbi(space, em)
+        assert decoded.log_likelihood == pytest.approx(total, rel=1e-12)
+        path = _dp.ffbs(space, em, rng)
