@@ -227,29 +227,36 @@ class EdgeSet:
 
     def class_rows(self):
         """``(n_values, with_edges, cls, C)``: the set's one weighted
-        matrix, a row per class of sources (see `row_classes`).
+        matrix, a row per distinct weighted row of the classes of sources
+        (see `row_classes`).
 
-        Row k of the CSR matrix `C`, of shape ``(n_classes, n_values *
-        n_dst)``, holds class k's representative's out-edge probabilities in
-        ascending columns ``(v-1) * n_dst + d``.  ``cls`` maps each source
-        to its class, and ``with_edges[v-1]`` says whether some edge
-        produces v.  The forward pass multiplies ``C^T`` by class sums, the
-        backward pass gathers ``(C @ y)[cls]``; each is bit-identical to a
-        per-value matrix with a column per source where every class is a
-        singleton in source order (see the module docstring).  The edge
-        order of the rows is kept with the structure, so a reweighted copy
-        only exponentiates its representatives' weights.
+        Class k's row holds its representative's out-edge probabilities in
+        ascending columns ``(v-1) * n_dst + d``, and rows whose columns and
+        probabilities are equal, bit for bit, are merged into the first of
+        them once per weighing (see `_merged`).  So the CSR matrix `C` has
+        shape ``(n_rows, n_values * n_dst)``, ``cls`` maps each source to
+        its row, and ``with_edges[v-1]`` says whether some edge produces v.
+        The forward pass multiplies ``C^T`` by the row sums of the state
+        vector, and the backward pass gathers ``(C @ y)[cls]``.  A merged
+        row adds the same terms in the same order as each row it stands
+        for, so the backward pass is bit-identical to one over every class
+        and to a per-value matrix with a column per source; the forward pass
+        is too where every row holds one source, in source order (see the
+        module docstring).  The edge order of the class rows, and which of
+        them share their columns, are kept with the structure, so a
+        reweighted copy only exponentiates its representatives' weights and
+        compares those that could merge.
         """
         if self._class_rows is None:
             layout = self._structure.get("class_rows")
             if layout is None:
-                layout = _class_layout(self)
-            n_values, with_edges, cls, order, indices, indptr = layout
+                layout = self._structure["class_rows"] = _class_layout(self)
+            n_values, with_edges, cls, order, indices, indptr, twins = layout
             data = self.logp[order]
-            mat = sparse.csr_matrix((np.exp(data, out=data), indices, indptr),
+            np.exp(data, out=data)
+            cls, data, indices, indptr = _merged(cls, data, indices, indptr, twins)
+            mat = sparse.csr_matrix((data, indices, indptr),
                                     shape=(indptr.size - 1, n_values * self.n_dst))
-            self._structure["class_rows"] = (n_values, with_edges, cls, order,
-                                             mat.indices, mat.indptr)
             self._class_rows = (n_values, with_edges, cls, mat)
         return self._class_rows
 
@@ -344,30 +351,27 @@ def _row_hashes(tokens: np.ndarray, indptr) -> np.ndarray:
     return hashes
 
 
-def _row_classes(edges: EdgeSet):
-    """``(cls, reps)`` of `EdgeSet.row_classes`, found exactly.
+def _classes(hashes: np.ndarray, key: np.ndarray, tokens: np.ndarray, indptr):
+    """``(cls, reps)``: the class of each row of `tokens` (row r is
+    ``tokens[indptr[r]:indptr[r + 1]]``) among the rows equal to it, and
+    each class's lowest-index row, found exactly.
 
-    Sources of equal `_row_hashes` are grouped, and each is checked edge by
-    edge against its group's lowest-index source; one that differs becomes
-    a class of its own, so a collision splits a class but never merges two.
+    Rows of equal `hashes` are grouped, and each is checked entry by entry
+    against its group's lowest-index row, whose `key` (which fixes a row's
+    length) must also be its own; one that differs becomes a class of its
+    own, so a collision splits a class but never merges two.
     """
-    every = np.arange(edges.n_src)
-    order, indptr = edges.src_view()
-    tokens = _row_tokens(edges, order)
-    if tokens is None:
-        return every, every
-    degree = np.diff(indptr)
-    _, first, group = np.unique(_row_hashes(tokens, indptr),
-                                return_index=True, return_inverse=True)
-    rep = first[group]  # the group's lowest-index source
+    every = np.arange(hashes.size)
+    _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
+    rep = first[group]  # the group's lowest-index row
     alone = rep != every
-    members = np.flatnonzero(alone & (degree == degree[rep]))
-    counts = degree[members]
+    members = np.flatnonzero(alone & (key == key[rep]))
+    counts = indptr[members + 1] - indptr[members]
     at = _concat_ranges(indptr[members], counts)
     theirs = tokens[at]
     at += np.repeat(indptr[rep[members]] - indptr[members], counts)
     differs = theirs != tokens[at]
-    del at, theirs, tokens
+    del at, theirs
     same = np.ones(members.size, dtype=bool)
     rows = np.flatnonzero(counts)
     if rows.size:
@@ -379,10 +383,24 @@ def _row_classes(edges: EdgeSet):
     return cls[rep], every[is_rep]
 
 
+def _row_classes(edges: EdgeSet):
+    """``(cls, reps)`` of `EdgeSet.row_classes`: `_classes` of the
+    sources' out-edge rows of `_row_tokens`."""
+    every = np.arange(edges.n_src)
+    order, indptr = edges.src_view()
+    tokens = _row_tokens(edges, order)
+    if tokens is None:
+        return every, every
+    return _classes(_row_hashes(tokens, indptr), np.diff(indptr), tokens, indptr)
+
+
 def _class_layout(edges: EdgeSet):
-    """``(n_values, with_edges, cls, order, indices, indptr)`` of
-    `EdgeSet.class_rows`'s matrix: the edge ids of its entries, their
-    columns ``(v-1) * n_dst + d``, and row pointers."""
+    """``(n_values, with_edges, cls, order, indices, indptr, twins)`` of
+    `EdgeSet.class_rows`'s matrix before any merge: the edge ids of its
+    entries, their columns ``(v-1) * n_dst + d``, row pointers, and
+    ``(rows, shape)``, the rows whose columns equal another row's (the
+    only ones that can merge, see `_merged`) and the class of their
+    columns."""
     cls, reps = edges.row_classes()
     n_values = int(edges.out.max()) if edges.n_edges else 0
     with_edges = np.bincount(edges.out, minlength=n_values + 1)[1:] > 0
@@ -402,7 +420,47 @@ def _class_layout(edges: EdgeSet):
     del key
     indptr = np.zeros(reps.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return n_values, with_edges, cls, order[by_column], cols[by_column], indptr
+    cols = cols[by_column]
+    shape, _ = _classes(_row_hashes(cols, indptr), counts, cols, indptr)
+    rows = np.flatnonzero(np.bincount(shape)[shape] > 1)
+    twins = (rows, shape[rows], _concat_ranges(indptr[rows], counts[rows]))
+    # the index type scipy picks for the matrix, so that no weighing converts
+    index = np.int32 if max(reps.size, n_values * edges.n_dst, cols.size) < 2**31 else np.int64
+    return (n_values, with_edges, cls, order[by_column], cols.astype(index),
+            indptr.astype(index), twins)
+
+
+def _merged(cls, data, indices, indptr, twins):
+    """``(cls, data, indices, indptr)`` of `EdgeSet.class_rows`, with every
+    row whose columns and probabilities equal an earlier row's, bit for
+    bit, merged into the first of them.
+
+    Only the rows of `twins` (see `_class_layout`) can merge.  They are
+    grouped by a hash of their probabilities' bits and their column class,
+    and checked entry by entry as `_classes` checks.  The rows that stay
+    keep their order, and ``cls`` maps each source to its row.
+    """
+    rows, shape, at = twins
+    if rows.size == 0:
+        return cls, data, indices, indptr
+    counts = np.diff(indptr)
+    sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts[rows], out=sub_indptr[1:])
+    bits = data[at].view(np.uint64)
+    hashes = _row_hashes(bits, sub_indptr)
+    hashes += _mixed(shape.astype(np.uint64))
+    sub_cls, sub_reps = _classes(hashes, shape, bits, sub_indptr)
+    if sub_reps.size == rows.size:
+        return cls, data, indices, indptr
+    target = np.arange(counts.size)
+    target[rows] = rows[sub_reps[sub_cls]]
+    kept = np.flatnonzero(target == np.arange(counts.size))
+    renumbered = np.zeros(counts.size, dtype=np.int64)
+    renumbered[kept] = np.arange(kept.size)
+    at = _concat_ranges(indptr[kept], counts[kept])
+    new_indptr = np.zeros(kept.size + 1, dtype=indptr.dtype)
+    np.cumsum(counts[kept], out=new_indptr[1:])
+    return renumbered[target][cls], data[at], indices[at], new_indptr
 
 
 def _effective_width(width: int | None, space, n_init: int) -> int | None:

@@ -23,6 +23,7 @@ from rhythmscribe.models import (
     ModelConfig,
     build_state_space,
     random_params,
+    sample_corpus,
     sample_score,
     uniform_params,
 )
@@ -32,7 +33,7 @@ from rhythmscribe.timing import (
     TranscriptionHmm,
     synthesize,
 )
-from rhythmscribe.training import DEFAULT_CONCENTRATION, assemble_hyperparams
+from rhythmscribe.training import DEFAULT_CONCENTRATION, assemble_hyperparams, estimate_params
 
 from conftest import ALL_VARIANTS, log_space_forward, tiny_instance
 
@@ -1071,6 +1072,52 @@ def class_row_spaces(name, seed):
             yield space, TranscriptionHmm(space, tp).emission_matrix(durations)
 
 
+def merging_spaces(name):
+    """``(space, em, theta)`` of `name` whose rows can be equal by weight:
+    uniform tables at bar length 4, and tables trained on a sampled
+    `metmm1` corpus at bar lengths 4 and 6, which leave unseen patterns and
+    contexts with equal smoothed rows."""
+    rng = np.random.default_rng([20261021, zlib.crc32(name.encode())])
+    for bar_length in (4, 6):
+        cfg = ModelConfig.from_name(name, bar_length=bar_length)
+        gen_cfg = ModelConfig.from_name("metmm1", bar_length=bar_length)
+        corpus = sample_corpus(build_state_space(gen_cfg, random_params(gen_cfg, rng)),
+                               8, 16, rng)
+        tables = [estimate_params(corpus, cfg)]
+        if bar_length == 4:
+            tables.append(uniform_params(cfg))
+        for params in tables:
+            space = build_state_space(cfg, params)
+            if space.n_edges > 200_000:
+                continue
+            durations = rng.uniform(0.15, 0.25 * bar_length, size=12)
+            tp = TimingParams(seconds_per_unit=0.25, sigma_t=0.3)
+            em = TranscriptionHmm(space, tp).emission_matrix(durations)
+            yield space, em, space.layout.flatten(params)
+
+
+def merges(edges) -> bool:
+    """Whether some rows of the edge set's classes merged by weight."""
+    return edges.class_rows()[3].shape[0] < edges.row_classes()[1].size
+
+
+def assert_rows_match_their_sources(edges):
+    """Each source's row of `class_rows` holds, bit for bit, its own
+    out-edges' probabilities in ascending columns (a column's edges in
+    (src, dst) order)."""
+    n_values, _, cls, mat = edges.class_rows()
+    assert np.array_equal(cls, edges.row_classes()[0]) or merges(edges)
+    order, indptr = edges.src_view()
+    for s in range(edges.n_src):
+        ids = order[indptr[s]:indptr[s + 1]]
+        cols = (edges.out[ids] - 1) * edges.n_dst + edges.dst[ids]
+        by_column = np.argsort(cols, kind="stable")
+        row = slice(mat.indptr[cls[s]], mat.indptr[cls[s] + 1])
+        assert np.array_equal(mat.indices[row], cols[by_column])
+        assert np.array_equal(mat.data[row].view(np.uint64),
+                              np.exp(edges.logp[ids[by_column]]).view(np.uint64))
+
+
 def source_rows(edges):
     """Per source, its out-edges' arrays in (src, dst) order: dst, out,
     logp where the set has them (a topology's has none) and slot."""
@@ -1096,10 +1143,10 @@ def fresh_topologies(monkeypatch):
 
 
 def singleton_classes(space) -> bool:
-    """Whether every class of the space's edge sets is a singleton,
-    numbered in source order: then a pass over the class rows adds its
-    terms in the order of one over `per_value_matrix`."""
-    return all(np.array_equal(edges.row_classes()[0], np.arange(edges.n_src))
+    """Whether every row of the space's class rows holds one source,
+    numbered in source order: then a pass over them adds its terms in the
+    order of one over `per_value_matrix`."""
+    return all(np.array_equal(edges.class_rows()[2], np.arange(edges.n_src))
                for edges in (space.first, space.trans))
 
 
@@ -1183,6 +1230,75 @@ class TestClassRows:
         if ModelConfig.from_name(name).division or name == "notemm0":
             assert merged  # division and order-0 note models repeat rows
 
+    @pytest.mark.parametrize("name", ["patmm1d", "patmm1", "notemm1sd", "metmm2"])
+    def test_rows_equal_by_weight_keep_the_upper_pass_bit_for_bit(self, name):
+        seen = 0
+        for space, em, _ in merging_spaces(name):
+            for edges in (space.first, space.trans):
+                assert_rows_match_their_sources(edges)
+                # every pair of equal rows merged
+                mat = edges.class_rows()[3]
+                rows = {(mat.indices[a:b].tobytes(), mat.data[a:b].tobytes())
+                        for a, b in zip(mat.indptr[:-1], mat.indptr[1:])}
+                assert len(rows) == mat.shape[0]
+            got, want = list(_dp._upper_beta(space, em)), full_matrix_upper_beta(space, em)
+            assert [n for n, _, _ in got] == [n for n, _, _ in want]
+            for (_, beta, raised), (_, beta_want, raised_want) in zip(got, want):
+                assert np.array_equal(beta, beta_want) and raised == raised_want
+            seen += merges(space.trans)
+        assert seen
+
+    @pytest.mark.parametrize("name", ["patmm1d", "patmm1", "notemm1sd", "metmm2"])
+    def test_forward_over_merged_rows_matches_the_edge_list_kernel(self, name):
+        seen = 0
+        for space, em, _ in merging_spaces(name):
+            got, got_table, _ = _dp._scaled_forward(space, em, space.log_initial)
+            want, want_table, _ = _dp._batched_forward(space, em, space.log_initial)
+            assert np.isfinite(want)
+            assert got == pytest.approx(want, rel=REL_TOL)
+            assert_tables_match(got_table, want_table)
+            seen += merges(space.trans)
+        assert seen
+
+    @pytest.mark.parametrize("name", PLAIN_VARIANTS)
+    def test_certified_decode_is_unchanged_by_the_merge(self, name, monkeypatch):
+        monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", 0)  # every decode reads the class rows
+        cases = [*class_row_spaces(name, 0),
+                 *((space, em) for space, em, _ in merging_spaces(name))]
+
+        def decode(space, em):
+            for edges in (space.first, space.trans):
+                edges._class_rows = edges._log_kappa = None
+            try:
+                path = _dp.viterbi(space, em)
+            except InferenceError:
+                return None
+            return (path.boundary_index, path.state_indices, path.output_values,
+                    path.log_prob, path.log_likelihood)
+
+        merged = [decode(space, em) for space, em in cases]
+        if name in ("notemm1sd", "patmm1", "patmm1d"):
+            assert any(merges(space.trans) for space, _ in cases)
+        monkeypatch.setattr(_dp, "_merged", lambda cls, data, indices, indptr, twins:
+                            (cls, data, indices, indptr))
+        assert [decode(space, em) for space, em in cases] == merged
+        assert not any(merges(space.trans) for space, _ in cases)
+        assert sum(path is not None and path[-1] is not None for path in merged) >= len(cases) // 2
+
+    @pytest.mark.parametrize("name", ["metmm1sd", "patmm1"])
+    def test_a_weighing_where_nothing_merges_keeps_the_structural_matrix(self, name, rng):
+        cfg = ModelConfig.from_name(name, bar_length=4)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        for edges in (space.first, space.trans):
+            _, _, cls, mat = edges.class_rows()
+            layout = edges._structure["class_rows"]
+            assert cls is edges.row_classes()[0]
+            assert mat.shape[0] == edges.row_classes()[1].size
+            assert np.shares_memory(mat.indices, layout[4])
+            assert np.shares_memory(mat.indptr, layout[5])
+        # patmm1's rows that share their columns were compared, and differ
+        assert (space.trans._structure["class_rows"][6][0].size > 0) == (name == "patmm1")
+
     @pytest.mark.parametrize("name", ["notemm1sd", "metmm1sd", "patmm1d", "patmm0"])
     def test_members_match_their_representative(self, name, fresh_topologies):
         rng = np.random.default_rng(5)
@@ -1212,12 +1328,23 @@ class TestClassRows:
     @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d"])
     def test_a_constant_hash_still_gives_exact_classes(self, name, fresh_topologies,
                                                        monkeypatch):
+        # rows equal by weight: their topology's classes and shared columns
+        # are found with the real hash, and a weighing's merge with the
+        # constant one, which groups the rows by their columns alone
+        merging = [(space, em, theta) for space, em, theta in merging_spaces(name)
+                   if merges(space.trans)]
+        assert bool(merging) == (name != "metmm1sd")  # metmm1sd's rows share no columns
         monkeypatch.setattr(_dp, "_row_hashes",
                             lambda tokens, indptr: np.zeros(indptr.size - 1, dtype=np.uint64))
+        reweighed = [(space.reweighed(theta), em) for space, em, theta in merging]
+        assert any(merges(space.trans) for space, _ in reweighed) == (name != "metmm1sd")
+        # classes and columns found anew under the constant hash
+        monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
         seen = []
-        for space, em in class_row_spaces(name, 0):
+        for space, em in [*class_row_spaces(name, 0), *reweighed]:
             for edges in (space.first, space.trans):
                 assert_members_match_their_representative(edges)
+                assert_rows_match_their_sources(edges)
                 seen.append(edges.row_classes()[1].size < edges.n_src)
             got, want = list(_dp._upper_beta(space, em)), full_matrix_upper_beta(space, em)
             for (_, beta, raised), (_, beta_want, raised_want) in zip(got, want):
@@ -1234,17 +1361,22 @@ class TestClassRows:
         cls, reps = edges.row_classes()
         assert np.array_equal(cls, [0, 0]) and np.array_equal(reps, [0])
 
-    @pytest.mark.parametrize("name, n_sources, n_classes, n_edges, n_entries", [
-        ("metmm1sd", 3_256, 1_249, 295_712, 19_224),
-        ("patmm1d", 18_133, 8_686, 680_928, 193_796),
+    @pytest.mark.parametrize("name, n_sources, n_classes, n_edges, n_entries, merged", [
+        ("metmm1sd", 3_256, 1_249, 295_712, 19_224, (1_249, 19_224)),
+        ("patmm1d", 18_133, 8_686, 680_928, 193_796, (8_439, 18_133)),
     ])
     def test_class_counts_at_bar_length_8(self, name, n_sources, n_classes, n_edges,
-                                          n_entries):
+                                          n_entries, merged):
         cfg = ModelConfig.from_name(name, bar_length=8)
         edges = build_state_space(cfg, uniform_params(cfg)).trans
         assert (edges.n_src, edges.n_edges) == (n_sources, n_edges)
-        assert edges.row_classes()[1].size == n_classes
-        assert edges.class_rows()[3].nnz == n_entries
+        _, reps = edges.row_classes()
+        assert reps.size == n_classes
+        indptr = edges.src_view()[1]
+        assert (indptr[reps + 1] - indptr[reps]).sum() == n_entries
+        # uniform tables weigh every row of the same columns alike
+        mat = edges.class_rows()[3]
+        assert (mat.shape[0], mat.nnz) == merged
 
     @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d", "patmm1", "notemm1sd"])
     def test_log_kappa_off_any_reading_agrees_to_the_bit(self, name, rng):
