@@ -295,21 +295,21 @@ class EdgeSet:
         """Per-edge score alpha[src] + logp + em(out) of the edges `eids`, a
         slice or an array of edge ids.
 
-        `scratch`, two float arrays that hold as many entries as edges
-        scored, receives the scores (a view of the first is returned) and a
-        temporary.  A sweep that passes the same pair at every step then
-        allocates no edge-length array: a fresh one is mapped anew by the
+        `scratch`, a float array that holds as many entries as edges
+        scored, receives the scores (a view of it is returned).  A sweep
+        that passes the same array at every step then allocates no
+        edge-length array for them: a fresh one is mapped anew by the
         allocator and page-faults on every step, which costs a third of a
         step on large spaces.
         """
         # indexed by `out` itself, with no shifted copy of it
         em_by_out = np.empty(em_row.size + 1)
         em_by_out[1:] = em_row
+        # gathers, not `take`: `take` copies an index that is read-only, as
+        # a slice of every topology's arrays is, at every call
         src = self.src[eids]
-        scores, tmp = scratch[0][:src.size], scratch[1][:src.size]
-        np.take(alpha, src, out=scores, mode="clip")  # "raise" copies
-        scores += self.logp[eids]
-        scores += np.take(em_by_out, self.out[eids], out=tmp, mode="clip")
+        scores = np.add(alpha[src], self.logp[eids], out=scratch[:src.size])
+        scores += em_by_out[self.out[eids]]
         return scores
 
 
@@ -503,14 +503,18 @@ def _relax(edges: EdgeSet, alpha, eids, em_row, use_max, scratch):
     out-edges of the kept states.
 
     Returns per-destination values (max or logsumexp over incoming edge
-    scores, -inf where nothing arrives).  Cost scales with the kept states'
+    scores, -inf where nothing arrives), or None when nothing arrives
+    anywhere, which the relaxed scores decide: there are far fewer of them
+    than states on a large space.  Cost scales with the kept states'
     out-degree, not the full edge count.  `scratch` is as in
     `EdgeSet.step_scores`.
     """
-    val = np.full(edges.n_dst, NEG_INF)
     if eids.size == 0:
-        return val
+        return None
     sc = edges.step_scores(alpha, em_row, eids, scratch)
+    if not np.isfinite(sc).any():
+        return None
+    val = np.full(edges.n_dst, NEG_INF)
     dst = edges.dst[eids]
     np.maximum.at(val, dst, sc)
     if use_max:
@@ -1092,14 +1096,13 @@ def _block_length(n_edges: int) -> int:
 
 
 def _scratch(space):
-    """Two float arrays for `EdgeSet.step_scores`, a block long (see
+    """A float array for `EdgeSet.step_scores`, a block long (see
     `_block_length`) for the larger edge set: room for the out-edges a
     pruned step relaxes and, as a block of `_full_step`, for the in-edges
     of any one state."""
     sets = (space.first, space.trans)
-    size = max(_block_length(max(e.n_edges for e in sets)),
-               *(e._seg_counts.max(initial=0) for e in sets))
-    return np.empty(size), np.empty(size)
+    return np.empty(max(_block_length(max(e.n_edges for e in sets)),
+                        *(e._seg_counts.max(initial=0) for e in sets)))
 
 
 def _dst_blocks(edges: EdgeSet, size: int):
@@ -1121,9 +1124,10 @@ def _dst_blocks(edges: EdgeSet, size: int):
     return blocks
 
 
-def _full_step(edges: EdgeSet, row, em_row, scratch, use_max) -> np.ndarray:
+def _full_step(edges: EdgeSet, row, em_row, scratch, use_max) -> np.ndarray | None:
     """Per destination, the max (with `use_max`) or the logsumexp of its
-    in-edges' scores ``row[src] + logp + em(out)``; -inf where none arrives.
+    in-edges' scores ``row[src] + logp + em(out)``; -inf where none
+    arrives, and None when none arrives anywhere.
 
     Scores a block of whole destinations at a time into `scratch` (see
     `_dst_blocks`), which must hold the in-edges of any one.  However many
@@ -1132,7 +1136,7 @@ def _full_step(edges: EdgeSet, row, em_row, scratch, use_max) -> np.ndarray:
     steps run in full.
     """
     new = np.full(edges.n_dst, NEG_INF)
-    for eids, cuts, rows, counts in _dst_blocks(edges, scratch[0].size):
+    for eids, cuts, rows, counts in _dst_blocks(edges, scratch.size):
         scores = edges.step_scores(row, em_row, eids, scratch)
         best = np.maximum.reduceat(scores, cuts)
         if not use_max:
@@ -1141,7 +1145,7 @@ def _full_step(edges: EdgeSet, row, em_row, scratch, use_max) -> np.ndarray:
             sums = np.add.reduceat(np.exp(scores, out=scores), cuts)
             best[ok] += np.log(sums[ok])
         new[rows] = best
-    return new
+    return new if np.isfinite(new).any() else None
 
 
 def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True):
@@ -1183,7 +1187,7 @@ def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True)
                 else:
                     delta = _relax(edges, delta, order[_concat_ranges(starts, counts)],
                                    em[n - 1], use_max, scratch)
-            if not np.isfinite(delta).any():
+            if delta is None:
                 raise InferenceError(f"no feasible path at step {n}")
             edges = space.trans
         kept = keep(n, delta)
@@ -1221,7 +1225,7 @@ def _certified_sweep(space, em, init):
     Every predecessor of a state on an optimal path lies on that path and
     is kept, so that state's `delta'` is exact and its bound reaches the
     optimum: the second sweep keeps every optimal path and every edge that
-    ties with one, and is exact.  Both sweeps share one scratch pair, and
+    ties with one, and is exact.  Both sweeps share one scratch array, and
     each beta row is dropped once the second sweep has passed it.
     """
     size = max(space.n_states, init.size)

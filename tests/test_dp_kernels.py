@@ -1426,7 +1426,7 @@ def test_full_step_in_blocks_matches_one_block(use_max, rng):
     row = np.log(rng.dirichlet(np.ones(space.n_states)))
     row[rng.random(space.n_states) < 0.3] = -np.inf
     scores = row[edges.src] + edges.logp + em[1][edges.out - 1]
-    whole = (np.empty(edges.n_edges), np.empty(edges.n_edges))
+    whole = np.empty(edges.n_edges)
     want = _dp._full_step(edges, row, em[1], whole, use_max)
     assert np.isneginf(np.delete(want, edges._rows)).all()  # no in-edge
     if use_max:
@@ -1436,10 +1436,10 @@ def test_full_step_in_blocks_matches_one_block(use_max, rng):
             sums = np.log(np.add.reduceat(np.exp(scores), edges._starts))
         np.testing.assert_allclose(want[edges._rows], sums, rtol=1e-12)
     # a large space's scratch holds a share of its edges, not all of them
-    assert _dp._scratch(space)[0].size < edges.n_edges
+    assert _dp._scratch(space).size < edges.n_edges
     # down to blocks of a single destination's in-edges
-    for size in (edges._seg_counts.max(), 1000, _dp._scratch(space)[0].size):
-        scratch = (np.empty(size), np.empty(size))
+    for size in (edges._seg_counts.max(), 1000, _dp._scratch(space).size):
+        scratch = np.empty(size)
         assert np.array_equal(_dp._full_step(edges, row, em[1], scratch, use_max), want)
 
 
