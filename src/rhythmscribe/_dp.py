@@ -56,19 +56,27 @@ sources into such classes (state minimization, Hopcroft 1971) once per
 topology, on first use (see `EdgeSet.row_classes`); a weighing keeps every
 state and edge, a zero weight being a log weight of -inf, so every weighing
 of a topology shares its classes.  Its one
-weighted matrix has a row per class (see `EdgeSet.class_rows`): the
-forward pass multiplies its transpose by the state vector's class sums,
-and the upper backward pass multiplies it and gathers the result per
-state.  Where every class is a singleton, numbered in source order, both
-add their terms in the order of the per-value matrix with a column per
-source, and agree with it to the bit; merged classes add their members'
-mass before the product, which moves a forward total by rounding alone
-(by at most 1.8e-15 on the test spaces).  At bar length 8,
+weighted matrix has a row per distinct weighted class row (see
+`EdgeSet.class_rows`): classes whose rows are equal by weight, bit for
+bit, as sparse trained tables leave many, merge once per weighing.  The
+forward pass multiplies the matrix's transpose by the state vector's
+row sums, and the upper backward pass multiplies it and gathers the
+result per state.  A merged row adds the same terms in the same order as
+each class it stands for, so the upper pass, and with it the certified
+decode's paths, bounds and likelihood, is bit-identical to one over the
+per-value matrix with a column per source.  So is the forward pass where
+every row holds one source, numbered in source order; merged rows add
+their members' mass before the product, which moves a forward total by
+rounding alone (by at most 1.8e-15 on the test spaces).  At bar length 8,
 `metmm1sd`'s 3,256 sources form 1,249 classes and its 295,712 matrix
-entries become 19,224; `patmm1d`'s 18,133 form 8,686, and 680,928 entries
-become 193,796.  With trained tables an upper pass over a 300-note piece
+entries become 19,224, and no rows merge; `patmm1d`'s 18,133 form 8,686,
+and 680,928 entries become 193,796, then 8,439 rows and 18,133 entries
+under uniform tables, and 8,458 and 33,710 under the benchmark's trained
+ones.  With trained tables an upper pass over a 300-note piece
 took 0.031 s for `metmm1sd` and 0.218 s for `patmm1d`, against 0.213 s and
-0.537 s over every state.  A forward pass over a 200-note `metmm1sdb`
+0.537 s over every state, before the merge; in one process the merge
+took `patmm1d`'s from 0.143 to 0.087 s, for 4.2 ms per weighing, and
+cost `metmm1sd`'s nothing.  A forward pass over a 200-note `metmm1sdb`
 piece took 14 ms, against 52 ms over a per-value matrix with a column per
 source; over `patmm1b`, whose classes are all singletons, it took 18 ms
 against 16 ms, since each step adds the class sums and a product that
@@ -218,7 +226,8 @@ class EdgeSet:
         The members of a class have out-edges of the same (dst, out, slot)
         in (src, dst) order, so they get the same weights, row sums and
         backward values under any parameters.  Found once per structure,
-        on first use (see `_row_classes`).
+        on first use (see `_row_classes`), and shared by every weighing,
+        whose `class_rows` may merge classes that are equal by weight.
         """
         classes = self._structure.get("row_classes")
         if classes is None:
@@ -268,7 +277,8 @@ class EdgeSet:
         Read off `class_rows` when a pass has built them, so that a large
         space allocates nothing per edge here, and else, on a small space's
         forward pass, off the edge list.  Both add a source's entries of a
-        value in ascending destinations, so they agree to the bit.
+        value in ascending destinations, and a merged row's sums are those
+        of each class it stands for, so they agree to the bit.
         """
         if self._log_kappa is None:
             if self._class_rows is not None:
@@ -398,9 +408,9 @@ def _class_layout(edges: EdgeSet):
     """``(n_values, with_edges, cls, order, indices, indptr, twins)`` of
     `EdgeSet.class_rows`'s matrix before any merge: the edge ids of its
     entries, their columns ``(v-1) * n_dst + d``, row pointers, and
-    ``(rows, shape)``, the rows whose columns equal another row's (the
-    only ones that can merge, see `_merged`) and the class of their
-    columns."""
+    ``(rows, shape, at)``: the rows whose columns equal another row's (the
+    only ones that can merge, see `_merged`), the class of their columns
+    and where their entries lie."""
     cls, reps = edges.row_classes()
     n_values = int(edges.out.max()) if edges.n_edges else 0
     with_edges = np.bincount(edges.out, minlength=n_values + 1)[1:] > 0
@@ -452,15 +462,15 @@ def _merged(cls, data, indices, indptr, twins):
     sub_cls, sub_reps = _classes(hashes, shape, bits, sub_indptr)
     if sub_reps.size == rows.size:
         return cls, data, indices, indptr
-    target = np.arange(counts.size)
+    every = np.arange(counts.size)
+    target = every.copy()  # the row each row merges into
     target[rows] = rows[sub_reps[sub_cls]]
-    kept = np.flatnonzero(target == np.arange(counts.size))
-    renumbered = np.zeros(counts.size, dtype=np.int64)
-    renumbered[kept] = np.arange(kept.size)
+    is_kept = target == every
+    kept = every[is_kept]
     at = _concat_ranges(indptr[kept], counts[kept])
     new_indptr = np.zeros(kept.size + 1, dtype=indptr.dtype)
     np.cumsum(counts[kept], out=new_indptr[1:])
-    return renumbered[target][cls], data[at], indices[at], new_indptr
+    return (np.cumsum(is_kept) - 1)[target[cls]], data[at], indices[at], new_indptr
 
 
 def _effective_width(width: int | None, space, n_init: int) -> int | None:
