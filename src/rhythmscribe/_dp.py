@@ -966,6 +966,9 @@ def _upper_beta(space, em):
     log_beta += log_scale
     yield em.shape[0], log_beta, NEG_INF
     trans = space.trans.class_rows() if em.shape[0] > 1 else None
+    # w (x) b goes into one array at every step: a fresh one, 8 floats a
+    # state, page-faulted each time and took twice as long to fill
+    wb = np.empty(0)
     for n in range(em.shape[0] - 1, -1, -1):
         n_values, with_edges, cls, mat = trans if n else space.first.class_rows()
         row = em[n, :n_values][with_edges]
@@ -974,7 +977,10 @@ def _upper_beta(space, em):
             return
         w = np.zeros(n_values)
         w[with_edges] = np.exp(row - c)
-        u = (mat @ (w[:, None] * b).ravel())[cls]
+        if wb.size != mat.shape[1]:
+            wb = np.empty(mat.shape[1])
+        np.multiply(w[:, None], b, out=wb.reshape(n_values, n_states))
+        u = (mat @ wb)[cls]
         s = u.sum()
         if not s > 0:
             return
@@ -982,7 +988,8 @@ def _upper_beta(space, em):
         # product p * w * b with p <= 1 and w <= 1, loses under 2^-1072 *
         # max(1, max b) to underflow
         raise_by = max(RAISE, mat.shape[1] * 2.0**-1072 * max(1.0, b.max()) / s)
-        b = u / s
+        b = u
+        b /= s
         b += raise_by
         log_scale += c + np.log(s)
         log_beta = np.log(b)
