@@ -159,7 +159,7 @@ class EdgeSet:
     `reweighted` copy.
     """
 
-    def __init__(self, src, dst, logp, out, n_src: int, n_dst: int, slot=None):
+    def __init__(self, src, dst, logp, out, n_src: int, n_dst: int, slot):
         """Edges from int64/float64 arrays already in (dst, src) order,
         used as given, not copied.  `slot` is the parameter slot that each
         edge's weight reads: sources whose out-edges match in (dst, out,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _dp
 from ._dp import InferenceError, PathSample
@@ -60,7 +59,8 @@ class Hyperparams:
 
     The base carries the generic model's rows (including the shift/division
     preset rows when the config uses modifications); each posterior row is
-    Dir(alpha * base_row + counts).
+    Dir(alpha * base_row + counts).  ``dataclasses.replace`` sets one
+    table's concentration, and checks it as a construction does.
     """
 
     base: ModelParams
@@ -178,7 +178,7 @@ def _normalized(shapes: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> 
     pos = a > 0
     log_g = np.full(a.shape, -np.inf)
     log_g[pos] = np.log(rng.gamma(a[pos] + 1.0)) + np.log(rng.random(int(pos.sum()))) / a[pos]
-    out[dead] = np.exp(log_g - logsumexp(log_g, axis=1, keepdims=True))
+    out[dead] = np.exp(log_g - _dp._log_rows(log_g)[:, None])
     return out
 
 

@@ -43,9 +43,9 @@ have a single virtual boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
-import threading
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -540,7 +540,7 @@ def _product(theta: np.ndarray, slots: tuple) -> np.ndarray:
 #
 # A family's chain builder enumerates its unmodified symbol-level space;
 # `_augment_division` and `_augment_shift` each map such a space to a larger
-# one, and `_build_topology` applies them in that order.  Edges are (src,
+# one, and `_topology` applies them in that order.  Edges are (src,
 # dst, out, slot) tuples.  An edge's weight is its base slot's entry (a table
 # entry, or the constant 1) times the factor of the state it enters (its
 # modification probabilities), always associated as base x (zeta x xi) so
@@ -987,34 +987,15 @@ class _Topology:
                                 _weighed(self.trans, theta, factor))
 
 
-class _TopologyCache:
-    """The few most recently used topologies, each under the key it serves."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._entries = []  # (key, topology), most recent first
-        self._lock = threading.Lock()
-
-    def find(self, key):
-        with self._lock:
-            for i, (k, topology) in enumerate(self._entries):
-                if k == key:
-                    self._entries.insert(0, self._entries.pop(i))
-                    return topology
-        return None
-
-    def add(self, key, topology) -> None:
-        with self._lock:
-            self._entries.insert(0, (key, topology))
-            del self._entries[self.size:]
-
-
 # Two models' spaces per process (say a pattern and a metrical model, or one
 # model's plain and Bayesian tables) stay cached, with room to spare.
-_TOPOLOGY_CACHE = _TopologyCache(size=4)
-
-
-def _build_topology(config, layout, support, patterns) -> _Topology:
+@functools.lru_cache(maxsize=4)
+def _topology(config: ModelConfig, patterns, support: bytes) -> _Topology:
+    """The topology of the plain `config` and pattern vocabulary for the
+    support packed in `support` (`np.packbits` of ``theta > 0``)."""
+    layout = _Layout(config.order, config.shift, config.division, config.bar_length,
+                     config.bar_length if patterns is None else len(patterns))
+    support = np.unpackbits(np.frombuffer(support, dtype=np.uint8), count=layout.size).astype(bool)
     parts = _CHAIN_BUILDERS[config.family](config, layout, patterns)
     parts.first, parts.trans = (_supported(e, support) for e in (parts.first, parts.trans))
     if config.division:
@@ -1117,8 +1098,8 @@ def _edge_ids(edges: EdgeSet, src, dst, out) -> np.ndarray:
 def build_state_space(config: ModelConfig, params: ModelParams) -> LatentStateSpace:
     """Build the latent state space of any supported model variant.
 
-    The structure comes from a cached topology (see `_Topology`) built for
-    exactly the positive entries of `params`, built on a miss; the tables
+    The structure comes from a topology (see `_Topology`) built for exactly
+    the positive entries of `params`, which `_topology` caches; the tables
     then only weigh it.  The result equals a build from scratch, array for
     array.
     """
@@ -1137,12 +1118,7 @@ def build_state_space(config: ModelConfig, params: ModelParams) -> LatentStateSp
     layout = _Layout(config.order, config.shift, config.division, config.bar_length,
                      params.n_symbols)
     theta = layout.flatten(params)
-    key = (config.family, config.order, config.shift, config.division, config.bar_length,
-           patterns, np.packbits(theta > 0).tobytes())
-    topology = _TOPOLOGY_CACHE.find(key)
-    if topology is None:
-        topology = _build_topology(config, layout, theta > 0, patterns)
-        _TOPOLOGY_CACHE.add(key, topology)
+    topology = _topology(config.plain(), patterns, np.packbits(theta > 0).tobytes())
     return topology.weigh(config, theta)
 
 

@@ -224,26 +224,17 @@ def assemble_hyperparams(
     params: ModelParams,
     config: ModelConfig,
     alpha: float = DEFAULT_CONCENTRATION,
-    alpha_initial: float | None = None,
-    alpha_transition: float | None = None,
-    alpha_shift: float | None = None,
-    alpha_division: float | None = None,
     no_shift_mass: float = DEFAULT_NO_MODIFICATION_MASS,
     identity_division_mass: float = DEFAULT_NO_MODIFICATION_MASS,
 ) -> Hyperparams:
     """Dirichlet priors around a generic model for Bayesian transcription.
 
     The generic rows become base distributions; shift/division bases are
-    preset rows when the config needs them.  `alpha` is the shared default
-    concentration; per-table overrides take precedence.
+    preset rows when the config needs them.  Every table gets concentration
+    `alpha`; ``dataclasses.replace(hp, alpha_transition=...)`` sets one
+    table's own.
     """
     base = attach_modification_presets(
         params, config, no_shift_mass, identity_division_mass
     )
-    return Hyperparams(
-        base=base,
-        alpha_initial=alpha if alpha_initial is None else alpha_initial,
-        alpha_transition=alpha if alpha_transition is None else alpha_transition,
-        alpha_shift=alpha if alpha_shift is None else alpha_shift,
-        alpha_division=alpha if alpha_division is None else alpha_division,
-    )
+    return Hyperparams(base, alpha, alpha, alpha, alpha)

@@ -1136,9 +1136,13 @@ def assert_members_match_their_representative(edges):
 
 
 @pytest.fixture
-def fresh_topologies(monkeypatch):
-    """An empty topology cache, so that classes are found anew."""
-    monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
+def fresh_topologies():
+    """An empty topology cache, so that classes are found anew; emptied on
+    exit too, so that no topology classified here stays cached for later
+    tests."""
+    models._topology.cache_clear()
+    yield
+    models._topology.cache_clear()
 
 
 def singleton_classes(space) -> bool:
@@ -1338,7 +1342,7 @@ class TestClassRows:
         reweighed = [(space.reweighed(theta), em) for space, em, theta in merging]
         assert any(merges(space.trans) for space, _ in reweighed) == (name != "metmm1sd")
         # classes and columns found anew under the constant hash
-        monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
+        models._topology.cache_clear()
         seen = []
         for space, em in [*class_row_spaces(name, 0), *reweighed]:
             for edges in (space.first, space.trans):

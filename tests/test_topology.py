@@ -203,19 +203,13 @@ RECORDED = {
 
 
 @pytest.fixture
-def fresh_cache(monkeypatch):
-    """An empty topology cache, and the list of topologies built into it."""
-    monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
-    built = []
-    original = models._build_topology
-
-    def counting(*args, **kwargs):
-        topology = original(*args, **kwargs)
-        built.append(topology)
-        return topology
-
-    monkeypatch.setattr(models, "_build_topology", counting)
-    return built
+def fresh_cache():
+    """An empty topology cache, and a count of the topologies built into it
+    since.  The cache is emptied on exit too, so that no topology a test
+    built stays cached for later tests."""
+    models._topology.cache_clear()
+    yield lambda: models._topology.cache_info().misses
+    models._topology.cache_clear()
 
 
 CASES = list(reference_cases())
@@ -230,7 +224,7 @@ class TestAgainstRecordedBuilds:
     def test_build_matches(self, case, config, params, fresh_cache):
         space = build_state_space(config, params)
         assert space_digest(space) == RECORDED[case][0]
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
 
     def test_wider_topology_weighs_zeros_in_place(self, case, config, params, fresh_cache):
         wide = build_state_space(config, random_params(config, np.random.default_rng(1),
@@ -239,7 +233,7 @@ class TestAgainstRecordedBuilds:
         theta = wide.layout.flatten(params)
         # the narrow tables build their own topology, unless no entry of
         # theirs is 0 (one case)
-        assert len(fresh_cache) == 1 + (not theta.all())
+        assert fresh_cache() == 1 + (not theta.all())
         assert space_digest(narrow) == RECORDED[case][0]
         # re-weighing the wide space with the narrow tables keeps its states
         # and edges, and restricted to the narrow ones it is the narrow build
@@ -257,17 +251,16 @@ class TestAgainstRecordedBuilds:
 
 
 class TestCache:
-    def test_one_topology_per_gibbs_fit(self, fresh_cache, rng, monkeypatch):
+    def test_one_topology_per_gibbs_fit(self, fresh_cache, rng):
         cfg = ModelConfig.from_name("metmm1sdb", bar_length=4)
         hp = assemble_hyperparams(random_params(cfg.plain(), rng), cfg)
         tp = TimingParams.from_bpm(144.0, 0.04)
         perf = synthesize(models.sample_score(build_state_space(cfg, hp.base), 12, rng), tp, rng)
-        monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
-        fresh_cache.clear()
+        models._topology.cache_clear()
         gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=4, seed=3))
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
         gibbs_fit(cfg, hp, perf, tp, GibbsConfig(iterations=4, seed=4))
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
 
     def test_repeated_transcribe_builds_nothing(self, fresh_cache, rng):
         cfg = ModelConfig.from_name("patmm1", bar_length=4)
@@ -275,18 +268,18 @@ class TestCache:
         tp = TimingParams.from_bpm(144.0, 0.04)
         perfs = [synthesize(models.sample_score(build_state_space(cfg, params), 10, rng), tp, rng)
                  for _ in range(3)]
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
         results = [transcribe(cfg, params, perf, tp) for perf in perfs]
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
         assert [r.n_notes for r in results] == [10, 10, 10]
 
-    def test_new_support_builds_a_new_topology(self, fresh_cache, rng, monkeypatch):
+    def test_new_support_builds_a_new_topology(self, fresh_cache, rng):
         cfg = ModelConfig.from_name("notemm1s", bar_length=4)
         build_state_space(cfg, zeroed_params(cfg, rng))
         wide = random_params(cfg, rng)
         space = build_state_space(cfg, wide)
-        assert len(fresh_cache) == 2  # the narrow topology does not cover the wide params
-        monkeypatch.setattr(models, "_TOPOLOGY_CACHE", models._TopologyCache(size=4))
+        assert fresh_cache() == 2  # the narrow topology does not cover the wide params
+        models._topology.cache_clear()
         assert space_digest(space) == space_digest(build_state_space(cfg, wide))
 
     def test_bayesian_and_plain_configs_share_a_topology(self, fresh_cache, rng):
@@ -294,21 +287,21 @@ class TestCache:
         params = random_params(cfg.plain(), rng)
         plain = build_state_space(cfg.plain(), params)
         bayes = build_state_space(cfg, params)
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
         assert bayes.config.name == "metmm1sb" and plain.config.name == "metmm1s"
         assert space_digest(bayes) == space_digest(plain)
 
-    def test_cache_keeps_the_most_recent(self, fresh_cache, rng):
-        for name in ["notemm1", "metmm1", "patmm1", "notemm2", "metmm2"]:
+    def test_cache_keeps_the_most_recent(self, fresh_cache):
+        def build(name):
             cfg = ModelConfig.from_name(name, bar_length=4)
             build_state_space(cfg, random_params(cfg, np.random.default_rng(0)))
-        assert len(fresh_cache) == 5
-        cfg = ModelConfig.from_name("notemm1", bar_length=4)  # evicted: oldest of five
-        build_state_space(cfg, random_params(cfg, np.random.default_rng(0)))
-        assert len(fresh_cache) == 6
-        cfg = ModelConfig.from_name("metmm2", bar_length=4)  # still cached
-        build_state_space(cfg, random_params(cfg, np.random.default_rng(0)))
-        assert len(fresh_cache) == 6
+            return fresh_cache()
+
+        assert [build(name) for name in ["notemm1", "metmm1", "patmm1", "notemm2"]] == [1, 2, 3, 4]
+        assert build("notemm1") == 4  # a hit, which makes it the most recent
+        assert build("metmm2") == 5  # evicts metmm1, now the least recent
+        assert build("metmm1") == 6
+        assert build("notemm1") == 6
 
     @pytest.mark.parametrize("name", ["metmm1sd", "patmm1d"])
     def test_fresh_build_peaks_near_what_it_keeps(self, name, fresh_cache):
@@ -328,7 +321,7 @@ class TestCache:
     def test_shared_arrays_are_read_only(self, fresh_cache, rng):
         cfg = ModelConfig.from_name("metmm1sd", bar_length=4)
         space = build_state_space(cfg, random_params(cfg, rng))
-        (topology,) = fresh_cache
+        topology = space._topology
         arrays = [topology.outside, topology.initial_positions, *topology.boundary_slots,
                   *topology.state_slots]
         for edges in (topology.first, topology.trans):

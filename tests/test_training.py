@@ -1,4 +1,6 @@
 """Generic-model estimation and Dirichlet prior assembly."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,8 +215,9 @@ class TestHyperparams:
     def test_per_table_overrides(self):
         corpus = corpus_of((0, 2, 4, 8))
         params = estimate_params(corpus, ModelConfig.from_name("metmm1"))
-        hp = assemble_hyperparams(
-            params, ModelConfig.from_name("metmm1b"), alpha=5.0, alpha_transition=2.0
-        )
+        hp = replace(assemble_hyperparams(params, ModelConfig.from_name("metmm1b"), alpha=5.0),
+                     alpha_transition=2.0)
         assert hp.alpha_initial == 5.0
         assert hp.alpha_transition == 2.0
+        with pytest.raises(ValueError, match="alpha_shift must be positive"):
+            replace(hp, alpha_shift=0.0)
