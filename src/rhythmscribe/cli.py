@@ -31,7 +31,7 @@ from .evaluation import (
     summarize_cells,
 )
 from .inference import (
-    DEFAULT_CONCENTRATION,
+    DEFAULT_ALPHA,
     DEFAULT_GIBBS_ITERATIONS,
     GibbsConfig,
     transcribe,
@@ -225,7 +225,7 @@ def _model_tables(settings, config: ModelConfig, params):
     xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
     zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
     if config.bayesian:
-        alpha = float(settings.get("alpha", DEFAULT_CONCENTRATION, float))
+        alpha = float(settings.get("alpha", DEFAULT_ALPHA, float))
         return assemble_hyperparams(params, config, alpha=alpha,
                                     no_shift_mass=xi0, identity_division_mass=zeta0)
     if config.shift or config.division:
@@ -286,7 +286,7 @@ def cmd_transcribe(args, parser) -> int:
     }
     if config.bayesian:
         out["seed"] = seed
-        out["alpha"] = param_obj.alpha_initial
+        out["alpha"] = param_obj.alpha
         out["iterations"] = iterations
     write_json(args.out, out)
     return 1 if failures else 0
@@ -349,7 +349,7 @@ def cmd_study(args, parser) -> int:
         parser.error("study-sparseness works on plain model variants")
     params = load_params(args.params)
     corpus = Corpus.load(args.corpus)
-    alpha = float(settings.get("alpha", DEFAULT_CONCENTRATION, float))
+    alpha = float(settings.get("alpha", DEFAULT_ALPHA, float))
     seed = settings.get("seed", None, int)
     seed = _fresh_seed() if seed is None else int(seed)
     rng = _derived_rng(seed, "sparseness")

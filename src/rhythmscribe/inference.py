@@ -35,7 +35,7 @@ from .models import (
 )
 from .timing import TimingParams, TranscriptionHmm
 
-DEFAULT_CONCENTRATION = 10.0
+DEFAULT_ALPHA = 10.0
 DEFAULT_GIBBS_ITERATIONS = 100
 
 __all__ = [
@@ -48,32 +48,26 @@ __all__ = [
     "sample_posterior",
     "gibbs_fit",
     "transcribe",
-    "DEFAULT_CONCENTRATION",
+    "DEFAULT_ALPHA",
     "DEFAULT_GIBBS_ITERATIONS",
 ]
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Dirichlet priors: a base parameter set and per-table concentrations.
+    """Dirichlet priors: a base parameter set and one concentration.
 
     The base carries the generic model's rows (including the shift/division
     preset rows when the config uses modifications); each posterior row is
-    Dir(alpha * base_row + counts).  ``dataclasses.replace`` sets one
-    table's concentration, and checks it as a construction does.
+    Dir(alpha * base_row + counts).
     """
 
     base: ModelParams
-    alpha_initial: float = DEFAULT_CONCENTRATION
-    alpha_transition: float = DEFAULT_CONCENTRATION
-    alpha_shift: float = DEFAULT_CONCENTRATION
-    alpha_division: float = DEFAULT_CONCENTRATION
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        for name in ("alpha_initial", "alpha_transition", "alpha_shift", "alpha_division"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         self.base.validate()
 
 
@@ -186,17 +180,6 @@ def _normalized(shapes: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> 
 # path statistics and the posterior draw, both flat over a space's layout
 
 
-# The `Hyperparams` concentration of each table a layout may hold.
-_CONCENTRATION = {
-    "initial": "alpha_initial",
-    "unigram": "alpha_transition",
-    "transition": "alpha_transition",
-    "transition2": "alpha_transition",
-    "shift_probs": "alpha_shift",
-    "division_probs": "alpha_division",
-}
-
-
 def gather_counts(space: LatentStateSpace, path: PathSample) -> np.ndarray:
     """Sufficient statistics of a sampled path for the Dirichlet posteriors.
 
@@ -205,14 +188,6 @@ def gather_counts(space: LatentStateSpace, path: PathSample) -> np.ndarray:
     `space.layout` (see `LatentStateSpace.slot_counts`).
     """
     return space.slot_counts(path)
-
-
-def _row_groups(layout: _Layout, name: str, block: np.ndarray) -> list:
-    """2-D views of one table's block of a flat vector, rows on the last axis:
-    all rows of a symbol table together, or each ragged division row alone."""
-    if name == "division_probs":
-        return [row[None] for row in np.split(block, np.cumsum(np.arange(1, layout.bar_length)))]
-    return [block.reshape(-1, layout.shapes[name][-1])]
 
 
 def sample_posterior(
@@ -226,18 +201,16 @@ def sample_posterior(
     the constant-1 slot stays 1.
     """
     theta = np.ones(layout.size)
+    shapes = hp.alpha * layout.flatten(hp.base) + counts
     for name in layout.shapes:
-        block = layout.block(name)
-        prior = getattr(hp.base, name)
-        prior = np.concatenate(prior) if name == "division_probs" else prior.ravel()
-        shapes = getattr(hp, _CONCENTRATION[name]) * prior + counts[block]
-        groups = _row_groups(layout, name, shapes)
+        groups = layout.row_groups(name, shapes)
         for group in groups:
             bad = np.any(group < 0, axis=1) | ~(group.sum(axis=1) > 0)
             if bad.any():
                 _check_posterior_row(group[np.argmax(bad)])
-        theta[block] = rng.gamma(shapes)
-        for group, g in zip(groups, _row_groups(layout, name, theta[block])):
+        block = layout.block(name)
+        theta[block] = rng.gamma(shapes[block])
+        for group, g in zip(groups, layout.row_groups(name, theta)):
             g[...] = _normalized(group, g, rng)
     return theta
 

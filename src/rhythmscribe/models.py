@@ -258,15 +258,24 @@ class _Layout:
         ]
         return np.concatenate(parts + [np.ones(1)])
 
+    def row_groups(self, name: str, flat: np.ndarray) -> list:
+        """2-D views of one table's block of a flat vector, rows on the last
+        axis: all rows of a symbol table together, or each ragged division
+        row alone."""
+        block = flat[self.block(name)]
+        if name == "division_probs":
+            return [row[None] for row in np.split(block, np.cumsum(np.arange(1, self.bar_length)))]
+        return [block.reshape(-1, self.shapes[name][-1])]
+
     def tables(self, flat: np.ndarray) -> dict:
         """Views of a flat vector shaped like the tables (division: a list of rows)."""
         out = {}
         for name, shape in self.shapes.items():
-            block = flat[self.block(name)]
+            groups = self.row_groups(name, flat)
             if name == "division_probs":
-                out[name] = np.split(block, np.cumsum(np.arange(1, self.bar_length)))
+                out[name] = [row for (row,) in groups]
             else:
-                out[name] = block.reshape(shape)
+                out[name] = groups[0].reshape(shape)
         return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Corpus, segment_patterns, to_metrical, to_note_values
-from .inference import DEFAULT_CONCENTRATION, Hyperparams
+from .inference import DEFAULT_ALPHA, Hyperparams
 from .models import (
     ModelConfig,
     ModelParams,
@@ -223,18 +223,17 @@ def attach_modification_presets(
 def assemble_hyperparams(
     params: ModelParams,
     config: ModelConfig,
-    alpha: float = DEFAULT_CONCENTRATION,
+    alpha: float = DEFAULT_ALPHA,
     no_shift_mass: float = DEFAULT_NO_MODIFICATION_MASS,
     identity_division_mass: float = DEFAULT_NO_MODIFICATION_MASS,
 ) -> Hyperparams:
     """Dirichlet priors around a generic model for Bayesian transcription.
 
     The generic rows become base distributions; shift/division bases are
-    preset rows when the config needs them.  Every table gets concentration
-    `alpha`; ``dataclasses.replace(hp, alpha_transition=...)`` sets one
-    table's own.
+    preset rows when the config needs them.  Every row's prior has
+    concentration `alpha`.
     """
     base = attach_modification_presets(
         params, config, no_shift_mass, identity_division_mass
     )
-    return Hyperparams(base, alpha, alpha, alpha, alpha)
+    return Hyperparams(base, alpha)

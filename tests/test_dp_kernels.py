@@ -33,7 +33,7 @@ from rhythmscribe.timing import (
     TranscriptionHmm,
     synthesize,
 )
-from rhythmscribe.training import DEFAULT_CONCENTRATION, assemble_hyperparams, estimate_params
+from rhythmscribe.training import DEFAULT_ALPHA, assemble_hyperparams, estimate_params
 
 from conftest import ALL_VARIANTS, log_space_forward, tiny_instance
 
@@ -1608,13 +1608,13 @@ RECORDED_FITS = {
         [7, 8, 1, 1, 2, 3, 1, 8, 1, 7, 8, 7, 8, 7, 4, 7, 2, 6, 2, 8,
          7, 8, 1, 8, 7, 8, 7, 8, 7, 8, 7, 5, 5, 5, 8, 1, 8, 7, 8, 4],
         [24.333475415788396, 27.304631439075273, 21.454356105711813, 23.442162517349303],
-        DEFAULT_CONCENTRATION,
+        DEFAULT_ALPHA,
     ),
     "patmm1b": (
         [3, 1, 1, 2, 2, 3, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
          3, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 2, 6, 4, 1, 3],
         [40.50115095301152, 47.725674964912635, 51.44934907555786, 50.986263288697714],
-        DEFAULT_CONCENTRATION,
+        DEFAULT_ALPHA,
     ),
     "metmm1sdb": (
         [8, 1, 7, 5, 4, 7, 4, 5, 2, 7, 4, 3, 3, 7, 7, 7, 6, 6, 4, 6,

@@ -1,6 +1,7 @@
 """Decoding and Gibbs machinery against enumeration oracles."""
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rhythmscribe.models import (
     uniform_params,
 )
 from rhythmscribe.timing import TimingParams, TranscriptionHmm, synthesize
+from rhythmscribe.training import assemble_hyperparams
 from rhythmscribe.core import RhythmScore
 
 from conftest import (
@@ -386,16 +388,13 @@ def per_row_posterior(hp, counts, layout, rng):
         rows = t.reshape(-1, t.shape[-1])
         return np.vstack([draw(r) for r in rows]).reshape(t.shape)
 
-    alpha = {"initial": hp.alpha_initial, "unigram": hp.alpha_transition,
-             "transition": hp.alpha_transition, "transition2": hp.alpha_transition,
-             "shift_probs": hp.alpha_shift}
     out = {}
     for name, count in layout.tables(counts).items():
         base = getattr(hp.base, name)
         if name == "division_probs":
-            out[name] = [draw(hp.alpha_division * b + c) for b, c in zip(base, count)]
+            out[name] = [draw(hp.alpha * b + c) for b, c in zip(base, count)]
         else:
-            out[name] = table(alpha[name] * base + count)
+            out[name] = table(hp.alpha * base + count)
     return out
 
 
@@ -406,11 +405,11 @@ class TestSamplePosterior:
         cfg = space.config
         if params.transition is not None:
             params.transition[0, :] = np.eye(params.transition.shape[1])[0]  # zero entries
-        hp = Hyperparams(base=params, alpha_transition=2.0, alpha_shift=0.5)
         space = build_state_space(cfg.plain(), params)
         path = ffbs(space, TranscriptionHmm(space, tp).emission_matrix(durations), rng)
         counts, layout = gather_counts(space, path), space.layout
-        for seed in range(3):
+        for alpha, seed in product((0.5, 2.0), range(3)):
+            hp = Hyperparams(base=params, alpha=alpha)
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             theta = sample_posterior(hp, counts, layout, got_rng)
             want = per_row_posterior(hp, counts, layout, want_rng)
@@ -435,7 +434,7 @@ class TestSamplePosterior:
         transition[2] = -1e9  # row 2: negative entries
         with pytest.raises(ValueError, match="negative posterior parameters"):
             sample_posterior(hp, counts, space.layout, rng)
-        transition[1] = -hp.alpha_transition * base.transition[1]  # row 1: no support
+        transition[1] = -hp.alpha * base.transition[1]  # row 1: no support
         with pytest.raises(InferenceError, match="posterior row with no support"):
             sample_posterior(hp, counts, space.layout, rng)
 
@@ -446,7 +445,7 @@ class TestSamplePosterior:
         base = random_params(cfg.plain(), np.random.default_rng(0))
         base.transition2[..., 0] = 0.0
         base.transition2 /= base.transition2.sum(axis=-1, keepdims=True)
-        hp = Hyperparams(base=base, alpha_transition=1e-3)
+        hp = Hyperparams(base=base, alpha=1e-3)
         layout = build_state_space(cfg.plain(), base).layout
         counts = np.zeros(layout.size)
         rng = np.random.default_rng(1)
@@ -521,13 +520,17 @@ class TestTranscribe:
             GibbsConfig(seed=-1)
         assert GibbsConfig(seed=0).seed == 0
 
-    @pytest.mark.parametrize("name", ["alpha_initial", "alpha_transition", "alpha_shift",
-                                      "alpha_division"])
+    @pytest.mark.parametrize("route", [
+        lambda base, alpha: Hyperparams(base, alpha),
+        lambda base, alpha: replace(Hyperparams(base), alpha=alpha),
+        lambda base, alpha: assemble_hyperparams(base, ModelConfig.from_name("notemm1b"),
+                                                 alpha=alpha),
+    ], ids=["construction", "replace", "assemble_hyperparams"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
-    def test_concentrations_must_be_finite_and_positive(self, name, bad):
+    def test_concentration_must_be_finite_and_positive(self, route, bad):
         base = uniform_params(ModelConfig.from_name("notemm1"))
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got"):
-            Hyperparams(base=base, **{name: bad})
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got"):
+            route(base, bad)
 
     def test_gibbs_config_validation(self):
         with pytest.raises(ValueError):
@@ -535,4 +538,4 @@ class TestTranscribe:
         with pytest.raises(ValueError):
             GibbsConfig(beam_width=0)
         with pytest.raises(ValueError):
-            Hyperparams(base=uniform_params(ModelConfig.from_name("notemm1")), alpha_initial=0)
+            Hyperparams(base=uniform_params(ModelConfig.from_name("notemm1")), alpha=0)

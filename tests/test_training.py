@@ -208,16 +208,14 @@ class TestHyperparams:
         cfg = ModelConfig.from_name("metmm1sb")
         params = estimate_params(corpus, ModelConfig.from_name("metmm1"))
         hp = assemble_hyperparams(params, cfg)
-        assert hp.alpha_initial == 10.0
-        assert hp.alpha_transition == 10.0
+        assert hp.alpha == 10.0
         assert hp.base.shift_probs is not None
 
-    def test_per_table_overrides(self):
+    def test_concentration_override(self):
         corpus = corpus_of((0, 2, 4, 8))
         params = estimate_params(corpus, ModelConfig.from_name("metmm1"))
-        hp = replace(assemble_hyperparams(params, ModelConfig.from_name("metmm1b"), alpha=5.0),
-                     alpha_transition=2.0)
-        assert hp.alpha_initial == 5.0
-        assert hp.alpha_transition == 2.0
-        with pytest.raises(ValueError, match="alpha_shift must be positive"):
-            replace(hp, alpha_shift=0.0)
+        hp = assemble_hyperparams(params, ModelConfig.from_name("metmm1b"), alpha=5.0)
+        assert hp.alpha == 5.0
+        assert replace(hp, alpha=2.0).alpha == 2.0
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            replace(hp, alpha=0.0)
