@@ -161,7 +161,10 @@ def _normalized(shapes: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> 
 
     A row whose every Gamma draw underflowed to 0 (all its shapes tiny) is
     drawn again in log space, Gamma(a) = Gamma(a + 1) U^(1/a), so seeded
-    streams change only where the plain draw would give 0/0.
+    streams change only where the plain draw would give 0/0.  Where a is so
+    small (subnormal) that log(U)/a overflows to -inf in every entry of a
+    row, the row is the point mass on its largest log(U)/a, the smallest
+    log(-log U) - log a.
     """
     total = g.sum(axis=1, keepdims=True)
     dead = total[:, 0] == 0
@@ -171,7 +174,15 @@ def _normalized(shapes: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> 
     a = shapes[dead]
     pos = a > 0
     log_g = np.full(a.shape, -np.inf)
-    log_g[pos] = np.log(rng.gamma(a[pos] + 1.0)) + np.log(rng.random(int(pos.sum()))) / a[pos]
+    log_gamma = np.log(rng.gamma(a[pos] + 1.0))
+    log_u = np.log(rng.random(int(pos.sum())))
+    with np.errstate(over="ignore"):
+        log_g[pos] = log_gamma + log_u / a[pos]
+    lost = ~np.isfinite(log_g).any(axis=1)
+    if lost.any():
+        key = np.full(a.shape, np.inf)
+        key[pos] = np.log(-log_u) - np.log(a[pos])
+        log_g[np.flatnonzero(lost), np.argmin(key[lost], axis=1)] = 0.0
     out[dead] = np.exp(log_g - _dp._log_rows(log_g)[:, None])
     return out
 

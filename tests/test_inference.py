@@ -237,6 +237,19 @@ class TestDirichlet:
         assert np.isfinite(draws).all()
         np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_subnormal_parameters_give_the_point_mass_of_the_largest_log_u_over_a(self):
+        # log(U)/a overflows to -inf in every entry; the redraw still reads
+        # the same Gamma(a + 1) draws and uniforms
+        params = np.array([1e-310, 3e-310, 1e-310, 2e-310])
+        draws = sample_dirichlet(params, np.random.default_rng(0), size=50)
+        ref = np.random.default_rng(0)
+        ref.gamma(np.broadcast_to(params, (50, 4)))  # all 0
+        ref.gamma(np.broadcast_to(params + 1.0, (50, 4)))
+        log_u = np.log(ref.random((50, 4)))
+        want = np.argmin(np.log(-log_u) - np.log(params), axis=1)
+        np.testing.assert_array_equal(draws, np.eye(4)[want])
+        assert len(set(want)) > 1
+
 
 class TestGatherCounts:
     def test_met_first_order_counts(self, rng):
@@ -353,6 +366,17 @@ class TestGibbs:
         assert params.shift_probs is not base.shift_probs
         assert params.patterns is None and params.division_probs is None
         params.validate()
+
+    def test_subnormal_concentration_fits_as_the_smallest_normal_one(self, rng):
+        # every posterior row without counts is a point mass either way
+        cfg, hp, perf, tp = self._setup(rng)
+        gc = GibbsConfig(iterations=3, seed=1)
+        fits = [gibbs_fit(cfg, assemble_hyperparams(hp.base, cfg, alpha=alpha), perf, tp, gc)
+                for alpha in (1e-300, 1e-310)]
+        (p1, r1), (p2, r2) = fits
+        assert np.isfinite(r2.trace).all()
+        assert r1.trace == r2.trace and r1.note_values == r2.note_values
+        np.testing.assert_array_equal(p1.transition, p2.transition)
 
     def test_sample_posterior_respects_zero_support(self, rng):
         cfg = ModelConfig.from_name("metmm1b")
