@@ -126,14 +126,15 @@ class TranscriptionResult:
 def sample_dirichlet(params, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Dirichlet draw(s) via normalized Gamma variables.
 
-    `params` is the concentration-weighted base vector (all entries > 0);
-    with `size`, returns a (size, len(params)) array of independent draws.
+    `params` is the concentration-weighted base vector (all entries positive
+    and finite); with `size`, returns a (size, len(params)) array of
+    independent draws.
     """
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1 or len(params) == 0:
         raise ValueError("params must be a nonempty vector")
-    if np.any(params <= 0):
-        raise ValueError("Dirichlet parameters must be strictly positive")
+    if not np.all((params > 0) & np.isfinite(params)):
+        raise ValueError("Dirichlet parameters must be positive and finite")
     if size is not None:
         size = integral(size, "size")
         if size < 1:

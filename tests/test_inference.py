@@ -250,6 +250,11 @@ class TestDirichlet:
         np.testing.assert_array_equal(draws, np.eye(4)[want])
         assert len(set(want)) > 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_infinite_parameters_are_refused(self, bad, rng):
+        with pytest.raises(ValueError, match="parameters must be positive and finite"):
+            sample_dirichlet([bad, 1.0], rng)
+
 
 class TestGatherCounts:
     def test_met_first_order_counts(self, rng):
