@@ -34,6 +34,7 @@ from .inference import (
     DEFAULT_ALPHA,
     DEFAULT_GIBBS_ITERATIONS,
     GibbsConfig,
+    Hyperparams,
     transcribe,
 )
 from .models import ModelConfig, load_params, save_params
@@ -43,7 +44,6 @@ from .training import (
     DEFAULT_NO_MODIFICATION_MASS,
     DEFAULT_PATTERN_INTERPOLATION,
     SmoothingConfig,
-    assemble_hyperparams,
     attach_modification_presets,
     estimate_params,
 )
@@ -218,19 +218,23 @@ def _transcribe_one(task):
 def _model_tables(settings, config: ModelConfig, params):
     """What `transcribe` takes for `config`, built around `params`.
 
-    A Bayesian config gets Hyperparams of concentration `alpha`; any other
-    gets `params` with the preset shift/division rows the config uses.  The
-    presets put `xi0` on the zero shift and `zeta0` on the identity division.
+    Each shift/division row the config uses is the one `params` holds,
+    unless `params` lacks it or its mass (`xi0` on the zero shift, `zeta0`
+    on the identity division) is set: then it is the preset row.  A
+    Bayesian config gets Hyperparams of concentration `alpha` around these
+    tables.
     """
-    xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
-    zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
+    xi0 = settings.get("xi0", None, float)
+    zeta0 = settings.get("zeta0", None, float)
+    tables = attach_modification_presets(params, config, *(
+        DEFAULT_NO_MODIFICATION_MASS if mass is None else float(mass) for mass in (xi0, zeta0)))
+    if config.shift and xi0 is None and params.shift_probs is not None:
+        tables.shift_probs = params.shift_probs
+    if config.division and zeta0 is None and params.division_probs is not None:
+        tables.division_probs = params.division_probs
     if config.bayesian:
-        alpha = float(settings.get("alpha", DEFAULT_ALPHA, float))
-        return assemble_hyperparams(params, config, alpha=alpha,
-                                    no_shift_mass=xi0, identity_division_mass=zeta0)
-    if config.shift or config.division:
-        return attach_modification_presets(params, config, xi0, zeta0)
-    return params
+        return Hyperparams(tables, float(settings.get("alpha", DEFAULT_ALPHA, float)))
+    return tables
 
 
 def cmd_transcribe(args, parser) -> int:

@@ -539,3 +539,33 @@ class TestBeamWidthFlag:
                    "--tempo-bpm", 144, "--sigma-t", 0.02, "--out", tmp_path / "b.json",
                    *flag) == 0
         assert widths == {want}
+
+
+class TestModificationRows:
+    def test_transcribe_keeps_the_params_files_rows_unless_a_mass_is_set(
+            self, pipeline, tmp_path, monkeypatch):
+        # the file's rows put 0.3 on the zero shift and the identity division
+        sd = tmp_path / "sd.json"
+        assert run("train", "--corpus", pipeline["corpus"], "--model", "metmm1sd",
+                   "--xi0", 0.3, "--zeta0", 0.3, "--out", sd) == 0
+        assert run("synth", "--corpus", pipeline["corpus"], "--out", pipeline["perf"],
+                   "--seed", 1, "--tempo-bpm", 120, "--sigma-t", 0.03) == 0
+
+        def decode(model, *flags):
+            assert run("transcribe", "--performances", pipeline["perf"], "--model", model,
+                       "--params", sd, "--iterations", 2, "--seed", 3,
+                       "--out", pipeline["trans"], *flags) == 0
+            return json.loads(pipeline["trans"].read_text())["items"]
+
+        for model in ("metmm1sd", "metmm1sdb"):
+            rows = decode(model)
+            assert rows == decode(model, "--xi0", 0.3, "--zeta0", 0.3)
+            assert rows != decode(model, "--xi0", 0.9, "--zeta0", 0.9)
+        # each mass replaces its own row only
+        shift_set = decode("metmm1sd", "--xi0", 0.9)
+        assert shift_set == decode("metmm1sd", "--xi0", 0.9, "--zeta0", 0.3)
+        assert shift_set != decode("metmm1sd", "--xi0", 0.9, "--zeta0", 0.9)
+        # a mass set in the environment replaces the file's row too
+        monkeypatch.setenv("RHYTHMSCRIBE_XI0", "0.9")
+        monkeypatch.setenv("RHYTHMSCRIBE_ZETA0", "0.9")
+        assert decode("metmm1sd") == decode("metmm1sd", "--xi0", 0.9, "--zeta0", 0.9)
