@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rhythmscribe import _dp
+from rhythmscribe import _dp, inference
 from rhythmscribe.cli import main
 from rhythmscribe.models import ModelConfig, random_params, save_params
 
@@ -569,3 +569,34 @@ class TestModificationRows:
         monkeypatch.setenv("RHYTHMSCRIBE_XI0", "0.9")
         monkeypatch.setenv("RHYTHMSCRIBE_ZETA0", "0.9")
         assert decode("metmm1sd") == decode("metmm1sd", "--xi0", 0.9, "--zeta0", 0.9)
+
+
+class TestAlphaSetting:
+    @pytest.mark.parametrize("flag, want", [((), 10.0), (("--alpha", 2.5), 2.5)],
+                             ids=["default", "flag"])
+    def test_alpha_reaches_the_fit_and_the_header(self, pipeline, monkeypatch, flag, want):
+        alphas = set()
+        real = inference.gibbs_fit
+
+        def spy(config, hp, *args):
+            alphas.add(hp.alpha)
+            return real(config, hp, *args)
+
+        monkeypatch.setattr(inference, "gibbs_fit", spy)
+        assert run("synth", "--corpus", pipeline["corpus"], "--out", pipeline["perf"],
+                   "--seed", 0) == 0
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1b",
+                   "--params", pipeline["params"], "--iterations", 2, "--seed", 1,
+                   "--out", pipeline["trans"], *flag) == 0
+        assert alphas == {want}
+        assert json.loads(pipeline["trans"].read_text())["alpha"] == want
+
+    def test_zero_alpha_is_one_error_line_naming_alpha(self, pipeline, tmp_path, capsys):
+        assert run("synth", "--corpus", pipeline["corpus"], "--out", pipeline["perf"],
+                   "--seed", 0) == 0
+        out = tmp_path / "bad.json"
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1b",
+                   "--params", pipeline["params"], "--alpha", 0, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: alpha must be positive and finite, got 0.0"]
+        assert not out.exists()
