@@ -426,8 +426,14 @@ def _add_common(sp, *names):
         sp.add_argument("--beam-width", type=int, dest="beam_width",
                         help="beam width for decoding and Gibbs sampling "
                              "(default: exact inference; 0 also means exact)")
-        sp.add_argument("--xi0", type=float, help="preset mass on the zero shift")
-        sp.add_argument("--zeta0", type=float, help="preset mass on the identity division")
+        sp.add_argument("--xi0", type=float,
+                        help="preset mass on the zero shift; replaces the params' shift "
+                             "row only when given (default: the params' row, else "
+                             f"{DEFAULT_NO_MODIFICATION_MASS})")
+        sp.add_argument("--zeta0", type=float,
+                        help="preset mass on the identity division; replaces the params' "
+                             "division rows only when given (default: the params' rows, "
+                             f"else {DEFAULT_NO_MODIFICATION_MASS})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,8 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True, help="model name, e.g. notemm1, metmm2b, patmm1")
     sp.add_argument("--epsilon", type=float, help="additive smoothing")
     sp.add_argument("--pattern-interpolation", type=float, dest="pattern_interpolation")
-    sp.add_argument("--xi0", type=float)
-    sp.add_argument("--zeta0", type=float)
+    sp.add_argument("--xi0", type=float,
+                    help="preset mass on the zero shift, written into the shift row of "
+                         f"a model with shifts (default {DEFAULT_NO_MODIFICATION_MASS})")
+    sp.add_argument("--zeta0", type=float,
+                    help="preset mass on the identity division, written into the division "
+                         f"rows of a model with divisions (default {DEFAULT_NO_MODIFICATION_MASS})")
     sp.add_argument("--out", required=True)
     _add_common(sp, "config")
     sp.set_defaults(func=cmd_train)
