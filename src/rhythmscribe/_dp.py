@@ -13,12 +13,13 @@ Emissions enter as a matrix ``em`` of shape ``(N, bar_length)``:
 ``n``.  Indicator rows (0 / -inf) recover score probabilities; Gaussian
 log-densities give performance likelihoods.
 
-Every log-space pass is one sweep over the edge lists, `_pruned_sweep`,
-max-product for Viterbi and sum-product for a forward pass.  It carries from
-each slot only the states a keep policy picks: all of them for the plain
-decode and the forward rerun (below), those that can still lie on an optimal
-path for the certified decode (below), and a fixed number of the best for a
-beam.  The exact forward pass runs in scaled linear space (Rabiner 1989) and
+Every log-space pass is one sweep, `_pruned_sweep`, max-product for Viterbi
+and sum-product for a forward pass.  It carries from each slot only the
+states a keep policy picks: all of them for the plain decode and the forward
+rerun (below), those that can still lie on an optimal path for the certified
+decode (below), and a fixed number of the best for a beam.  Its
+sum-product steps run over the edge lists, and so do its max steps on small
+spaces; large ones take theirs over the class rows (below).  The exact forward pass runs in scaled linear space (Rabiner 1989) and
 converts its table back to log space: large spaces over the class rows
 (below), small ones over the edge list with every step's edge weights made
 at once.  A scaled kernel flushes entries below the smallest normal
@@ -39,8 +40,9 @@ least their max.  So once some feasible path scores L, a sweep that carries
 only the states whose bound reaches L carries every optimal path: each
 predecessor on such a path is carried, so each state's ``delta'`` on it is
 exact and its bound reaches the optimum (the admissible-bound argument of
-exact A* search).  The decoded path, its score and the lowest-index tie
-rule are those of the full sweep.  Only beta must be a true bound, and it
+exact A* search; Klein and Manning 2003).  The decoded path, its score and
+the lowest-index tie rule are those of the full sweep.  Only beta must be a
+true bound, and it
 comes from a scaled backward pass that raises every entry by the most
 underflow may have dropped from it; no forward pass runs.  Row 0 of that
 pass also bounds the data's total from above, ``Z_up = sum_s init(s)
@@ -57,14 +59,24 @@ topology, on first use (see `EdgeSet.row_classes`); a weighing keeps every
 state and edge, a zero weight being a log weight of -inf, so every weighing
 of a topology shares its classes.  Its one
 weighted matrix has a row per distinct weighted class row (see
-`EdgeSet.class_rows`): classes whose rows are equal by weight, bit for
-bit, as sparse trained tables leave many, merge once per weighing.  The
+`EdgeSet.class_rows`): classes whose rows are equal in log weight, bit for
+bit, as sparse trained tables leave many, merge once per weighing, and the
+rows' log weights are kept beside their probabilities.  The
 forward pass multiplies the matrix's transpose by the state vector's
 row sums, and the upper backward pass multiplies it and gathers the
-result per state.  A merged row adds the same terms in the same order as
-each class it stands for, so the upper pass, and with it the certified
-decode's paths, bounds and likelihood, is bit-identical to one over the
-per-value matrix with a column per source.  So is the forward pass where
+result per state.  A max step takes, per row, the largest delta of the
+sources it carries, scores each entry of those rows as ``(m + logp) +
+em(v)`` and reduces per destination (see `_class_step`): a row's sources
+have out-edges of the same log weights, and adding a fixed term rounds
+monotonically, so every slot's maxima, and the decoded path, are those of
+the edge list to the bit.  Large spaces whose class rows hold at most half
+their edges step so (see `CLASS_STEP_SHARE`); on a 300-note piece with the
+benchmark's trained tables that took a certified decode of `metmm1sd` from
+0.114 to 0.074 s and of `patmm1d` from 0.21 to 0.18 s, where the upper pass
+takes most of the rest.  A merged row adds the same terms in the same order
+as each class it stands for, so the upper pass, and with it the certified
+decode's bounds and likelihood, is bit-identical to one over the per-value
+matrix with a column per source.  So is the forward pass where
 every row holds one source, numbered in source order; merged rows add
 their members' mass before the product, which moves a forward total by
 rounding alone (by at most 1.8e-15 on the test spaces).  At bar length 8,
@@ -113,12 +125,27 @@ BATCH_MAX_ENTRIES = 1 << 16
 # has the timings.
 CERTIFY_MIN_EDGES = 60_000
 
-# A pruned step relaxes the out-edges of the states it keeps; once those are
-# more than this share of all edges, one `_full_step` over every edge is
-# cheaper.  Relaxing gathers each edge at random, 6-7x
-# the cost per edge of the full step on `patmm1`, `metmm1sd` and `patmm1d`
-# (single thread), so the two cross at 14-16% of the edges.
+# A pruned sum-product step, or a max step over the edge list, relaxes the
+# out-edges of the states it keeps; once those are more than this share of
+# all edges, one `_full_step` over every edge is cheaper.  Relaxing gathers
+# each edge at random, 6-7x the cost per edge of the full step on `patmm1`,
+# `metmm1sd` and `patmm1d` (single thread), so the two cross at 14-16% of
+# the edges.
 DENSE_STEP_FRACTION = 0.15
+
+# Max steps over spaces that do not run the time-batched kernels run over
+# the class rows (`_class_step`) where those hold at most this share of the
+# edge list's entries.  A class-row entry costs 2-3.6x an edge of
+# `_full_step`: a whole decode of random-table `patmm1d` (class rows 0.29
+# of its edges) took 0.64x as long over them, and one of `patmm1`, whose
+# classes are all singletons, 1.1-1.2x (single thread).
+CLASS_STEP_SHARE = 0.5
+
+# A class-row step scores the entries of the rows its kept states reach;
+# once those are more than this share of all entries, scoring every entry,
+# with no gather, is cheaper.  The two cross at 45-60% of the entries on
+# `metmm1sd`, trained `patmm1d` and random-table `patmm1d` (single thread).
+DENSE_CLASS_FRACTION = 0.5
 
 # The feasible score that certifies exact Viterbi comes from a sweep over the
 # top-k states of each step by their bound, k = 4, 16, 64, ... until one
@@ -235,38 +262,39 @@ class EdgeSet:
         return classes
 
     def class_rows(self):
-        """``(n_values, with_edges, cls, C)``: the set's one weighted
+        """``(n_values, with_edges, cls, C, logc)``: the set's one weighted
         matrix, a row per distinct weighted row of the classes of sources
-        (see `row_classes`).
+        (see `row_classes`), and the log weights of its entries.
 
         Class k's row holds its representative's out-edge probabilities in
         ascending columns ``(v-1) * n_dst + d``, and rows whose columns and
-        probabilities are equal, bit for bit, are merged into the first of
+        log weights are equal, bit for bit, are merged into the first of
         them once per weighing (see `_merged`).  So the CSR matrix `C` has
-        shape ``(n_rows, n_values * n_dst)``, ``cls`` maps each source to
-        its row, and ``with_edges[v-1]`` says whether some edge produces v.
-        The forward pass multiplies ``C^T`` by the row sums of the state
-        vector, and the backward pass gathers ``(C @ y)[cls]``.  A merged
+        shape ``(n_rows, n_values * n_dst)``, ``logc`` holds the log of each
+        entry of ``C.data``, ``cls`` maps each source to its row, and
+        ``with_edges[v-1]`` says whether some edge produces v.  The forward
+        pass multiplies ``C^T`` by the row sums of the state vector, the
+        backward pass gathers ``(C @ y)[cls]``, and a max step reads the
+        rows' log weights (see `_class_step`).  A merged
         row adds the same terms in the same order as each row it stands
         for, so the backward pass is bit-identical to one over every class
         and to a per-value matrix with a column per source; the forward pass
         is too where every row holds one source, in source order (see the
         module docstring).  The edge order of the class rows, and which of
         them share their columns, are kept with the structure, so a
-        reweighted copy only exponentiates its representatives' weights and
-        compares those that could merge.
+        reweighted copy only gathers and exponentiates its representatives'
+        weights and compares those that could merge.
         """
         if self._class_rows is None:
             layout = self._structure.get("class_rows")
             if layout is None:
                 layout = self._structure["class_rows"] = _class_layout(self)
             n_values, with_edges, cls, order, indices, indptr, twins = layout
-            data = self.logp[order]
-            np.exp(data, out=data)
-            cls, data, indices, indptr = _merged(cls, data, indices, indptr, twins)
-            mat = sparse.csr_matrix((data, indices, indptr),
+            logc = self.logp[order]
+            cls, logc, indices, indptr = _merged(cls, logc, indices, indptr, twins)
+            mat = sparse.csr_matrix((np.exp(logc), indices, indptr),
                                     shape=(indptr.size - 1, n_values * self.n_dst))
-            self._class_rows = (n_values, with_edges, cls, mat)
+            self._class_rows = (n_values, with_edges, cls, mat, logc)
         return self._class_rows
 
     def log_kappa(self) -> np.ndarray:
@@ -282,7 +310,7 @@ class EdgeSet:
         """
         if self._log_kappa is None:
             if self._class_rows is not None:
-                n_values, _, _, mat = self._class_rows
+                n_values, _, _, mat, _ = self._class_rows
                 n_rows, p = mat.shape[0], mat.data
                 key = np.repeat(np.arange(n_rows) * n_values, np.diff(mat.indptr))
                 key += mat.indices // self.n_dst
@@ -442,11 +470,14 @@ def _class_layout(edges: EdgeSet):
 
 def _merged(cls, data, indices, indptr, twins):
     """``(cls, data, indices, indptr)`` of `EdgeSet.class_rows`, with every
-    row whose columns and probabilities equal an earlier row's, bit for
-    bit, merged into the first of them.
+    row whose columns and log weights `data` equal an earlier row's, bit
+    for bit, merged into the first of them.
 
-    Only the rows of `twins` (see `_class_layout`) can merge.  They are
-    grouped by a hash of their probabilities' bits and their column class,
+    Equal log weights give equal probabilities, so a merged row's sum-product
+    terms are its members'; equal probabilities need not have equal logs,
+    and a max step reads the logs.  Only the rows of `twins` (see
+    `_class_layout`) can merge.  They are grouped by a hash of their
+    weights' bits and their column class,
     and checked entry by entry as `_classes` checks.  The rows that stay
     keep their order, and ``cls`` maps each source to its row.
     """
@@ -679,7 +710,7 @@ def _forward_rows(space, n_steps: int) -> list:
     `patmm1b`'s forward by 30-60%."""
     rows = []
     for edges in (space.first, space.trans)[:min(n_steps, 2)]:
-        n_values, _, cls, mat = edges.class_rows()
+        n_values, _, cls, mat, _ = edges.class_rows()
         rows.append((n_values, edges.n_dst, cls, mat.T))
     return rows + rows[1:] * (n_steps - 2)
 
@@ -735,7 +766,7 @@ def _scaled_forward(space, em, init, keep_table=True):
             if keep_table:
                 table.append(np.log(x) + log_scale)
     for edges, lo, hi in _step_edges(space, n_steps):
-        n_values, with_edges, _, mat = edges.class_rows()
+        n_values, with_edges, _, mat, _ = edges.class_rows()
         # the terms a step makes, each at most 1 in units of slot n's total
         # before its emission weight and losing under 2^-1072 to underflow:
         # the class sums' additions, C^T's products, w @ z's products and
@@ -970,7 +1001,7 @@ def _upper_beta(space, em):
     # state, page-faulted each time and took twice as long to fill
     wb = np.empty(0)
     for n in range(em.shape[0] - 1, -1, -1):
-        n_values, with_edges, cls, mat = trans if n else space.first.class_rows()
+        n_values, with_edges, cls, mat, _ = trans if n else space.first.class_rows()
         row = em[n, :n_values][with_edges]
         c = np.max(row) if row.size else NEG_INF
         if not np.isfinite(c):
@@ -1165,6 +1196,62 @@ def _full_step(edges: EdgeSet, row, em_row, scratch, use_max) -> np.ndarray | No
     return new if np.isfinite(new).any() else None
 
 
+def _class_routed(space, edges: EdgeSet) -> bool:
+    """Whether the max steps over `edges` run over its class rows
+    (`_class_step`) rather than its edge list: on a space that does not run
+    the time-batched kernels, when the rows of its classes, before any
+    merge by weight, hold at most `CLASS_STEP_SHARE` of its edges.  So
+    every weighing of a topology takes the same route."""
+    if _batched(space):
+        return False
+    edges.class_rows()
+    return edges._structure["class_rows"][4].size <= CLASS_STEP_SHARE * edges.n_edges
+
+
+def _class_step(edges: EdgeSet, step, em_row) -> np.ndarray | None:
+    """Per destination, the max of its in-edges' scores ``delta[src] + logp
+    + em(out)`` from the sparse table step ``(ids, delta)``, over the class
+    rows (see `EdgeSet.class_rows`); -inf where none arrives, and None when
+    none arrives anywhere.
+
+    Row k's entries score ``(m[k] + logp) + em(v)``, with ``m[k]`` the
+    largest delta of its sources in `ids`.  Its members' out-edges have the
+    same log weights, bit for bit, and adding a fixed term rounds
+    monotonically, so each destination's maximum is that of the edge
+    list.  Only the rows of such sources are scored, or every row once
+    their entries are more than `DENSE_CLASS_FRACTION` of all.
+    """
+    _, _, cls, mat, logc = edges.class_rows()
+    ids, delta = step
+    if ids.size == edges.n_src == mat.shape[0]:
+        best = delta  # every row holds one source, in source order
+    else:
+        best = np.full(mat.shape[0], NEG_INF)
+        np.maximum.at(best, cls if ids.size == edges.n_src else cls[ids], delta)
+    rows = np.flatnonzero(best > NEG_INF)
+    starts = mat.indptr[rows]
+    counts = mat.indptr[rows + 1] - starts
+    if np.add.reduce(counts) > DENSE_CLASS_FRACTION * logc.size:
+        scores = np.repeat(best, np.diff(mat.indptr))
+        scores += logc
+        cols = mat.indices
+    else:
+        # the kept rows' entries, as `_concat_ranges` gives them, with no
+        # pass to drop empty rows: few of them are kept at once
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        at += np.arange(at.size)
+        scores = np.repeat(best[rows], counts)
+        scores += logc[at]
+        cols = mat.indices[at]
+    values = cols // edges.n_dst
+    scores += em_row[values]
+    if not np.isfinite(scores).any():
+        return None
+    new = np.full(edges.n_dst, NEG_INF)
+    np.maximum.at(new, cols - values * edges.n_dst, scores)
+    return new
+
+
 def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True):
     """Max-product (or, without `use_max`, sum-product) sweep that carries
     on from slot n only the states ``keep(n, delta)`` picks, given the
@@ -1173,13 +1260,14 @@ def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True)
     `keep` returns ascending ids of states of finite `delta`, or None to
     keep every state: with ``keep = lambda n, delta: None`` this is the
     plain exact Viterbi sweep, or the exact forward pass in log space, and
-    a beam is the keep policy of `_tiered_sweep`.  A step relaxes the kept
-    states' out-edges (see `_relax`), or reduces over every edge
-    (`_full_step`) when it keeps a whole row or when those out-edges are
-    more than `DENSE_STEP_FRACTION` of all edges.  Either way each edge is
-    scored as ``delta[src] + logp + em(out)``, into `scratch` (see
-    `_scratch`), so a state's maximum is bit-identical to the full sweep's
-    whenever its best in-edge leaves a kept state.
+    a beam is the keep policy of `_tiered_sweep`.  A max step over edges
+    that `_class_routed` picks runs over their class rows (`_class_step`).
+    Any other step relaxes the kept states' out-edges (see `_relax`), or
+    reduces over every edge (`_full_step`) when it keeps a whole row or when
+    those out-edges are more than `DENSE_STEP_FRACTION` of all edges, each
+    edge scored as ``delta[src] + logp + em(out)`` into `scratch` (see
+    `_scratch`).  Every route gives a state the maximum of the full sweep,
+    to the bit, whenever its best in-edge leaves a kept state.
     Returns the sparse table of the kept states, a slot keeping every state
     or more than half of them as a whole row (ids ``arange(size)``, -inf
     outside the kept states, which `_backtrack` indexes directly); without
@@ -1192,7 +1280,9 @@ def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True)
     for n in range(em.shape[0] + 1):
         if n:
             ids, row = steps[-1]
-            if ids.size == edges.n_src:
+            if use_max and _class_routed(space, edges):
+                delta = _class_step(edges, steps[-1], em[n - 1])
+            elif ids.size == edges.n_src:
                 delta = _full_step(edges, row, em[n - 1], scratch, use_max)
             else:
                 order, indptr = edges.src_view()
@@ -1249,7 +1339,6 @@ def _certified_sweep(space, em, init):
     scratch = _scratch(space)
     for edges in (space.first, space.trans):
         # built before the rows, so that their temporaries come first
-        edges.src_view()
         edges.class_rows()
     # the rows are made side by side before the pass: made between its
     # temporaries, they fragmented the heap and raised peak RSS by up to 4%

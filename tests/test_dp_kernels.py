@@ -1103,9 +1103,9 @@ def merges(edges) -> bool:
 
 def assert_rows_match_their_sources(edges):
     """Each source's row of `class_rows` holds, bit for bit, its own
-    out-edges' probabilities in ascending columns (a column's edges in
-    (src, dst) order)."""
-    _, _, cls, mat = edges.class_rows()
+    out-edges' probabilities and log weights in ascending columns (a
+    column's edges in (src, dst) order)."""
+    _, _, cls, mat, logc = edges.class_rows()
     order, indptr = edges.src_view()
     for s in range(edges.n_src):
         ids = order[indptr[s]:indptr[s + 1]]
@@ -1115,6 +1115,8 @@ def assert_rows_match_their_sources(edges):
         assert np.array_equal(mat.indices[row], cols[by_column])
         assert np.array_equal(mat.data[row].view(np.uint64),
                               np.exp(edges.logp[ids[by_column]]).view(np.uint64))
+        assert np.array_equal(logc[row].view(np.uint64),
+                              edges.logp[ids[by_column]].view(np.uint64))
 
 
 def source_rows(edges):
@@ -1243,9 +1245,9 @@ class TestClassRows:
         for space, _, _ in merging_spaces(name):
             for edges in (space.first, space.trans):
                 assert_rows_match_their_sources(edges)
-                # and every pair of equal rows merged
-                mat = edges.class_rows()[3]
-                rows = {(mat.indices[a:b].tobytes(), mat.data[a:b].tobytes())
+                # and every pair of rows equal in columns and log weights merged
+                _, _, _, mat, logc = edges.class_rows()
+                rows = {(mat.indices[a:b].tobytes(), logc[a:b].tobytes())
                         for a, b in zip(mat.indptr[:-1], mat.indptr[1:])}
                 assert len(rows) == mat.shape[0]
             seen += merges(space.trans)
@@ -1293,7 +1295,7 @@ class TestClassRows:
         cfg = ModelConfig.from_name(name, bar_length=4)
         space = build_state_space(cfg, random_params(cfg, rng))
         for edges in (space.first, space.trans):
-            _, _, cls, mat = edges.class_rows()
+            _, _, cls, mat, _ = edges.class_rows()
             layout = edges._structure["class_rows"]
             assert cls is edges.row_classes()[0]
             assert mat.shape[0] == edges.row_classes()[1].size
@@ -1461,7 +1463,8 @@ def test_out_edge_index_in_blocks_is_a_stable_sort(least, rng, monkeypatch):
 
 
 def test_only_relaxed_steps_read_the_out_edge_index(rng, monkeypatch):
-    # the plain sweep's full steps read in-edges; a beam relaxes out-edges
+    # on a space that steps over its edge list, the plain sweep's full steps
+    # read in-edges and a beam relaxes out-edges
     _, _, space, tp, durations = tiny_instance("metmm1sb", rng, n_notes=6)
     em = TranscriptionHmm(space, tp).emission_matrix(durations)
     read = []
@@ -1472,6 +1475,148 @@ def test_only_relaxed_steps_read_the_out_edge_index(rng, monkeypatch):
     assert read == []
     _dp.viterbi(space, em, beam_width=2)
     assert read
+
+
+def edge_max_step(edges, step, em_row):
+    """The edge list's max step from the sparse table step ``(ids,
+    delta)``: `_full_step` when it keeps every source, else `_relax` over
+    the kept sources' out-edges."""
+    ids, _ = step
+    row = _dp._dense_step(step, edges.n_src)
+    scratch = np.empty(max(edges.n_edges, 1))
+    if ids.size == edges.n_src:
+        return _dp._full_step(edges, row, em_row, scratch, True)
+    order, indptr = edges.src_view()
+    starts = indptr[ids]
+    eids = order[_dp._concat_ranges(starts, indptr[ids + 1] - starts)]
+    return _dp._relax(edges, row, eids, em_row, True, scratch)
+
+
+def assert_bit_equal(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def keep_sets(delta, rng):
+    """Ascending ids of finite entries of `delta`: the best 1-64 of them,
+    as a beam keeps, and random shares of them."""
+    finite = np.flatnonzero(np.isfinite(delta))
+    if finite.size == 0:
+        return
+    for k in (1, 2, 4, 8, 16, 32, 64):
+        yield np.sort(finite[np.lexsort((finite, -delta[finite]))[:k]])
+    for share in (0.05, 0.3, 0.7):
+        yield np.sort(rng.choice(finite, max(1, int(share * finite.size)), replace=False))
+
+
+class TestClassRowMaxStep:
+    """Max steps over the class rows against the edge list's, bit for bit."""
+
+    @pytest.mark.parametrize("name", PLAIN_VARIANTS)
+    def test_maxima_equal_the_edge_lists(self, name, monkeypatch):
+        rng = np.random.default_rng([20261021, zlib.crc32(name.encode())])
+        cases = 0
+        for space, em in class_row_spaces(name, 0):
+            for edges, em_row in ((space.first, em[0]), (space.trans, em[1])):
+                delta = 3.0 * rng.standard_normal(edges.n_src)
+                delta[rng.random(edges.n_src) < 0.3] = -np.inf
+                steps = [(np.arange(edges.n_src), delta)]
+                steps += [(ids, delta[ids]) for ids in keep_sets(delta, rng)]
+                for step in steps:
+                    want = edge_max_step(edges, step, em_row)
+                    # every kept row's entries, or the whole matrix, scored
+                    for fraction in (2.0, 0.0):
+                        monkeypatch.setattr(_dp, "DENSE_CLASS_FRACTION", fraction)
+                        assert_bit_equal(_dp._class_step(edges, step, em_row), want)
+                    cases += 1
+        assert cases >= 60
+
+    @pytest.mark.parametrize("name", PLAIN_VARIANTS)
+    def test_every_slot_of_every_sweep_matches(self, name, monkeypatch):
+        # the plain, certified and beam sweeps, every space forced onto
+        # each route in turn
+        cases = list(class_row_spaces(name, 1))
+
+        def tables(routed, least, width):
+            monkeypatch.setattr(_dp, "_class_routed", lambda space, edges: routed)
+            monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", least)
+            seen = []
+            real = _dp._backtrack
+            monkeypatch.setattr(_dp, "_backtrack",
+                                lambda space, em, steps: seen.append(steps) or real(space, em, steps))
+            for space, em in cases:
+                try:
+                    path = _dp.viterbi(space, em, beam_width=width)
+                except InferenceError:
+                    seen.append(None)
+                    continue
+                seen.append((path.state_indices, path.output_values, path.log_prob,
+                             path.log_likelihood))
+            monkeypatch.setattr(_dp, "_backtrack", real)
+            return seen
+
+        decoded = 0
+        for least, width in ((10**9, None), (0, None), *((10**9, w) for w in (1, 2, 5, 16, 64))):
+            want, got = tables(False, least, width), tables(True, least, width)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if isinstance(w, list):  # a table: every slot's ids and maxima
+                    assert len(g) == len(w)
+                    for (g_ids, g_vals), (w_ids, w_vals) in zip(g, w):
+                        assert np.array_equal(g_ids, w_ids)
+                        assert_bit_equal(g_vals, w_vals)
+                    decoded += 1
+                else:
+                    assert g == w
+        assert decoded >= len(cases) * 4
+
+    def test_rows_equal_in_probability_but_not_log_weight_stay_apart(self):
+        # exp(-1e-17) and exp(-2e-17) are both 1.0: the rows of the two
+        # sources would merge by probability, and their max step differ
+        logp = np.array([-1e-17, -2e-17])
+        assert np.exp(logp[0]) == np.exp(logp[1]) == 1.0 and logp[0] != logp[1]
+        src, dst, out = np.array([0, 1]), np.array([0, 0]), np.array([1, 1])
+        edges = _dp.EdgeSet(src, dst, logp, out, 2, 1, slot=np.array([0, 1]))
+        assert edges.row_classes()[1].size == 2
+        _, _, cls, mat, logc = edges.class_rows()
+        assert np.array_equal(cls, [0, 1]) and mat.shape[0] == 2
+        assert np.array_equal(logc, logp)
+        step = (np.arange(2), np.array([-1.0, 0.0]))
+        want = edge_max_step(edges, step, np.zeros(1))
+        assert want[0] == -2e-17
+        assert_bit_equal(_dp._class_step(edges, step, np.zeros(1)), want)
+
+    @pytest.mark.parametrize("name, routed", [("metmm1sd", True), ("patmm1d", True),
+                                              ("patmm1", False), ("metmm1", False)])
+    def test_route_and_what_each_reads(self, name, routed, rng, monkeypatch):
+        # spaces whose classes share rows step over them, reading no edge
+        # list in a max step; patmm1's classes are all singletons, and
+        # metmm1's space is small: both keep the edge list
+        cfg = ModelConfig.from_name(name, bar_length=6 if name != "patmm1" else 8)
+        space = build_state_space(cfg, random_params(cfg, rng))
+        assert _dp._class_routed(space, space.trans) == routed
+        tp = TimingParams.from_bpm(144.0, 0.04)
+        perf = synthesize(sample_score(space, 8, rng), tp, rng)
+        em = TranscriptionHmm(space, tp).emission_matrix(perf.durations)
+        ran = []  # the steps over `space.trans`
+        for step in ("_relax", "_full_step", "_class_step"):
+            def spy(edges, *args, _real=getattr(_dp, step), _name=step):
+                if edges is space.trans:
+                    ran.append(_name)
+                return _real(edges, *args)
+
+            monkeypatch.setattr(_dp, step, spy)
+        for width in (None, 4):
+            _dp.viterbi(space, em, beam_width=width)
+        if routed:
+            assert set(ran) == {"_class_step"}
+        else:
+            assert ran and "_class_step" not in ran
+        # sum-product sweeps keep the edge list
+        ran.clear()
+        _dp.forward(space, em, beam_width=4)
+        assert "_class_step" not in ran
 
 
 class TestOneForwardPerIteration:
