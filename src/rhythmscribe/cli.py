@@ -140,6 +140,17 @@ def _beam_width(settings: _Settings) -> int | None:
     return None if value in (None, 0) else int(value)
 
 
+def _mass(settings: _Settings, key: str, default):
+    """Modification mass `key` (`xi0` or `zeta0`), or `default` when it is
+    unset; ValueError naming the setting unless it lies in (0, 1]."""
+    mass = settings.get(key, None, float)
+    if mass is None:
+        return default
+    if not 0 < mass <= 1:
+        raise ValueError(f"{key} must be in (0, 1], got {mass:g}")
+    return float(mass)
+
+
 def _timing(settings: _Settings, parser, pc: PerformedCorpus | None = None) -> TimingParams:
     file_tempo = pc.tempo_bpm if pc is not None else None
     file_sigma = pc.sigma_t if pc is not None else None
@@ -173,8 +184,8 @@ def cmd_train(args, parser) -> int:
             settings.get("pattern_interpolation", DEFAULT_PATTERN_INTERPOLATION, float)
         ),
     )
-    xi0 = float(settings.get("xi0", DEFAULT_NO_MODIFICATION_MASS, float))
-    zeta0 = float(settings.get("zeta0", DEFAULT_NO_MODIFICATION_MASS, float))
+    xi0 = _mass(settings, "xi0", DEFAULT_NO_MODIFICATION_MASS)
+    zeta0 = _mass(settings, "zeta0", DEFAULT_NO_MODIFICATION_MASS)
     params = estimate_params(corpus, config, smoothing, xi0, zeta0)
     save_params(params, args.out)
     return 0
@@ -224,8 +235,8 @@ def _model_tables(settings, config: ModelConfig, params):
     Bayesian config gets Hyperparams of concentration `alpha` around these
     tables.
     """
-    xi0 = settings.get("xi0", None, float)
-    zeta0 = settings.get("zeta0", None, float)
+    xi0 = _mass(settings, "xi0", None)
+    zeta0 = _mass(settings, "zeta0", None)
     tables = attach_modification_presets(params, config, *(
         DEFAULT_NO_MODIFICATION_MASS if mass is None else float(mass) for mass in (xi0, zeta0)))
     if config.shift and xi0 is None and params.shift_probs is not None:

@@ -571,6 +571,22 @@ class TestModificationRows:
         assert decode("metmm1sd") == decode("metmm1sd", "--xi0", 0.9, "--zeta0", 0.9)
 
 
+    @pytest.mark.parametrize("key, value", [("xi0", 2), ("zeta0", 0), ("xi0", "nan")])
+    def test_a_bad_mass_is_one_error_line_naming_the_setting(self, pipeline, tmp_path,
+                                                             capsys, key, value):
+        out = tmp_path / "bad.json"
+        want = [f"error: {key} must be in (0, 1], got {float(value):g}"]
+        assert run("train", "--corpus", pipeline["corpus"], "--model", "metmm1sd",
+                   f"--{key}", value, "--out", out) == 1
+        assert capsys.readouterr().err.strip().splitlines() == want
+        assert run("synth", "--corpus", pipeline["corpus"], "--out", pipeline["perf"],
+                   "--seed", 0) == 0
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1sd",
+                   "--params", pipeline["params"], f"--{key}", value, "--out", out) == 1
+        assert capsys.readouterr().err.strip().splitlines() == want
+        assert not out.exists()
+
+
 class TestAlphaSetting:
     @pytest.mark.parametrize("flag, want", [((), 10.0), (("--alpha", 2.5), 2.5)],
                              ids=["default", "flag"])
