@@ -17,83 +17,79 @@ Every log-space pass is one sweep, `_pruned_sweep`, max-product for Viterbi
 and sum-product for a forward pass.  It carries from each slot only the
 states a keep policy picks: all of them for the plain decode and the forward
 rerun (below), those that can still lie on an optimal path for the certified
-decode (below), and a fixed number of the best for a beam.  Its
-sum-product steps run over the edge lists, and so do its max steps on small
-spaces; large ones take theirs over the class rows (below).  The exact forward pass runs in scaled linear space (Rabiner 1989) and
-converts its table back to log space: large spaces over the class rows
-(below), small ones over the edge list with every step's edge weights made
-at once.  A scaled kernel flushes entries below the smallest normal
-double, and a flushed path may later dominate; so each one keeps a ledger
-of the mass it may have dropped making each slot, bounds from it the share
-of its total that flushed mass could carry, and the pass reruns as the
-sweep that keeps every state when that share could matter (see
-`_log_flushed`).  The backward pass for the bounds below runs scaled over
-the same rows.  Backward sampling (FFBS) draws every uniform up front and
-inverts one cumulative sum over the in-edges of each sampled state.
+decode (below), and a fixed number of the best for a beam.  Its sum-product
+steps run over the edge lists, and so do its max steps on small spaces; large
+ones take theirs over the class rows (below).  The exact forward pass runs in
+scaled linear space (Rabiner 1989) and converts its table back to log space:
+large spaces over the class rows (below), small ones over the edge list with
+every step's edge weights made at once.  A scaled kernel flushes entries
+below the smallest normal double, and a flushed path may later dominate; so
+each one keeps a ledger of the mass it may have dropped making each slot,
+bounds from it the share of its total that flushed mass could carry, and the
+pass reruns as the sweep that keeps every state when that share could matter
+(see `_log_flushed`).  The backward pass for the bounds below runs scaled
+over the same rows.  Backward sampling (FFBS) draws every uniform up front
+and inverts one cumulative sum over the in-edges of each sampled state.
 
 Exact Viterbi on large spaces is certified rather than swept over every edge.
 A sweep that carries only some states computes, for each state it reaches,
-``delta'_n(s)``: the best score over the carried states' out-edges.  The
-best path through s at step n then scores at most ``delta'_n(s) +
-beta_n(s)`` whenever ``delta'_n(s)`` is exact, since a sum over paths is at
-least their max.  So once some feasible path scores L, a sweep that carries
-only the states whose bound reaches L carries every optimal path: each
-predecessor on such a path is carried, so each state's ``delta'`` on it is
-exact and its bound reaches the optimum (the admissible-bound argument of
-exact A* search; Klein and Manning 2003).  The decoded path, its score and
-the lowest-index tie rule are those of the full sweep.  Only beta must be a
-true bound, and it
+``delta'_n(s)``: the best score over the carried states' out-edges.  The best
+path through s at step n then scores at most ``delta'_n(s) + beta_n(s)``
+whenever ``delta'_n(s)`` is exact, since a sum over paths is at least their
+max.  So once some feasible path scores L, a sweep that carries only the
+states whose bound reaches L carries every optimal path: each predecessor on
+such a path is carried, so each state's ``delta'`` on it is exact and its
+bound reaches the optimum (the admissible-bound argument of exact A* search;
+Klein and Manning 2003).  The decoded path, its score and the lowest-index
+tie rule are those of the full sweep.  Only beta must be a true bound, and it
 comes from a scaled backward pass that raises every entry by the most
-underflow may have dropped from it; no forward pass runs.  Row 0 of that
-pass also bounds the data's total from above, ``Z_up = sum_s init(s)
-beta_0(s)`` (Rabiner 1989).  A forward-direction bound on the mass its
-raises add (see `_log_raised`) says when ``Z_up`` lies within e^-40 of the
-total, and the decode then returns it.
+underflow may have dropped from it; no forward pass runs.  Row 0 of that pass
+also bounds the data's total from above, ``Z_up = sum_s init(s) beta_0(s)``
+(Rabiner 1989).  A forward-direction bound on the mass its raises add (see
+`_log_raised`) says when ``Z_up`` lies within e^-40 of the total, and the
+decode then returns it.
 
 The shift and division modifications multiply the states, but a state's
-out-edges depend only on where it stands: many sources have out-edges of
-the same destination, value and parameter slot, and so the same weights
-and backward values under any tables.  Each edge set partitions its
-sources into such classes (state minimization, Hopcroft 1971) once per
-topology, on first use (see `EdgeSet.row_classes`); a weighing keeps every
-state and edge, a zero weight being a log weight of -inf, so every weighing
-of a topology shares its classes.  Its one
-weighted matrix has a row per distinct weighted class row (see
-`EdgeSet.class_rows`): classes whose rows are equal in log weight, bit for
-bit, as sparse trained tables leave many, merge once per weighing, and the
-rows' log weights are kept beside their probabilities.  The
-forward pass multiplies the matrix's transpose by the state vector's
-row sums, and the upper backward pass multiplies it and gathers the
-result per state.  A max step takes, per row, the largest delta of the
-sources it carries, scores each entry of those rows as ``(m + logp) +
-em(v)`` and reduces per destination (see `_class_step`): a row's sources
-have out-edges of the same log weights, and adding a fixed term rounds
-monotonically, so every slot's maxima, and the decoded path, are those of
-the edge list to the bit.  Large spaces whose class rows hold at most half
-their edges step so (see `CLASS_STEP_SHARE`); on a 300-note piece with the
-benchmark's trained tables that took a certified decode of `metmm1sd` from
-0.114 to 0.074 s and of `patmm1d` from 0.21 to 0.18 s, where the upper pass
-takes most of the rest.  A merged row adds the same terms in the same order
-as each class it stands for, so the upper pass, and with it the certified
-decode's bounds and likelihood, is bit-identical to one over the per-value
-matrix with a column per source.  So is the forward pass where
-every row holds one source, numbered in source order; merged rows add
-their members' mass before the product, which moves a forward total by
-rounding alone (by at most 1.8e-15 on the test spaces).  At bar length 8,
-`metmm1sd`'s 3,256 sources form 1,249 classes and its 295,712 matrix
-entries become 19,224, and no rows merge; `patmm1d`'s 18,133 form 8,686,
-and 680,928 entries become 193,796, then 8,439 rows and 18,133 entries
-under uniform tables, and 8,458 and 33,710 under the benchmark's trained
-ones.  With trained tables an upper pass over a 300-note piece
-took 0.031 s for `metmm1sd` and 0.218 s for `patmm1d`, against 0.213 s and
-0.537 s over every state, before the merge; in one process the merge
-took `patmm1d`'s from 0.143 to 0.087 s, for 4.2 ms per weighing, and
-cost `metmm1sd`'s nothing.  A forward pass over a 200-note `metmm1sdb`
-piece took 14 ms, against 52 ms over a per-value matrix with a column per
-source; over `patmm1b`, whose classes are all singletons, it took 18 ms
-against 16 ms, since each step adds the class sums and a product that
-scatters (one thread, 2-vCPU host; README.md).
-"""
+out-edges depend only on where it stands: many sources have out-edges of the
+same destination, value and parameter slot, and so the same weights and
+backward values under any tables.  Each edge set partitions its sources into
+such classes (state minimization, Hopcroft 1971) once per topology, on first
+use (see `EdgeSet.row_classes`); a weighing keeps every state and edge, a
+zero weight being a log weight of -inf, so every weighing of a topology
+shares its classes.  Its one weighted matrix has a row per distinct weighted
+class row (see `EdgeSet.class_rows`): classes whose rows are equal in log
+weight, bit for bit, as sparse trained tables leave many, merge once per
+weighing, and the rows' log weights are kept beside their probabilities.  The
+forward pass multiplies the matrix's transpose by the state vector's row
+sums, and the upper backward pass multiplies it and gathers the result per
+state.  A max step takes, per row, the largest delta of the sources it
+carries, scores each entry of those rows as ``(m + logp) + em(v)`` and
+reduces per destination (see `_class_step`): a row's sources have out-edges
+of the same log weights, and adding a fixed term rounds monotonically, so
+every slot's maxima, and the decoded path, are those of the edge list to the
+bit.  Large spaces whose class rows hold at most half their edges step so
+(see `CLASS_STEP_SHARE`); on 300-note pieces with the benchmark's trained
+tables that took a certified decode of `metmm1sd` from 0.23-0.32 to 0.08-0.09
+s and of `patmm1d` from 0.20-0.25 to 0.16-0.17 s, where the upper pass takes
+most of the rest (README.md).  A merged row adds the same terms in the same
+order as each class it stands for, so the upper pass, and with it the
+certified decode's bounds and likelihood, is bit-identical to one over the
+per-value matrix with a column per source.  So is the forward pass where
+every row holds one source, numbered in source order; merged rows add their
+members' mass before the product, which moves a forward total by rounding
+alone (by at most 1.8e-15 on the test spaces).  At bar length 8, `metmm1sd`'s
+3,256 sources form 1,249 classes and its 295,712 matrix entries become
+19,224, and no rows merge; `patmm1d`'s 18,133 form 8,686, and 680,928 entries
+become 193,796, then 8,439 rows and 18,133 entries under uniform tables, and
+8,458 and 33,710 under the benchmark's trained ones.  With trained tables an
+upper pass over a 300-note piece took 0.031 s for `metmm1sd` and 0.218 s for
+`patmm1d`, against 0.213 s and 0.537 s over every state, before the merge; in
+one process the merge took `patmm1d`'s from 0.143 to 0.087 s, for 4.2 ms per
+weighing, and cost `metmm1sd`'s nothing.  A forward pass over a 200-note
+`metmm1sdb` piece took 14 ms, against 52 ms over a per-value matrix with a
+column per source; over `patmm1b`, whose classes are all singletons, it took
+18 ms against 16 ms, since each step adds the class sums and a product that
+scatters (one thread, 2-vCPU host; README.md)."""
 from __future__ import annotations
 
 import copy
@@ -125,12 +121,14 @@ BATCH_MAX_ENTRIES = 1 << 16
 # has the timings.
 CERTIFY_MIN_EDGES = 60_000
 
-# A pruned sum-product step, or a max step over the edge list, relaxes the
-# out-edges of the states it keeps; once those are more than this share of
-# all edges, one `_full_step` over every edge is cheaper.  Relaxing gathers
-# each edge at random, 6-7x the cost per edge of the full step on `patmm1`,
-# `metmm1sd` and `patmm1d` (single thread), so the two cross at 14-16% of
-# the edges.
+# A pruned step over the edge list (every sum-product step, and the max
+# steps of spaces that `_class_routed` leaves there) relaxes the out-edges
+# of the states it keeps; once those are more than this share of all edges,
+# one `_full_step` over every edge is cheaper.  Relaxing gathers each edge at
+# random, 6-7x the cost per edge of the full step (max steps over `patmm1`,
+# `metmm1sd` and `patmm1d`, single thread), so the two cross at 14-16% of
+# the edges.  A restricted class-row step has its own crossover
+# (`DENSE_CLASS_FRACTION`).
 DENSE_STEP_FRACTION = 0.15
 
 # Max steps over spaces that do not run the time-batched kernels run over
@@ -477,9 +475,9 @@ def _merged(cls, data, indices, indptr, twins):
     terms are its members'; equal probabilities need not have equal logs,
     and a max step reads the logs.  Only the rows of `twins` (see
     `_class_layout`) can merge.  They are grouped by a hash of their
-    weights' bits and their column class,
-    and checked entry by entry as `_classes` checks.  The rows that stay
-    keep their order, and ``cls`` maps each source to its row.
+    weights' bits and their column class, and checked entry by entry as
+    `_classes` checks.  The rows that stay keep their order, and ``cls``
+    maps each source to its row.
     """
     rows, shape, at = twins
     if rows.size == 0:
@@ -1223,11 +1221,8 @@ def _class_step(edges: EdgeSet, step, em_row) -> np.ndarray | None:
     """
     _, _, cls, mat, logc = edges.class_rows()
     ids, delta = step
-    if ids.size == edges.n_src == mat.shape[0]:
-        best = delta  # every row holds one source, in source order
-    else:
-        best = np.full(mat.shape[0], NEG_INF)
-        np.maximum.at(best, cls if ids.size == edges.n_src else cls[ids], delta)
+    best = np.full(mat.shape[0], NEG_INF)
+    np.maximum.at(best, cls if ids.size == edges.n_src else cls[ids], delta)
     rows = np.flatnonzero(best > NEG_INF)
     starts = mat.indptr[rows]
     counts = mat.indptr[rows + 1] - starts
@@ -1236,8 +1231,8 @@ def _class_step(edges: EdgeSet, step, em_row) -> np.ndarray | None:
         scores += logc
         cols = mat.indices
     else:
-        # the kept rows' entries, as `_concat_ranges` gives them, with no
-        # pass to drop empty rows: few of them are kept at once
+        # `_concat_ranges` of the kept rows in fewer calls, which most
+        # steps, keeping a few rows, pay for more than for their entries
         at = np.repeat(starts - np.cumsum(counts) + counts, counts)
         at += np.arange(at.size)
         scores = np.repeat(best[rows], counts)

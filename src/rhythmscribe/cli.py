@@ -148,7 +148,7 @@ def _mass(settings: _Settings, key: str, default):
         return default
     if not 0 < mass <= 1:
         raise ValueError(f"{key} must be in (0, 1], got {mass:g}")
-    return float(mass)
+    return mass
 
 
 def _timing(settings: _Settings, parser, pc: PerformedCorpus | None = None) -> TimingParams:
@@ -238,7 +238,7 @@ def _model_tables(settings, config: ModelConfig, params):
     xi0 = _mass(settings, "xi0", None)
     zeta0 = _mass(settings, "zeta0", None)
     tables = attach_modification_presets(params, config, *(
-        DEFAULT_NO_MODIFICATION_MASS if mass is None else float(mass) for mass in (xi0, zeta0)))
+        DEFAULT_NO_MODIFICATION_MASS if mass is None else mass for mass in (xi0, zeta0)))
     if config.shift and xi0 is None and params.shift_probs is not None:
         tables.shift_probs = params.shift_probs
     if config.division and zeta0 is None and params.division_probs is not None:
