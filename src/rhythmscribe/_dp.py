@@ -145,11 +145,10 @@ CLASS_STEP_SHARE = 0.5
 # `metmm1sd`, trained `patmm1d` and random-table `patmm1d` (single thread).
 DENSE_CLASS_FRACTION = 0.5
 
-# The feasible score that certifies exact Viterbi comes from a sweep over the
-# top-k states of each step by their bound, k = 4, 16, 64, ... until one
-# restriction has a path.
-TOP_K_START = 4
-TOP_K_GROWTH = 4
+# The feasible score that certifies exact Viterbi comes from one sweep over
+# the top-k states of each slot by their bound (`_top`); when that
+# restriction has no path, the decode is the plain sweep.
+TOP_K = 4
 
 # Bounds and path scores add the same log terms in different orders; the
 # pruning threshold sits this relative slack (far above double rounding) below
@@ -565,28 +564,6 @@ def _relax(edges: EdgeSet, alpha, eids, em_row, use_max, scratch):
     return val
 
 
-def _extend_survivors(locked: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    """Grow a survivor set to `width` states, keeping `locked` as a prefix.
-
-    Extra slots go to the highest remaining finite values (ties to the
-    lowest index), so the sets produced for increasing widths form a chain.
-    """
-    if locked.size:
-        locked = locked[np.isfinite(values[locked])]
-    need = width - locked.size
-    if need <= 0:
-        return locked
-    mask = np.isfinite(values)
-    if locked.size:
-        mask[locked] = False
-    cand = np.flatnonzero(mask)
-    if cand.size > need:
-        cand = cand[np.lexsort((cand, -values[cand]))[:need]]
-    if not locked.size:
-        return cand
-    return np.concatenate([locked, cand]) if cand.size else locked
-
-
 def _dense_step(step, size: int) -> np.ndarray:
     """A sparse table step as a full vector, -inf outside its ids."""
     ids, vals = step
@@ -599,8 +576,9 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool):
     """Beam sweep whose survivor sets are nested across widths.
 
     Runs `_pruned_sweep` at widths 1, 2, 4, ..., `eff` in turn; at each
-    width a slot keeps the previous width's survivors and then the best
-    other states up to the width (see `_extend_survivors`).  Because a
+    width a slot keeps the previous width's survivors of finite value and
+    then the best other states up to the width, ties going to the lowest
+    index (see `_top`, which also picks the certified decode's states).  Because a
     narrower request's sweep is one of a wider request's earlier ones,
     survivor sets never reshuffle as the width grows: path sets only gain
     members, so beam scores are non-decreasing in the width and reach the
@@ -618,7 +596,10 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool):
 
         def keep(n, values):
             locked = prev[n] if n < len(prev) else np.empty(0, dtype=np.int64)
-            kept.append(np.sort(_extend_survivors(locked, values, width)))
+            locked = locked[np.isfinite(values[locked])]
+            rest = values.copy()
+            rest[locked] = NEG_INF
+            kept.append(np.sort(np.concatenate([locked, _top(rest, width - locked.size)])))
             return kept[-1]
 
         try:
@@ -1304,15 +1285,24 @@ def _pruned_sweep(space, em, init, keep, scratch, use_max=True, keep_table=True)
     return steps
 
 
-def _top(values: np.ndarray, k: int):
-    """Ascending ids of the k largest finite values, or None when k covers
-    every entry."""
-    if k >= values.size:
-        return None
+def _top(values: np.ndarray, k: int) -> np.ndarray:
+    """Ascending ids of the k largest finite values, ties going to the
+    lowest index; every finite id when there are at most k.
+
+    One partition finds the k-th largest value.  Only when some value left
+    out of the k ties with it does a second pass pick among the tied ones.
+    """
     ids = np.flatnonzero(np.isfinite(values))
-    if ids.size > k:
-        ids = np.sort(ids[np.argpartition(values[ids], ids.size - k)[ids.size - k:]])
-    return ids
+    if ids.size <= k:
+        return ids
+    finite = values[ids]
+    kth = np.partition(finite, ids.size - k)[ids.size - k]
+    top = finite >= kth
+    if np.count_nonzero(top) > k:
+        top = finite > kth
+        tied = np.flatnonzero(finite == kth)
+        top[tied[:k - np.count_nonzero(top)]] = True
+    return ids[top]
 
 
 def _certified_sweep(space, em, init):
@@ -1321,8 +1311,9 @@ def _certified_sweep(space, em, init):
     backward pass settles it (see `_log_raised`), else None.
 
     With ``beta`` the upper backward rows (see `_upper_beta`), a sweep that
-    keeps the top-k states of each slot by ``delta' + beta``, its own maxima
-    plus their bounds, gives a feasible score L.  A second sweep keeps the
+    keeps the top `TOP_K` states of each slot by ``delta' + beta``, its own
+    maxima plus their bounds, gives a feasible score L; when it finds no
+    path, the decode is the plain sweep, which is exact.  A second sweep keeps the
     states whose ``delta' + beta`` reaches L, less a slack for rounding.
     Every predecessor of a state on an optimal path lies on that path and
     is kept, so that state's `delta'` is exact and its bound reaches the
@@ -1330,7 +1321,6 @@ def _certified_sweep(space, em, init):
     ties with one, and is exact.  Both sweeps share one scratch array, and
     each beta row is dropped once the second sweep has passed it.
     """
-    size = max(space.n_states, init.size)
     scratch = _scratch(space)
     for edges in (space.first, space.trans):
         # built before the rows, so that their temporaries come first
@@ -1347,18 +1337,11 @@ def _certified_sweep(space, em, init):
     log_total = _log_total(init + beta[0])
     if not _log_raised(space, em, init, log_raise) - log_total <= -DROP_MARGIN:
         log_total = None
-    k = TOP_K_START
-    while True:
-        try:
-            steps = _pruned_sweep(space, em, init,
-                                  lambda n, delta: _top(delta + beta[n], k), scratch)
-            break
-        except InferenceError:
-            if k >= size:
-                raise
-            k *= TOP_K_GROWTH
-    if k >= size:
-        return steps, log_total  # the restriction kept everything: already exact
+    try:
+        steps = _pruned_sweep(space, em, init,
+                              lambda n, delta: _top(delta + beta[n], TOP_K), scratch)
+    except InferenceError:  # the restriction has no path; the plain sweep is exact
+        return _pruned_sweep(space, em, init, lambda n, delta: None, scratch), log_total
     score = float(np.max(steps[-1][1]))
     del steps
     scale = em.shape[0] * (1.0 + np.max(np.abs(em[np.isfinite(em)]), initial=0.0))

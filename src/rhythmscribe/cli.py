@@ -151,6 +151,14 @@ def _mass(settings: _Settings, key: str, default):
     return mass
 
 
+def _jobs(settings: _Settings) -> int:
+    """Worker processes; ValueError naming the setting unless at least 1."""
+    jobs = settings.get("jobs", 1, int)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _timing(settings: _Settings, parser, pc: PerformedCorpus | None = None) -> TimingParams:
     file_tempo = pc.tempo_bpm if pc is not None else None
     file_sigma = pc.sigma_t if pc is not None else None
@@ -261,7 +269,7 @@ def cmd_transcribe(args, parser) -> int:
     tp = _timing(settings, parser, pc)
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
     width = _beam_width(settings)
-    jobs = int(settings.get("jobs", 1, int))
+    jobs = _jobs(settings)
 
     seed = settings.get("seed", None, int)
     if config.bayesian:
@@ -382,7 +390,7 @@ def cmd_bench(args, parser) -> int:
     sigma = float(settings.get("sigma_t", DEFAULT_SIGMA_T, float))
     tp = TimingParams.from_bpm(tempo, sigma)
     iterations = int(settings.get("iterations", DEFAULT_GIBBS_ITERATIONS, int))
-    jobs = int(settings.get("jobs", 1, int))
+    jobs = _jobs(settings)
     seeds = settings.get("seeds", [0], _seeds)
     epsilon = float(settings.get("epsilon", DEFAULT_EPSILON, float))
     smoothing = SmoothingConfig(epsilon=epsilon)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rhythmscribe import _dp, inference
+from rhythmscribe import _dp, cli, inference
 from rhythmscribe.cli import main
 from rhythmscribe.models import ModelConfig, random_params, save_params
 
@@ -584,6 +584,36 @@ class TestModificationRows:
         assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1sd",
                    "--params", pipeline["params"], f"--{key}", value, "--out", out) == 1
         assert capsys.readouterr().err.strip().splitlines() == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag 0", "flag -3", "env 0", "config 0"])
+    def test_jobs_below_one_is_one_error_line_naming_jobs(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch, source):
+        # refused before any work: no worker process and no serial decode
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("ProcessPoolExecutor", "_transcribe_one", "benchmark_cells"):
+            monkeypatch.setattr(cli, name, forbidden)
+        kind, value = source.split()
+        extra = []
+        if kind == "flag":
+            extra = ["--jobs", value]
+        elif kind == "env":
+            monkeypatch.setenv("RHYTHMSCRIBE_JOBS", value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"jobs": int(value)}))
+            extra = ["--config", cfg]
+        assert run("synth", "--corpus", pipeline["corpus"], "--out", pipeline["perf"],
+                   "--seed", 0) == 0
+        out = tmp_path / "bad.json"
+        assert run("transcribe", "--performances", pipeline["perf"], "--model", "metmm1",
+                   "--params", pipeline["params"], *extra, "--out", out) == 1
+        assert run("bench", "--corpus", pipeline["corpus"], "--models", "metmm1",
+                   "--seeds", "1,2", *extra, "--out", out) == 1
+        want = f"error: jobs must be at least 1, got {value}"
+        assert capsys.readouterr().err.strip().splitlines() == [want, want]
         assert not out.exists()
 
 

@@ -685,6 +685,64 @@ class TestEmptiedBeam:
         assert np.isfinite(_dp.forward(space, em, beam_width=2 * width))
 
 
+def survivor_rule(locked, values, width):
+    """The beam's selector before `_dp._top` took its place: `locked`'s
+    finite states, then the best other finite states by (value desc, index
+    asc) up to `width`, in ascending ids."""
+    locked = locked[np.isfinite(values[locked])]
+    mask = np.isfinite(values)
+    mask[locked] = False
+    cand = np.flatnonzero(mask)
+    cand = cand[np.lexsort((cand, -values[cand]))[:width - locked.size]]
+    return np.sort(np.concatenate([locked, cand]))
+
+
+class TestBeamSurvivors:
+    @pytest.mark.parametrize("name", ["notemm1", "metmm1", "patmm1", "notemm1sd", "metmm1sd"])
+    def test_kept_sets_follow_the_survivor_rule_under_ties(self, name, rng, monkeypatch):
+        # uniform tables and integer-valued emissions tie many states
+        # exactly, also across each width's cut
+        _, _, space, _, _ = tiny_instance(name, rng, n_notes=1)
+        space = build_state_space(space.config, uniform_params(space.config))
+        sweeps = []
+        real = _dp._pruned_sweep
+
+        def spy(space, em, init, keep, *args):
+            sweep = []
+            sweeps.append(sweep)
+
+            def recording(n, delta):
+                ids = keep(n, delta)
+                sweep.append((delta.copy(), ids))
+                return ids
+
+            return real(space, em, init, recording, *args)
+
+        monkeypatch.setattr(_dp, "_pruned_sweep", spy)
+        cut_ties = 0
+        for em in (np.round(rng.normal(size=(8, space.bar_length))),
+                   np.zeros((8, space.bar_length))):
+            for width in (1, 2, 5, 16):
+                if _dp._effective_width(width, space, space.log_initial.size) is None:
+                    continue  # the beam covers the space: an exact decode
+                for decode in (_dp.viterbi, _dp.forward):
+                    del sweeps[:]
+                    try:
+                        decode(space, em, beam_width=width)
+                    except InferenceError:
+                        pass
+                    prev = []
+                    for level, sweep in enumerate(sweeps):
+                        for n, (delta, ids) in enumerate(sweep):
+                            locked = prev[n] if n < len(prev) else np.empty(0, dtype=np.int64)
+                            want = survivor_rule(locked, delta, 2**level)
+                            assert np.array_equal(ids, want)
+                            left = np.setdiff1d(np.flatnonzero(np.isfinite(delta)), want)
+                            cut_ties += want.size > 0 and np.isin(delta[left], delta[want]).any()
+                        prev = [ids for _, ids in sweep]
+        assert cut_ties > 0
+
+
 def backpointer_viterbi(space, em):
     """Textbook Viterbi with stored back-pointers (lowest edge id on ties)."""
     delta = space.log_initial.copy()
@@ -883,20 +941,24 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
 
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_widened_restriction_keeps_the_path(self, name, rng, monkeypatch):
-        # k = 1, 2, 4, ...: most restrictions have no path and must widen
-        monkeypatch.setattr(_dp, "TOP_K_START", 1)
-        monkeypatch.setattr(_dp, "TOP_K_GROWTH", 2)
+        # k = 1: many restrictions have no path, and the decode falls back
+        # to the plain sweep with the upper pass's total
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
             em = TranscriptionHmm(space, tp).emission_matrix(durations)
+            monkeypatch.setattr(_dp, "TOP_K", space.n_states)
+            total = _dp.viterbi(space, em).log_likelihood
+            monkeypatch.setattr(_dp, "TOP_K", 1)
             self._check(space, em)
+            assert _dp.viterbi(space, em).log_likelihood == total
 
     def test_restriction_without_a_path_grows_to_every_state(self, monkeypatch):
         # values 5-8 fit the first note 1000 nats better than value 1, but
         # only state 1 produces the second note's value 1.  The raised
         # backward pass bounds the dead-end states 5-8 about 485 nats below
         # the step's total, so they outrank state 1 and fill the top 4: that
-        # restriction has no path, and k = 16 keeps every state
+        # restriction has no path, and the decode is the plain sweep, which
+        # keeps every state, with the upper pass's total
         transition = np.zeros((8, 8))
         transition[0, 0] = 1.0
         transition[1:4] = 1 / 8
@@ -905,22 +967,40 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         em = np.full((2, 8), -np.inf)
         em[0, 0], em[0, 4:] = -1000.0, 0.0
         em[1, 0] = 0.0
-        ks = []
-        real = _dp._top
+        ks, sweeps = [], []
+        real_top, real_sweep = _dp._top, _dp._pruned_sweep
 
         def top(values, k):
             ks.append(k)
-            return real(values, k)
+            return real_top(values, k)
+
+        def sweep(space, em, init, keep, *args):
+            kept = []
+            sweeps.append(kept)
+            try:
+                return real_sweep(space, em, init,
+                                  lambda n, delta: kept.append(keep(n, delta)) or kept[-1],
+                                  *args)
+            except InferenceError:
+                kept.append("no path")
+                raise
 
         monkeypatch.setattr(_dp, "_top", top)
+        monkeypatch.setattr(_dp, "_pruned_sweep", sweep)
         path = _dp.viterbi(space, em)
-        assert sorted(set(ks)) == [_dp.TOP_K_START, _dp.TOP_K_START * _dp.TOP_K_GROWTH]
-        assert _dp.TOP_K_START < space.n_states <= _dp.TOP_K_START * _dp.TOP_K_GROWTH
+        assert set(ks) == {_dp.TOP_K} and _dp.TOP_K < space.n_states
+        restricted, plain_sweep = sweeps
+        assert restricted[-1] == "no path"
+        assert plain_sweep == [None] * 3
+        monkeypatch.setattr(_dp, "_pruned_sweep", real_sweep)
         monkeypatch.setattr(_dp, "CERTIFY_MIN_EDGES", 10**9)
         plain = _dp.viterbi(space, em)
         assert path.output_values == [1, 1]
         assert (path.boundary_index, path.state_indices, path.output_values, path.log_prob) == (
             plain.boundary_index, plain.state_indices, plain.output_values, plain.log_prob)
+        # the dead ends' raised mass outweighs every path's: the upper
+        # total is no likelihood here
+        assert path.log_likelihood is None
 
     def test_infeasible_data_raises_as_the_plain_sweep(self):
         em = np.full((3, 8), -np.inf)

@@ -275,3 +275,15 @@ def test_zeroed_shift_entries_leave_no_dead_end(check):
         assert np.bincount(space.trans.src, minlength=space.n_states).min() > 0
     else:
         assert _dp.forward(space, np.zeros((6, config.bar_length))) == pytest.approx(0.0, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(values=st.lists(st.sampled_from([-np.inf, -1.5, 0.0, 0.5, 2.0]), min_size=1,
+                       max_size=200),
+       k=st.integers(1, 64))
+def test_top_picks_the_largest_finite_values_ties_to_the_lowest_index(values, k):
+    values = np.array(values)
+    finite = np.flatnonzero(np.isfinite(values))
+    want = np.sort(finite[np.lexsort((finite, -values[finite]))[:k]])
+    got = _dp._top(values, k)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
