@@ -17,9 +17,10 @@ Every log-space pass is one sweep, `_pruned_sweep`, max-product for Viterbi
 and sum-product for a forward pass.  It carries from each slot only the
 states a keep policy picks: all of them for the plain decode and the forward
 rerun (below), those that can still lie on an optimal path for the certified
-decode (below), and a fixed number of the best for a beam.  Its sum-product
-steps run over the edge lists, and so do its max steps on small spaces; large
-ones take theirs over the class rows (below).  The exact forward pass runs in
+decode (below), and a fixed number of the best for a beam, which one
+tie-stable selector (`_top`) picks.  Its sum-product steps run over the edge
+lists, and so do its max steps on small spaces; large ones take theirs over
+the class rows (below).  The exact forward pass runs in
 scaled linear space (Rabiner 1989) and converts its table back to log space:
 large spaces over the class rows (below), small ones over the edge list with
 every step's edge weights made at once.  A scaled kernel flushes entries
@@ -40,14 +41,16 @@ max.  So once some feasible path scores L, a sweep that carries only the
 states whose bound reaches L carries every optimal path: each predecessor on
 such a path is carried, so each state's ``delta'`` on it is exact and its
 bound reaches the optimum (the admissible-bound argument of exact A* search;
-Klein and Manning 2003).  The decoded path, its score and the lowest-index
-tie rule are those of the full sweep.  Only beta must be a true bound, and it
-comes from a scaled backward pass that raises every entry by the most
-underflow may have dropped from it; no forward pass runs.  Row 0 of that pass
-also bounds the data's total from above, ``Z_up = sum_s init(s) beta_0(s)``
-(Rabiner 1989).  A forward-direction bound on the mass its raises add (see
-`_log_raised`) says when ``Z_up`` lies within e^-40 of the total, and the
-decode then returns it.
+Klein and Manning 2003).  L comes from one sweep over the few states of
+each slot with the highest bounds; when that sweep finds no path, the plain
+sweep over every state is the decode.  The decoded path, its score and the
+lowest-index tie rule are those of the full sweep.  Only beta must be a true
+bound, and it comes from a scaled backward pass that raises every entry by
+the most underflow may have dropped from it; no forward pass runs.  Row 0 of
+that pass also bounds the data's total from above, ``Z_up = sum_s init(s)
+beta_0(s)`` (Rabiner 1989).  A forward-direction bound on the mass its
+raises add (see `_log_raised`) says when ``Z_up`` lies within e^-40 of the
+total, and the decode then returns it.
 
 The shift and division modifications multiply the states, but a state's
 out-edges depend only on where it stands: many sources have out-edges of the
@@ -578,11 +581,11 @@ def _tiered_sweep(space, em, eff: int, init: np.ndarray, use_max: bool):
     Runs `_pruned_sweep` at widths 1, 2, 4, ..., `eff` in turn; at each
     width a slot keeps the previous width's survivors of finite value and
     then the best other states up to the width, ties going to the lowest
-    index (see `_top`, which also picks the certified decode's states).  Because a
-    narrower request's sweep is one of a wider request's earlier ones,
-    survivor sets never reshuffle as the width grows: path sets only gain
-    members, so beam scores are non-decreasing in the width and reach the
-    exact values once every state fits.  The doubling ladder costs at most
+    index (see `_top`, which also picks the certified decode's states).
+    Because a narrower request's sweep is one of a wider request's earlier
+    ones, survivor sets never reshuffle as the width grows: path sets only
+    gain members, so beam scores are non-decreasing in the width and reach
+    the exact values once every state fits.  The doubling ladder costs at most
     twice the widest sweep's work.  A narrower width that keeps no
     feasible state passes on the survivors of the slots it kept; only the
     widest one raises.
@@ -1313,13 +1316,14 @@ def _certified_sweep(space, em, init):
     With ``beta`` the upper backward rows (see `_upper_beta`), a sweep that
     keeps the top `TOP_K` states of each slot by ``delta' + beta``, its own
     maxima plus their bounds, gives a feasible score L; when it finds no
-    path, the decode is the plain sweep, which is exact.  A second sweep keeps the
-    states whose ``delta' + beta`` reaches L, less a slack for rounding.
-    Every predecessor of a state on an optimal path lies on that path and
-    is kept, so that state's `delta'` is exact and its bound reaches the
-    optimum: the second sweep keeps every optimal path and every edge that
-    ties with one, and is exact.  Both sweeps share one scratch array, and
-    each beta row is dropped once the second sweep has passed it.
+    path, the decode is the plain sweep, which is exact.  A second sweep
+    keeps the states whose ``delta' + beta`` reaches L, less a slack for
+    rounding.  Every predecessor of a state on an optimal path lies on that
+    path and is kept, so that state's `delta'` is exact and its bound
+    reaches the optimum: the second sweep keeps every optimal path and
+    every edge that ties with one, and is exact.  Both sweeps share one
+    scratch array, and each beta row is dropped once the second sweep has
+    passed it.
     """
     scratch = _scratch(space)
     for edges in (space.first, space.trans):
