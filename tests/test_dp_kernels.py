@@ -941,8 +941,8 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
 
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_widened_restriction_keeps_the_path(self, name, rng, monkeypatch):
-        # k = 1: many restrictions have no path, and the decode falls back
-        # to the plain sweep with the upper pass's total
+        # k = 1, the narrowest restriction, keeps the path and the upper
+        # total of a restriction that keeps every state
         for _ in range(3):
             _, _, space, tp, durations = tiny_instance(name, rng, n_notes=6)
             em = TranscriptionHmm(space, tp).emission_matrix(durations)
@@ -958,7 +958,7 @@ class TestCertifiedViterbi(TestArgmaxFreeViterbi):
         # backward pass bounds the dead-end states 5-8 about 485 nats below
         # the step's total, so they outrank state 1 and fill the top 4: that
         # restriction has no path, and the decode is the plain sweep, which
-        # keeps every state, with the upper pass's total
+        # keeps every state
         transition = np.zeros((8, 8))
         transition[0, 0] = 1.0
         transition[1:4] = 1 / 8
